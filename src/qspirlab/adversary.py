@@ -44,7 +44,7 @@ from .bell import (
     server_pauli,
     unentangle_pairs,
 )
-from .compiler import CompiledProtocol, server_phase, server_register
+from .compiler import BATCH_ROWS, CompiledProtocol, server_phase, server_register
 from .density import DensityAccumulator, DensityMatrix, trace_distance
 from .registers import RegisterLayout
 from .schemes import Database
@@ -423,9 +423,11 @@ def honest_output_mixture(protocol, x: Database, i: int) -> dict[int, float]:
     draws = _draw_space(protocol) if isinstance(protocol, QuantumProtocol) else [(0, ())]
     output: dict[int, float] = {}
     w = 1.0 / len(draws)
-    for r, masks in draws:
-        for bit, p in protocol.run_output(x, i, r, masks).items():
-            output[bit] = output.get(bit, 0.0) + w * p
+    for start in range(0, len(draws), BATCH_ROWS):
+        batch = [(i, r, masks) for r, masks in draws[start:start + BATCH_ROWS]]
+        for dist in protocol.run_outputs(x, batch):
+            for bit, p in dist.items():
+                output[bit] = output.get(bit, 0.0) + w * p
     return output
 
 

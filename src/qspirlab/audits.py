@@ -155,13 +155,10 @@ def _thread_count() -> int:
 def _recovery_for_database(args) -> list[tuple]:
     protocol, grid, x, mode, mask_subset = args
     rand = list(protocol.randomness_space())
-    rows = []
+    draws = []
+    spans = []
     for i in grid.indices:
-        target = x.bit(i)
-        total = 0.0
-        count = 0
-        example_fail = None
-        combos_used = set()
+        start = len(draws)
         for r_idx, r in enumerate(rand):
             if mode == "full":
                 combos = mask_subset
@@ -175,13 +172,23 @@ def _recovery_for_database(args) -> list[tuple]:
                     combos = [mask_subset[slot % len(mask_subset)]]
             else:
                 combos = [()]
-            for masks in combos:
-                p = protocol.run_output(x, i, r, masks).get(target, 0.0)
-                total += p
-                count += 1
-                combos_used.add(masks)
-                if p < 1.0 - TOL and example_fail is None:
-                    example_fail = {"r": r, "masks": list(masks), "probability": p}
+            draws += [(i, r, masks) for masks in combos]
+        spans.append((i, start, len(draws)))
+    outputs = protocol.run_outputs(x, draws)
+    rows = []
+    for i, start, stop in spans:
+        target = x.bit(i)
+        total = 0.0
+        count = 0
+        example_fail = None
+        combos_used = set()
+        for (_, r, masks), output in zip(draws[start:stop], outputs[start:stop]):
+            p = output.get(target, 0.0)
+            total += p
+            count += 1
+            combos_used.add(masks)
+            if p < 1.0 - TOL and example_fail is None:
+                example_fail = {"r": r, "masks": list(masks), "probability": p}
         rows.append((str(x), i, total / count, count, example_fail, combos_used))
     return rows
 

@@ -292,3 +292,7 @@ class BellProtocol:
             for q, bit, _ in recovery_branches_bell(st, i, m):
                 output[bit] = output.get(bit, 0.0) + p * q
         return output
+
+    def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
+        """``run_output`` of each (i, r, masks) draw."""
+        return [self.run_output(x, i, r, masks) for i, r, masks in draws]

@@ -22,6 +22,8 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+import numpy as np
+
 from . import kernels
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, QueryPlan
@@ -29,16 +31,26 @@ from .states import (
     SQRT_HALF,
     SparseState,
     apply_local_map,
+    apply_local_map_batch,
     apply_phase_oracle,
+    apply_phase_oracle_batch,
     conditional_xor_relabel,
+    conditional_xor_relabel_batch,
     hadamard,
+    key_dtype,
     measurement_branches,
+    measurement_branches_batch,
+    validate_batch,
 )
 from .transcript import USER, Transcript, TranscriptBuilder, server_party
 
 
 class RecoveryError(RuntimeError):
     """Recovery did not produce a single outcome with probability 1."""
+
+
+# Most draws ``run_outputs`` puts in one batch; bounds its arrays' memory.
+BATCH_ROWS = 1 << 13
 
 
 def server_register(j: int) -> str:
@@ -80,6 +92,59 @@ def build_query_state(plan: QueryPlan, masks: Sequence[int]) -> SparseState:
     return SparseState(layout, {k0: SQRT_HALF, k1: SQRT_HALF})
 
 
+def _draw_tables(plans: Sequence[QueryPlan], masks: Sequence[Sequence[int]], wide: bool):
+    """``[B, k]`` tables of queries, selects and masks; None unless every draw is well formed."""
+    k, t, a = plans[0].k, plans[0].t, plans[0].a
+    if any(len(row) != k for row in masks):
+        return None
+    try:
+        tables = [
+            np.array(list(itertools.chain.from_iterable(rows)),
+                     dtype=object if wide else np.int64).reshape(-1, k)
+            for rows in ([p.queries for p in plans], [p.selects for p in plans], masks)
+        ]
+    except OverflowError:  # beyond 64 bits, hence beyond every register of the layout
+        return None
+    queries, selects, mask_values = tables
+    for values, width in ((queries, t), (selects, t + a), (mask_values, a)):
+        if ((values < 0) | (values >> width != 0)).any():
+            return None
+    if not (selects != 0).any(axis=1).all():
+        return None
+    return tables
+
+
+def build_query_batch(plans: Sequence[QueryPlan], masks: Sequence[Sequence[int]],
+                      layout: RegisterLayout):
+    """Batched build_query_state: one two-branch query state per (plan, masks) row.
+
+    The plans come from one scheme.  Returns the batch's ``keys`` and
+    ``amps`` and each server's register values on the sign-0 and sign-1
+    branches (``plain`` and ``flipped``, ``[B, k]``), which recovery XORs out.
+    """
+    tables = _draw_tables(plans, masks, layout.width > 64)
+    if tables is None:
+        # Some draw is malformed: building the states one by one raises the
+        # error that draw's own run raises.
+        for plan, row in zip(plans, masks):
+            build_query_state(plan, row)
+        raise AssertionError("batch checks rejected draws that build")
+    queries, selects, mask_values = tables
+    k, t, a = plans[0].k, plans[0].t, plans[0].a
+    dtype = key_dtype(layout)
+    base = (queries << a).astype(dtype)
+    plain = base | mask_values.astype(dtype)
+    flipped = base | (mask_values ^ selects).astype(dtype)
+    k0 = np.zeros(len(plans), dtype=dtype)
+    k1 = np.ones(len(plans), dtype=dtype)
+    for j in range(k):
+        k0 = (k0 << (t + a)) | plain[:, j]
+        k1 = (k1 << (t + a)) | flipped[:, j]
+    keys = np.stack([k0, k1], axis=1)
+    amps = validate_batch(layout, keys, np.full(keys.shape, complex(SQRT_HALF)))
+    return keys, amps, plain, flipped
+
+
 def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Database) -> SparseState:
     """Server j's conditional phase: -1 on odd <answer(query), mask part>."""
     a = scheme.shape.a
@@ -90,6 +155,32 @@ def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Databas
         return kernels.dot2(scheme.answer(q, x), sub & mask_bits, a)
 
     return apply_phase_oracle(state, server_register(j), phase)
+
+
+def _parity(values: np.ndarray, width: int) -> np.ndarray:
+    """Parity of the low ``width`` bits of each value, by XOR-folding."""
+    span = 1
+    while span < width:
+        span <<= 1
+    while span > 1:
+        span >>= 1
+        values = values ^ (values >> span)
+    return values & 1
+
+
+def server_phase_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
+                       scheme: LinearPirScheme, j: int, x: Database) -> np.ndarray:
+    """Batched server_phase; ``scheme.answer`` runs once per distinct query."""
+    a = scheme.shape.a
+    mask_bits = (1 << a) - 1
+
+    def phase(subs: np.ndarray) -> np.ndarray:
+        distinct, inverse = np.unique(subs >> a, return_inverse=True)
+        answers = np.array([scheme.answer(q, x) & mask_bits for q in distinct.tolist()],
+                           dtype=subs.dtype)
+        return _parity(answers[inverse] & (subs & mask_bits), a)
+
+    return apply_phase_oracle_batch(layout, keys, amps, server_register(j), phase)
 
 
 def _recovery_relabel(state: SparseState, plan: QueryPlan, masks: Sequence[int]) -> SparseState:
@@ -240,22 +331,49 @@ class CompiledProtocol:
 
     def run_output(self, x: Database, i: int, r: int, masks: Sequence[int]) -> dict[int, float]:
         """Output distribution only; skips transcript bookkeeping."""
-        plan = self.scheme.gen_plan(i, r)
-        state = build_query_state(plan, masks)
-        branches = [(1.0, state)]
-        for j in range(1, self.k + 1):
+        return self.run_outputs(x, [(i, r, masks)])[0]
+
+    def run_outputs(self, x: Database, draws: Sequence[tuple[int, int, Sequence[int]]]
+                    ) -> list[dict[int, float]]:
+        """Output distributions of many runs on one database, one per (i, r, masks) draw.
+
+        The draws run in batches of up to ``BATCH_ROWS`` through the step
+        sequence of ``run``: query states, each server's phase (after its
+        dephasing split when ``dephase_servers`` is set), the recovery
+        relabel, the Hadamard on ``sign`` and its measurement.  Exactness
+        contract: every probability comes from the IEEE operations of the
+        dict ops, in their order, so each distribution equals ``run(x, i,
+        r, masks).output`` to the last bit, keys in the same order; and a
+        malformed draw raises the exception its single run raises.
+        """
+        outputs: list[dict[int, float]] = []
+        for start in range(0, len(draws), BATCH_ROWS):
+            outputs += self._run_batch(x, draws[start:start + BATCH_ROWS])
+        return outputs
+
+    def _run_batch(self, x: Database, draws) -> list[dict[int, float]]:
+        layout = self.layout()
+        plans = [self.scheme.gen_plan(i, r) for i, r, _ in draws]
+        keys, amps, plain, flipped = build_query_batch(plans, [m for _, _, m in draws], layout)
+        row = np.arange(len(draws))     # the draw each batch row belongs to
+        weight = np.ones(len(draws))
+        targets = [server_register(j) for j in range(1, self.k + 1)]
+        for j, reg in enumerate(targets, start=1):
             if self.dephase_servers:
-                branches = [
-                    (p * q, post)
-                    for p, st in branches
-                    for q, _, post in measurement_branches(st, server_register(j))
-                ]
-            branches = [(p, server_phase(st, self.scheme, j, x)) for p, st in branches]
-        output: dict[int, float] = {}
-        for p, st in branches:
-            for q, bit, _ in recovery_branches(st, plan, masks):
-                output[bit] = output.get(bit, 0.0) + p * q
-        return output
+                parent, _, q, keys, amps = measurement_branches_batch(layout, keys, amps, reg)
+                row, weight = row[parent], weight[parent] * q
+            amps = server_phase_batch(layout, keys, amps, self.scheme, j, x)
+        keys = conditional_xor_relabel_batch(layout, keys, "sign", targets, {
+            0: {reg: plain[row, j] for j, reg in enumerate(targets)},
+            1: {reg: flipped[row, j] for j, reg in enumerate(targets)},
+        })
+        keys, amps = apply_local_map_batch(layout, keys, amps, "sign", hadamard)
+        parent, bit, q, _, _ = measurement_branches_batch(layout, keys, amps, "sign")
+        outputs: list[dict[int, float]] = [{} for _ in draws]
+        for d, b, p in zip(row[parent].tolist(), bit.tolist(), (weight[parent] * q).tolist()):
+            out = outputs[d]
+            out[b] = out.get(b, 0.0) + p
+        return outputs
 
 
 def run_protocol(scheme: LinearPirScheme, x: Database, i: int, r: int,

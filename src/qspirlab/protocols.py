@@ -125,6 +125,10 @@ class ClassicalProtocol:
         answers = [self.scheme.answer(q, x) for q in plan.queries]
         return {reconstruct(plan, answers): 1.0}
 
+    def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
+        """``run_output`` of each (i, r, masks) draw."""
+        return [self.run_output(x, i, r, masks) for i, r, masks in draws]
+
 
 Protocol = ClassicalProtocol | CompiledProtocol | BellProtocol
 

@@ -28,6 +28,7 @@ Implemented schemes (registry names):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from . import kernels
@@ -159,7 +160,7 @@ class TrivialScheme(LinearPirScheme):
 
     name = "trivial1"
 
-    @property
+    @cached_property
     def shape(self) -> SchemeShape:
         return SchemeShape(k=1, t=0, a=self.n, randomness_size=1)
 
@@ -185,7 +186,7 @@ class SubsetScheme(LinearPirScheme):
 
     name = "subset2"
 
-    @property
+    @cached_property
     def shape(self) -> SchemeShape:
         return SchemeShape(k=2, t=self.n, a=1, randomness_size=1 << self.n)
 
@@ -233,7 +234,7 @@ class CubeScheme(LinearPirScheme):
         ]
         self._answers: dict[tuple[int, int], int] = {}
 
-    @property
+    @cached_property
     def shape(self) -> SchemeShape:
         m = self.side
         return SchemeShape(k=2, t=3 * m, a=3 * m + 1, randomness_size=1 << (3 * m))

@@ -5,16 +5,18 @@ import math
 
 import pytest
 
+from qspirlab import compiler
 from qspirlab.compiler import (
     CompiledProtocol,
     RecoveryError,
+    build_query_batch,
     build_query_state,
     compiled_layout,
     server_phase,
     user_recover,
 )
 from qspirlab.density import DensityAccumulator
-from qspirlab.schemes import Database, all_databases, make_scheme
+from qspirlab.schemes import Database, QueryPlan, SubsetScheme, all_databases, make_scheme
 from qspirlab.states import SparseState, equal_up_to_global_phase
 
 from helpers import CorruptedSubsetScheme
@@ -231,3 +233,137 @@ def test_mask_cycle_distinctness():
     small = CompiledProtocol(make_scheme("subset2", 2))
     assert {small.mask_combo(s, 512) for s in range(small.mask_subset_size(512))} == set(
         itertools.product(range(2), repeat=2))
+
+
+def _full_draws(protocol):
+    return [(i, r, masks) for i in range(1, protocol.n + 1)
+            for r in protocol.randomness_space() for masks in protocol.mask_space()]
+
+
+def _assert_outputs_equal_runs(protocol, databases, draws):
+    # ``==`` on floats, not approx: the batch must repeat the dict ops to the bit
+    for x in databases:
+        outputs = protocol.run_outputs(x, draws)
+        assert len(outputs) == len(draws)
+        for (i, r, masks), output in zip(draws, outputs):
+            want = protocol.run(x, i, r, masks).output
+            assert output == want, (str(x), i, r, masks)
+            assert list(output) == list(want), (str(x), i, r, masks)
+
+
+class ZeroSelectSubsetScheme(SubsetScheme):
+    """Subset scheme whose selection vectors are all zero at index 1."""
+
+    def gen_plan(self, i, r):
+        plan = super().gen_plan(i, r)
+        selects = (0, 0) if i == 1 else plan.selects
+        return QueryPlan(i=plan.i, r=plan.r, queries=plan.queries, selects=selects,
+                         t=plan.t, a=plan.a)
+
+
+class TestBatchedOutputs:
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    @pytest.mark.parametrize("name", ["trivial1", "subset2"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive_small(self, name, n, countermeasure):
+        protocol = CompiledProtocol(make_scheme(name, n), dephase_servers=countermeasure)
+        _assert_outputs_equal_runs(protocol, list(all_databases(n)), _full_draws(protocol))
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_cube_cycled_masks(self, countermeasure):
+        protocol = CompiledProtocol(make_scheme("cube2", 8), dephase_servers=countermeasure)
+        draws = [
+            (i, r, protocol.mask_combo(slot))
+            for slot, (i, r) in enumerate(
+                itertools.product(range(1, 9), protocol.randomness_space()))
+        ]
+        databases = [Database.from_string(s) for s in ("00000000", "10110100", "11111111")]
+        _assert_outputs_equal_runs(protocol, databases, draws)
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_corrupted_scheme_below_one(self, countermeasure):
+        protocol = CompiledProtocol(CorruptedSubsetScheme(2), dephase_servers=countermeasure)
+        draws = _full_draws(protocol)
+        _assert_outputs_equal_runs(protocol, list(all_databases(2)), draws)
+        outputs = protocol.run_outputs(Database.from_string("01"), draws)
+        assert any(output.get(Database.from_string("01").bit(i), 0.0) < 1.0
+                   for (i, _, _), output in zip(draws, outputs))
+
+    def test_batch_of_one_matches_larger_batch(self):
+        protocol = CompiledProtocol(make_scheme("subset2", 3), dephase_servers=True)
+        x = Database.from_string("101")
+        draws = _full_draws(protocol)
+        outputs = protocol.run_outputs(x, draws)
+        for k in (0, 17, len(draws) - 1):
+            assert protocol.run_outputs(x, [draws[k]]) == [outputs[k]]
+            assert protocol.run_output(x, *draws[k]) == outputs[k]
+
+    def test_long_sequences_split_into_batches(self, monkeypatch):
+        protocol = CompiledProtocol(make_scheme("subset2", 3))
+        x = Database.from_string("011")
+        draws = _full_draws(protocol)
+        whole = protocol.run_outputs(x, draws)
+        monkeypatch.setattr(compiler, "BATCH_ROWS", 7)
+        assert protocol.run_outputs(x, draws) == whole
+
+    def test_empty_batch(self):
+        protocol = CompiledProtocol(make_scheme("subset2", 2))
+        assert protocol.run_outputs(Database.from_string("10"), []) == []
+
+    @pytest.mark.parametrize("draw, error", [
+        ((3, 0, (0, 0)), IndexError),        # index outside [1, n]
+        ((1, 4, (0, 0)), ValueError),        # randomness outside the enumeration
+        ((1, 0, (0,)), ValueError),          # one mask for two servers
+        ((1, 0, (0, 2)), ValueError),        # mask wider than the answer
+        ((1, 0, (-1, 0)), ValueError),
+        ((1, 0, (1 << 70, 0)), ValueError),  # beyond any machine word
+    ])
+    def test_malformed_draw_raises_like_a_single_run(self, draw, error):
+        protocol = CompiledProtocol(make_scheme("subset2", 2))
+        x = Database.from_string("10")
+        with pytest.raises(error) as single:
+            protocol.run(x, *draw)
+        with pytest.raises(error) as batched:
+            protocol.run_outputs(x, [(2, 1, (0, 1)), draw])
+        assert str(batched.value) == str(single.value)
+
+    def test_degenerate_plan_rejected(self):
+        protocol = CompiledProtocol(ZeroSelectSubsetScheme(2))
+        x = Database.from_string("10")
+        assert protocol.run_outputs(x, [(2, 0, (0, 0))])[0] == protocol.run(x, 2, 0, (0, 0)).output
+        with pytest.raises(ValueError, match="degenerate plan"):
+            protocol.run_outputs(x, [(2, 0, (0, 0)), (1, 0, (0, 0))])
+
+
+class TestWideLayout:
+    """``qspir(subset2)`` at n=40 has an 83-bit layout: keys are Python ints."""
+
+    def setup_method(self):
+        self.protocol = CompiledProtocol(make_scheme("subset2", 40))
+        self.x = Database(40, 0xA5C3F00F5A)
+
+    def test_layout_is_wider_than_a_word(self):
+        layout = self.protocol.layout()
+        assert layout.width == 83
+        plans = [self.protocol.scheme.gen_plan(40, (1 << 40) - 1)]
+        keys, _, _, _ = build_query_batch(plans, [(1, 0)], layout)
+        assert keys.dtype == object
+        assert int(keys[0, 1]) >> 82 == 1
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_outputs_equal_runs(self, countermeasure):
+        protocol = CompiledProtocol(self.protocol.scheme, dephase_servers=countermeasure)
+        draws = [(i, r, (r & 1, (r >> 7) & 1))
+                 for i in (1, 20, 40) for r in (0, 1, 0x5A5A5A5A5A, (1 << 40) - 1)]
+        _assert_outputs_equal_runs(protocol, [self.x], draws)
+        if not countermeasure:
+            assert all(out == {self.x.bit(i): pytest.approx(1.0)}
+                       for (i, _, _), out in zip(draws, protocol.run_outputs(self.x, draws)))
+
+    def test_out_of_range_mask_raises(self):
+        with pytest.raises(ValueError) as single:
+            build_query_state(self.protocol.scheme.gen_plan(1, 0), (0, 2))
+        with pytest.raises(ValueError) as batched:
+            self.protocol.run_outputs(self.x, [(1, 0, (0, 1)), (1, 0, (0, 2))])
+        assert str(batched.value) == str(single.value) == "mask 2 does not fit 1 bits"
+

@@ -41,10 +41,9 @@ from .bell import (
     marker_for,
     pair_slot,
     right_reg,
-    server_pauli,
     unentangle_pairs,
 )
-from .compiler import BATCH_ROWS, CompiledProtocol, server_phase, server_register
+from .compiler import BATCH_ROWS, CompiledProtocol, server_register
 from .density import DensityAccumulator, DensityMatrix, trace_distance
 from .registers import RegisterLayout
 from .schemes import Database
@@ -56,7 +55,7 @@ from .states import (
     measurement_branches,
     tensor,
 )
-from .transcript import server_party
+from .transcript import Branches, server_party, server_round
 
 QuantumProtocol = CompiledProtocol | BellProtocol
 
@@ -73,7 +72,6 @@ def attack_input_layout(n: int) -> RegisterLayout:
     return RegisterLayout.of(("idx", index_width(n)), ("tgt", 1))
 
 
-Branches = list[tuple[float, SparseState]]
 Checkpoint = tuple[str, str, Branches]  # (step label, server party, branches)
 
 
@@ -104,22 +102,6 @@ class CleanQueryOracle:
 
     # -- layout plumbing ---------------------------------------------------
 
-    def _work_layout(self) -> RegisterLayout:
-        if isinstance(self.protocol, CompiledProtocol):
-            s = self.protocol.scheme.shape
-            return RegisterLayout(tuple(
-                (server_register(j), s.t + s.a) for j in range(1, s.k + 1)
-            ))
-        m = self.protocol.pair_count
-        regs = [(left_reg(s), 1) for s in range(1, m + 1)]
-        regs += [(right_reg(s), 1) for s in range(1, m + 1)]
-        return RegisterLayout(tuple(regs))
-
-    def _server_registers(self, j: int) -> list[str]:
-        if isinstance(self.protocol, CompiledProtocol):
-            return [server_register(j)]
-        return self.protocol.server_registers(j)
-
     def _relabel_table(self) -> dict[int, dict[str, int]]:
         """Control (idx, sign) -> XOR constants realizing prepare/recover."""
         table: dict[int, dict[str, int]] = {}
@@ -149,35 +131,22 @@ class CleanQueryOracle:
 
     def _half_run(self, branches: Branches, table, targets) -> Branches:
         """Prepare conditioned on (idx, sign), let servers act, recover."""
-        bell = isinstance(self.protocol, BellProtocol)
+        protocol = self.protocol
+        bell = isinstance(protocol, BellProtocol)
         branches = [(p, apply_local_map(st, "sign", hadamard)) for p, st in branches]
         branches = [(p, conditional_xor_relabel(st, ("idx", "sign"), targets, table))
                     for p, st in branches]
         if bell:
-            branches = [(p, entangle_pairs(st, self.protocol.pair_count)) for p, st in branches]
-        k = 2 if bell else self.protocol.k
-        for j in range(1, k + 1):
+            branches = [(p, entangle_pairs(st, protocol.pair_count)) for p, st in branches]
+        servers = range(1, protocol.k + 1)
+        for j in servers:
             self.checkpoints.append((f"send:server{j}", server_party(j), list(branches)))
-        for j in range(1, k + 1):
-            if self.protocol.dephase_servers:
-                for reg in self._server_registers(j):
-                    branches = [
-                        (p * q, post)
-                        for p, st in branches
-                        for q, _, post in measurement_branches(st, reg)
-                    ]
-                self.checkpoints.append((f"measure:server{j}", server_party(j), list(branches)))
-            if bell:
-                xp = self.protocol._padded(self.x)
-                branches = [(p, server_pauli(st, j, xp)) for p, st in branches]
-                label = f"pauli:server{j}"
-            else:
-                branches = [(p, server_phase(st, self.protocol.scheme, j, self.x))
-                            for p, st in branches]
-                label = f"phase:server{j}"
-            self.checkpoints.append((label, server_party(j), list(branches)))
+        for label, j, branches in server_round(branches, servers, protocol.server_registers,
+                                               protocol.server_operation(self.x), protocol.verb,
+                                               protocol.dephase_servers):
+            self.checkpoints.append((label, server_party(j), branches))
         if bell:
-            branches = [(p, unentangle_pairs(st, self.protocol.pair_count)) for p, st in branches]
+            branches = [(p, unentangle_pairs(st, protocol.pair_count)) for p, st in branches]
         branches = [(p, conditional_xor_relabel(st, ("idx", "sign"), targets, table))
                     for p, st in branches]
         branches = [(p, apply_local_map(st, "sign", hadamard)) for p, st in branches]
@@ -194,7 +163,7 @@ class CleanQueryOracle:
         if input_state.layout != expected:
             raise ValueError(f"input must use layout {expected.registers}")
         self.checkpoints = []
-        work = self._work_layout()
+        work = RegisterLayout(self.protocol.layout().registers[1:])  # all but the sign
         state = tensor(input_state, SparseState.basis(RegisterLayout.of(("sign", 1)), 0))
         state = tensor(state, SparseState.basis(work, 0))
         table = self._relabel_table()
@@ -220,7 +189,7 @@ class CleanQueryOracle:
             key = (party, label)
             acc = accs.get(key)
             if acc is None:
-                acc = accs[key] = DensityAccumulator(layout, self._server_registers(j))
+                acc = accs[key] = DensityAccumulator(layout, self.protocol.server_registers(j))
             acc.add_branches(branches)
         return {key: acc.finalize() for key, acc in accs.items()}
 
@@ -394,17 +363,6 @@ def _mix_equal(dms: Sequence[DensityMatrix]) -> DensityMatrix:
         for k, c in dm.entries.items():
             entries[k] = entries.get(k, 0j) + w * c
     return DensityMatrix(dms[0].layout, entries)
-
-
-def apply_countermeasure(protocol):
-    """Servers measure whatever they receive in the computational basis.
-
-    Returns a new protocol; the original is untouched.  Basis-state
-    (classical) messages pass through unchanged; superposed messages
-    decohere, which stops the attack but also breaks honest recovery of
-    the coherent protocols here (documented, intentional).
-    """
-    return protocol.with_countermeasure()
 
 
 def attack_output_mixture(protocol: QuantumProtocol, x: Database) -> dict[int, float]:

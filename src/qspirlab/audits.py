@@ -28,15 +28,15 @@ from __future__ import annotations
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .compiler import CompiledProtocol, build_query_state, compiled_layout, server_phase, server_register
+from .compiler import CompiledProtocol, build_query_state, compiled_layout, server_register
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
 from .protocols import ClassicalProtocol, Protocol, closed_form_comm
 from .registers import bits
 from .schemes import Database, LinearPirScheme
-from .states import SparseState, equal_up_to_global_phase, measurement_branches
-from .transcript import USER, Transcript
+from .states import SparseState, equal_up_to_global_phase
+from .transcript import USER, Transcript, server_party, server_round
 
 TOL = 1e-9
 
@@ -266,11 +266,6 @@ def audit_user_privacy_classical(scheme: LinearPirScheme) -> AuditReport:
     )
 
 
-def _audited_steps(transcript: Transcript) -> Iterable[tuple[int, str]]:
-    for idx, step in enumerate(transcript.steps):
-        yield idx, step.label
-
-
 def _server_mixtures_generic(protocol: Protocol, x: Database, i: int,
                              grid: AuditGrid) -> dict[tuple[str, str], DensityMatrix]:
     """(server, step label) -> reduced state mixed over randomness and masks."""
@@ -281,15 +276,14 @@ def _server_mixtures_generic(protocol: Protocol, x: Database, i: int,
     for r in protocol.randomness_space():
         for masks in mask_subset:
             t = protocol.run(x, i, r, masks)
-            for idx, label in _audited_steps(t):
-                step = t.steps[idx]
+            for step in t.steps:
                 if step.branches is None:
                     continue
                 for party in {h for h in step.custody.values() if h != USER}:
                     held = step.holdings(party)
                     if not held:
                         continue
-                    key = (party, label)
+                    key = (party, step.label)
                     acc = accs.get(key)
                     if acc is None:
                         acc = accs[key] = DensityAccumulator(t.layout, held)
@@ -311,33 +305,26 @@ def _server_mixtures_compiled_fast(protocol: CompiledProtocol, x: Database,
     scheme = protocol.scheme
     s = scheme.shape
     layout = compiled_layout(s.k, s.t, s.a)
+    operate = protocol.server_operation(x)
     out: dict[tuple[str, str], DensityMatrix] = {}
     for j in range(1, s.k + 1):
-        reg = server_register(j)
-        party = f"server{j}"
-        recv = DensityAccumulator(layout, [reg])
-        meas = DensityAccumulator(layout, [reg]) if protocol.dephase_servers else None
-        oper = DensityAccumulator(layout, [reg])
+        party = server_party(j)
+        accs: dict[str, DensityAccumulator] = {}
         for r in scheme.randomness_space:
             plan = scheme.gen_plan(i, r)
+            sent = []
             for mj in range(1 << s.a):
                 masks = tuple(mj if jj == j else 0 for jj in range(1, s.k + 1))
-                state = build_query_state(plan, masks)
-                recv.add(state)
-                branches = [(1.0, state)]
-                if meas is not None:
-                    branches = [
-                        (p * q, post)
-                        for p, st in branches
-                        for q, _, post in measurement_branches(st, reg)
-                    ]
-                    meas.add_branches(branches)
-                branches = [(p, server_phase(st, scheme, j, x)) for p, st in branches]
-                oper.add_branches(branches)
-        out[(party, f"send:server{j}")] = recv.finalize()
-        if meas is not None:
-            out[(party, f"measure:server{j}")] = meas.finalize()
-        out[(party, f"phase:server{j}")] = oper.finalize()
+                sent.append((1.0, build_query_state(plan, masks)))
+            # one round per r over all of server j's masks; each mixture still
+            # receives its states in (r, mask) order
+            steps = server_round(sent, (j,), protocol.server_registers, operate, protocol.verb,
+                                 protocol.dephase_servers)
+            for label, _, branches in [(f"send:{party}", j, sent), *steps]:
+                if label not in accs:
+                    accs[label] = DensityAccumulator(layout, [server_register(j)])
+                accs[label].add_branches(branches)
+        out.update(((party, label), acc.finalize()) for label, acc in accs.items())
     return out
 
 
@@ -458,9 +445,14 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
             group = [x for x in grid.databases if x.bit(i) == value]
             if len(group) < 2:
                 continue
+            mixtures: dict[int, dict[str, DensityAccumulator]] = {x.value: {} for x in group}
             for r in protocol.randomness_space():
                 for masks in mask_subset:
-                    views = {x.value: user_view(protocol.run(x, i, r, masks)) for x in group}
+                    views = {}
+                    for x in group:
+                        t = protocol.run(x, i, r, masks)
+                        views[x.value] = user_view(t)
+                        _add_user_states(mixtures[x.value], t)
                     basis_x = group[0]
                     for other in group[1:]:
                         pair_count += 1
@@ -476,10 +468,7 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
                                     if masks else [],
                                     **mismatch,
                                 }
-            mixed_worst = max(
-                mixed_worst,
-                _mixed_view_distance(protocol, group, i, mask_subset),
-            )
+            mixed_worst = max(mixed_worst, _mixed_view_distance(mixtures, group))
     return AuditReport(
         kind="data-privacy",
         protocol=protocol.name,
@@ -501,26 +490,21 @@ def _rand_width(protocol: Protocol) -> int:
     return scheme.shape.t if scheme is not None else 0
 
 
-def _mixed_view_distance(protocol: Protocol, group: Sequence[Database], i: int,
-                         mask_subset: Sequence[tuple]) -> float:
+def _add_user_states(accs: dict[str, DensityAccumulator], t: Transcript) -> None:
+    """Add the user's holdings at each step of a run to that step label's mixture."""
+    for step in t.steps:
+        held = step.holdings(USER)
+        if step.branches is None or not held:
+            continue
+        acc = accs.get(step.label)
+        if acc is None:
+            acc = accs[step.label] = DensityAccumulator(t.layout, held)
+        acc.add_branches(step.branches)
+
+
+def _mixed_view_distance(per_x: dict[int, dict[str, DensityAccumulator]],
+                         group: Sequence[Database]) -> float:
     """Weaker distributional comparison: user states mixed over randomness."""
-    per_x: dict[int, dict[str, DensityAccumulator]] = {}
-    layouts = {}
-    for x in group:
-        accs: dict[str, DensityAccumulator] = {}
-        for r in protocol.randomness_space():
-            for masks in mask_subset:
-                t = protocol.run(x, i, r, masks)
-                layouts[x.value] = t.layout
-                for step in t.steps:
-                    held = step.holdings(USER)
-                    if step.branches is None or not held:
-                        continue
-                    acc = accs.get(step.label)
-                    if acc is None:
-                        acc = accs[step.label] = DensityAccumulator(t.layout, held)
-                    acc.add_branches(step.branches)
-        per_x[x.value] = accs
     worst = 0.0
     basis = per_x[group[0].value]
     for other in group[1:]:

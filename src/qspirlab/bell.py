@@ -29,7 +29,7 @@ from .states import (
     hadamard,
     measurement_branches,
 )
-from .transcript import USER, Transcript, TranscriptBuilder, server_party
+from .transcript import OutputsFromRuns, Script, Transcript, execute
 
 # Bell labels used by the scheme; (p, q) names the pair basis state the
 # marker uncomputes to.  The correlated pair is BELL_CORR; the two markers
@@ -186,9 +186,10 @@ def bell_comm_cost(n: int) -> int:
     return 2 * (n + (n % 2))
 
 
-class BellProtocol:
+class BellProtocol(OutputsFromRuns):
     kind = "quantum"
     name = "bell2"
+    verb = "pauli"
 
     def __init__(self, n: int, dephase_servers: bool = False):
         if n < 1:
@@ -222,77 +223,27 @@ class BellProtocol:
         reg = left_reg if server == 1 else right_reg
         return [reg(s) for s in range(1, self.pair_count + 1)]
 
+    def server_operation(self, x: Database):
+        """Server j's step on database x, as ``(state, j) -> state``."""
+        xp = self._padded(x)
+        return lambda state, j: server_pauli(state, j, xp)
+
     def run(self, x: Database, i: int, r: int = 0, masks=()) -> Transcript:
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} outside [1, {self.n}]")
-        xp = self._padded(x)
-        m = self.pair_count
-        layout = self.layout()
-        knowledge = {
-            "i": i,
-            "pair_slot": pair_slot(i),
-            "marker": "".join(map(str, marker_for(i))),
-            "padded_n": self.padded_n,
-            "countermeasure": self.dephase_servers,
-        }
-        b = TranscriptBuilder(self.name, self.n, x, i, knowledge, layout,
-                              [USER, server_party(1), server_party(2)])
-        b.assign(layout.names, USER)
-        b.record("plan", USER)
-
-        b.set_state(build_bell_query(i, self.padded_n))
-        b.record("build", USER)
-
-        for server in (1, 2):
-            regs = self.server_registers(server)
-            b.move(regs, server_party(server))
-            b.record(f"send:server{server}", USER, moved=regs, qubits=m)
-
-        for server in (1, 2):
-            if self.dephase_servers:
-                for reg in self.server_registers(server):
-                    b.split_branches(lambda st, _r=reg: (
-                        (p, post) for p, _, post in measurement_branches(st, _r)
-                    ))
-                b.record(f"measure:server{server}", server_party(server))
-            b.map_branches(lambda st, _s=server: server_pauli(st, _s, xp))
-            b.record(f"pauli:server{server}", server_party(server))
-
-        for server in (1, 2):
-            regs = self.server_registers(server)
-            b.move(regs, USER)
-            b.record(f"return:server{server}", server_party(server), moved=regs, qubits=m)
-
-        output: dict[int, float] = {}
-        final = []
-        for p, st in b.branches:
-            for q, bit, post in recovery_branches_bell(st, i, m):
-                output[bit] = output.get(bit, 0.0) + p * q
-                final.append((p * q, post))
-        b.branches = final
-        b.set_output(output)
-        b.record("recover", USER)
-        return b.done()
-
-    def run_output(self, x: Database, i: int, r: int = 0, masks=()) -> dict[int, float]:
-        xp = self._padded(x)
-        m = self.pair_count
-        branches = [(1.0, build_bell_query(i, self.padded_n))]
-        for server in (1, 2):
-            if self.dephase_servers:
-                for reg in self.server_registers(server):
-                    branches = [
-                        (p * q, post)
-                        for p, st in branches
-                        for q, _, post in measurement_branches(st, reg)
-                    ]
-            branches = [(p, server_pauli(st, server, xp)) for p, st in branches]
-        output: dict[int, float] = {}
-        for p, st in branches:
-            for q, bit, _ in recovery_branches_bell(st, i, m):
-                output[bit] = output.get(bit, 0.0) + p * q
-        return output
-
-    def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
-        """``run_output`` of each (i, r, masks) draw."""
-        return [self.run_output(x, i, r, masks) for i, r, masks in draws]
+        return execute(self, x, i, Script(
+            knowledge={
+                "i": i,
+                "pair_slot": pair_slot(i),
+                "marker": "".join(map(str, marker_for(i))),
+                "padded_n": self.padded_n,
+                "countermeasure": self.dephase_servers,
+            },
+            state=build_bell_query(i, self.padded_n),
+            receives=self.server_registers,
+            returns=self.server_registers,
+            unit="qubits",
+            verb=self.verb,
+            operate=self.server_operation(x),
+            recover=lambda state: recovery_branches_bell(state, i, self.pair_count),
+        ))

@@ -42,7 +42,7 @@ from .states import (
     measurement_branches_batch,
     validate_batch,
 )
-from .transcript import USER, Transcript, TranscriptBuilder, server_party
+from .transcript import Script, Transcript, execute
 
 
 class RecoveryError(RuntimeError):
@@ -216,6 +216,7 @@ class CompiledProtocol:
     """Runs the compiled protocol end to end, producing transcripts."""
 
     kind = "quantum"
+    verb = "phase"
 
     def __init__(self, scheme: LinearPirScheme, dephase_servers: bool = False):
         self.scheme = scheme
@@ -284,50 +285,26 @@ class CompiledProtocol:
             "countermeasure": self.dephase_servers,
         }
 
+    def server_registers(self, j: int) -> list[str]:
+        return [server_register(j)]
+
+    def server_operation(self, x: Database):
+        """Server j's step on database x, as ``(state, j) -> state``."""
+        return lambda state, j: server_phase(state, self.scheme, j, x)
+
     def run(self, x: Database, i: int, r: int, masks: Sequence[int]) -> Transcript:
         plan = self.scheme.gen_plan(i, r)
         masks = tuple(masks)
-        layout = self.layout()
-        s = self.scheme.shape
-        parties = [USER] + [server_party(j) for j in range(1, s.k + 1)]
-        b = TranscriptBuilder(self.name, self.n, x, i, self._knowledge(plan, masks), layout, parties)
-
-        b.assign(layout.names, USER)
-        b.record("plan", USER)
-
-        b.set_state(build_query_state(plan, masks))
-        b.record("build", USER)
-
-        for j in range(1, s.k + 1):
-            reg = server_register(j)
-            b.move([reg], server_party(j))
-            b.record(f"send:server{j}", USER, moved=[reg], qubits=s.t + s.a)
-
-        for j in range(1, s.k + 1):
-            reg = server_register(j)
-            if self.dephase_servers:
-                b.split_branches(lambda st, _reg=reg: (
-                    (p, post) for p, _, post in measurement_branches(st, _reg)
-                ))
-                b.record(f"measure:server{j}", server_party(j))
-            b.map_branches(lambda st, _j=j: server_phase(st, self.scheme, _j, x))
-            b.record(f"phase:server{j}", server_party(j))
-
-        for j in range(1, s.k + 1):
-            reg = server_register(j)
-            b.move([reg], USER)
-            b.record(f"return:server{j}", server_party(j), moved=[reg], qubits=s.t + s.a)
-
-        output: dict[int, float] = {}
-        final = []
-        for p, st in b.branches:
-            for q, bit, post in recovery_branches(st, plan, masks):
-                output[bit] = output.get(bit, 0.0) + p * q
-                final.append((p * q, post))
-        b.branches = final
-        b.set_output(output)
-        b.record("recover", USER)
-        return b.done()
+        return execute(self, x, i, Script(
+            knowledge=self._knowledge(plan, masks),
+            state=build_query_state(plan, masks),
+            receives=self.server_registers,
+            returns=self.server_registers,
+            unit="qubits",
+            verb=self.verb,
+            operate=self.server_operation(x),
+            recover=lambda state: recovery_branches(state, plan, masks),
+        ))
 
     def run_output(self, x: Database, i: int, r: int, masks: Sequence[int]) -> dict[int, float]:
         """Output distribution only; skips transcript bookkeeping."""
@@ -375,8 +352,3 @@ class CompiledProtocol:
             out[b] = out.get(b, 0.0) + p
         return outputs
 
-
-def run_protocol(scheme: LinearPirScheme, x: Database, i: int, r: int,
-                 masks: Sequence[int]) -> Transcript:
-    """One full compiled run as a transcript."""
-    return CompiledProtocol(scheme).run(x, i, r, masks)

@@ -21,7 +21,6 @@ else:
         from . import _kernels_py as impl
 
 BACKEND = impl.BACKEND
-PRUNE_TOL = impl.PRUNE_TOL
 
 tensor_terms = impl.tensor_terms
 scale_terms = impl.scale_terms

@@ -21,8 +21,8 @@ from .bell import BellProtocol
 from .compiler import CompiledProtocol
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, SCHEMES, make_scheme, reconstruct
-from .states import SparseState, conditional_xor_relabel, measurement_branches
-from .transcript import USER, Transcript, TranscriptBuilder, server_party
+from .states import SparseState, conditional_xor_relabel
+from .transcript import OutputsFromRuns, Script, Transcript, execute
 
 
 def query_reg(j: int) -> str:
@@ -33,8 +33,9 @@ def answer_reg(j: int) -> str:
     return f"answer{j}"
 
 
-class ClassicalProtocol:
+class ClassicalProtocol(OutputsFromRuns):
     kind = "classical"
+    verb = "answer"
 
     def __init__(self, scheme: LinearPirScheme, dephase_servers: bool = False):
         self.scheme = scheme
@@ -75,59 +76,32 @@ class ClassicalProtocol:
         plan = self.scheme.gen_plan(i, r)
         answers = [self.scheme.answer(q, x) for q in plan.queries]
         layout = self.layout()
-        knowledge = {
-            "scheme": self.scheme.name,
-            "k": s.k, "t": s.t, "a": s.a,
-            "i": i,
-            "r": bits(r, s.t),
-            "queries": [bits(q, s.t) for q in plan.queries],
-            "selects": [bits(b, s.a) for b in plan.selects],
-            "countermeasure": self.dephase_servers,
-        }
-        b = TranscriptBuilder(self.name, self.n, x, i, knowledge, layout,
-                              [USER] + [server_party(j) for j in range(1, s.k + 1)])
-        for j in range(1, s.k + 1):
-            b.assign([query_reg(j)], USER)
-            b.assign([answer_reg(j)], server_party(j))
-        b.record("plan", USER)
+
+        def answer(state: SparseState, j: int) -> SparseState:
+            return conditional_xor_relabel(state, query_reg(j), [answer_reg(j)],
+                                           {plan.queries[j - 1]: {answer_reg(j): answers[j - 1]}})
 
         values = {query_reg(j): q for j, q in enumerate(plan.queries, start=1)}
-        b.set_state(SparseState.basis(layout, layout.assemble(values)))
-        b.record("build", USER)
-
-        for j in range(1, s.k + 1):
-            b.move([query_reg(j)], server_party(j))
-            b.record(f"send:server{j}", USER, moved=[query_reg(j)], bits=s.t)
-
-        for j in range(1, s.k + 1):
-            if self.dephase_servers:
-                b.split_branches(lambda st, _r=query_reg(j): (
-                    (p, post) for p, _, post in measurement_branches(st, _r)
-                ))
-                b.record(f"measure:server{j}", server_party(j))
-            b.map_branches(lambda st, _j=j, _ans=answers[j - 1]: conditional_xor_relabel(
-                st, query_reg(_j), [answer_reg(_j)],
-                {plan.queries[_j - 1]: {answer_reg(_j): _ans}},
-            ))
-            b.record(f"answer:server{j}", server_party(j))
-
-        for j in range(1, s.k + 1):
-            b.move([answer_reg(j)], USER)
-            b.record(f"return:server{j}", server_party(j), moved=[answer_reg(j)], bits=s.a)
-
-        out = reconstruct(plan, answers)
-        b.set_output({out: 1.0})
-        b.record("reconstruct", USER)
-        return b.done()
-
-    def run_output(self, x: Database, i: int, r: int, masks=()) -> dict[int, float]:
-        plan = self.scheme.gen_plan(i, r)
-        answers = [self.scheme.answer(q, x) for q in plan.queries]
-        return {reconstruct(plan, answers): 1.0}
-
-    def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
-        """``run_output`` of each (i, r, masks) draw."""
-        return [self.run_output(x, i, r, masks) for i, r, masks in draws]
+        return execute(self, x, i, Script(
+            knowledge={
+                "scheme": self.scheme.name,
+                "k": s.k, "t": s.t, "a": s.a,
+                "i": i,
+                "r": bits(r, s.t),
+                "queries": [bits(q, s.t) for q in plan.queries],
+                "selects": [bits(b, s.a) for b in plan.selects],
+                "countermeasure": self.dephase_servers,
+            },
+            state=SparseState.basis(layout, layout.assemble(values)),
+            receives=lambda j: [query_reg(j)],
+            returns=lambda j: [answer_reg(j)],
+            held=lambda j: [answer_reg(j)],
+            unit="bits",
+            verb=self.verb,
+            operate=answer,
+            recover=lambda state: ((1.0, reconstruct(plan, answers), state),),
+            final="reconstruct",
+        ))
 
 
 Protocol = ClassicalProtocol | CompiledProtocol | BellProtocol
@@ -162,6 +136,4 @@ def closed_form_comm(protocol: Protocol) -> tuple[str, int]:
     """('bits'|'qubits', count) the protocol must measure exactly."""
     if isinstance(protocol, ClassicalProtocol):
         return ("bits", protocol.comm_bits())
-    if isinstance(protocol, CompiledProtocol):
-        return ("qubits", protocol.comm_qubits())
     return ("qubits", protocol.comm_qubits())

@@ -7,6 +7,13 @@ runs have a single branch; the measurement countermeasure splits branches.
 Server density matrices and user views are derived from these snapshots
 rather than stored.
 
+Every protocol run goes through one step engine, :func:`execute`: plan,
+build, send to each server, each server's step (its computational-basis
+measurement first when the countermeasure is on), return, recover.  A
+protocol supplies only a :class:`Script` of what differs; the server round
+and the countermeasure's :func:`dephase` are shared with the attack echo
+and the server-view audit.
+
 Transcripts serialize to JSON (schema below) and round-trip losslessly::
 
     {"schema_version": 1, "protocol": ..., "n": ..., "x": "0101", "i": 2,
@@ -25,11 +32,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .density import DensityAccumulator, DensityMatrix
 from .registers import RegisterLayout
-from .states import SparseState
+from .states import SparseState, measurement_branches
 
 SCHEMA_VERSION = 1
 
@@ -40,7 +47,7 @@ def server_party(j: int) -> str:
     return f"server{j}"
 
 
-Branches = tuple[tuple[float, SparseState], ...]
+Branches = Sequence[tuple[float, SparseState]]
 
 
 @dataclass(frozen=True)
@@ -118,22 +125,8 @@ class TranscriptBuilder:
         for name in registers:
             self.custody[name] = party
 
-    def move(self, registers: Sequence[str], party: str) -> None:
-        self.assign(registers, party)
-
     def set_state(self, state: SparseState) -> None:
         self.branches = [(1.0, state)]
-
-    def map_branches(self, fn) -> None:
-        self.branches = [(p, fn(s)) for p, s in self.branches]
-
-    def split_branches(self, fn) -> None:
-        """fn(state) -> iterable of (probability, state); composes ensembles."""
-        out = []
-        for p, s in self.branches:
-            for q, post in fn(s):
-                out.append((p * q, post))
-        self.branches = out
 
     def record(self, label: str, party: str, moved: Sequence[str] = (), qubits: int = 0,
                bits: int = 0) -> None:
@@ -156,6 +149,105 @@ class TranscriptBuilder:
         if self.transcript.output is None:
             raise ValueError("protocol run ended without an output")
         return self.transcript
+
+
+# -- the step engine -----------------------------------------------------------
+
+def dephase(branches, registers: Sequence[str]) -> list[tuple[float, SparseState]]:
+    """The countermeasure: measure each register in the computational basis, in turn."""
+    for reg in registers:
+        branches = [
+            (p * q, post) for p, st in branches for q, _, post in measurement_branches(st, reg)
+        ]
+    return branches
+
+
+def server_round(branches, servers: Iterable[int], receives, operate, verb: str,
+                 dephased: bool):
+    """Each server in turn measures what it received (when ``dephased``) and acts.
+
+    ``receives(j)`` names server j's registers and ``operate(state, j)`` is
+    its operation.  Yields ``(label, j, branches)`` after every step, under
+    the labels a transcript records.
+    """
+    for j in servers:
+        if dephased:
+            branches = dephase(branches, receives(j))
+            yield f"measure:{server_party(j)}", j, branches
+        branches = [(p, operate(st, j)) for p, st in branches]
+        yield f"{verb}:{server_party(j)}", j, branches
+
+
+class Script(NamedTuple):
+    """What one protocol run supplies to :func:`execute`.
+
+    Server j receives ``receives(j)``, applies ``operate(state, j)``
+    (recorded as ``verb``) and sends back ``returns(j)``; it holds
+    ``held(j)`` from the start.  ``recover(state)`` yields the user's
+    ``(probability, bit, post-state)`` outcomes, recorded as ``final``.
+    Messages are counted in ``unit`` ("qubits" or "bits"), by register width.
+    """
+
+    knowledge: dict
+    state: SparseState
+    receives: Callable[[int], Sequence[str]]
+    returns: Callable[[int], Sequence[str]]
+    unit: str
+    verb: str
+    operate: Callable[[SparseState, int], SparseState]
+    recover: Callable[[SparseState], Iterable[tuple[float, int, SparseState]]]
+    final: str = "recover"
+    held: Callable[[int], Sequence[str]] = lambda j: ()
+
+
+def execute(protocol, x, i: int, script: Script) -> Transcript:
+    """One run: plan, build, send, [measure,] operate, return, recover."""
+    layout = script.state.layout
+    servers = range(1, protocol.k + 1)
+    b = TranscriptBuilder(protocol.name, protocol.n, x, i, script.knowledge, layout,
+                          [USER] + [server_party(j) for j in servers])
+    b.assign(layout.names, USER)
+    for j in servers:
+        b.assign(script.held(j), server_party(j))
+    b.record("plan", USER)
+    b.set_state(script.state)
+    b.record("build", USER)
+
+    def message(label: str, registers: Sequence[str], sender: str, receiver: str) -> None:
+        b.assign(registers, receiver)
+        size = sum(layout.width_of(name) for name in registers)
+        b.record(label, sender, moved=registers, **{script.unit: size})
+
+    for j in servers:
+        message(f"send:{server_party(j)}", script.receives(j), USER, server_party(j))
+    for label, j, branches in server_round(b.branches, servers, script.receives, script.operate,
+                                           script.verb, protocol.dephase_servers):
+        b.branches = branches
+        b.record(label, server_party(j))
+    for j in servers:
+        message(f"return:{server_party(j)}", script.returns(j), server_party(j), USER)
+
+    output: dict[int, float] = {}
+    final = []
+    for p, st in b.branches:
+        for q, bit, post in script.recover(st):
+            output[bit] = output.get(bit, 0.0) + p * q
+            final.append((p * q, post))
+    b.branches = final
+    b.set_output(output)
+    b.record(script.final, USER)
+    return b.done()
+
+
+class OutputsFromRuns:
+    """``run_output``/``run_outputs`` read off full runs, so they cannot drift from ``run``."""
+
+    def run_output(self, x, i: int, r: int = 0, masks=()) -> dict[int, float]:
+        return self.run(x, i, r, masks).output
+
+    def run_outputs(self, x, draws) -> list[dict[int, float]]:
+        """``run_output`` of each (i, r, masks) draw."""
+        return [self.run_output(x, i, r, masks) for i, r, masks in draws]
 
 
 def _terms_jsonable(state: SparseState) -> dict:

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from qspirlab.adversary import (
-    apply_countermeasure,
     attack_output_mixture,
     leakage_report,
     parity,
@@ -144,7 +143,7 @@ def test_criterion_7_attack_suite():
     protocol = resolve_protocol("qspir(subset2)", 2)
     attack_ok = all(parity_attack(protocol, x).success for x in all_databases(2))
     undetect = verify_undetectability(protocol)
-    fixed = apply_countermeasure(protocol)
+    fixed = protocol.with_countermeasure()
     leak = leakage_report(fixed, "parity2", target=parity)
     success_half = all(
         attack_output_mixture(fixed, x).get(parity(x), 0.0) == pytest.approx(0.5, abs=TOL)

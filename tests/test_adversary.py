@@ -6,7 +6,6 @@ import pytest
 
 from qspirlab.adversary import (
     CleanQueryOracle,
-    apply_countermeasure,
     attack_input_layout,
     attack_output_mixture,
     clean_query,
@@ -63,7 +62,7 @@ class TestCleanQuery:
         assert out2.bits_terms() == pytest.approx({"11": 1.0})
 
     def test_countermeasured_protocol_rejected(self):
-        protocol = apply_countermeasure(resolve_protocol("qspir(subset2)", 2))
+        protocol = resolve_protocol("qspir(subset2)", 2).with_countermeasure()
         oracle = CleanQueryOracle(protocol, Database.from_string("00"))
         with pytest.raises(ValueError):
             clean_query(oracle, input_state({"00": 1.0}))
@@ -117,7 +116,7 @@ class TestUndetectability:
 
 class TestCountermeasure:
     def test_attack_success_drops_to_half(self):
-        protocol = apply_countermeasure(resolve_protocol("qspir(subset2)", 2))
+        protocol = resolve_protocol("qspir(subset2)", 2).with_countermeasure()
         for x in all_databases(2):
             dist = attack_output_mixture(protocol, x)
             assert dist[0] == pytest.approx(0.5)
@@ -126,7 +125,7 @@ class TestCountermeasure:
     def test_honest_recovery_drops_to_half(self):
         # the countermeasure destroys the coherence honest recovery needs;
         # a documented consequence of dephasing the quantum protocols
-        protocol = apply_countermeasure(resolve_protocol("qspir(subset2)", 2))
+        protocol = resolve_protocol("qspir(subset2)", 2).with_countermeasure()
         for x in all_databases(2):
             for i in (1, 2):
                 dist = honest_output_mixture(protocol, x, i)
@@ -134,7 +133,7 @@ class TestCountermeasure:
 
     def test_classical_messages_unchanged(self):
         plain = resolve_protocol("subset2", 2)
-        measured = apply_countermeasure(resolve_protocol("subset2", 2))
+        measured = resolve_protocol("subset2", 2).with_countermeasure()
         for x in all_databases(2):
             for i in (1, 2):
                 for r in range(4):
@@ -145,7 +144,7 @@ class TestCountermeasure:
 
     def test_original_protocol_untouched(self):
         protocol = resolve_protocol("qspir(subset2)", 2)
-        fixed = apply_countermeasure(protocol)
+        fixed = protocol.with_countermeasure()
         assert fixed is not protocol
         assert not protocol.dephase_servers and fixed.dephase_servers
 
@@ -165,7 +164,7 @@ class TestLeakage:
         assert leakage_report(protocol, "parity2", target=parity) == pytest.approx(1.0)
 
     def test_countermeasure_zeroes_leakage(self):
-        protocol = apply_countermeasure(resolve_protocol("qspir(subset2)", 2))
+        protocol = resolve_protocol("qspir(subset2)", 2).with_countermeasure()
         assert leakage_report(protocol, "parity2", target=parity) == pytest.approx(0.0, abs=1e-12)
         assert leakage_report(protocol, "parity2") == pytest.approx(0.0, abs=1e-12)
 

@@ -167,16 +167,6 @@ class TestCommunication:
         assert bell_comm_cost(6) == 12
         assert bell_comm_cost(7) == 16  # odd sizes pad with a zero bit
 
-    def test_transcript_counters(self):
-        t = BellProtocol(4).run(Database.from_string("0110"), 2)
-        assert t.qubits_total == 8
-        labels = [s.label for s in t.steps]
-        assert labels == [
-            "plan", "build", "send:server1", "send:server2",
-            "pauli:server1", "pauli:server2", "return:server1",
-            "return:server2", "recover",
-        ]
-
     def test_odd_size_padding_run(self):
         protocol = BellProtocol(3)
         assert protocol.comm_qubits() == 8

@@ -169,19 +169,6 @@ class TestRecovery:
 
 
 class TestTranscript:
-    def test_step_sequence_and_counters(self):
-        s = make_scheme("subset2", 2)
-        t = CompiledProtocol(s).run(Database.from_string("10"), 2, 3, (1, 0))
-        labels = [step.label for step in t.steps]
-        assert labels == [
-            "plan", "build", "send:server1", "send:server2",
-            "phase:server1", "phase:server2", "return:server1",
-            "return:server2", "recover",
-        ]
-        assert t.qubits_total == 12
-        assert t.bits_total == 0
-        assert t.output == {0: pytest.approx(1.0)}  # x_2 of "10"
-
     def test_custody_changes_on_send_and_return(self):
         s = make_scheme("subset2", 2)
         t = CompiledProtocol(s).run(Database.from_string("01"), 1, 0, (0, 0))

@@ -25,20 +25,29 @@ The three audit families:
 
 from __future__ import annotations
 
+import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .compiler import CompiledProtocol, build_query_state, compiled_layout, server_register
+import numpy as np
+
+from .compiler import CompiledProtocol, build_query_batch, server_register
+# unused here; perfbench's tracer tests check that its wrapper re-binds this copy
+from .compiler import build_query_state  # noqa: F401
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
 from .protocols import ClassicalProtocol, Protocol, closed_form_comm
 from .registers import bits
 from .schemes import Database, LinearPirScheme
 from .states import SparseState, equal_up_to_global_phase
-from .transcript import USER, Transcript, server_party, server_round
+from .transcript import USER, Transcript, server_party
 
 TOL = 1e-9
+
+# Query rows the cube user-privacy sweep mixes in at a time, so its memory
+# stays flat however large a server's mask space is.
+SWEEP_ROWS = 1 << 11
 
 
 @dataclass
@@ -301,29 +310,30 @@ def _server_mixtures_compiled_fast(protocol: CompiledProtocol, x: Database,
     servers' operations (local maps elsewhere cannot move a partial
     trace).  It therefore suffices to enumerate this server's own mask
     against the full randomness space and track only this server's steps.
+    The draws run in (r, mask) order as query batches of ``SWEEP_ROWS``
+    rows through the batched server round, and each step's batch goes into
+    that step's mixture, so every mixture receives its states in (r, mask,
+    outcome) order, as a run-by-run sweep would add them.
     """
     scheme = protocol.scheme
     s = scheme.shape
-    layout = compiled_layout(s.k, s.t, s.a)
-    operate = protocol.server_operation(x)
+    layout = protocol.layout()
+    plans = [scheme.gen_plan(i, r) for r in scheme.randomness_space]
     out: dict[tuple[str, str], DensityMatrix] = {}
     for j in range(1, s.k + 1):
         party = server_party(j)
         accs: dict[str, DensityAccumulator] = {}
-        for r in scheme.randomness_space:
-            plan = scheme.gen_plan(i, r)
-            sent = []
-            for mj in range(1 << s.a):
-                masks = tuple(mj if jj == j else 0 for jj in range(1, s.k + 1))
-                sent.append((1.0, build_query_state(plan, masks)))
-            # one round per r over all of server j's masks; each mixture still
-            # receives its states in (r, mask) order
-            steps = server_round(sent, (j,), protocol.server_registers, operate, protocol.verb,
-                                 protocol.dephase_servers)
-            for label, _, branches in [(f"send:{party}", j, sent), *steps]:
+        before, after = (0,) * (j - 1), (0,) * (s.k - j)   # the other servers' masks
+        rows = ((plan, before + (m,) + after) for plan in plans for m in range(1 << s.a))
+        while chunk := list(itertools.islice(rows, SWEEP_ROWS)):
+            keys, amps, _, _ = build_query_batch([p for p, _ in chunk], [m for _, m in chunk],
+                                                 layout)
+            sent = (f"send:{party}", None, np.ones(len(chunk)), keys, amps)
+            steps = protocol.server_round_batch(x, layout, keys, amps, (j,))
+            for label, _, weight, keys, amps in itertools.chain([sent], steps):
                 if label not in accs:
                     accs[label] = DensityAccumulator(layout, [server_register(j)])
-                accs[label].add_branches(branches)
+                accs[label].add_batch(layout, keys, amps, weight)
         out.update(((party, label), acc.finalize()) for label, acc in accs.items())
     return out
 

@@ -20,7 +20,7 @@ Communication is 2*k*(t+a) qubits: every register travels out and back.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .states import (
     measurement_branches_batch,
     validate_batch,
 )
-from .transcript import Script, Transcript, execute
+from .transcript import Script, Transcript, execute, server_party
 
 
 class RecoveryError(RuntimeError):
@@ -90,6 +90,24 @@ def build_query_state(plan: QueryPlan, masks: Sequence[int]) -> SparseState:
     k0 = layout.assemble({"sign": 0, **plain})
     k1 = layout.assemble({"sign": 1, **flipped})
     return SparseState(layout, {k0: SQRT_HALF, k1: SQRT_HALF})
+
+
+def _plans(scheme: LinearPirScheme, pairs: Iterable[tuple[int, int]]) -> list[QueryPlan]:
+    """``scheme.gen_plan`` of each (i, r), built once per distinct pair of plain ints.
+
+    Any other pair goes to ``gen_plan`` every time, which raises what a run raises.
+    """
+    memo: dict[tuple[int, int], QueryPlan] = {}
+    plans = []
+    for i, r in pairs:
+        if type(i) is not int or type(r) is not int:
+            plans.append(scheme.gen_plan(i, r))
+            continue
+        plan = memo.get((i, r))
+        if plan is None:
+            plan = memo[i, r] = scheme.gen_plan(i, r)
+        plans.append(plan)
+    return plans
 
 
 def _draw_tables(plans: Sequence[QueryPlan], masks: Sequence[Sequence[int]], wide: bool):
@@ -328,18 +346,36 @@ class CompiledProtocol:
             outputs += self._run_batch(x, draws[start:start + BATCH_ROWS])
         return outputs
 
+    def server_round_batch(self, x: Database, layout: RegisterLayout, keys: np.ndarray,
+                           amps: np.ndarray, servers: Iterable[int]):
+        """Batched ``transcript.server_round`` over a batch of query states.
+
+        Each server in turn splits the batch into its dephasing branches
+        (when ``dephase_servers`` is set) and applies its phase.  Yields
+        ``(label, row, weight, keys, amps)`` after every step: the batch
+        then held, the input row each of its rows descends from, and each
+        row's probability, formed as ``dephase`` forms it.
+        """
+        row = np.arange(len(keys))
+        weight = np.ones(len(keys))
+        for j in servers:
+            party = server_party(j)
+            if self.dephase_servers:
+                parent, _, q, keys, amps = measurement_branches_batch(
+                    layout, keys, amps, server_register(j))
+                row, weight = row[parent], weight[parent] * q
+                yield f"measure:{party}", row, weight, keys, amps
+            amps = server_phase_batch(layout, keys, amps, self.scheme, j, x)
+            yield f"{self.verb}:{party}", row, weight, keys, amps
+
     def _run_batch(self, x: Database, draws) -> list[dict[int, float]]:
         layout = self.layout()
-        plans = [self.scheme.gen_plan(i, r) for i, r, _ in draws]
+        plans = _plans(self.scheme, ((i, r) for i, r, _ in draws))
         keys, amps, plain, flipped = build_query_batch(plans, [m for _, _, m in draws], layout)
-        row = np.arange(len(draws))     # the draw each batch row belongs to
-        weight = np.ones(len(draws))
+        for _, row, weight, keys, amps in self.server_round_batch(x, layout, keys, amps,
+                                                                  range(1, self.k + 1)):
+            pass
         targets = [server_register(j) for j in range(1, self.k + 1)]
-        for j, reg in enumerate(targets, start=1):
-            if self.dephase_servers:
-                parent, _, q, keys, amps = measurement_branches_batch(layout, keys, amps, reg)
-                row, weight = row[parent], weight[parent] * q
-            amps = server_phase_batch(layout, keys, amps, self.scheme, j, x)
         keys = conditional_xor_relabel_batch(layout, keys, "sign", targets, {
             0: {reg: plain[row, j] for j, reg in enumerate(targets)},
             1: {reg: flipped[row, j] for j, reg in enumerate(targets)},
@@ -351,4 +387,3 @@ class CompiledProtocol:
             out = outputs[d]
             out[b] = out.get(b, 0.0) + p
         return outputs
-

@@ -45,10 +45,6 @@ class DenseState:
             v[k] = amp
         return cls(state.layout, v)
 
-    def to_sparse(self, tol: float = PRUNE_TOL) -> SparseState:
-        terms = {int(k): complex(a) for k, a in enumerate(self.vec) if abs(a) > tol}
-        return SparseState(self.layout, terms)
-
 
 @lru_cache(maxsize=None)
 def _sub_values(layout: RegisterLayout, names: tuple[str, ...]) -> np.ndarray:
@@ -161,9 +157,3 @@ def dense_of_density(dm, layout: RegisterLayout) -> np.ndarray:
     for (u, v), c in dm.entries.items():
         mat[u, v] = c
     return mat
-
-
-def trace_distance_dense(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    diff = (diff + diff.conj().T) / 2.0
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())

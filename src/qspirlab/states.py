@@ -490,15 +490,3 @@ def _pauli_map(p: int, q: int) -> Callable[[int], dict[int, complex]]:
 
 
 PAULI = {(p, q): _pauli_map(p, q) for p in (0, 1) for q in (0, 1)}
-
-
-def state_overlap(a: SparseState, b: SparseState) -> complex:
-    """<a|b> over the shared layout."""
-    if a.layout != b.layout:
-        raise ValueError("layout mismatch")
-    acc = 0j
-    for k, va in a.terms.items():
-        vb = b.terms.get(k)
-        if vb is not None:
-            acc += va.conjugate() * vb
-    return acc

@@ -1,7 +1,10 @@
 """Audit behavior: exhaustive verdicts, witnesses, and cross-validation."""
 
+import json
+
 import pytest
 
+from qspirlab import audits
 from qspirlab.audits import (
     audit_comm,
     audit_data_privacy,
@@ -15,10 +18,11 @@ from qspirlab.audits import (
     _server_mixtures_compiled_fast,
     _server_mixtures_generic,
 )
-from qspirlab.compiler import CompiledProtocol
-from qspirlab.density import entries_close
+from qspirlab.compiler import CompiledProtocol, build_query_state, server_register
+from qspirlab.density import DensityAccumulator, entries_close
 from qspirlab.protocols import ClassicalProtocol, resolve_protocol
 from qspirlab.schemes import Database, make_scheme
+from qspirlab.transcript import server_party, server_round
 
 from helpers import CorruptedSubsetScheme, LeakyScheme
 
@@ -102,6 +106,72 @@ class TestUserPrivacyQuantum:
         assert ("server1", "send:server1") in mixtures
         rho = mixtures[("server1", "send:server1")]
         assert rho.is_diagonal
+
+
+def dict_sweep(protocol, x, i):
+    """The cube sweep one SparseState at a time: the reference for the batched one."""
+    s = protocol.scheme.shape
+    layout = protocol.layout()
+    operate = protocol.server_operation(x)
+    out = {}
+    for j in range(1, s.k + 1):
+        party = server_party(j)
+        accs = {}
+        for r in protocol.scheme.randomness_space:
+            plan = protocol.scheme.gen_plan(i, r)
+            sent = [(1.0, build_query_state(plan, [m if jj == j else 0 for jj in range(1, s.k + 1)]))
+                    for m in range(1 << s.a)]
+            steps = server_round(sent, (j,), protocol.server_registers, operate, protocol.verb,
+                                 protocol.dephase_servers)
+            for label, _, branches in [(f"send:{party}", j, sent), *steps]:
+                if label not in accs:
+                    accs[label] = DensityAccumulator(layout, [server_register(j)])
+                accs[label].add_branches(branches)
+        out.update(((party, label), acc.finalize()) for label, acc in accs.items())
+    return out
+
+
+def exact_entries(mixtures):
+    """Every entry to the bit (signed zeros included), in key order."""
+    return [(key, [(uv, c.real.hex(), c.imag.hex()) for uv, c in rho.entries.items()])
+            for key, rho in mixtures.items()]
+
+
+class TestBatchedSweep:
+    """The batched cube sweep gives the dict sweep's mixtures bit for bit."""
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    @pytest.mark.parametrize("i", [1, 8])
+    def test_cube_matches_dict_sweep(self, i, countermeasure):
+        protocol = resolve_protocol("qspir(cube2)", 8, countermeasure)
+        x = Database.from_string("10110100")
+        fast = _server_mixtures_compiled_fast(protocol, x, i)
+        assert exact_entries(fast) == exact_entries(dict_sweep(protocol, x, i))
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_leaky_scheme_keeps_its_witness(self, countermeasure, monkeypatch):
+        # a=8: 256 masks, so cycle mode and the batched sweep
+        protocol = CompiledProtocol(LeakyScheme(8), dephase_servers=countermeasure)
+        grid = make_grid(8, databases=["10110100"], indices=[1, 8])
+        x = grid.databases[0]
+        for i in grid.indices:
+            assert exact_entries(_server_mixtures_compiled_fast(protocol, x, i)) == \
+                exact_entries(dict_sweep(protocol, x, i))
+        report = audit_user_privacy_quantum(protocol, grid)
+        assert report.worst_case_distance == 1.0000000000000002
+        assert report.witness == {"server": "server1", "step": "send:server1", "i": 1,
+                                  "i_prime": 8, "x": "10110100",
+                                  "distance": 1.0000000000000002}
+        monkeypatch.setattr(audits, "_server_mixtures_compiled_fast", dict_sweep)
+        reference = audit_user_privacy_quantum(protocol, grid)
+        assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
+
+    def test_sweep_is_fed_in_chunks(self, monkeypatch):
+        protocol = resolve_protocol("qspir(cube2)", 8, True)
+        x = Database.from_string("01101001")
+        whole = exact_entries(_server_mixtures_compiled_fast(protocol, x, 3))
+        monkeypatch.setattr(audits, "SWEEP_ROWS", 1000)
+        assert exact_entries(_server_mixtures_compiled_fast(protocol, x, 3)) == whole
 
 
 class TestDataPrivacy:

@@ -314,6 +314,26 @@ class TestBatchedOutputs:
             protocol.run_outputs(x, [(2, 1, (0, 1)), draw])
         assert str(batched.value) == str(single.value)
 
+    def test_one_plan_per_distinct_draw(self, monkeypatch):
+        protocol = CompiledProtocol(make_scheme("subset2", 2))
+        gen_plan = protocol.scheme.gen_plan
+        calls = []
+        monkeypatch.setattr(protocol.scheme, "gen_plan",
+                            lambda i, r: calls.append((i, r)) or gen_plan(i, r))
+        draws = _full_draws(protocol) * 2
+        protocol.run_outputs(Database.from_string("10"), draws)
+        assert calls == list(dict.fromkeys((i, r) for i, r, _ in draws))
+
+    def test_equal_draw_of_another_type_gets_its_own_plan(self):
+        # 1.0 == 1, but a run with index 1.0 raises; the plan of index 1 must not hide that
+        protocol = CompiledProtocol(make_scheme("subset2", 2))
+        x = Database.from_string("10")
+        with pytest.raises(TypeError) as single:
+            protocol.run(x, 1.0, 0, (0, 0))
+        with pytest.raises(TypeError) as batched:
+            protocol.run_outputs(x, [(1, 0, (0, 0)), (1.0, 0, (0, 0))])
+        assert str(batched.value) == str(single.value)
+
     def test_degenerate_plan_rejected(self):
         protocol = CompiledProtocol(ZeroSelectSubsetScheme(2))
         x = Database.from_string("10")

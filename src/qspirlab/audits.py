@@ -25,29 +25,22 @@ The three audit families:
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
-from .compiler import CompiledProtocol, build_query_batch, server_register
+from .compiler import CompiledProtocol, server_register
 # unused here; perfbench's tracer tests check that its wrapper re-binds this copy
 from .compiler import build_query_state  # noqa: F401
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
 from .protocols import ClassicalProtocol, Protocol, closed_form_comm
-from .registers import bits
+from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme
-from .states import SparseState, equal_up_to_global_phase
-from .transcript import USER, Transcript, server_party
+from .states import SQRT_HALF, SparseState, equal_up_to_global_phase
+from .transcript import USER, Transcript, dephase, server_party
 
 TOL = 1e-9
-
-# Query rows the cube user-privacy sweep mixes in at a time, so its memory
-# stays flat however large a server's mask space is.
-SWEEP_ROWS = 1 << 11
 
 
 @dataclass
@@ -300,49 +293,78 @@ def _server_mixtures_generic(protocol: Protocol, x: Database, i: int,
     return {key: acc.finalize() for key, acc in accs.items()}
 
 
-def _server_mixtures_compiled_fast(protocol: CompiledProtocol, x: Database,
-                                   i: int) -> dict[tuple[str, str], DensityMatrix]:
-    """Fast exact path for big mask spaces.
+def _server_histograms(protocol: CompiledProtocol, i: int) -> dict[tuple[str, str], DensityMatrix]:
+    """(server, own step label) -> reduced state mixed over randomness and masks, for index i.
 
-    Each server's reduced state is independent of the other servers' masks
-    (the traced-out sign qubit differs between the two branches, so no
-    cross terms survive regardless of them) and is untouched by the other
-    servers' operations (local maps elsewhere cannot move a partial
-    trace).  It therefore suffices to enumerate this server's own mask
-    against the full randomness space and track only this server's steps.
-    The draws run in (r, mask) order as query batches of ``SWEEP_ROWS``
-    rows through the batched server round, and each step's batch goes into
-    that step's mixture, so every mixture receives its states in (r, mask,
-    outcome) order, as a run-by-run sweep would add them.
+    A draw sends (|0>|v0> + |1>|v1>)/sqrt(2), where server j's register holds
+    (q_j, m_j) in v0 and (q_j, m_j ^ s_j) in v1.  The user keeps ``sign``,
+    which tells the branches apart, so server j's reduced state is diagonal:
+    half on each of those two values.  Its phase maps basis states to
+    +-themselves and its measurement leaves basis states as they are, so no
+    step moves an entry: the mixture is a histogram of the two values over
+    r and m_j.  It does not depend on the database x, which only the phase
+    reads, nor on the other servers' masks and steps, which touch only
+    traced-out registers.  So it is read off the ``gen_plan`` tables,
+    without a state.
+
+    The entries are those of ``server_round`` on server j alone, over draws
+    in (r, m_j) order with the other masks 0, to the last bit and in the
+    same key order: each term adds ``(weight * amp) * conj(amp)``, where a
+    measured term has the weight and renormalised amplitude that ``dephase``
+    gives its outcome, outcomes in sorted order.  The phase step repeats the
+    step before it, since a sign flip leaves every such product as it is.
     """
-    scheme = protocol.scheme
-    s = scheme.shape
-    layout = protocol.layout()
-    plans = [scheme.gen_plan(i, r) for r in scheme.randomness_space]
-    out: dict[tuple[str, str], DensityMatrix] = {}
+    s = protocol.scheme.shape
+    plans = [protocol.scheme.gen_plan(i, r) for r in protocol.scheme.randomness_space]
+    # one draw on a stand-in register: its two terms apart (s_j != 0) or together
+    pair = RegisterLayout.of(("sign", 1), ("srv", 1))
+    apart = [(1.0, SparseState(pair, {0b00: SQRT_HALF, 0b11: SQRT_HALF}))]
+    together = [(1.0, SparseState(pair, {0b00: SQRT_HALF, 0b10: SQRT_HALF}))]
+    steps = [("send", apart, together, False)]
+    if protocol.dephase_servers:
+        steps.append(("measure", dephase(apart, ["srv"]), dephase(together, ["srv"]), True))
+    out = {}
     for j in range(1, s.k + 1):
         party = server_party(j)
-        accs: dict[str, DensityAccumulator] = {}
-        before, after = (0,) * (j - 1), (0,) * (s.k - j)   # the other servers' masks
-        rows = ((plan, before + (m,) + after) for plan in plans for m in range(1 << s.a))
-        while chunk := list(itertools.islice(rows, SWEEP_ROWS)):
-            keys, amps, _, _ = build_query_batch([p for p, _ in chunk], [m for _, m in chunk],
-                                                 layout)
-            sent = (f"send:{party}", None, np.ones(len(chunk)), keys, amps)
-            steps = protocol.server_round_batch(x, layout, keys, amps, (j,))
-            for label, _, weight, keys, amps in itertools.chain([sent], steps):
-                if label not in accs:
-                    accs[label] = DensityAccumulator(layout, [server_register(j)])
-                accs[label].add_batch(layout, keys, amps, weight)
-        out.update(((party, label), acc.finalize()) for label, acc in accs.items())
+        layout = protocol.layout().sub_layout([server_register(j)])
+        draws = [((p.queries[j - 1] << s.a) | m, (p.queries[j - 1] << s.a) | (m ^ p.selects[j - 1]))
+                 for p in plans for m in range(1 << s.a)]
+        for label, *forms in steps:
+            out[(party, f"{label}:{party}")] = rho = _histogram(layout, draws, *forms)
+        out[(party, f"{protocol.verb}:{party}")] = rho
     return out
+
+
+def _histogram(layout: RegisterLayout, draws, apart, together, ordered: bool) -> DensityMatrix:
+    """The mixture ``DensityAccumulator`` makes of each draw's stand-in branches.
+
+    A draw (u0, u1) puts u0 and u1 in place of the stand-in values 0 and 1
+    or, when ``ordered``, the smaller and the larger of them.
+    """
+    def products(branches):
+        return [(w, [(key & 1, (w * amp) * amp.conjugate()) for key, amp in st.terms.items()])
+                for w, st in branches]
+
+    apart, together = products(apart), products(together)
+    entries: dict[tuple[int, int], complex] = {}
+    total = 0.0
+    for u0, u1 in draws:
+        subs = (u1, u0) if ordered and u1 < u0 else (u0, u1)
+        for w, terms in apart if u0 != u1 else together:
+            for value, c in terms:
+                key = (subs[value], subs[value])
+                old = entries.get(key)
+                entries[key] = c if old is None else old + c
+            total += w
+    scale = 1.0 / total
+    return DensityMatrix(layout, {key: c * scale for key, c in entries.items()})
 
 
 def server_state_mixtures(protocol: Protocol, x: Database, i: int,
                           grid: AuditGrid) -> dict[tuple[str, str], DensityMatrix]:
     mode, _ = _mask_mode(protocol, grid)
     if mode == "cycle":
-        return _server_mixtures_compiled_fast(protocol, x, i)
+        return _server_histograms(protocol, i)
     return _server_mixtures_generic(protocol, x, i, grid)
 
 
@@ -351,7 +373,12 @@ def audit_user_privacy_quantum(protocol: Protocol, grid: AuditGrid) -> AuditRepo
     worst = 0.0
     witness = None
     comparisons = 0
-    for x in grid.databases:
+    databases, repeats = grid.databases, 1
+    if _mask_mode(protocol, grid)[0] == "cycle":
+        # the histograms do not depend on the database: the first one's
+        # comparisons stand for every database's
+        databases, repeats = grid.databases[:1], len(grid.databases)
+    for x in databases:
         mixtures = {i: server_state_mixtures(protocol, x, i, grid) for i in grid.indices}
         base_i = grid.indices[0]
         for i in grid.indices[1:]:
@@ -359,7 +386,7 @@ def audit_user_privacy_quantum(protocol: Protocol, grid: AuditGrid) -> AuditRepo
                 if key not in mixtures[i]:
                     continue
                 d = trace_distance(mixtures[base_i][key], mixtures[i][key])
-                comparisons += 1
+                comparisons += repeats
                 if d > worst:
                     worst = d
                     if d > TOL and witness is None:

@@ -42,7 +42,7 @@ from .states import (
     measurement_branches_batch,
     validate_batch,
 )
-from .transcript import Script, Transcript, execute, server_party
+from .transcript import Script, Transcript, execute
 
 
 class RecoveryError(RuntimeError):
@@ -346,35 +346,20 @@ class CompiledProtocol:
             outputs += self._run_batch(x, draws[start:start + BATCH_ROWS])
         return outputs
 
-    def server_round_batch(self, x: Database, layout: RegisterLayout, keys: np.ndarray,
-                           amps: np.ndarray, servers: Iterable[int]):
-        """Batched ``transcript.server_round`` over a batch of query states.
-
-        Each server in turn splits the batch into its dephasing branches
-        (when ``dephase_servers`` is set) and applies its phase.  Yields
-        ``(label, row, weight, keys, amps)`` after every step: the batch
-        then held, the input row each of its rows descends from, and each
-        row's probability, formed as ``dephase`` forms it.
-        """
-        row = np.arange(len(keys))
-        weight = np.ones(len(keys))
-        for j in servers:
-            party = server_party(j)
-            if self.dephase_servers:
-                parent, _, q, keys, amps = measurement_branches_batch(
-                    layout, keys, amps, server_register(j))
-                row, weight = row[parent], weight[parent] * q
-                yield f"measure:{party}", row, weight, keys, amps
-            amps = server_phase_batch(layout, keys, amps, self.scheme, j, x)
-            yield f"{self.verb}:{party}", row, weight, keys, amps
-
     def _run_batch(self, x: Database, draws) -> list[dict[int, float]]:
         layout = self.layout()
         plans = _plans(self.scheme, ((i, r) for i, r, _ in draws))
         keys, amps, plain, flipped = build_query_batch(plans, [m for _, _, m in draws], layout)
-        for _, row, weight, keys, amps in self.server_round_batch(x, layout, keys, amps,
-                                                                  range(1, self.k + 1)):
-            pass
+        # the server round: each server's dephasing split (when set), then its phase;
+        # ``row`` is the draw each batch row descends from, ``weight`` its probability
+        row = np.arange(len(keys))
+        weight = np.ones(len(keys))
+        for j in range(1, self.k + 1):
+            if self.dephase_servers:
+                parent, _, q, keys, amps = measurement_branches_batch(
+                    layout, keys, amps, server_register(j))
+                row, weight = row[parent], weight[parent] * q
+            amps = server_phase_batch(layout, keys, amps, self.scheme, j, x)
         targets = [server_register(j) for j in range(1, self.k + 1)]
         keys = conditional_xor_relabel_batch(layout, keys, "sign", targets, {
             0: {reg: plain[row, j] for j, reg in enumerate(targets)},

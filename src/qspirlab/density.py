@@ -5,10 +5,6 @@ sub-layout of kept registers.  They stay tiny in honest protocols but can
 grow to a few thousand diagonal entries in exhaustive audits, so
 ``trace_distance`` takes a closed-form path for diagonal operators and a
 dense eigendecomposition on the joint support otherwise.
-
-``DensityAccumulator.add_batch`` mixes a whole batch of states (the
-``keys``/``amps`` arrays of :mod:`qspirlab.states`) into a mixture at once,
-with the entries ``add`` would give row by row, to the last bit.
 """
 
 from __future__ import annotations
@@ -21,10 +17,6 @@ import numpy as np
 from . import kernels
 from .registers import RegisterLayout
 from .states import NORM_TOL, PRUNE_TOL, SparseState
-
-# The additive identity of IEEE arithmetic (-0.0 + c == c bit for bit, also
-# for c == 0.0): a new entry's sum starts from it and equals its first term.
-_NEW_ENTRY = complex(-0.0, -0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,7 +121,6 @@ class DensityAccumulator:
         self._keep_pieces = state_layout.pieces(self.keep_names)
         trace_names = tuple(n for n in state_layout.names if n not in self.keep_names)
         self._trace_pieces = state_layout.pieces(trace_names)
-        self._trace_bits = sum(((1 << w) - 1) << shift for shift, w in self._trace_pieces)
         self._entries: dict[tuple[int, int], complex] = {}
         self._weight = 0.0
 
@@ -142,66 +133,6 @@ class DensityAccumulator:
         )
         self._weight += weight
 
-    def add_batch(self, layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
-                  weights: np.ndarray) -> None:
-        """``add`` of every batch row b with weight ``weights[b]``, in row order.
-
-        The entries, their insertion order and the total weight equal those
-        of ``add`` called row by row, to the last bit, for uint64 and
-        Python-int keys alike: each product ``(weight * a) * conj(b)`` is
-        spelled out on real and imaginary parts as Python's complex
-        arithmetic rounds it (numpy's complex multiply may fuse), and each
-        entry sums its products in ``ptrace_accumulate`` order, starting
-        from its current value.
-        """
-        if layout != self._state_layout:
-            raise ValueError("state layout does not match accumulator layout")
-        live = amps != 0
-        if live.any():
-            self._add_terms(keys, amps, live, weights)
-        for w in weights.tolist():
-            self._weight += w
-
-    def _add_terms(self, keys: np.ndarray, amps: np.ndarray, live: np.ndarray,
-                   weights: np.ndarray) -> None:
-        # every (row, t1, t2) pair of live terms in one traced group, in the
-        # order ptrace_accumulate visits them: by row, group (its first
-        # term), t1, t2
-        trace = keys & self._trace_bits
-        same = (trace[:, :, None] == trace[:, None, :]) & live[:, :, None] & live[:, None, :]
-        group = same.argmax(axis=2)
-        row, t1, t2 = np.nonzero(same)
-        order = np.lexsort((t2, t1, group[row, t1], row))
-        row, t1, t2 = row[order], t1[order], t2[order]
-
-        w, a, b = weights[row], amps[row, t1], amps[row, t2]
-        wa_re = w * a.real - 0.0 * a.imag
-        wa_im = w * a.imag + 0.0 * a.real
-        b_im = -b.imag
-        products = np.empty(len(row), dtype=complex)
-        products.real = wa_re * b.real - wa_im * b_im
-        products.imag = wa_re * b_im + wa_im * b.real
-
-        keep = _packed_subs(keys, self._keep_pieces)
-        u, v = keep[row, t1], keep[row, t2]
-        width = self.layout.width
-        if keep.dtype != object and 2 * width > 64:
-            u, v = u.astype(object), v.astype(object)
-        _, first, slot = np.unique((u << width) | v, return_index=True, return_inverse=True)
-        # number the distinct (u, v) pairs in order of first appearance
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        first = first[order]
-        # a diagonal key holds one int object twice, as ptrace_accumulate's does
-        pairs = [(p, p) if p == q else (p, q)
-                 for p, q in zip(u[first].tolist(), v[first].tolist())]
-        entries = self._entries
-        sums = np.array([entries.get(pair, _NEW_ENTRY) for pair in pairs], dtype=complex)
-        np.add.at(sums, rank[slot], products)
-        for pair, c in zip(pairs, sums.tolist()):
-            entries[pair] = c
-
     def add_branches(self, branches: Iterable[tuple[float, SparseState]], weight: float = 1.0) -> None:
         for p, state in branches:
             self.add(state, weight * p)
@@ -211,15 +142,6 @@ class DensityAccumulator:
             raise ValueError("nothing accumulated")
         scale = 1.0 / self._weight
         return DensityMatrix(self.layout, {k: v * scale for k, v in self._entries.items()})
-
-
-def _packed_subs(keys: np.ndarray, pieces) -> np.ndarray:
-    """Each key's sub-key over ``pieces``, concatenated as ``extract_sub`` does."""
-    subs = None
-    for shift, w in pieces:
-        part = (keys >> shift) & ((1 << w) - 1)
-        subs = part if subs is None else (subs << w) | part
-    return subs
 
 
 def partial_trace(state: SparseState, keep: Iterable[str]) -> DensityMatrix:

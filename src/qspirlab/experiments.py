@@ -111,12 +111,13 @@ class ReportBundle:
 
 def _grid_for(protocol, config: ExperimentConfig, audit: str) -> AuditGrid:
     databases = config.databases
-    heavy = audit in ("user-privacy", "data-privacy")
-    if heavy and databases == "all" and isinstance(protocol, CompiledProtocol):
+    if audit == "data-privacy" and databases == "all" and isinstance(protocol, CompiledProtocol):
         space = 1 << (protocol.scheme.shape.a * protocol.k)
         if space > 64:
             # mask space too large to pair exhaustively; audit a fixed
-            # representative database set instead (config may override)
+            # representative database set instead (config may override).
+            # User privacy needs no such cut: one histogram per index
+            # covers every database.
             return make_grid(config.n,
                              databases=[str(d) for d in representative_databases(config.n)],
                              indices=config.indices, cap=config.cap_grid, seed=config.seed)

@@ -297,7 +297,12 @@ def apply_local_map_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.nda
     count = len(keys)
     rest = keys ^ (keys & (((1 << width) - 1) << shift))
     cand_keys = (rest[:, :, None] | (image_subs[column] << shift)).reshape(count, -1)
-    cand_amps = (amps[:, :, None] * image_amps[column]).reshape(count, -1)
+    # v * amp spelled out as Python's complex multiply rounds it (numpy's may fuse)
+    v, amp = amps[:, :, None], image_amps[column]
+    cand_amps = np.empty(amp.shape, dtype=complex)
+    cand_amps.real = v.real * amp.real - v.imag * amp.imag
+    cand_amps.imag = v.real * amp.imag + v.imag * amp.real
+    cand_amps = cand_amps.reshape(count, -1)
     cand_live = (live[:, :, None] & image_live[column]).reshape(count, -1)
     same = (cand_keys[:, :, None] == cand_keys[:, None, :]) & cand_live[:, None, :]
     first = same.argmax(axis=2)

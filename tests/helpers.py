@@ -1,4 +1,6 @@
-"""Shared test fixtures: broken schemes and a detectable attack."""
+"""Shared test fixtures: broken and random schemes, and a detectable attack."""
+
+import random
 
 from qspirlab.density import DensityMatrix
 from qspirlab.registers import RegisterLayout
@@ -39,6 +41,46 @@ class LeakyScheme(LinearPirScheme):
         if x.n != self.n:
             raise ValueError("database size mismatch")
         return x.value
+
+
+class RandomXorScheme(LinearPirScheme):
+    """Seeded random tables in the shape of an XOR-linear scheme; not a correct PIR.
+
+    Queries and selects are drawn per (i, r), answers per (query, database).
+    About a third of the selects are 0 (never all of one plan's), so both
+    kinds of draw occur: the two query branches apart and together on a
+    server's register.
+    """
+
+    name = "random-xor"
+
+    def __init__(self, n, k=3, t=3, a=7, randomness_size=4, seed=0):
+        super().__init__(n)
+        self._shape = SchemeShape(k=k, t=t, a=a, randomness_size=randomness_size)
+        rng = random.Random(seed)
+        self._plans = {}
+        for i in range(1, n + 1):
+            for r in range(randomness_size):
+                selects = [rng.getrandbits(a) if rng.random() < 0.67 else 0 for _ in range(k)]
+                if not any(selects):
+                    selects[rng.randrange(k)] = 1
+                queries = tuple(rng.getrandbits(t) for _ in range(k))
+                self._plans[i, r] = (queries, tuple(selects))
+        self._answers = [[rng.getrandbits(a) for _ in range(1 << n)] for _ in range(1 << t)]
+
+    @property
+    def shape(self):
+        return self._shape
+
+    def gen_plan(self, i, r):
+        self._check_plan_args(i, r)
+        queries, selects = self._plans[i, r]
+        return QueryPlan(i=i, r=r, queries=queries, selects=selects, t=self._shape.t,
+                         a=self._shape.a)
+
+    def answer(self, q, x):
+        self._check_query(q)
+        return self._answers[q][x.value]
 
 
 def leaky_attack_views(protocol, x, r, masks):

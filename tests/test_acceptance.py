@@ -22,7 +22,6 @@ from qspirlab.audits import (
     audit_recovery,
     audit_user_privacy_quantum,
     make_grid,
-    representative_databases,
 )
 from qspirlab.bell import BellProtocol, build_bell_query
 from qspirlab.density import maximally_mixed, partial_trace, trace_distance
@@ -64,9 +63,9 @@ def test_criterion_2_user_privacy():
             report = audit_user_privacy_quantum(resolve_protocol(name, n), make_grid(n))
             assert report.passed, report.witness
             worst = max(worst, report.worst_case_distance)
-    cube_grid = make_grid(8, databases=[str(d) for d in representative_databases(8)])
-    report = audit_user_privacy_quantum(resolve_protocol("qspir(cube2)", 8), cube_grid)
+    report = audit_user_privacy_quantum(resolve_protocol("qspir(cube2)", 8), make_grid(8))
     assert report.passed, report.witness
+    assert report.grid["databases"] == 256
     worst = max(worst, report.worst_case_distance)
     elapsed = time.monotonic() - started
     ok = worst <= TOL and elapsed < 300

@@ -15,7 +15,7 @@ from qspirlab.audits import (
     make_grid,
     run_audit,
     server_state_mixtures,
-    _server_mixtures_compiled_fast,
+    _server_histograms,
     _server_mixtures_generic,
 )
 from qspirlab.compiler import CompiledProtocol, build_query_state, server_register
@@ -24,7 +24,7 @@ from qspirlab.protocols import ClassicalProtocol, resolve_protocol
 from qspirlab.schemes import Database, make_scheme
 from qspirlab.transcript import server_party, server_round
 
-from helpers import CorruptedSubsetScheme, LeakyScheme
+from helpers import CorruptedSubsetScheme, LeakyScheme, RandomXorScheme
 
 
 class TestRecoveryAudit:
@@ -93,11 +93,26 @@ class TestUserPrivacyQuantum:
         x = Database.from_string("10")
         grid = make_grid(2)
         generic = _server_mixtures_generic(protocol, x, 1, grid)
-        fast = _server_mixtures_compiled_fast(protocol, x, 1)
-        shared = set(generic) & set(fast)
-        assert {("server1", "send:server1"), ("server2", "phase:server2")} <= shared
-        for key in shared:
+        fast = _server_histograms(protocol, 1)
+        assert set(fast) == {(f"server{j}", f"{step}:server{j}")
+                             for j in (1, 2) for step in ("send", "phase")}
+        assert set(fast) <= set(generic)
+        for key in fast:
             assert entries_close(generic[key], fast[key], 1e-12)
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_histogram_matches_generic_for_three_servers(self, countermeasure):
+        # a=2: 64 mask combinations, so the generic path runs every one of
+        # them, and each server's state comes from the whole protocol run
+        protocol = CompiledProtocol(RandomXorScheme(3, a=2, seed=1), countermeasure)
+        grid = make_grid(3)
+        assert audits._mask_mode(protocol, grid)[0] == "full"
+        for i in grid.indices:
+            generic = _server_mixtures_generic(protocol, Database.from_string("110"), i, grid)
+            fast = _server_histograms(protocol, i)
+            assert len(fast) == 3 * (3 if countermeasure else 2)
+            for key in fast:
+                assert entries_close(generic[key], fast[key], 1e-12)
 
     def test_cube_uses_fast_path(self):
         protocol = resolve_protocol("qspir(cube2)", 8)
@@ -109,7 +124,10 @@ class TestUserPrivacyQuantum:
 
 
 def dict_sweep(protocol, x, i):
-    """The cube sweep one SparseState at a time: the reference for the batched one."""
+    """Server j's own steps over (r, own mask), one SparseState at a time, on database x.
+
+    The other servers' masks are 0.  The reference for the histogram.
+    """
     s = protocol.scheme.shape
     layout = protocol.layout()
     operate = protocol.server_operation(x)
@@ -138,40 +156,49 @@ def exact_entries(mixtures):
 
 
 class TestBatchedSweep:
-    """The batched cube sweep gives the dict sweep's mixtures bit for bit."""
+    """The histogram gives the dict sweep's mixtures bit for bit, key order included."""
 
     @pytest.mark.parametrize("countermeasure", [False, True])
     @pytest.mark.parametrize("i", [1, 8])
     def test_cube_matches_dict_sweep(self, i, countermeasure):
         protocol = resolve_protocol("qspir(cube2)", 8, countermeasure)
         x = Database.from_string("10110100")
-        fast = _server_mixtures_compiled_fast(protocol, x, i)
+        fast = _server_histograms(protocol, i)
         assert exact_entries(fast) == exact_entries(dict_sweep(protocol, x, i))
 
     @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_three_server_scheme_matches_dict_sweep(self, countermeasure):
+        # a=7: 2**21 mask combinations, so cycle mode; some selects are 0
+        scheme = RandomXorScheme(3, a=7, seed=5)
+        protocol = CompiledProtocol(scheme, countermeasure)
+        assert audits._mask_mode(protocol, make_grid(3))[0] == "cycle"
+        selects = {sel for i in (1, 3) for r in scheme.randomness_space
+                   for sel in scheme.gen_plan(i, r).selects}
+        assert 0 in selects and len(selects) > 1
+        for i in (1, 3):
+            for x in ("000", "101"):
+                assert exact_entries(_server_histograms(protocol, i)) == \
+                    exact_entries(dict_sweep(protocol, Database.from_string(x), i))
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
     def test_leaky_scheme_keeps_its_witness(self, countermeasure, monkeypatch):
-        # a=8: 256 masks, so cycle mode and the batched sweep
+        # a=8: 256 masks, so cycle mode and the histogram
         protocol = CompiledProtocol(LeakyScheme(8), dephase_servers=countermeasure)
-        grid = make_grid(8, databases=["10110100"], indices=[1, 8])
-        x = grid.databases[0]
+        grid = make_grid(8, databases=["10110100", "01001011"], indices=[1, 8])
         for i in grid.indices:
-            assert exact_entries(_server_mixtures_compiled_fast(protocol, x, i)) == \
-                exact_entries(dict_sweep(protocol, x, i))
+            fast = exact_entries(_server_histograms(protocol, i))
+            for x in grid.databases:
+                assert fast == exact_entries(dict_sweep(protocol, x, i))
         report = audit_user_privacy_quantum(protocol, grid)
         assert report.worst_case_distance == 1.0000000000000002
         assert report.witness == {"server": "server1", "step": "send:server1", "i": 1,
                                   "i_prime": 8, "x": "10110100",
                                   "distance": 1.0000000000000002}
-        monkeypatch.setattr(audits, "_server_mixtures_compiled_fast", dict_sweep)
+        assert report.details["comparisons"] == 2 * len(fast)
+        monkeypatch.setattr(audits, "server_state_mixtures",
+                            lambda protocol, x, i, grid: dict_sweep(protocol, x, i))
         reference = audit_user_privacy_quantum(protocol, grid)
         assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
-
-    def test_sweep_is_fed_in_chunks(self, monkeypatch):
-        protocol = resolve_protocol("qspir(cube2)", 8, True)
-        x = Database.from_string("01101001")
-        whole = exact_entries(_server_mixtures_compiled_fast(protocol, x, 3))
-        monkeypatch.setattr(audits, "SWEEP_ROWS", 1000)
-        assert exact_entries(_server_mixtures_compiled_fast(protocol, x, 3)) == whole
 
 
 class TestDataPrivacy:

@@ -1,15 +1,12 @@
 """Density matrices: partial trace, mixtures, and the trace distance."""
 
 import math
-import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspirlab.compiler import CompiledProtocol, build_query_batch
 from qspirlab.density import (
-    DensityAccumulator,
     DensityMatrix,
     maximally_mixed,
     mix,
@@ -17,8 +14,7 @@ from qspirlab.density import (
     trace_distance,
 )
 from qspirlab.registers import RegisterLayout
-from qspirlab.schemes import make_scheme
-from qspirlab.states import SparseState, key_dtype
+from qspirlab.states import SparseState
 
 S = math.sqrt(0.5)
 TWO_BITS = RegisterLayout.of(("a", 1), ("b", 1))
@@ -168,118 +164,3 @@ class TestMetricProperties:
     @given(density_matrices(), density_matrices(), density_matrices())
     def test_triangle_inequality(self, p, q, r):
         assert trace_distance(p, r) <= trace_distance(p, q) + trace_distance(q, r) + 1e-9
-
-
-def random_batch(layout, rows, slots, seed):
-    """Random states as a batch, with empty slots between live terms.
-
-    Each register takes one of three values, so terms often share their
-    traced part and the partial trace has cross terms.
-    """
-    rng = random.Random(seed)
-    choices = {name: [0, (1 << w) - 1, rng.getrandbits(w)] for name, w in layout.registers}
-    keys = np.zeros((rows, slots), dtype=key_dtype(layout))
-    amps = np.zeros((rows, slots), dtype=complex)
-    for b in range(rows):
-        live = rng.sample(range(slots), rng.randint(1, slots))
-        row_keys = set()
-        while len(row_keys) < len(live):
-            row_keys.add(layout.assemble({n: rng.choice(c) for n, c in choices.items()}))
-        values = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in live]
-        norm = math.sqrt(sum(abs(v) ** 2 for v in values))
-        for t, key, v in zip(sorted(live), sorted(row_keys, key=lambda _: rng.random()), values):
-            keys[b, t], amps[b, t] = key, v / norm
-    return keys, amps
-
-
-def states_of(layout, keys, amps):
-    return [SparseState(layout, {int(k): complex(a) for k, a in zip(row_k, row_a) if a != 0})
-            for row_k, row_a in zip(keys, amps)]
-
-
-def exact(acc):
-    """Entries to the bit (signed zeros included) in insertion order, and the weight."""
-    return [(uv, c.real.hex(), c.imag.hex()) for uv, c in acc._entries.items()], acc._weight
-
-
-class TestAddBatch:
-    """``add_batch`` equals ``add`` called row by row, entry order included."""
-
-    LAYOUT = RegisterLayout.of(("sign", 1), ("srv1", 3), ("srv2", 3))
-
-    def both(self, layout, keep, batches):
-        batched = DensityAccumulator(layout, keep)
-        by_row = DensityAccumulator(layout, keep)
-        for keys, amps, weights in batches:
-            batched.add_batch(layout, keys, amps, weights)
-            for state, w in zip(states_of(layout, keys, amps), weights.tolist()):
-                by_row.add(state, w)
-        return batched, by_row
-
-    @pytest.mark.parametrize("keep", [["sign", "srv1"], ["srv2"], ["sign", "srv1", "srv2"]])
-    def test_cross_terms_and_weights(self, keep):
-        keys, amps = random_batch(self.LAYOUT, 60, 5, seed=1)
-        weights = np.array([random.Random(b).random() for b in range(60)])
-        batched, by_row = self.both(self.LAYOUT, keep, [(keys, amps, weights)])
-        assert any(u != v for u, v in batched._entries)   # cross terms were formed
-        assert exact(batched) == exact(by_row)
-
-    def test_second_batch_onto_nonempty_accumulator(self):
-        first = random_batch(self.LAYOUT, 30, 4, seed=2)
-        second = random_batch(self.LAYOUT, 30, 6, seed=3)
-        batched, by_row = self.both(self.LAYOUT, ["srv1"], [
-            (*first, np.full(30, 0.25)), (*second, np.linspace(0.1, 0.9, 30))])
-        assert exact(batched) == exact(by_row)
-
-    def test_signed_zero_products(self):
-        # real amplitudes of opposite sign: the (0, 1) products are -0.0j, and
-        # so is their sum, which must not start from +0.0
-        keys = np.array([[0, 1], [2, 3]], dtype=np.uint64)
-        amps = np.array([[S, -S], [S, -S]], dtype=complex)
-        batched, by_row = self.both(TWO_BITS, ["b"], [(keys, amps, np.ones(2))])
-        assert math.copysign(1.0, batched._entries[(0, 1)].imag) == -1.0
-        assert exact(batched) == exact(by_row)
-
-    def test_empty_batch(self):
-        keys, amps = random_batch(self.LAYOUT, 5, 3, seed=4)
-        batched, by_row = self.both(self.LAYOUT, ["srv1"], [
-            (keys, amps, np.ones(5)), (keys[:0], amps[:0], np.ones(0))])
-        assert exact(batched) == exact(by_row)
-
-    def test_packed_code_wider_than_a_word(self):
-        # 60-bit keys fit uint64, but a (row, col) pair of 40-bit subs does not
-        layout = RegisterLayout.of(("a", 40), ("b", 20))
-        keys, amps = random_batch(layout, 40, 4, seed=5)
-        assert keys.dtype == np.uint64
-        batched, by_row = self.both(layout, ["a"], [(keys, amps, np.full(40, 0.5))])
-        assert exact(batched) == exact(by_row)
-
-    @pytest.mark.parametrize("keep", [["sign", "srv1"], ["srv2"]])
-    def test_wide_layout_object_keys(self, keep):
-        # the 83-bit layout of qspir(subset2) at n=40
-        protocol = CompiledProtocol(make_scheme("subset2", 40))
-        layout = protocol.layout()
-        keys, amps = random_batch(layout, 40, 4, seed=6)
-        assert keys.dtype == object
-        batched, by_row = self.both(layout, keep, [(keys, amps, np.full(40, 0.125))])
-        assert exact(batched) == exact(by_row)
-        # each diagonal key holds one int object twice
-        assert all(u is v for u, v in batched._entries if u == v)
-
-    def test_wide_layout_query_states(self):
-        protocol = CompiledProtocol(make_scheme("subset2", 40))
-        layout = protocol.layout()
-        plans = [protocol.scheme.gen_plan(i, r) for i in (1, 40) for r in (0, 7, (1 << 40) - 1)]
-        keys, amps, _, _ = build_query_batch(plans, [(1, 0)] * len(plans), layout)
-        batched, by_row = self.both(layout, ["srv1"], [(keys, amps, np.ones(len(plans)))])
-        assert exact(batched) == exact(by_row)
-
-    def test_layout_mismatch(self):
-        acc = DensityAccumulator(self.LAYOUT, ["srv1"])
-        other = RegisterLayout.of(("sign", 1), ("srv1", 3), ("srv3", 3))
-        keys, amps = random_batch(other, 2, 2, seed=7)
-        with pytest.raises(ValueError) as batched:
-            acc.add_batch(other, keys, amps, np.ones(2))
-        with pytest.raises(ValueError) as single:
-            acc.add(states_of(other, keys, amps)[0])
-        assert str(batched.value) == str(single.value)

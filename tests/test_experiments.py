@@ -7,11 +7,13 @@ import pytest
 from qspirlab.experiments import (
     ConfigError,
     ExperimentConfig,
+    _grid_for,
     comm_table,
     render_reports,
     render_table,
     run_experiment,
 )
+from qspirlab.protocols import resolve_protocol
 
 
 class TestConfig:
@@ -57,10 +59,15 @@ class TestRunExperiment:
         assert report.witness["r"] == "01"
 
     def test_cube_heavy_audits_use_reduced_database_grid(self):
+        # user privacy covers all 256 databases; only data privacy is cut to
+        # the 4 representatives
         bundle = run_experiment(ExperimentConfig(
             scheme="qspir(cube2)", n=8, audits=["user-privacy"]))
         assert bundle.passed
-        assert bundle.reports[0].grid["databases"] == 4
+        assert bundle.reports[0].grid["databases"] == 256
+        grid = _grid_for(resolve_protocol("qspir(cube2)", 8),
+                         ExperimentConfig(scheme="qspir(cube2)", n=8), "data-privacy")
+        assert len(grid.databases) == 4
 
 
 class TestCommTable:

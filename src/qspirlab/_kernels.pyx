@@ -248,7 +248,7 @@ def branch_split(dict terms, tuple pieces, int width=0):
 
 
 def ptrace_accumulate(dict acc, dict terms, tuple keep_pieces, tuple trace_pieces,
-                      double weight, int width=0):
+                      double weight, int width=0, dict also=None):
     cdef dict groups = {}
     cdef uint64_t k_c
     cdef int nk, nt
@@ -256,7 +256,7 @@ def ptrace_accumulate(dict acc, dict terms, tuple keep_pieces, tuple trace_piece
     cdef int64_t kwidths[MAX_PIECES]
     cdef int64_t tshifts[MAX_PIECES]
     cdef int64_t twidths[MAX_PIECES]
-    cdef double complex a_c, b_c, wa
+    cdef double complex a_c, b_c, wa, c
     cdef bint fast = _fits64(width) and len(keep_pieces) <= MAX_PIECES \
         and len(trace_pieces) <= MAX_PIECES
     if fast:
@@ -287,11 +287,18 @@ def ptrace_accumulate(dict acc, dict terms, tuple keep_pieces, tuple trace_piece
             for v2, b in items:
                 b_c = b
                 key = (u, v2)
+                c = wa * b_c.conjugate()
                 w = acc.get(key)
                 if w is None:
-                    acc[key] = wa * b_c.conjugate()
+                    acc[key] = c
                 else:
-                    acc[key] = (<double complex> w) + wa * b_c.conjugate()
+                    acc[key] = (<double complex> w) + c
+                if also is not None:
+                    w = also.get(key)
+                    if w is None:
+                        also[key] = c
+                    else:
+                        also[key] = (<double complex> w) + c
     return acc
 
 

@@ -100,11 +100,13 @@ def branch_split(terms, pieces, width=0):
     return groups
 
 
-def ptrace_accumulate(acc, terms, keep_pieces, trace_pieces, weight, width=0):
+def ptrace_accumulate(acc, terms, keep_pieces, trace_pieces, weight, width=0, also=None):
     """Add ``weight * |psi><psi|`` reduced onto the kept pieces into ``acc``.
 
     ``acc`` maps (row kept-sub, col kept-sub) pairs to complex entries and is
-    mutated in place.
+    mutated in place.  When a second target dict ``also`` is given, each
+    contribution is added to it as well, right after ``acc``, so both end as
+    two separate calls would leave them, to the last bit.
     """
     groups = {}
     for k, v in terms.items():
@@ -123,6 +125,9 @@ def ptrace_accumulate(acc, terms, keep_pieces, trace_pieces, weight, width=0):
                 w = acc.get(key)
                 c = wa * b.conjugate()
                 acc[key] = c if w is None else w + c
+                if also is not None:
+                    w = also.get(key)
+                    also[key] = c if w is None else w + c
     return acc
 
 

@@ -16,11 +16,12 @@ The three audit families:
   quantum protocols by trace distance 0 between each server's mixed
   reduced states across indices, at every step at which it holds data.
 * data privacy — an honest user must learn nothing beyond the requested
-  bit: for databases agreeing on that bit, the user's entire view (his
-  classical knowledge and his quantum holdings at every step, paired per
+  bit: for databases agreeing on that bit, the user's entire view (the
+  user's classical knowledge and quantum holdings at every step, paired per
   randomness draw) must coincide, pure states up to a global phase.  A
   strictly weaker mixed-over-randomness comparison is reported alongside
-  for information.
+  for information; it is fed from the same partial trace as the per-draw
+  view.
 """
 
 from __future__ import annotations
@@ -423,7 +424,13 @@ class ViewRecord:
     output: dict[int, float]
 
 
-def user_view(transcript: Transcript) -> ViewRecord:
+def user_view(transcript: Transcript,
+              mixtures: dict[str, DensityAccumulator] | None = None) -> ViewRecord:
+    """The user's view of one run, adding each step's state to ``mixtures[label]`` if given.
+
+    The mixed-over-randomness comparison is fed from the same partial trace
+    as this per-draw view: each run's holdings are reduced once per step.
+    """
     steps = []
     all_regs = set(transcript.layout.names)
     for step in transcript.steps:
@@ -431,11 +438,16 @@ def user_view(transcript: Transcript) -> ViewRecord:
         if step.branches is None or not held:
             steps.append(ViewStep(step.label, None, None))
             continue
+        mix = None if mixtures is None else mixtures.get(step.label)
+        if mixtures is not None and mix is None:
+            mix = mixtures[step.label] = DensityAccumulator(transcript.layout, held)
         if set(held) == all_regs and len(step.branches) == 1:
             steps.append(ViewStep(step.label, step.branches[0][1], None))
+            if mix is not None:
+                mix.add_branches(step.branches)
             continue
         acc = DensityAccumulator(transcript.layout, held)
-        acc.add_branches(step.branches)
+        acc.add_branches(step.branches, also=mix)
         rho = acc.finalize()
         pure = rho.to_pure()
         if pure is not None:
@@ -487,9 +499,8 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
                 for masks in mask_subset:
                     views = {}
                     for x in group:
-                        t = protocol.run(x, i, r, masks)
-                        views[x.value] = user_view(t)
-                        _add_user_states(mixtures[x.value], t)
+                        views[x.value] = user_view(protocol.run(x, i, r, masks),
+                                                   mixtures[x.value])
                     basis_x = group[0]
                     for other in group[1:]:
                         pair_count += 1
@@ -527,26 +538,13 @@ def _rand_width(protocol: Protocol) -> int:
     return scheme.shape.t if scheme is not None else 0
 
 
-def _add_user_states(accs: dict[str, DensityAccumulator], t: Transcript) -> None:
-    """Add the user's holdings at each step of a run to that step label's mixture."""
-    for step in t.steps:
-        held = step.holdings(USER)
-        if step.branches is None or not held:
-            continue
-        acc = accs.get(step.label)
-        if acc is None:
-            acc = accs[step.label] = DensityAccumulator(t.layout, held)
-        acc.add_branches(step.branches)
-
-
 def _mixed_view_distance(per_x: dict[int, dict[str, DensityAccumulator]],
                          group: Sequence[Database]) -> float:
     """Weaker distributional comparison: user states mixed over randomness."""
     worst = 0.0
-    basis = per_x[group[0].value]
+    basis = {label: acc.finalize() for label, acc in per_x[group[0].value].items()}
     for other in group[1:]:
-        for label, acc in basis.items():
-            rho_a = acc.finalize()
+        for label, rho_a in basis.items():
             rho_b = per_x[other.value][label].finalize()
             worst = max(worst, trace_distance(rho_a, rho_b))
     return worst

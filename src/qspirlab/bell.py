@@ -18,6 +18,8 @@ Odd database sizes are padded with a trailing zero bit.  Communication is
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .registers import RegisterLayout
 from .schemes import Database
 from .states import (
@@ -47,6 +49,7 @@ def right_reg(slot: int) -> str:
     return f"right{slot}"
 
 
+@lru_cache(maxsize=None)
 def bell_layout(pair_count: int) -> RegisterLayout:
     regs = [("sign", 1)]
     regs += [(left_reg(s), 1) for s in range(1, pair_count + 1)]
@@ -229,9 +232,16 @@ class BellProtocol(OutputsFromRuns):
         return lambda state, j: server_pauli(state, j, xp)
 
     def run(self, x: Database, i: int, r: int = 0, masks=()) -> Transcript:
+        return execute(self, x, i, self._script(x, i))
+
+    def run_output(self, x: Database, i: int, r: int = 0, masks=()) -> dict[int, float]:
+        """``run(...).output``, from the same script without recording a transcript."""
+        return execute(self, x, i, self._script(x, i), output_only=True)
+
+    def _script(self, x: Database, i: int) -> Script:
         if not 1 <= i <= self.n:
             raise IndexError(f"index {i} outside [1, {self.n}]")
-        return execute(self, x, i, Script(
+        return Script(
             knowledge={
                 "i": i,
                 "pair_slot": pair_slot(i),
@@ -246,4 +256,4 @@ class BellProtocol(OutputsFromRuns):
             verb=self.verb,
             operate=self.server_operation(x),
             recover=lambda state: recovery_branches_bell(state, i, self.pair_count),
-        ))
+        )

@@ -20,6 +20,7 @@ Communication is 2*k*(t+a) qubits: every register travels out and back.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +58,7 @@ def server_register(j: int) -> str:
     return f"srv{j}"
 
 
+@lru_cache(maxsize=None)
 def compiled_layout(k: int, t: int, a: int) -> RegisterLayout:
     regs = [("sign", 1)]
     regs += [(server_register(j), t + a) for j in range(1, k + 1)]

@@ -10,6 +10,7 @@ dense eigendecomposition on the joint support otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -109,33 +110,51 @@ class DensityMatrix:
         return f"DensityMatrix({kind}, diag={diag})"
 
 
+@lru_cache(maxsize=1024)
+def _geometry(state_layout: RegisterLayout, keep: frozenset):
+    """(keep names, sub-layout, keep pieces, trace pieces) of a keep set, built once."""
+    keep_names = state_layout.in_layout_order(keep)
+    if not keep_names:
+        raise ValueError("keep set must be nonempty")
+    trace_names = tuple(n for n in state_layout.names if n not in keep_names)
+    return (keep_names, state_layout.sub_layout(keep_names), state_layout.pieces(keep_names),
+            state_layout.pieces(trace_names))
+
+
 class DensityAccumulator:
     """Builds a mixture of reduced states without materializing each one."""
 
     def __init__(self, state_layout: RegisterLayout, keep: Iterable[str]):
-        self.keep_names = state_layout.in_layout_order(keep)
-        if not self.keep_names:
-            raise ValueError("keep set must be nonempty")
-        self.layout = state_layout.sub_layout(self.keep_names)
+        self.keep_names, self.layout, self._keep_pieces, self._trace_pieces = \
+            _geometry(state_layout, frozenset(keep))
         self._state_layout = state_layout
-        self._keep_pieces = state_layout.pieces(self.keep_names)
-        trace_names = tuple(n for n in state_layout.names if n not in self.keep_names)
-        self._trace_pieces = state_layout.pieces(trace_names)
         self._entries: dict[tuple[int, int], complex] = {}
         self._weight = 0.0
 
-    def add(self, state: SparseState, weight: float = 1.0) -> None:
+    def add(self, state: SparseState, weight: float = 1.0,
+            also: "DensityAccumulator | None" = None) -> None:
+        """Add ``weight`` times the reduced state, to ``also`` too when given.
+
+        ``also`` must reduce onto the same registers; it gets each entry
+        contribution right after this accumulator, from the one partial trace.
+        """
         if state.layout != self._state_layout:
             raise ValueError("state layout does not match accumulator layout")
+        if also is not None and (also._state_layout, also.keep_names) != \
+                (self._state_layout, self.keep_names):
+            raise ValueError("accumulators reduce onto different registers")
         kernels.ptrace_accumulate(
             self._entries, state.terms, self._keep_pieces, self._trace_pieces,
-            weight, self._state_layout.width,
+            weight, self._state_layout.width, None if also is None else also._entries,
         )
         self._weight += weight
+        if also is not None:
+            also._weight += weight
 
-    def add_branches(self, branches: Iterable[tuple[float, SparseState]], weight: float = 1.0) -> None:
+    def add_branches(self, branches: Iterable[tuple[float, SparseState]], weight: float = 1.0,
+                     also: "DensityAccumulator | None" = None) -> None:
         for p, state in branches:
-            self.add(state, weight * p)
+            self.add(state, weight * p, also)
 
     def finalize(self) -> DensityMatrix:
         if self._weight <= 0:
@@ -184,6 +203,8 @@ def trace_distance(p: DensityMatrix, q: DensityMatrix) -> float:
     """
     if p.layout != q.layout:
         raise ValueError("layout mismatch")
+    if p.entries == q.entries:
+        return 0.0  # what both paths below return on identical entries
     if p.is_diagonal and q.is_diagonal:
         keys = {u for u, _ in p.entries} | {u for u, _ in q.entries}
         return 0.5 * sum(

@@ -17,6 +17,8 @@ Protocol names accepted everywhere (CLI, configs):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .bell import BellProtocol
 from .compiler import CompiledProtocol
 from .registers import RegisterLayout, bits
@@ -31,6 +33,12 @@ def query_reg(j: int) -> str:
 
 def answer_reg(j: int) -> str:
     return f"answer{j}"
+
+
+@lru_cache(maxsize=None)
+def classical_layout(k: int, t: int, a: int) -> RegisterLayout:
+    return RegisterLayout(tuple(
+        (name, w) for j in range(1, k + 1) for name, w in ((query_reg(j), t), (answer_reg(j), a))))
 
 
 class ClassicalProtocol(OutputsFromRuns):
@@ -56,11 +64,7 @@ class ClassicalProtocol(OutputsFromRuns):
 
     def layout(self) -> RegisterLayout:
         s = self.scheme.shape
-        regs = []
-        for j in range(1, s.k + 1):
-            regs.append((query_reg(j), s.t))
-            regs.append((answer_reg(j), s.a))
-        return RegisterLayout(tuple(regs))
+        return classical_layout(s.k, s.t, s.a)
 
     def comm_bits(self) -> int:
         return self.scheme.comm_cost()
@@ -72,6 +76,13 @@ class ClassicalProtocol(OutputsFromRuns):
         return self.scheme.randomness_space
 
     def run(self, x: Database, i: int, r: int, masks=()) -> Transcript:
+        return execute(self, x, i, self._script(x, i, r))
+
+    def run_output(self, x: Database, i: int, r: int, masks=()) -> dict[int, float]:
+        """``run(...).output``, from the same script without recording a transcript."""
+        return execute(self, x, i, self._script(x, i, r), output_only=True)
+
+    def _script(self, x: Database, i: int, r: int) -> Script:
         s = self.scheme.shape
         plan = self.scheme.gen_plan(i, r)
         answers = [self.scheme.answer(q, x) for q in plan.queries]
@@ -82,7 +93,7 @@ class ClassicalProtocol(OutputsFromRuns):
                                            {plan.queries[j - 1]: {answer_reg(j): answers[j - 1]}})
 
         values = {query_reg(j): q for j, q in enumerate(plan.queries, start=1)}
-        return execute(self, x, i, Script(
+        return Script(
             knowledge={
                 "scheme": self.scheme.name,
                 "k": s.k, "t": s.t, "a": s.a,
@@ -101,7 +112,7 @@ class ClassicalProtocol(OutputsFromRuns):
             operate=answer,
             recover=lambda state: ((1.0, reconstruct(plan, answers), state),),
             final="reconstruct",
-        ))
+        )
 
 
 Protocol = ClassicalProtocol | CompiledProtocol | BellProtocol

@@ -200,10 +200,20 @@ class Script(NamedTuple):
     held: Callable[[int], Sequence[str]] = lambda j: ()
 
 
-def execute(protocol, x, i: int, script: Script) -> Transcript:
-    """One run: plan, build, send, [measure,] operate, return, recover."""
+def execute(protocol, x, i: int, script: Script,
+            output_only: bool = False) -> Transcript | dict[int, float]:
+    """One run: plan, build, send, [measure,] operate, return, recover.
+
+    With ``output_only`` it records no step and returns only the output distribution.
+    """
     layout = script.state.layout
     servers = range(1, protocol.k + 1)
+    if output_only:
+        branches = [(1.0, script.state)]
+        for _, _, branches in server_round(branches, servers, script.receives, script.operate,
+                                           script.verb, protocol.dephase_servers):
+            pass
+        return dict(sorted(_recover(branches, script.recover)[0].items()))
     b = TranscriptBuilder(protocol.name, protocol.n, x, i, script.knowledge, layout,
                           [USER] + [server_party(j) for j in servers])
     b.assign(layout.names, USER)
@@ -227,23 +237,25 @@ def execute(protocol, x, i: int, script: Script) -> Transcript:
     for j in servers:
         message(f"return:{server_party(j)}", script.returns(j), server_party(j), USER)
 
-    output: dict[int, float] = {}
-    final = []
-    for p, st in b.branches:
-        for q, bit, post in script.recover(st):
-            output[bit] = output.get(bit, 0.0) + p * q
-            final.append((p * q, post))
-    b.branches = final
+    output, b.branches = _recover(b.branches, script.recover)
     b.set_output(output)
     b.record(script.final, USER)
     return b.done()
 
 
-class OutputsFromRuns:
-    """``run_output``/``run_outputs`` read off full runs, so they cannot drift from ``run``."""
+def _recover(branches, recover) -> tuple[dict[int, float], list[tuple[float, SparseState]]]:
+    """The user's last step: its output distribution and post-measurement branches."""
+    output: dict[int, float] = {}
+    final = []
+    for p, st in branches:
+        for q, bit, post in recover(st):
+            output[bit] = output.get(bit, 0.0) + p * q
+            final.append((p * q, post))
+    return output, final
 
-    def run_output(self, x, i: int, r: int = 0, masks=()) -> dict[int, float]:
-        return self.run(x, i, r, masks).output
+
+class OutputsFromRuns:
+    """``run_outputs`` as one ``run_output`` per draw."""
 
     def run_outputs(self, x, draws) -> list[dict[int, float]]:
         """``run_output`` of each (i, r, masks) draw."""

@@ -1,6 +1,7 @@
 """Audit behavior: exhaustive verdicts, witnesses, and cross-validation."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,7 @@ from qspirlab.audits import (
     make_grid,
     run_audit,
     server_state_mixtures,
+    user_view,
     _server_histograms,
     _server_mixtures_generic,
 )
@@ -22,7 +24,7 @@ from qspirlab.compiler import CompiledProtocol, build_query_state, server_regist
 from qspirlab.density import DensityAccumulator, entries_close
 from qspirlab.protocols import ClassicalProtocol, resolve_protocol
 from qspirlab.schemes import Database, make_scheme
-from qspirlab.transcript import server_party, server_round
+from qspirlab.transcript import USER, server_party, server_round
 
 from helpers import CorruptedSubsetScheme, LeakyScheme, RandomXorScheme
 
@@ -232,6 +234,101 @@ class TestDataPrivacy:
     def test_trivial_compiled_passes(self):
         report = audit_data_privacy(resolve_protocol("qspir(trivial1)", 3), make_grid(3))
         assert report.passed
+
+
+def two_pass_view(t, mixtures):
+    """The user's view of a run and its mixture feed as two passes made them.
+
+    ``user_view`` alone, then each step's holdings traced again into that
+    step label's mixture.  The reference for the fused ``user_view(t, mixtures)``.
+    """
+    view = user_view(t)
+    for step in t.steps:
+        held = step.holdings(USER)
+        if step.branches is None or not held:
+            continue
+        acc = mixtures.get(step.label)
+        if acc is None:
+            acc = mixtures[step.label] = DensityAccumulator(t.layout, held)
+        acc.add_branches(step.branches)
+    return view
+
+
+def exact_terms(mapping):
+    """Every value of a term or entry map to the bit, in key order."""
+    return [(k, c.real.hex(), c.imag.hex()) for k, c in mapping.items()]
+
+
+def exact_view(view):
+    return (view.knowledge, view.output, [
+        (s.label, s.pure and exact_terms(s.pure.terms), s.rho and exact_terms(s.rho.entries))
+        for s in view.steps])
+
+
+def exact_mixtures(mixtures):
+    return [(label, acc._weight.hex(), exact_terms(acc._entries), exact_terms(acc.finalize().entries))
+            for label, acc in mixtures.items()]
+
+
+class TestFusedUserView:
+    """One partial trace per (run, step) feeds both the view and the mixture, bit for bit."""
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name,n", [("qspir(subset2)", 3), ("qspir(trivial1)", 3),
+                                        ("bell2", 5), ("subset2", 2)])
+    def test_matches_two_passes(self, name, n, countermeasure):
+        protocol = resolve_protocol(name, n, countermeasure)
+        grid = make_grid(n)
+        _, mask_subset = audits._mask_mode(protocol, grid)
+        fused, reference = {}, {}
+        branch_counts = set()
+        for i in grid.indices:
+            for r in protocol.randomness_space():
+                for masks in mask_subset:
+                    for x in grid.databases:
+                        t = protocol.run(x, i, r, masks)
+                        branch_counts.add(max(len(s.branches or ()) for s in t.steps))
+                        key = (i, x.value)
+                        view = user_view(t, fused.setdefault(key, {}))
+                        assert exact_view(view) == exact_view(
+                            two_pass_view(t, reference.setdefault(key, {})))
+        assert list(fused) == list(reference)
+        for key in fused:
+            assert exact_mixtures(fused[key]) == exact_mixtures(reference[key])
+        assert (max(branch_counts) > 1) == (countermeasure and name != "subset2")
+
+    @pytest.mark.parametrize("name,n", [("bell2", 3), ("qspir(subset2)", 2), ("subset2", 2)])
+    def test_audit_report_unchanged(self, name, n, monkeypatch):
+        for countermeasure in (False, True):
+            protocol = resolve_protocol(name, n, countermeasure)
+            report = json.dumps(audit_data_privacy(protocol, make_grid(n)).to_jsonable())
+            with monkeypatch.context() as m:
+                m.setattr(audits, "user_view", two_pass_view)
+                reference = json.dumps(audit_data_privacy(protocol, make_grid(n)).to_jsonable())
+            assert report == reference
+
+    def test_each_mixture_finalized_once_per_group(self, monkeypatch):
+        finalized = []
+        finalize = DensityAccumulator.finalize
+        groups = []
+        mixed_view_distance = audits._mixed_view_distance
+
+        def counting_finalize(self):
+            finalized.append(self)  # kept alive, so ids stay distinct
+            return finalize(self)
+
+        def recording_distance(per_x, group):
+            groups.append([acc for x in group for acc in per_x[x.value].values()])
+            return mixed_view_distance(per_x, group)
+
+        monkeypatch.setattr(DensityAccumulator, "finalize", counting_finalize)
+        monkeypatch.setattr(audits, "_mixed_view_distance", recording_distance)
+        audit_data_privacy(resolve_protocol("bell2", 4), make_grid(4))
+        counts = Counter(map(id, finalized))
+        assert len(groups) == 8
+        for accs in groups:
+            assert len(accs) == 8 * 8  # databases in the group, times steps with a state
+            assert [counts[id(acc)] for acc in accs] == [1] * len(accs)
 
 
 class TestCommAudit:

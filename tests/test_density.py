@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qspirlab.density import (
+    DensityAccumulator,
     DensityMatrix,
     maximally_mixed,
     mix,
@@ -52,6 +53,38 @@ class TestPartialTrace:
     def test_empty_keep_rejected(self):
         with pytest.raises(ValueError):
             partial_trace(bell_00(), [])
+
+
+class TestAccumulatorGeometry:
+    """Keep-set geometry is built once per (layout, keep set); failures never stick."""
+
+    LAYOUT = RegisterLayout.of(("a", 1), ("b", 2), ("c", 1))
+
+    def test_same_keep_set_shares_one_sub_layout(self):
+        first = DensityAccumulator(self.LAYOUT, ["c", "a"])
+        second = DensityAccumulator(RegisterLayout.of(("a", 1), ("b", 2), ("c", 1)), ("a", "c"))
+        assert first.layout is second.layout
+        assert first.layout.names == ("a", "c")
+        assert first._entries is not second._entries
+
+    def test_unknown_register_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(KeyError, match="unknown registers"):
+                DensityAccumulator(self.LAYOUT, ["a", "z"])
+
+    def test_empty_keep_raises_every_time(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="nonempty"):
+                DensityAccumulator(self.LAYOUT, [])
+
+    def test_second_accumulator_must_keep_the_same_registers(self):
+        state = SparseState.basis(self.LAYOUT, "0110")
+        acc = DensityAccumulator(self.LAYOUT, ["a"])
+        with pytest.raises(ValueError, match="different registers"):
+            acc.add(state, 1.0, also=DensityAccumulator(self.LAYOUT, ["b"]))
+        also = DensityAccumulator(self.LAYOUT, ["a"])
+        acc.add(state, 1.0, also=also)
+        assert acc.finalize().entries == also.finalize().entries == {(0, 0): 1.0}
 
 
 class TestMix:
@@ -120,6 +153,39 @@ class TestTraceDistance:
         other = partial_trace(SparseState.basis(RegisterLayout.of(("b", 1)), "0"), ["b"])
         with pytest.raises(ValueError):
             trace_distance(zero, other)
+
+    @pytest.mark.parametrize("entries", [
+        {(0, 0): 0.5, (3, 3): 0.25, (1, 1): 0.25},
+        {(0, 0): 0.5, (3, 3): 0.5, (0, 3): 0.5j, (3, 0): -0.5j},
+    ], ids=["diagonal", "coherent"])
+    def test_identical_entries_are_exactly_zero(self, entries):
+        # the same entries in another key order compare equal; both paths
+        # below the shortcut give exactly 0.0 on them too
+        p = DensityMatrix(TWO_BITS, entries)
+        q = DensityMatrix(TWO_BITS, dict(reversed(list(entries.items()))))
+        assert list(p.entries) != list(q.entries)
+        assert trace_distance(p, q) == 0.0
+        assert trace_distance(p, DensityMatrix(TWO_BITS, dict(entries))) == 0.0
+        basis = p.support()
+        diff = p.dense(basis)[0] - q.dense(basis)[0]
+        assert 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum()) == 0.0
+
+    def test_identical_coherent_entries_skip_the_eigendecomposition(self, monkeypatch):
+        def refuse(_):
+            raise AssertionError("dense path taken")
+
+        p = DensityMatrix(TWO_BITS, {(0, 0): 0.5, (3, 3): 0.5, (0, 3): 0.5, (3, 0): 0.5})
+        q = DensityMatrix(TWO_BITS, {(0, 0): 0.5, (3, 3): 0.5, (0, 3): 0.4, (3, 0): 0.4})
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert trace_distance(p, DensityMatrix(TWO_BITS, dict(p.entries))) == 0.0
+        with pytest.raises(AssertionError, match="dense path"):
+            trace_distance(p, q)
+
+    def test_identical_entries_on_other_layouts_still_raise(self):
+        p = DensityMatrix(ONE_BIT, {(0, 0): 1.0})
+        q = DensityMatrix(RegisterLayout.of(("b", 1)), {(0, 0): 1.0})
+        with pytest.raises(ValueError, match="layout mismatch"):
+            trace_distance(p, q)
 
     def test_diagonal_fast_path_matches_dense(self):
         # same operands through both paths: diagonal closed form vs eigh

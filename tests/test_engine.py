@@ -69,3 +69,24 @@ def test_step_structure(name, countermeasure):
         assert t.qubits_total == 12
     if name == "bell2":
         assert t.qubits_total == 8
+
+
+def exact_output(output):
+    return [(bit, p.hex()) for bit, p in output.items()]
+
+
+@pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+@pytest.mark.parametrize("name,n,databases", [
+    ("cube2", 8, 6), ("subset2", 3, "all"),
+    ("bell2", 2, "all"), ("bell2", 3, "all"), ("bell2", 4, "all"), ("bell2", 5, "all"),
+])
+def test_output_only_runs_match_full_runs(name, n, databases, countermeasure):
+    # bit for bit and in key order, on every (x, i, r) of the grid
+    from qspirlab.audits import make_grid
+
+    protocol = resolve_protocol(name, n, countermeasure)
+    grid = make_grid(n, databases=databases, seed=1)
+    draws = [(i, r, ()) for i in grid.indices for r in protocol.randomness_space()]
+    for x in grid.databases:
+        full = [exact_output(protocol.run(x, i, r, masks).output) for i, r, masks in draws]
+        assert [exact_output(out) for out in protocol.run_outputs(x, draws)] == full

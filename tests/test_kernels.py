@@ -26,6 +26,11 @@ def random_terms(rng, width, count):
     return {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in keys}
 
 
+def exact(entries):
+    """Every entry to the bit, in key order."""
+    return [(key, c.real.hex(), c.imag.hex()) for key, c in entries.items()]
+
+
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 class TestSingleBackend:
     def test_tensor(self, impl):
@@ -68,6 +73,25 @@ class TestSingleBackend:
         assert acc[(1, 1)] == pytest.approx(0.5)
         assert (0, 1) not in acc
 
+    def test_ptrace_accumulate_second_target(self, impl):
+        # one call with a second target leaves both dicts as two separate
+        # calls would: same entries to the bit, same key order
+        import random
+
+        rng = random.Random(7)
+        keep, trace = ((3, 3),), ((0, 3),)
+        for trial in range(20):
+            start = {(0, 0): 0.25 + 0j, (5, 2): -0.5j}
+            acc, also = dict(start), {}
+            ref_acc, ref_also = dict(start), {}
+            for weight in (0.5, 0.25, 0.25):
+                terms = random_terms(rng, 6, rng.randrange(1, 9))
+                impl.ptrace_accumulate(acc, terms, keep, trace, weight, 6, also)
+                impl.ptrace_accumulate(ref_acc, terms, keep, trace, weight, 6)
+                impl.ptrace_accumulate(ref_also, terms, keep, trace, weight, 6)
+            assert exact(acc) == exact(ref_acc)
+            assert exact(also) == exact(ref_also)
+
     def test_apply_map_cancellation(self, impl):
         s = 0.5 ** 0.5
         images = {0: ((0, s), (1, s)), 1: ((0, s), (1, -s))}
@@ -106,11 +130,13 @@ class TestBackendEquivalence:
             acc_c, acc_py = {}, {}
             keep = ((0, min(4, width)),)
             trace = ((min(4, width), width - min(4, width)),)
-            _kernels.ptrace_accumulate(acc_c, terms, keep, trace, 0.5, width)
-            _kernels_py.ptrace_accumulate(acc_py, terms, keep, trace, 0.5, width)
-            assert acc_c.keys() == acc_py.keys()
-            for k in acc_c:
-                assert acc_c[k] == pytest.approx(acc_py[k], abs=1e-15)
+            also_c, also_py = {(0, 0): 0.5 + 0j}, {(0, 0): 0.5 + 0j}
+            _kernels.ptrace_accumulate(acc_c, terms, keep, trace, 0.5, width, also_c)
+            _kernels_py.ptrace_accumulate(acc_py, terms, keep, trace, 0.5, width, also_py)
+            for c_side, py_side in ((acc_c, acc_py), (also_c, also_py)):
+                assert list(c_side) == list(py_side)
+                for k in c_side:
+                    assert c_side[k] == pytest.approx(py_side[k], abs=1e-15)
 
             x = rng.getrandbits(width)
             masks = tuple(rng.getrandbits(width) for _ in range(5))

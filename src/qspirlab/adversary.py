@@ -44,7 +44,7 @@ from .bell import (
     unentangle_pairs,
 )
 from .compiler import BATCH_ROWS, CompiledProtocol, server_register
-from .density import DensityAccumulator, DensityMatrix, trace_distance
+from .density import DensityAccumulator, DensityMatrix, mix, trace_distance
 from .registers import RegisterLayout
 from .schemes import Database
 from .states import (
@@ -184,13 +184,11 @@ class CleanQueryOracle:
         """
         accs: dict[tuple[str, str], DensityAccumulator] = {}
         for label, party, branches in self.checkpoints:
-            j = int(party.removeprefix("server"))
-            layout = branches[0][1].layout
             key = (party, label)
-            acc = accs.get(key)
-            if acc is None:
-                acc = accs[key] = DensityAccumulator(layout, self.protocol.server_registers(j))
-            acc.add_branches(branches)
+            if key not in accs:
+                held = self.protocol.server_registers(int(party.removeprefix("server")))
+                accs[key] = DensityAccumulator(branches[0][1].layout, held)
+            accs[key].add_branches(branches)
         return {key: acc.finalize() for key, acc in accs.items()}
 
 
@@ -259,14 +257,8 @@ def _phase_encoded_input(n: int) -> SparseState:
     return SparseState(layout, terms)
 
 
-def parity_attack(protocol: QuantumProtocol, x: Database, r: int = 0,
-                  masks: Sequence[int] = ()) -> AttackOutcome:
-    """One clean query extracting x_1 XOR x_2 from a two-bit database.
-
-    The phase-encoded target turns the query into a phase kickback, so a
-    Hadamard on the index register afterwards reads out the parity with
-    certainty on coherent protocols.
-    """
+def _parity_query(protocol: QuantumProtocol, x: Database, r: int, masks: Sequence[int]):
+    """The parity attack's clean query and its measured output, without server views."""
     if protocol.n != 2:
         raise ValueError("the parity attack is defined for two-bit databases")
     oracle = CleanQueryOracle(protocol, x, r, tuple(masks))
@@ -276,6 +268,18 @@ def parity_attack(protocol: QuantumProtocol, x: Database, r: int = 0,
         rotated = apply_local_map(st, "idx", hadamard)
         for q, outcome, _ in measurement_branches(rotated, "idx"):
             output[outcome] = output.get(outcome, 0.0) + p * q
+    return oracle, output
+
+
+def parity_attack(protocol: QuantumProtocol, x: Database, r: int = 0,
+                  masks: Sequence[int] = ()) -> AttackOutcome:
+    """One clean query extracting x_1 XOR x_2 from a two-bit database.
+
+    The phase-encoded target turns the query into a phase kickback, so a
+    Hadamard on the index register afterwards reads out the parity with
+    certainty on coherent protocols.
+    """
+    oracle, output = _parity_query(protocol, x, r, masks)
     parity_bit = x.bit(1) ^ x.bit(2)
     p_success = output.get(parity_bit, 0.0)
     return AttackOutcome(
@@ -293,11 +297,7 @@ def parity_attack(protocol: QuantumProtocol, x: Database, r: int = 0,
 
 def _draw_space(protocol: QuantumProtocol):
     if isinstance(protocol, CompiledProtocol):
-        return [
-            (r, masks)
-            for r in protocol.randomness_space()
-            for masks in protocol.mask_space()
-        ]
+        return [(r, masks) for r in protocol.randomness_space() for masks in protocol.mask_space()]
     return [(0, ())]
 
 
@@ -326,18 +326,22 @@ def verify_undetectability(
     worst = 0.0
     witness = None
     comparisons = 0
+    honest: dict[int, dict[tuple[str, str], DensityMatrix]] = {}
     for x in databases:
         attack_accs: dict[tuple[str, str], list[DensityMatrix]] = {}
         for r, masks in draws:
             for key, dm in attack_views(protocol, x, r, masks).items():
                 attack_accs.setdefault(key, []).append(dm)
-        attack_mix = {key: _mix_equal(dms) for key, dms in attack_accs.items()}
+        attack_mix = {key: mix([1.0 / len(dms)] * len(dms), dms)
+                      for key, dms in attack_accs.items()}
+        # a compiled protocol's honest states do not depend on x (server_state_mixtures)
+        if not honest or not isinstance(protocol, CompiledProtocol):
+            honest = {i: server_state_mixtures(protocol, x, i, grid) for i in range(1, n + 1)}
         for i in range(1, n + 1):
-            honest = server_state_mixtures(protocol, x, i, grid)
             for key, attack_dm in attack_mix.items():
-                if key not in honest:
+                if key not in honest[i]:
                     continue
-                d = trace_distance(attack_dm, honest[key])
+                d = trace_distance(attack_dm, honest[i][key])
                 comparisons += 1
                 if d > worst:
                     worst = d
@@ -356,29 +360,20 @@ def verify_undetectability(
     )
 
 
-def _mix_equal(dms: Sequence[DensityMatrix]) -> DensityMatrix:
-    entries: dict = {}
-    w = 1.0 / len(dms)
-    for dm in dms:
-        for k, c in dm.entries.items():
-            entries[k] = entries.get(k, 0j) + w * c
-    return DensityMatrix(dms[0].layout, entries)
-
-
 def attack_output_mixture(protocol: QuantumProtocol, x: Database) -> dict[int, float]:
     """Parity-attack output distribution averaged over the full draw space."""
     draws = _draw_space(protocol)
     output: dict[int, float] = {}
     w = 1.0 / len(draws)
     for r, masks in draws:
-        dist = parity_attack(protocol, x, r, masks).output_distribution
+        _, dist = _parity_query(protocol, x, r, masks)
         for bit, p in dist.items():
             output[bit] = output.get(bit, 0.0) + w * p
     return output
 
 
 def honest_output_mixture(protocol, x: Database, i: int) -> dict[int, float]:
-    draws = _draw_space(protocol) if isinstance(protocol, QuantumProtocol) else [(0, ())]
+    draws = _draw_space(protocol)
     output: dict[int, float] = {}
     w = 1.0 / len(draws)
     for start in range(0, len(draws), BATCH_ROWS):

@@ -297,16 +297,13 @@ def _server_mixtures_generic(protocol: Protocol, x: Database, i: int,
 def _server_histograms(protocol: CompiledProtocol, i: int) -> dict[tuple[str, str], DensityMatrix]:
     """(server, own step label) -> reduced state mixed over randomness and masks, for index i.
 
-    A draw sends (|0>|v0> + |1>|v1>)/sqrt(2), where server j's register holds
-    (q_j, m_j) in v0 and (q_j, m_j ^ s_j) in v1.  The user keeps ``sign``,
-    which tells the branches apart, so server j's reduced state is diagonal:
-    half on each of those two values.  Its phase maps basis states to
-    +-themselves and its measurement leaves basis states as they are, so no
-    step moves an entry: the mixture is a histogram of the two values over
-    r and m_j.  It does not depend on the database x, which only the phase
-    reads, nor on the other servers' masks and steps, which touch only
-    traced-out registers.  So it is read off the ``gen_plan`` tables,
-    without a state.
+    Server j holds (q_j, m_j) in one term of a draw and (q_j, m_j ^ s_j) in
+    the other, so its state, which has no cross terms (see
+    ``server_state_mixtures``), is half on each.  Its phase maps basis
+    states to +-themselves and its measurement leaves them as they are, so
+    every step's mixture is a histogram of the two values over r and m_j.
+    The other servers' masks and steps touch only traced-out registers, so
+    it is read off the ``gen_plan`` tables, without a state.
 
     The entries are those of ``server_round`` on server j alone, over draws
     in (r, m_j) order with the other masks 0, to the last bit and in the
@@ -363,6 +360,14 @@ def _histogram(layout: RegisterLayout, draws, apart, together, ordered: bool) ->
 
 def server_state_mixtures(protocol: Protocol, x: Database, i: int,
                           grid: AuditGrid) -> dict[tuple[str, str], DensityMatrix]:
+    """(server, step label) -> reduced state at index i, mixed over randomness and masks.
+
+    A ``CompiledProtocol``'s result does not depend on x, in every mask mode:
+    each draw is (|0>|v0> + |1>|v1>)/sqrt(2) and the user keeps ``sign``, which
+    differs between the terms, so a server's state has no cross terms; x only
+    flips the sign of whole terms, leaving each ``(w * amp) * conj(amp)``, norm
+    and renormalised amplitude as it is, to the bit.  Bell servers' Paulis act on qubits they hold.
+    """
     mode, _ = _mask_mode(protocol, grid)
     if mode == "cycle":
         return _server_histograms(protocol, i)
@@ -375,9 +380,9 @@ def audit_user_privacy_quantum(protocol: Protocol, grid: AuditGrid) -> AuditRepo
     witness = None
     comparisons = 0
     databases, repeats = grid.databases, 1
-    if _mask_mode(protocol, grid)[0] == "cycle":
-        # the histograms do not depend on the database: the first one's
-        # comparisons stand for every database's
+    if isinstance(protocol, CompiledProtocol):
+        # server states do not depend on the database (server_state_mixtures):
+        # the first one's comparisons stand for every database's
         databases, repeats = grid.databases[:1], len(grid.databases)
     for x in databases:
         mixtures = {i: server_state_mixtures(protocol, x, i, grid) for i in grid.indices}

@@ -116,8 +116,8 @@ def _grid_for(protocol, config: ExperimentConfig, audit: str) -> AuditGrid:
         if space > 64:
             # mask space too large to pair exhaustively; audit a fixed
             # representative database set instead (config may override).
-            # User privacy needs no such cut: one histogram per index
-            # covers every database.
+            # User privacy needs no such cut: one set of server states
+            # per index covers every database.
             return make_grid(config.n,
                              databases=[str(d) for d in representative_databases(config.n)],
                              indices=config.indices, cap=config.cap_grid, seed=config.seed)

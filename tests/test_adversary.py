@@ -1,11 +1,15 @@
 """Dishonest-user suite: clean queries, the parity attack, the fix."""
 
+import json
 import math
+from collections import Counter
 
 import pytest
 
+from qspirlab import adversary
 from qspirlab.adversary import (
     CleanQueryOracle,
+    _draw_space,
     attack_input_layout,
     attack_output_mixture,
     clean_query,
@@ -99,12 +103,94 @@ class TestParityAttack:
             parity_attack(resolve_protocol("qspir(subset2)", 4), Database.from_string("0000"))
 
 
+def old_attack_output_mixture(protocol, x):
+    """The attack's output mixture as a loop over whole ``parity_attack`` outcomes."""
+    draws = _draw_space(protocol)
+    output = {}
+    for r, masks in draws:
+        for bit, p in parity_attack(protocol, x, r, masks).output_distribution.items():
+            output[bit] = output.get(bit, 0.0) + (1.0 / len(draws)) * p
+    return output
+
+
+class TestAttackOutputMixture:
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name", ["qspir(subset2)", "qspir(trivial1)", "bell2"])
+    def test_matches_loop_over_parity_attack(self, name, countermeasure):
+        protocol = resolve_protocol(name, 2, countermeasure)
+        for x in all_databases(2):
+            got = [(bit, p.hex()) for bit, p in attack_output_mixture(protocol, x).items()]
+            want = [(bit, p.hex()) for bit, p in old_attack_output_mixture(protocol, x).items()]
+            assert got == want
+
+    def test_builds_no_server_views(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("server views built")
+
+        monkeypatch.setattr(CleanQueryOracle, "server_views", refuse)
+        protocol = resolve_protocol("qspir(subset2)", 2)
+        assert attack_output_mixture(protocol, Database.from_string("10"))[1] == \
+            pytest.approx(1.0, abs=1e-12)
+
+
+def report_json(**fields):
+    """An undetectability report on two-bit databases, as the per-database loop gave it."""
+    report = {"audit": "undetectability", "protocol": "qspir(subset2)",
+              "grid": {"n": 2, "databases": 4, "draws": 16}, "tolerance": 1e-09,
+              "worst_case_distance": 0.0, "passed": True, "witness": None}
+    report.update(fields)
+    return json.dumps(report)
+
+
 class TestUndetectability:
     @pytest.mark.parametrize("name", ["qspir(subset2)", "bell2"])
     def test_attack_matches_honest_states(self, name):
         report = verify_undetectability(resolve_protocol(name, 2))
         assert report.passed
         assert report.worst_case_distance <= 1e-9
+
+    @pytest.mark.parametrize("name,expected", ids=["subset2", "trivial1", "bell2"], argvalues=[
+        ("qspir(subset2)", report_json(details={"comparisons": 32})),
+        ("qspir(trivial1)", report_json(protocol="qspir(trivial1)",
+                                        grid={"n": 2, "databases": 4, "draws": 4},
+                                        worst_case_distance=1.1102230246251565e-16,
+                                        details={"comparisons": 16})),
+        ("bell2", report_json(protocol="bell2", grid={"n": 2, "databases": 4, "draws": 1},
+                              worst_case_distance=1.1102230246251565e-16,
+                              details={"comparisons": 32})),
+    ])
+    def test_report_unchanged(self, name, expected):
+        assert json.dumps(verify_undetectability(resolve_protocol(name, 2)).to_jsonable()) \
+            == expected
+
+    def test_leaky_report_unchanged(self):
+        report = verify_undetectability(resolve_protocol("qspir(subset2)", 2),
+                                        attack_views=leaky_attack_views)
+        assert json.dumps(report.to_jsonable()) == report_json(
+            worst_case_distance=0.5, passed=False,
+            witness={"server": "server1", "step": "send:server1", "x": "00", "honest_i": 1,
+                     "distance": 0.5},
+            details={"comparisons": 8})
+
+    def test_no_databases(self):
+        report = verify_undetectability(resolve_protocol("qspir(subset2)", 2), databases=[])
+        assert json.dumps(report.to_jsonable()) == report_json(
+            grid={"n": 2, "databases": 0, "draws": 16}, details={"comparisons": 0})
+
+    @pytest.mark.parametrize("name,per_database", [("qspir(subset2)", False),
+                                                   ("qspir(trivial1)", False), ("bell2", True)])
+    def test_honest_states_built_once_per_index(self, name, per_database, monkeypatch):
+        calls = Counter()
+        build = adversary.server_state_mixtures
+
+        def counting(protocol, x, i, grid):
+            calls[x.value, i] += 1
+            return build(protocol, x, i, grid)
+
+        monkeypatch.setattr(adversary, "server_state_mixtures", counting)
+        assert verify_undetectability(resolve_protocol(name, 2)).passed
+        databases = range(4) if per_database else [0]
+        assert calls == Counter({(x, i): 1 for x in databases for i in (1, 2)})
 
     def test_index_leaking_attack_detected(self):
         protocol = resolve_protocol("qspir(subset2)", 2)

@@ -7,6 +7,7 @@ import pytest
 
 from qspirlab import audits
 from qspirlab.audits import (
+    AuditReport,
     audit_comm,
     audit_data_privacy,
     audit_data_privacy_classical_direct,
@@ -21,7 +22,7 @@ from qspirlab.audits import (
     _server_mixtures_generic,
 )
 from qspirlab.compiler import CompiledProtocol, build_query_state, server_register
-from qspirlab.density import DensityAccumulator, entries_close
+from qspirlab.density import DensityAccumulator, entries_close, trace_distance
 from qspirlab.protocols import ClassicalProtocol, resolve_protocol
 from qspirlab.schemes import Database, make_scheme
 from qspirlab.transcript import USER, server_party, server_round
@@ -203,6 +204,82 @@ class TestBatchedSweep:
         assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
 
 
+# compiled protocols in full mask mode: the generic transcript path builds their server states
+COMPILED = {
+    **{f"{s}-{n}": (lambda cm, s=s, n=n: resolve_protocol(f"qspir({s})", n, cm))
+       for s in ("trivial1", "subset2") for n in (1, 2, 3)},
+    **{f"leaky-{n}": (lambda cm, n=n: CompiledProtocol(LeakyScheme(n), cm)) for n in (3, 4)},
+    "random-k3-3": lambda cm: CompiledProtocol(RandomXorScheme(3, a=2, seed=1), cm),
+    "random-k2-3": lambda cm: CompiledProtocol(RandomXorScheme(3, k=2, a=3, seed=2), cm),
+}
+
+
+def per_database_user_privacy(protocol, grid, mixtures_of):
+    """The user-privacy audit over every database's server states: the reference."""
+    worst, witness, comparisons = 0.0, None, 0
+    for x in grid.databases:
+        mixtures = {i: mixtures_of(x, i) for i in grid.indices}
+        base_i = grid.indices[0]
+        for i in grid.indices[1:]:
+            for key in mixtures[base_i]:
+                if key not in mixtures[i]:
+                    continue
+                d = trace_distance(mixtures[base_i][key], mixtures[i][key])
+                comparisons += 1
+                if d > worst:
+                    worst = d
+                    if d > audits.TOL and witness is None:
+                        witness = {"server": key[0], "step": key[1], "i": base_i,
+                                   "i_prime": i, "x": str(x), "distance": d}
+    return AuditReport(kind="user-privacy", protocol=protocol.name, grid=grid.describe(),
+                       tolerance=audits.TOL, worst_case_distance=worst,
+                       passed=worst <= audits.TOL, witness=witness,
+                       details={"comparisons": comparisons})
+
+
+class TestDatabaseIndependence:
+    """A compiled protocol's server states are the same on every database, to the bit."""
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name", list(COMPILED))
+    def test_every_database_gives_the_first_ones_states(self, name, countermeasure):
+        protocol = COMPILED[name](countermeasure)
+        grid = make_grid(protocol.n)
+        assert audits._mask_mode(protocol, grid)[0] == "full"
+        mixtures = {(x.value, i): _server_mixtures_generic(protocol, x, i, grid)
+                    for x in grid.databases for i in grid.indices}
+        for i in grid.indices:
+            first = exact_entries(mixtures[0, i])
+            assert len(first) >= 2 * protocol.k
+            for x in grid.databases[1:]:
+                assert exact_entries(mixtures[x.value, i]) == first
+        # so the audit, which builds them on the first database only, reports
+        # what the loop over every database's states reports
+        report = audit_user_privacy_quantum(protocol, grid)
+        reference = per_database_user_privacy(protocol, grid, lambda x, i: mixtures[x.value, i])
+        assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
+        assert report.details["comparisons"] > 0 or protocol.n == 1
+        if name.startswith("leaky"):
+            assert not report.passed and report.witness["server"] == "server1"
+
+    @pytest.mark.parametrize("name,per_database", [("qspir(subset2)", False),
+                                                   ("qspir(trivial1)", False), ("bell2", True)])
+    def test_server_states_built_once_per_index(self, name, per_database, monkeypatch):
+        calls = Counter()
+        build = audits.server_state_mixtures
+
+        def counting(protocol, x, i, grid):
+            calls[x.value, i] += 1
+            return build(protocol, x, i, grid)
+
+        monkeypatch.setattr(audits, "server_state_mixtures", counting)
+        grid = make_grid(2)
+        report = audit_user_privacy_quantum(resolve_protocol(name, 2), grid)
+        assert report.passed
+        databases = [x.value for x in grid.databases] if per_database else [0]
+        assert calls == Counter({(x, i): 1 for x in databases for i in (1, 2)})
+
+
 class TestDataPrivacy:
     def test_compiled_subset_passes_and_mixed_view_reported(self):
         report = audit_data_privacy(resolve_protocol("qspir(subset2)", 2), make_grid(2))
@@ -362,8 +439,6 @@ class TestAuditMachinery:
         assert (protocol.scheme.n, protocol.dephase_servers) == before
 
     def test_failed_report_requires_witness(self):
-        from qspirlab.audits import AuditReport
-
         with pytest.raises(ValueError):
             AuditReport(kind="recovery", protocol="x", grid={}, tolerance=1e-9,
                         worst_case_distance=1.0, passed=False)

@@ -1,23 +1,17 @@
-"""Pure-Python term-map kernels.
+"""Term-map kernels.
 
 A "term map" is a dict mapping integer basis keys to complex amplitudes;
 the bits of a key hold the named registers of a layout, first register in
 the most significant position.  A "piece" is a ``(shift, width)`` pair
 addressing one register inside a key.  These functions are the hot inner
-loops of every protocol run and audit; ``qspirlab._kernels`` is the
-compiled twin with identical semantics, selected through
+loops of every protocol run and audit; callers reach them through
 :mod:`qspirlab.kernels`.
-
-The optional ``width`` arguments are hints for the compiled backend (keys
-fitting a machine word take a fast path there); this module ignores them.
 """
 
 PRUNE_TOL = 1e-12
 
-BACKEND = "py"
 
-
-def tensor_terms(a, b, width_b, width=0):
+def tensor_terms(a, b, width_b):
     out = {}
     for ka, va in a.items():
         base = ka << width_b
@@ -26,15 +20,15 @@ def tensor_terms(a, b, width_b, width=0):
     return out
 
 
-def scale_terms(terms, factor, width=0):
+def scale_terms(terms, factor):
     return {k: v * factor for k, v in terms.items()}
 
 
-def norm_sq(terms, width=0):
+def norm_sq(terms):
     return sum(v.real * v.real + v.imag * v.imag for v in terms.values())
 
 
-def phase_apply(terms, shift, mask, table, width=0):
+def phase_apply(terms, shift, mask, table):
     """Multiply each amplitude by (-1)**table[sub] of its addressed sub-key."""
     out = {}
     for k, v in terms.items():
@@ -45,7 +39,7 @@ def phase_apply(terms, shift, mask, table, width=0):
     return out
 
 
-def xor_relabel(terms, shift, value, width=0):
+def xor_relabel(terms, shift, value):
     bits = value << shift
     return {k ^ bits: v for k, v in terms.items()}
 
@@ -65,7 +59,7 @@ def insert_sub(key, pieces, sub):
     return key
 
 
-def conditional_xor(terms, ctrl_pieces, masks_by_ctrl, width=0):
+def conditional_xor(terms, ctrl_pieces, masks_by_ctrl):
     """XOR each key with a full-width mask selected by its control sub-key.
 
     Masks must not touch the control bits; missing controls act as identity.
@@ -76,7 +70,7 @@ def conditional_xor(terms, ctrl_pieces, masks_by_ctrl, width=0):
     return out
 
 
-def apply_map_terms(terms, pieces, images, width=0):
+def apply_map_terms(terms, pieces, images):
     """Linear extension of a local map given as sub-key -> ((sub', amp), ...)."""
     acc = {}
     for k, v in terms.items():
@@ -87,7 +81,7 @@ def apply_map_terms(terms, pieces, images, width=0):
     return {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}
 
 
-def branch_split(terms, pieces, width=0):
+def branch_split(terms, pieces):
     """Group terms by the value of the addressed sub-key (pre-measurement)."""
     groups = {}
     for k, v in terms.items():
@@ -100,7 +94,7 @@ def branch_split(terms, pieces, width=0):
     return groups
 
 
-def ptrace_accumulate(acc, terms, keep_pieces, trace_pieces, weight, width=0, also=None):
+def ptrace_accumulate(acc, terms, keep_pieces, trace_pieces, weight, also=None):
     """Add ``weight * |psi><psi|`` reduced onto the kept pieces into ``acc``.
 
     ``acc`` maps (row kept-sub, col kept-sub) pairs to complex entries and is
@@ -131,7 +125,7 @@ def ptrace_accumulate(acc, terms, keep_pieces, trace_pieces, weight, width=0, al
     return acc
 
 
-def masked_parities(x, masks, width=0):
+def masked_parities(x, masks):
     """Pack parity(x & m) for each mask into one int, first mask at the MSB."""
     out = 0
     for m in masks:
@@ -139,6 +133,6 @@ def masked_parities(x, masks, width=0):
     return out
 
 
-def dot2(u, v, width=0):
+def dot2(u, v):
     """Inner product of two bit vectors modulo 2."""
     return (u & v).bit_count() & 1

@@ -46,7 +46,7 @@ from .bell import (
 from .compiler import BATCH_ROWS, CompiledProtocol, server_register
 from .density import DensityAccumulator, DensityMatrix, mix, trace_distance
 from .registers import RegisterLayout
-from .schemes import Database
+from .schemes import Database, all_databases
 from .states import (
     SparseState,
     apply_local_map,
@@ -402,6 +402,23 @@ def mutual_information_bits(joint: Mapping[tuple, float]) -> float:
     return max(mi, 0.0)
 
 
+def _uniform_prior(n: int) -> dict[Database, float]:
+    return {x: 1.0 / (1 << n) for x in all_databases(n)}
+
+
+def _leakage_bits(prior: Mapping[Database, float],
+                  mixtures: Mapping[Database, Mapping[int, float]],
+                  target: Callable[[Database], int] | None) -> float:
+    """Mutual information (bits) between ``target(x)`` and the output, x drawn from the prior."""
+    joint: dict[tuple, float] = {}
+    for x, px in prior.items():
+        t = target(x) if target is not None else x.value
+        for out, p in mixtures[x].items():
+            key = (t, out)
+            joint[key] = joint.get(key, 0.0) + px * p
+    return mutual_information_bits(joint)
+
+
 def leakage_report(protocol, scenario: str = "parity2", *, index: int = 1,
                    prior: Mapping[Database, float] | None = None,
                    target: Callable[[Database], int] | None = None) -> float:
@@ -412,22 +429,15 @@ def leakage_report(protocol, scenario: str = "parity2", *, index: int = 1,
     Scenarios: "parity2" sweeps the parity attack, "honest-baseline" runs
     the honest protocol at a fixed index.
     """
-    n = protocol.n
     if prior is None:
-        prior = {Database(n, v): 1.0 / (1 << n) for v in range(1 << n)}
-    joint: dict[tuple, float] = {}
-    for x, px in prior.items():
-        if scenario == "parity2":
-            dist = attack_output_mixture(protocol, x)
-        elif scenario == "honest-baseline":
-            dist = honest_output_mixture(protocol, x, index)
-        else:
-            raise ValueError(f"unknown scenario {scenario!r}")
-        t = target(x) if target is not None else x.value
-        for out, p in dist.items():
-            key = (t, out)
-            joint[key] = joint.get(key, 0.0) + px * p
-    return mutual_information_bits(joint)
+        prior = _uniform_prior(protocol.n)
+    if scenario == "parity2":
+        mixtures = {x: attack_output_mixture(protocol, x) for x in prior}
+    elif scenario == "honest-baseline":
+        mixtures = {x: honest_output_mixture(protocol, x, index) for x in prior}
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    return _leakage_bits(prior, mixtures, target)
 
 
 def parity(x: Database) -> int:

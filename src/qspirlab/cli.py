@@ -14,9 +14,10 @@ import json
 import sys
 
 from .adversary import (
+    _leakage_bits,
+    _uniform_prior,
     attack_output_mixture,
     honest_output_mixture,
-    leakage_report,
     parity,
     verify_undetectability,
 )
@@ -149,13 +150,19 @@ def _cmd_attack(args) -> int:
     protocol = resolve_protocol(args.scheme, args.n, args.countermeasure)
     if protocol.kind != "quantum":
         raise ConfigError("attack scenarios run against quantum protocols")
+    shown = Database.from_string(args.x) if args.x else None
+    if shown is not None and shown.n != protocol.n:
+        raise ConfigError(f"--n {protocol.n} does not match --x of {shown.n} bits")
+    # each database's output mixture is computed once, for the display and
+    # every leakage figure
+    prior = _uniform_prior(protocol.n)
+    databases = [shown] if shown is not None else list(prior)
     results = []
     ok = True
     if args.scenario == "parity2":
-        databases = [Database.from_string(args.x)] if args.x else \
-            [Database(2, v) for v in range(4)]
+        mixtures = {x: attack_output_mixture(protocol, x) for x in prior}
         for x in databases:
-            dist = attack_output_mixture(protocol, x)
+            dist = mixtures[x]
             expected = parity(x)
             p = dist.get(expected, 0.0)
             results.append({
@@ -167,7 +174,7 @@ def _cmd_attack(args) -> int:
                 ok = ok and abs(p - 0.5) <= 1e-9
             else:
                 ok = ok and abs(p - 1.0) <= 1e-9
-        leak = leakage_report(protocol, "parity2", target=parity)
+        leak = _leakage_bits(prior, mixtures, parity)
         summary = {"parity_leakage_bits": leak}
         if args.countermeasure:
             ok = ok and leak <= 1e-9
@@ -176,18 +183,16 @@ def _cmd_attack(args) -> int:
             summary["undetectability"] = rep.to_jsonable()
             ok = ok and rep.passed
     else:
-        databases = [Database.from_string(args.x)] if args.x else \
-            [Database(args.n, v) for v in range(1 << args.n)]
+        mixtures = {x: honest_output_mixture(protocol, x, args.i) for x in prior}
         for x in databases:
-            dist = honest_output_mixture(protocol, x, args.i)
+            dist = mixtures[x]
             results.append({
                 "scenario": "honest-baseline", "x": str(x), "i": args.i,
                 "output_distribution": {str(k): round(v, 12) for k, v in sorted(dist.items())},
             })
         summary = {
-            "database_leakage_bits": leakage_report(protocol, "honest-baseline", index=args.i),
-            "parity_leakage_bits": leakage_report(protocol, "honest-baseline",
-                                                  index=args.i, target=parity),
+            "database_leakage_bits": _leakage_bits(prior, mixtures, None),
+            "parity_leakage_bits": _leakage_bits(prior, mixtures, parity),
         }
     payload = {"protocol": protocol.name, "countermeasure": args.countermeasure,
                "results": results, "summary": summary, "passed": ok}

@@ -172,7 +172,7 @@ def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Databas
 
     def phase(sub: int) -> int:
         q = sub >> a
-        return kernels.dot2(scheme.answer(q, x), sub & mask_bits, a)
+        return kernels.dot2(scheme.answer(q, x), sub & mask_bits)
 
     return apply_phase_oracle(state, server_register(j), phase)
 

@@ -145,7 +145,7 @@ class DensityAccumulator:
             raise ValueError("accumulators reduce onto different registers")
         kernels.ptrace_accumulate(
             self._entries, state.terms, self._keep_pieces, self._trace_pieces,
-            weight, self._state_layout.width, None if also is None else also._entries,
+            weight, None if also is None else also._entries,
         )
         self._weight += weight
         if also is not None:

@@ -145,7 +145,7 @@ def reconstruct(plan: QueryPlan, answers: Sequence[int]) -> int:
     for ans, sel in zip(answers, plan.selects):
         if ans >> plan.a:
             raise ValueError(f"answer {ans} does not fit {plan.a} bits")
-        out ^= kernels.dot2(ans, sel, plan.a)
+        out ^= kernels.dot2(ans, sel)
     return out
 
 
@@ -199,7 +199,7 @@ class SubsetScheme(LinearPirScheme):
         self._check_query(q)
         if x.n != self.n:
             raise ValueError("database size mismatch")
-        return kernels.dot2(q, x.value, self.n)
+        return kernels.dot2(q, x.value)
 
 
 class CubeScheme(LinearPirScheme):

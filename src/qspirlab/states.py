@@ -134,7 +134,7 @@ def _compact(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def tensor(a: SparseState, b: SparseState) -> SparseState:
     """Tensor product; register names must be disjoint."""
     layout = a.layout.concat(b.layout)
-    terms = kernels.tensor_terms(a.terms, b.terms, b.layout.width, layout.width)
+    terms = kernels.tensor_terms(a.terms, b.terms, b.layout.width)
     return SparseState(layout, terms)
 
 
@@ -155,7 +155,7 @@ def apply_phase_oracle(state: SparseState, target: str | Sequence[str],
             sub = (k >> shift) & mask
             if sub not in table:
                 table[sub] = phase_fn(sub) & 1
-        terms = kernels.phase_apply(state.terms, shift, mask, table, state.layout.width)
+        terms = kernels.phase_apply(state.terms, shift, mask, table)
         return SparseState(state.layout, terms)
     pieces = state.layout.pieces(names)
     terms = {}
@@ -245,7 +245,7 @@ def apply_local_map(
     pieces = state.layout.pieces(names)
     width = sum(w for _, w in pieces)
     images = _map_images(fn, width, (kernels.extract_sub(k, pieces) for k in state.terms))
-    terms = kernels.apply_map_terms(state.terms, pieces, images, state.layout.width)
+    terms = kernels.apply_map_terms(state.terms, pieces, images)
     return SparseState(state.layout, terms)
 
 
@@ -346,7 +346,7 @@ def conditional_xor_relabel(
                 raise ValueError(f"XOR constant {value} too wide for {name}")
             full |= value << shift
         masks[int(c)] = full
-    terms = kernels.conditional_xor(state.terms, ctrl_pieces, masks, state.layout.width)
+    terms = kernels.conditional_xor(state.terms, ctrl_pieces, masks)
     return SparseState(state.layout, terms)
 
 
@@ -386,7 +386,7 @@ def measurement_branches(state: SparseState, target: str) -> tuple[tuple[float, 
     outcome; post-states are renormalized and keep the full layout.
     """
     pieces = state.layout.pieces((target,))
-    groups = kernels.branch_split(state.terms, pieces, state.layout.width)
+    groups = kernels.branch_split(state.terms, pieces)
     branches = []
     for outcome in sorted(groups):
         sub_terms = groups[outcome]

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from qspirlab import adversary, cli
+from qspirlab.adversary import attack_output_mixture, honest_output_mixture, leakage_report, parity
 from qspirlab.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
+from qspirlab.protocols import resolve_protocol
+from qspirlab.schemes import Database, all_databases
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +106,76 @@ class TestAttack:
         data = json.loads(out)
         assert data["summary"]["database_leakage_bits"] == pytest.approx(1.0)
         assert data["summary"]["parity_leakage_bits"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("--scenario", "parity2", "--scheme", "qspir(subset2)", "--n", "2"),
+        ("--scenario", "parity2", "--scheme", "qspir(subset2)", "--n", "2", "--countermeasure"),
+        ("--scenario", "parity2", "--scheme", "bell2", "--n", "2", "--x", "10"),
+        ("--scenario", "honest-baseline", "--scheme", "bell2", "--n", "2", "--i", "2"),
+        ("--scenario", "honest-baseline", "--scheme", "qspir(subset2)", "--n", "3", "--x", "101",
+         "--countermeasure"),
+    ])
+    def test_figures_match_direct_calls(self, capsys, argv):
+        # every displayed distribution and leakage figure, to the bit, as the
+        # public functions give them one call at a time
+        code, out, _ = run_cli(capsys, "attack", *argv, "--skip-undetectability",
+                               "--format", "json")
+        data = json.loads(out)
+        opts = dict(zip(argv[::2], argv[1::2]))
+        protocol = resolve_protocol(opts["--scheme"], int(opts["--n"]), "--countermeasure" in argv)
+        i = int(opts.get("--i", 1))
+        if opts["--scenario"] == "parity2":
+            mixture = attack_output_mixture
+            want = {"parity_leakage_bits": leakage_report(protocol, "parity2", target=parity)}
+        else:
+            mixture = lambda p, x: honest_output_mixture(p, x, i)  # noqa: E731
+            want = {
+                "database_leakage_bits": leakage_report(protocol, "honest-baseline", index=i),
+                "parity_leakage_bits": leakage_report(protocol, "honest-baseline", index=i,
+                                                      target=parity),
+            }
+        assert data["summary"] == want
+        shown = [Database.from_string(opts["--x"])] if "--x" in opts else \
+            list(all_databases(2 if opts["--scenario"] == "parity2" else int(opts["--n"])))
+        assert [row["x"] for row in data["results"]] == [str(x) for x in shown]
+        for row, x in zip(data["results"], shown):
+            dist = mixture(protocol, x)
+            assert row["output_distribution"] == \
+                {str(k): round(v, 12) for k, v in sorted(dist.items())}
+        assert code == (EXIT_OK if data["passed"] else EXIT_FAILED)
+
+    @pytest.mark.parametrize("scenario, n, name, calls", [
+        ("parity2", 2, "attack_output_mixture", 4),
+        ("honest-baseline", 2, "honest_output_mixture", 4),
+        ("honest-baseline", 3, "honest_output_mixture", 8),
+    ])
+    @pytest.mark.parametrize("x", [None, "x"])
+    def test_one_mixture_per_database(self, capsys, monkeypatch, scenario, n, name, calls, x):
+        counted = []
+        original = getattr(adversary, name)
+
+        def counting(*args):
+            counted.append(args[1])
+            return original(*args)
+
+        monkeypatch.setattr(adversary, name, counting)
+        monkeypatch.setattr(cli, name, counting)
+        argv = ["attack", "--scenario", scenario, "--scheme", "qspir(subset2)", "--n", str(n),
+                "--skip-undetectability"]
+        if x:
+            argv += ["--x", "1" * n]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == EXIT_OK
+        assert len(counted) == calls == 1 << n
+        assert len(set(counted)) == calls
+
+    @pytest.mark.parametrize("scenario", ["parity2", "honest-baseline"])
+    def test_database_of_another_size_is_usage_error(self, capsys, scenario):
+        code, out, err = run_cli(capsys, "attack", "--scenario", scenario,
+                                 "--scheme", "qspir(subset2)", "--n", "2", "--x", "101")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--n 2 does not match --x of 3 bits" in err
 
     def test_classical_protocol_rejected(self, capsys):
         code, _, err = run_cli(capsys, "attack", "--scheme", "subset2", "--n", "2")

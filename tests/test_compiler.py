@@ -6,6 +6,7 @@ import math
 import pytest
 
 from qspirlab import compiler
+from qspirlab.audits import TOL, audit_recovery, make_grid
 from qspirlab.compiler import (
     CompiledProtocol,
     RecoveryError,
@@ -16,10 +17,17 @@ from qspirlab.compiler import (
     user_recover,
 )
 from qspirlab.density import DensityAccumulator
-from qspirlab.schemes import Database, QueryPlan, SubsetScheme, all_databases, make_scheme
+from qspirlab.schemes import (
+    Database,
+    QueryPlan,
+    SubsetScheme,
+    all_databases,
+    make_scheme,
+    run_classically,
+)
 from qspirlab.states import SparseState, equal_up_to_global_phase
 
-from helpers import CorruptedSubsetScheme
+from helpers import CorruptedSubsetScheme, RandomXorScheme
 
 S = math.sqrt(0.5)
 
@@ -374,3 +382,35 @@ class TestWideLayout:
             self.protocol.run_outputs(self.x, [(1, 0, (0, 1)), (1, 0, (0, 2))])
         assert str(batched.value) == str(single.value) == "mask 2 does not fit 1 bits"
 
+
+class TestAnyServerCount:
+    """The compiled output is the classical reconstruction, for any k.
+
+    The random tables make no correct PIR scheme, so the classical bit often
+    differs from x_i; the compiled protocol must output it all the same, and
+    the recovery audit must name the first (x, i) where it differs.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_output_is_classical_reconstruction(self, k):
+        scheme = RandomXorScheme(3, k=k, t=3, a=2, seed=k)
+        protocol = CompiledProtocol(scheme)
+        draws = _full_draws(protocol)
+        assert len(draws) == 3 * 4 * 4 ** k
+        first_wrong = None
+        for x in all_databases(3):
+            for (i, r, masks), output in zip(draws, protocol.run_outputs(x, draws)):
+                bit = run_classically(scheme, x, i, r)
+                assert set(output) == {bit}, (str(x), i, r, masks)
+                assert abs(output[bit] - 1.0) <= TOL, (str(x), i, r, masks)
+                if bit != x.bit(i) and first_wrong is None:
+                    first_wrong = (str(x), i, r)
+        report = audit_recovery(protocol, make_grid(3))
+        if first_wrong is None:
+            assert report.passed and report.witness is None
+        else:
+            x, i, r = first_wrong
+            assert not report.passed
+            assert (report.witness["x"], report.witness["i"]) == (x, i)
+            assert report.witness["example"]["r"] == r
+            assert report.witness["recovery_probability"] < 1.0 - TOL

@@ -29,11 +29,12 @@ quantum users, not something to run on top of these quantum protocols.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .audits import AuditReport, TOL, make_grid, server_state_mixtures
+from .audits import AuditReport, TOL, server_state_mixtures
 from .bell import (
     BellProtocol,
     entangle_pairs,
@@ -43,7 +44,7 @@ from .bell import (
     right_reg,
     unentangle_pairs,
 )
-from .compiler import BATCH_ROWS, CompiledProtocol, server_register
+from .compiler import CompiledProtocol, server_register
 from .density import DensityAccumulator, DensityMatrix, mix, trace_distance
 from .registers import RegisterLayout
 from .schemes import Database, all_databases
@@ -92,11 +93,10 @@ class CleanQueryOracle:
     checkpoints: list[Checkpoint] = field(default_factory=list)
 
     def __post_init__(self):
-        if isinstance(self.protocol, CompiledProtocol):
-            if not self.masks:
-                self.masks = tuple([0] * self.protocol.k)
-        elif not isinstance(self.protocol, BellProtocol):
+        if not isinstance(self.protocol, (CompiledProtocol, BellProtocol)):
             raise TypeError("clean queries require a quantum protocol")
+        if not self.masks:
+            self.masks = next(iter(self.protocol.mask_space()))
         if self.x.n != self.protocol.n:
             raise ValueError("database size does not match the protocol")
 
@@ -295,10 +295,14 @@ def parity_attack(protocol: QuantumProtocol, x: Database, r: int = 0,
     )
 
 
-def _draw_space(protocol: QuantumProtocol):
-    if isinstance(protocol, CompiledProtocol):
-        return [(r, masks) for r in protocol.randomness_space() for masks in protocol.mask_space()]
-    return [(0, ())]
+def _draw_space(protocol: QuantumProtocol) -> list[tuple[int, tuple[int, ...]]]:
+    """Every (r, masks) draw: the full product, r outermost."""
+    return list(itertools.product(protocol.randomness_space(), protocol.mask_space()))
+
+
+def draw_count(protocol: QuantumProtocol) -> int:
+    """``len(_draw_space(protocol))``, without listing the draws."""
+    return len(protocol.randomness_space()) * sum(1 for _ in protocol.mask_space())
 
 
 def verify_undetectability(
@@ -321,7 +325,6 @@ def verify_undetectability(
             oracle.query_branches(_phase_encoded_input(n))
             return oracle.server_views()
 
-    grid = make_grid(n, databases=[str(x) for x in databases])
     draws = _draw_space(protocol)
     worst = 0.0
     witness = None
@@ -336,7 +339,7 @@ def verify_undetectability(
                       for key, dms in attack_accs.items()}
         # a compiled protocol's honest states do not depend on x (server_state_mixtures)
         if not honest or not isinstance(protocol, CompiledProtocol):
-            honest = {i: server_state_mixtures(protocol, x, i, grid) for i in range(1, n + 1)}
+            honest = {i: server_state_mixtures(protocol, x, i) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             for key, attack_dm in attack_mix.items():
                 if key not in honest[i]:
@@ -376,11 +379,9 @@ def honest_output_mixture(protocol, x: Database, i: int) -> dict[int, float]:
     draws = _draw_space(protocol)
     output: dict[int, float] = {}
     w = 1.0 / len(draws)
-    for start in range(0, len(draws), BATCH_ROWS):
-        batch = [(i, r, masks) for r, masks in draws[start:start + BATCH_ROWS]]
-        for dist in protocol.run_outputs(x, batch):
-            for bit, p in dist.items():
-                output[bit] = output.get(bit, 0.0) + w * p
+    for dist in protocol.run_outputs(x, [(i, r, masks) for r, masks in draws]):
+        for bit, p in dist.items():
+            output[bit] = output.get(bit, 0.0) + w * p
     return output
 
 

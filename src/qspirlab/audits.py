@@ -26,7 +26,7 @@ The three audit families:
 
 from __future__ import annotations
 
-import os
+import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -72,6 +72,12 @@ class AuditReport:
         }
 
 
+# The draw policy (see ``_mask_mode``): every mask combination when there are
+# at most MASK_EXHAUSTIVE_LIMIT, else MASK_CYCLE_LIMIT scattered ones.
+MASK_EXHAUSTIVE_LIMIT = 64
+MASK_CYCLE_LIMIT = 512
+
+
 @dataclass(frozen=True)
 class AuditGrid:
     """Enumeration bounds shared by the audits."""
@@ -79,22 +85,19 @@ class AuditGrid:
     n: int
     databases: tuple[Database, ...]
     indices: tuple[int, ...]
-    mask_exhaustive_limit: int = 64   # full mask product when the space is at most this
-    mask_cycle_limit: int = 512       # distinct combos guaranteed in cycle mode
-    dense_mask_point: bool = True     # sweep the whole mask subset at the first grid point
 
     def describe(self) -> dict:
         return {
             "n": self.n,
             "databases": len(self.databases),
             "indices": list(self.indices),
-            "mask_exhaustive_limit": self.mask_exhaustive_limit,
-            "mask_cycle_limit": self.mask_cycle_limit,
+            "mask_exhaustive_limit": MASK_EXHAUSTIVE_LIMIT,
+            "mask_cycle_limit": MASK_CYCLE_LIMIT,
         }
 
 
-def make_grid(n: int, *, databases="all", indices="all", cap: int = 8, seed: int = 0,
-              **kwargs) -> AuditGrid:
+def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
+              seed: int = 0) -> AuditGrid:
     """Grid with an exhaustive database set up to ``2**cap``, sampled beyond.
 
     ``databases`` may be "all", an int sample size, or an iterable of bit
@@ -121,7 +124,7 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8, seed: int
         idx = tuple(range(1, n + 1))
     else:
         idx = tuple(indices)
-    return AuditGrid(n=n, databases=dbs, indices=idx, **kwargs)
+    return AuditGrid(n=n, databases=dbs, indices=idx)
 
 
 def representative_databases(n: int) -> tuple[Database, ...]:
@@ -134,93 +137,90 @@ def representative_databases(n: int) -> tuple[Database, ...]:
     return tuple(Database(n, v) for v in sorted(values))
 
 
-def _mask_mode(protocol: Protocol, grid: AuditGrid) -> tuple[str, list[tuple[int, ...]]]:
-    if not isinstance(protocol, CompiledProtocol):
-        return "none", [()]
-    shape = protocol.scheme.shape
-    space = 1 << (shape.a * shape.k)
-    if space <= grid.mask_exhaustive_limit:
-        return "full", list(protocol.mask_space())
-    subset = [
-        protocol.mask_combo(slot, grid.mask_cycle_limit)
-        for slot in range(protocol.mask_subset_size(grid.mask_cycle_limit))
-    ]
-    return "cycle", subset
+def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
+    """The mask draws the audits run on ``protocol``, and how they are spent.
+
+    * "none": the protocol draws no masks; every run takes ``()``.
+    * "full": ``mask_space()`` has at most MASK_EXHAUSTIVE_LIMIT combinations,
+      and every (x, i, r) runs all of them.
+    * "cycle": a larger space gives at most MASK_CYCLE_LIMIT combinations
+      scattered over it (``_cycled_masks``).  Recovery runs one per (x, i, r),
+      cycling through them, and the whole subset at its first grid point;
+      data privacy runs the first 4 at every (x, i, r); user privacy reads
+      every mask off histograms instead.
+    """
+    head = list(itertools.islice(protocol.mask_space(), MASK_EXHAUSTIVE_LIMIT + 1))
+    if head == [()]:
+        return "none", head
+    if len(head) <= MASK_EXHAUSTIVE_LIMIT:
+        return "full", head
+    return "cycle", _cycled_masks(protocol)
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QSPIRLAB_THREADS", "1")))
-    except ValueError:
-        return 1
+def _cycled_masks(protocol: CompiledProtocol) -> list[tuple[int, ...]]:
+    """Up to MASK_CYCLE_LIMIT distinct mask tuples, in slot order.
 
-
-def _recovery_for_database(args) -> list[tuple]:
-    protocol, grid, x, mode, mask_subset = args
-    rand = list(protocol.randomness_space())
-    draws = []
-    spans = []
-    for i in grid.indices:
-        start = len(draws)
-        for r_idx, r in enumerate(rand):
-            if mode == "full":
-                combos = mask_subset
-            elif mode == "cycle":
-                first_point = grid.dense_mask_point and x.value == grid.databases[0].value \
-                    and i == grid.indices[0] and r_idx == 0
-                if first_point:
-                    combos = mask_subset
-                else:
-                    slot = (x.value * len(grid.indices) + (i - 1)) * len(rand) + r_idx
-                    combos = [mask_subset[slot % len(mask_subset)]]
-            else:
-                combos = [()]
-            draws += [(i, r, masks) for masks in combos]
-        spans.append((i, start, len(draws)))
-    outputs = protocol.run_outputs(x, draws)
-    rows = []
-    for i, start, stop in spans:
-        target = x.bit(i)
-        total = 0.0
-        count = 0
-        example_fail = None
-        combos_used = set()
-        for (_, r, masks), output in zip(draws[start:stop], outputs[start:stop]):
-            p = output.get(target, 0.0)
-            total += p
-            count += 1
-            combos_used.add(masks)
-            if p < 1.0 - TOL and example_fail is None:
-                example_fail = {"r": r, "masks": list(masks), "probability": p}
-        rows.append((str(x), i, total / count, count, example_fail, combos_used))
-    return rows
+    Slot s stands for the product value v, with server j's mask in bits
+    [a*j, a*(j+1)) of v: v = s when the whole product fits the limit, else a
+    fixed odd multiplier scatters the slots across it (multiplication by an
+    odd constant is a bijection mod a power of two, so distinct slots give
+    distinct combinations).
+    """
+    a, k = protocol.scheme.shape.a, protocol.k
+    total = 1 << (a * k)
+    mask_bits = (1 << a) - 1
+    combos = []
+    for slot in range(min(total, MASK_CYCLE_LIMIT)):
+        value = (slot * 2654435761) & (total - 1) if total > MASK_CYCLE_LIMIT else slot
+        combos.append(tuple((value >> (a * j)) & mask_bits for j in range(k)))
+    return combos
 
 
 def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
-    """Worst-case probability (averaged over randomness) of outputting x_i."""
-    mode, mask_subset = _mask_mode(protocol, grid)
+    """Worst-case probability (averaged over randomness) of outputting x_i.
+
+    Each r weighs the same, split evenly over its draws.  When every r has
+    the same draw count, the sum in draw order is the plain mean over draws,
+    to the bit.
+    """
+    mode, mask_subset = _mask_mode(protocol)
+    rand = list(protocol.randomness_space())
+    first_point = (grid.databases[0].value, grid.indices[0], 0)
     worst_p = 1.0
     witness = None
     runs = 0
-    combos: set = set()
-    work = [(protocol, grid, x, mode, mask_subset) for x in grid.databases]
-    threads = _thread_count()
-    if threads > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_recovery_for_database, work, chunksize=4))
-    else:
-        results = [_recovery_for_database(w) for w in work]
-    for rows in results:
-        for x_str, i, p, count, example_fail, used in rows:
-            runs += count
-            combos |= used
+    combos_used: set = set()
+    for x in grid.databases:
+        draws = []
+        spans = []
+        for i in grid.indices:
+            start = len(draws)
+            for r_idx, r in enumerate(rand):
+                combos = mask_subset
+                if mode == "cycle" and (x.value, i, r_idx) != first_point:
+                    slot = (x.value * len(grid.indices) + (i - 1)) * len(rand) + r_idx
+                    combos = [mask_subset[slot % len(mask_subset)]]
+                draws += [(i, r, masks) for masks in combos]
+            spans.append((i, start, len(draws)))
+        outputs = protocol.run_outputs(x, draws)
+        runs += len(draws)
+        for i, start, stop in spans:
+            target = x.bit(i)
+            counts = Counter(r for _, r, _ in draws[start:stop])
+            most = max(counts.values())
+            total = 0.0
+            example = None
+            for (_, r, masks), output in zip(draws[start:stop], outputs[start:stop]):
+                p = output.get(target, 0.0)
+                total += p * (most / counts[r])
+                combos_used.add(masks)
+                if p < 1.0 - TOL and example is None:
+                    example = {"r": r, "masks": list(masks), "probability": p}
+            p = total / (most * len(counts))
             if p < worst_p:
                 worst_p = p
             if p < 1.0 - TOL and witness is None:
-                witness = {"x": x_str, "i": i, "recovery_probability": p,
-                           "example": example_fail}
+                witness = {"x": str(x), "i": i, "recovery_probability": p, "example": example}
     distance = 1.0 - worst_p
     return AuditReport(
         kind="recovery",
@@ -233,7 +233,7 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
         details={
             "min_recovery_probability": worst_p,
             "runs": runs,
-            "distinct_mask_combos": len(combos) if mode != "none" else 0,
+            "distinct_mask_combos": len(combos_used) if mode != "none" else 0,
             "mask_mode": mode,
         },
     )
@@ -269,10 +269,10 @@ def audit_user_privacy_classical(scheme: LinearPirScheme) -> AuditReport:
     )
 
 
-def _server_mixtures_generic(protocol: Protocol, x: Database, i: int,
-                             grid: AuditGrid) -> dict[tuple[str, str], DensityMatrix]:
+def _server_mixtures_generic(protocol: Protocol, x: Database,
+                             i: int) -> dict[tuple[str, str], DensityMatrix]:
     """(server, step label) -> reduced state mixed over randomness and masks."""
-    mode, mask_subset = _mask_mode(protocol, grid)
+    mode, mask_subset = _mask_mode(protocol)
     if mode == "cycle":
         raise ValueError("generic mixture path needs an exhaustible mask space")
     accs: dict[tuple[str, str], DensityAccumulator] = {}
@@ -358,8 +358,8 @@ def _histogram(layout: RegisterLayout, draws, apart, together, ordered: bool) ->
     return DensityMatrix(layout, {key: c * scale for key, c in entries.items()})
 
 
-def server_state_mixtures(protocol: Protocol, x: Database, i: int,
-                          grid: AuditGrid) -> dict[tuple[str, str], DensityMatrix]:
+def server_state_mixtures(protocol: Protocol, x: Database,
+                          i: int) -> dict[tuple[str, str], DensityMatrix]:
     """(server, step label) -> reduced state at index i, mixed over randomness and masks.
 
     A ``CompiledProtocol``'s result does not depend on x, in every mask mode:
@@ -368,10 +368,10 @@ def server_state_mixtures(protocol: Protocol, x: Database, i: int,
     flips the sign of whole terms, leaving each ``(w * amp) * conj(amp)``, norm
     and renormalised amplitude as it is, to the bit.  Bell servers' Paulis act on qubits they hold.
     """
-    mode, _ = _mask_mode(protocol, grid)
+    mode, _ = _mask_mode(protocol)
     if mode == "cycle":
         return _server_histograms(protocol, i)
-    return _server_mixtures_generic(protocol, x, i, grid)
+    return _server_mixtures_generic(protocol, x, i)
 
 
 def audit_user_privacy_quantum(protocol: Protocol, grid: AuditGrid) -> AuditReport:
@@ -385,7 +385,7 @@ def audit_user_privacy_quantum(protocol: Protocol, grid: AuditGrid) -> AuditRepo
         # the first one's comparisons stand for every database's
         databases, repeats = grid.databases[:1], len(grid.databases)
     for x in databases:
-        mixtures = {i: server_state_mixtures(protocol, x, i, grid) for i in grid.indices}
+        mixtures = {i: server_state_mixtures(protocol, x, i) for i in grid.indices}
         base_i = grid.indices[0]
         for i in grid.indices[1:]:
             for key in mixtures[base_i]:
@@ -487,7 +487,7 @@ def compare_views(a: ViewRecord, b: ViewRecord, tol: float = TOL) -> dict | None
 
 def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     """Views must agree on database pairs that agree on the requested bit."""
-    mode, mask_subset = _mask_mode(protocol, grid)
+    mode, mask_subset = _mask_mode(protocol)
     if mode == "cycle":
         mask_subset = mask_subset[:4]  # dense pairing is per-draw; keep grids finite
     worst = 0.0
@@ -601,9 +601,7 @@ def audit_comm(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     x = grid.databases[0]
     i = grid.indices[0]
     r = next(iter(protocol.randomness_space()))
-    masks = ()
-    if isinstance(protocol, CompiledProtocol):
-        masks = tuple([0] * protocol.k)
+    masks = next(iter(protocol.mask_space()))
     t = protocol.run(x, i, r, masks)
     unit, expected = closed_form_comm(protocol)
     measured = t.qubits_total if unit == "qubits" else t.bits_total

@@ -215,6 +215,9 @@ class BellProtocol(OutputsFromRuns):
     def randomness_space(self):
         return range(1)  # the scheme draws no classical randomness
 
+    def mask_space(self):
+        return [()]  # nor any masks
+
     def _padded(self, x: Database) -> Database:
         if x.n != self.n:
             raise ValueError("database size mismatch")

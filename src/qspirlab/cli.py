@@ -17,6 +17,7 @@ from .adversary import (
     _leakage_bits,
     _uniform_prior,
     attack_output_mixture,
+    draw_count,
     honest_output_mixture,
     parity,
     verify_undetectability,
@@ -37,6 +38,11 @@ from .transcript import export_transcript, load_transcript, transcripts_equal
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
+
+# Most (r, masks) draws ``attack --scenario parity2`` sweeps per database.  A
+# clean query on qspir(cube2) at n = 2 took 0.73 ms on a 2-core x86-64 box, so
+# the sweep over 4 databases stays near 12 s.
+ATTACK_DRAW_LIMIT = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -153,6 +159,13 @@ def _cmd_attack(args) -> int:
     shown = Database.from_string(args.x) if args.x else None
     if shown is not None and shown.n != protocol.n:
         raise ConfigError(f"--n {protocol.n} does not match --x of {shown.n} bits")
+    if args.scenario == "parity2":
+        if protocol.n != 2:
+            raise ConfigError("the parity2 scenario needs --n 2")
+        draws = draw_count(protocol)
+        if draws > ATTACK_DRAW_LIMIT:
+            raise ConfigError(f"parity2 on {protocol.name} sweeps {draws:,} draws per "
+                              f"database, more than {ATTACK_DRAW_LIMIT:,}")
     # each database's output mixture is computed once, for the display and
     # every leakage figure
     prior = _uniform_prior(protocol.n)
@@ -222,9 +235,10 @@ def _cmd_export(args) -> int:
     if n != x.n:
         raise ConfigError(f"--n {n} does not match --x of {x.n} bits")
     protocol = resolve_protocol(args.scheme, n, args.countermeasure)
-    masks = tuple(int(v) for v in args.masks.split(",")) if args.masks else ()
-    if protocol.kind == "quantum" and hasattr(protocol, "scheme") and not masks:
-        masks = tuple([0] * protocol.k)
+    if args.masks:
+        masks = tuple(int(v) for v in args.masks.split(","))
+    else:
+        masks = next(iter(protocol.mask_space()))
     transcript = protocol.run(x, args.i, args.r, masks)
     if not args.out:
         raise ConfigError("export needs --out")

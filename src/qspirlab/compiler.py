@@ -272,26 +272,6 @@ class CompiledProtocol:
         a = self.scheme.shape.a
         return itertools.product(range(1 << a), repeat=self.k)
 
-    def mask_subset_size(self, limit: int = 512) -> int:
-        total = 1 << (self.scheme.shape.a * self.k)
-        return min(total, limit)
-
-    def mask_combo(self, slot: int, limit: int = 512) -> tuple[int, ...]:
-        """Deterministic mask tuple for a sweep slot.
-
-        Walks the full product space when it fits the limit, otherwise a
-        fixed odd multiplier scatters the slots across it (multiplication
-        by an odd constant is a bijection mod a power of two, so distinct
-        slots give distinct combinations).
-        """
-        a = self.scheme.shape.a
-        total = 1 << (a * self.k)
-        count = min(total, limit)
-        idx = slot % count
-        value = (idx * 2654435761) & (total - 1) if count < total else idx
-        mask_bits = (1 << a) - 1
-        return tuple((value >> (a * j)) & mask_bits for j in range(self.k))
-
     def _knowledge(self, plan: QueryPlan, masks: Sequence[int]) -> dict:
         s = self.scheme.shape
         return {

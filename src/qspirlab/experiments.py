@@ -17,11 +17,11 @@ from .audits import (
     AUDIT_NAMES,
     AuditGrid,
     AuditReport,
+    _mask_mode,
     make_grid,
     representative_databases,
     run_audit,
 )
-from .compiler import CompiledProtocol
 from .protocols import closed_form_comm, resolve_protocol
 from .schemes import Database
 
@@ -111,16 +111,11 @@ class ReportBundle:
 
 def _grid_for(protocol, config: ExperimentConfig, audit: str) -> AuditGrid:
     databases = config.databases
-    if audit == "data-privacy" and databases == "all" and isinstance(protocol, CompiledProtocol):
-        space = 1 << (protocol.scheme.shape.a * protocol.k)
-        if space > 64:
-            # mask space too large to pair exhaustively; audit a fixed
-            # representative database set instead (config may override).
-            # User privacy needs no such cut: one set of server states
-            # per index covers every database.
-            return make_grid(config.n,
-                             databases=[str(d) for d in representative_databases(config.n)],
-                             indices=config.indices, cap=config.cap_grid, seed=config.seed)
+    if audit == "data-privacy" and databases == "all" and _mask_mode(protocol)[0] == "cycle":
+        # masks too many to pair exhaustively; audit a fixed representative
+        # database set instead (config may override).  User privacy needs no
+        # such cut: one set of server states per index covers every database.
+        databases = [str(d) for d in representative_databases(config.n)]
     return make_grid(config.n, databases=databases, indices=config.indices,
                      cap=config.cap_grid, seed=config.seed)
 

@@ -75,6 +75,9 @@ class ClassicalProtocol(OutputsFromRuns):
     def randomness_space(self):
         return self.scheme.randomness_space
 
+    def mask_space(self):
+        return [()]  # the user draws no masks
+
     def run(self, x: Database, i: int, r: int, masks=()) -> Transcript:
         return execute(self, x, i, self._script(x, i, r))
 

@@ -183,9 +183,9 @@ class TestUndetectability:
         calls = Counter()
         build = adversary.server_state_mixtures
 
-        def counting(protocol, x, i, grid):
+        def counting(protocol, x, i):
             calls[x.value, i] += 1
-            return build(protocol, x, i, grid)
+            return build(protocol, x, i)
 
         monkeypatch.setattr(adversary, "server_state_mixtures", counting)
         assert verify_undetectability(resolve_protocol(name, 2)).passed

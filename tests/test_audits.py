@@ -49,6 +49,15 @@ class TestRecoveryAudit:
         assert report.witness["x"] == "01"
         assert report.witness["i"] == 1
 
+    def test_cycled_masks_average_over_randomness(self):
+        # 256 mask combinations: cycle mode, so the first grid point (x=000,
+        # i=1) runs all 256 at r=0 and one at each of the other three r
+        protocol = CompiledProtocol(RandomXorScheme(3, k=4, t=3, a=2, seed=4))
+        report = audit_recovery(protocol, make_grid(3))
+        assert report.details["mask_mode"] == "cycle"
+        assert (report.witness["x"], report.witness["i"]) == ("000", 1)
+        assert report.witness["recovery_probability"] == pytest.approx(0.25, abs=audits.TOL)
+
     def test_classical_protocol_also_audited(self):
         report = audit_recovery(resolve_protocol("cube2", 8),
                                 make_grid(8, databases=16, seed=3))
@@ -94,8 +103,7 @@ class TestUserPrivacyQuantum:
     def test_fast_path_matches_generic(self):
         protocol = resolve_protocol("qspir(subset2)", 2)
         x = Database.from_string("10")
-        grid = make_grid(2)
-        generic = _server_mixtures_generic(protocol, x, 1, grid)
+        generic = _server_mixtures_generic(protocol, x, 1)
         fast = _server_histograms(protocol, 1)
         assert set(fast) == {(f"server{j}", f"{step}:server{j}")
                              for j in (1, 2) for step in ("send", "phase")}
@@ -109,9 +117,9 @@ class TestUserPrivacyQuantum:
         # them, and each server's state comes from the whole protocol run
         protocol = CompiledProtocol(RandomXorScheme(3, a=2, seed=1), countermeasure)
         grid = make_grid(3)
-        assert audits._mask_mode(protocol, grid)[0] == "full"
+        assert audits._mask_mode(protocol)[0] == "full"
         for i in grid.indices:
-            generic = _server_mixtures_generic(protocol, Database.from_string("110"), i, grid)
+            generic = _server_mixtures_generic(protocol, Database.from_string("110"), i)
             fast = _server_histograms(protocol, i)
             assert len(fast) == 3 * (3 if countermeasure else 2)
             for key in fast:
@@ -119,8 +127,7 @@ class TestUserPrivacyQuantum:
 
     def test_cube_uses_fast_path(self):
         protocol = resolve_protocol("qspir(cube2)", 8)
-        grid = make_grid(8, databases=["10110100"])
-        mixtures = server_state_mixtures(protocol, Database.from_string("10110100"), 1, grid)
+        mixtures = server_state_mixtures(protocol, Database.from_string("10110100"), 1)
         assert ("server1", "send:server1") in mixtures
         rho = mixtures[("server1", "send:server1")]
         assert rho.is_diagonal
@@ -174,7 +181,7 @@ class TestBatchedSweep:
         # a=7: 2**21 mask combinations, so cycle mode; some selects are 0
         scheme = RandomXorScheme(3, a=7, seed=5)
         protocol = CompiledProtocol(scheme, countermeasure)
-        assert audits._mask_mode(protocol, make_grid(3))[0] == "cycle"
+        assert audits._mask_mode(protocol)[0] == "cycle"
         selects = {sel for i in (1, 3) for r in scheme.randomness_space
                    for sel in scheme.gen_plan(i, r).selects}
         assert 0 in selects and len(selects) > 1
@@ -199,7 +206,7 @@ class TestBatchedSweep:
                                   "distance": 1.0000000000000002}
         assert report.details["comparisons"] == 2 * len(fast)
         monkeypatch.setattr(audits, "server_state_mixtures",
-                            lambda protocol, x, i, grid: dict_sweep(protocol, x, i))
+                            lambda protocol, x, i: dict_sweep(protocol, x, i))
         reference = audit_user_privacy_quantum(protocol, grid)
         assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
 
@@ -245,8 +252,8 @@ class TestDatabaseIndependence:
     def test_every_database_gives_the_first_ones_states(self, name, countermeasure):
         protocol = COMPILED[name](countermeasure)
         grid = make_grid(protocol.n)
-        assert audits._mask_mode(protocol, grid)[0] == "full"
-        mixtures = {(x.value, i): _server_mixtures_generic(protocol, x, i, grid)
+        assert audits._mask_mode(protocol)[0] == "full"
+        mixtures = {(x.value, i): _server_mixtures_generic(protocol, x, i)
                     for x in grid.databases for i in grid.indices}
         for i in grid.indices:
             first = exact_entries(mixtures[0, i])
@@ -268,9 +275,9 @@ class TestDatabaseIndependence:
         calls = Counter()
         build = audits.server_state_mixtures
 
-        def counting(protocol, x, i, grid):
+        def counting(protocol, x, i):
             calls[x.value, i] += 1
-            return build(protocol, x, i, grid)
+            return build(protocol, x, i)
 
         monkeypatch.setattr(audits, "server_state_mixtures", counting)
         grid = make_grid(2)
@@ -356,7 +363,7 @@ class TestFusedUserView:
     def test_matches_two_passes(self, name, n, countermeasure):
         protocol = resolve_protocol(name, n, countermeasure)
         grid = make_grid(n)
-        _, mask_subset = audits._mask_mode(protocol, grid)
+        _, mask_subset = audits._mask_mode(protocol)
         fused, reference = {}, {}
         branch_counts = set()
         for i in grid.indices:
@@ -457,11 +464,3 @@ class TestAuditMachinery:
         classical = audit_user_privacy_classical(scheme)
         quantum = audit_user_privacy_quantum(ClassicalProtocol(scheme), make_grid(3))
         assert classical.passed and quantum.passed
-
-    def test_threaded_recovery_matches_serial(self, monkeypatch):
-        protocol = resolve_protocol("qspir(subset2)", 2)
-        grid = make_grid(2)
-        serial = audit_recovery(protocol, grid)
-        monkeypatch.setenv("QSPIRLAB_THREADS", "2")
-        threaded = audit_recovery(protocol, grid)
-        assert serial.to_jsonable() == threaded.to_jsonable()

@@ -177,6 +177,22 @@ class TestAttack:
         assert out == ""
         assert "--n 2 does not match --x of 3 bits" in err
 
+    def test_parity2_needs_two_bits(self, capsys):
+        code, out, err = run_cli(capsys, "attack", "--scheme", "qspir(subset2)", "--n", "3",
+                                 "--skip-undetectability")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "qspirlab: the parity2 scenario needs --n 2\n"
+
+    def test_parity2_refuses_a_draw_space_it_cannot_finish(self, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "attack_output_mixture", never)
+        code, out, err = run_cli(capsys, "attack", "--scheme", "qspir(cube2)", "--n", "2")
+        assert (code, out) == (EXIT_USAGE, "")
+        # 64 randomness values times 2**14 mask pairs
+        assert "1,048,576 draws" in err and "4,096" in err
+
     def test_classical_protocol_rejected(self, capsys):
         code, _, err = run_cli(capsys, "attack", "--scheme", "subset2", "--n", "2")
         assert code == EXIT_USAGE

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from qspirlab import compiler
-from qspirlab.audits import TOL, audit_recovery, make_grid
+from qspirlab.audits import TOL, _mask_mode, audit_recovery, make_grid
 from qspirlab.compiler import (
     CompiledProtocol,
     RecoveryError,
@@ -221,13 +221,14 @@ class TestServerIgnoranceOfMasks:
 
 
 def test_mask_cycle_distinctness():
-    protocol = CompiledProtocol(make_scheme("cube2", 8))
-    combos = {protocol.mask_combo(slot, 512) for slot in range(512)}
-    assert len(combos) == 512
-    assert protocol.mask_subset_size(512) == 512
+    mode, combos = _mask_mode(CompiledProtocol(make_scheme("cube2", 8)))
+    assert mode == "cycle" and len(set(combos)) == len(combos) == 512
+    # 128 combinations: cycled, and the subset walks the whole product
+    mode, combos = _mask_mode(CompiledProtocol(make_scheme("trivial1", 7)))
+    assert mode == "cycle" and len(combos) == 128
+    assert set(combos) == set(itertools.product(range(128), repeat=1))
     small = CompiledProtocol(make_scheme("subset2", 2))
-    assert {small.mask_combo(s, 512) for s in range(small.mask_subset_size(512))} == set(
-        itertools.product(range(2), repeat=2))
+    assert _mask_mode(small) == ("full", list(small.mask_space()))
 
 
 def _full_draws(protocol):
@@ -267,8 +268,9 @@ class TestBatchedOutputs:
     @pytest.mark.parametrize("countermeasure", [False, True])
     def test_cube_cycled_masks(self, countermeasure):
         protocol = CompiledProtocol(make_scheme("cube2", 8), dephase_servers=countermeasure)
+        _, combos = _mask_mode(protocol)
         draws = [
-            (i, r, protocol.mask_combo(slot))
+            (i, r, combos[slot % len(combos)])
             for slot, (i, r) in enumerate(
                 itertools.product(range(1, 9), protocol.randomness_space()))
         ]

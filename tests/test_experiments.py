@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qspirlab.audits import _mask_mode, make_grid, representative_databases
 from qspirlab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -13,7 +14,7 @@ from qspirlab.experiments import (
     render_table,
     run_experiment,
 )
-from qspirlab.protocols import resolve_protocol
+from qspirlab.protocols import protocol_names, resolve_protocol
 
 
 class TestConfig:
@@ -68,6 +69,22 @@ class TestRunExperiment:
         grid = _grid_for(resolve_protocol("qspir(cube2)", 8),
                          ExperimentConfig(scheme="qspir(cube2)", n=8), "data-privacy")
         assert len(grid.databases) == 4
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("name", protocol_names())
+def test_data_privacy_grid_follows_the_mask_mode(name, n):
+    """Data privacy runs on the representative databases exactly when masks are cycled."""
+    protocol = resolve_protocol(name, n)
+    cycled = _mask_mode(protocol)[0] == "cycle"
+    grid = _grid_for(protocol, ExperimentConfig(scheme=name, n=n), "data-privacy")
+    assert grid.databases == (representative_databases(n) if cycled else make_grid(n).databases)
+    if name == "qspir(trivial1)":
+        assert cycled == (n >= 7)
+    elif name == "qspir(cube2)":
+        assert cycled
+    elif not name.startswith("qspir("):
+        assert not cycled
 
 
 class TestCommTable:

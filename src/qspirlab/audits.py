@@ -21,7 +21,9 @@ The three audit families:
   randomness draw) must coincide, pure states up to a global phase.  A
   strictly weaker mixed-over-randomness comparison is reported alongside
   for information; it is fed from the same partial trace as the per-draw
-  view.
+  view.  A compiled protocol's user state depends on the database only
+  through the classical reconstruction c(x, i, r), so it runs one
+  transcript per class of c instead of one per database.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .compiler import build_query_state  # noqa: F401
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
 from .protocols import ClassicalProtocol, Protocol, closed_form_comm
 from .registers import RegisterLayout, bits
-from .schemes import Database, LinearPirScheme
+from .schemes import Database, LinearPirScheme, run_classically
 from .states import SQRT_HALF, SparseState, equal_up_to_global_phase
 from .transcript import USER, Transcript, dephase, server_party
 
@@ -127,16 +129,6 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
     return AuditGrid(n=n, databases=dbs, indices=idx)
 
 
-def representative_databases(n: int) -> tuple[Database, ...]:
-    """Small fixed database set for audits whose grids would otherwise blow up."""
-    full = (1 << n) - 1
-    pattern = 0
-    for i in range(n):
-        pattern = (pattern << 1) | ((0b10110100 >> (7 - i % 8)) & 1)
-    values = {0, full, pattern & full, ~pattern & full}
-    return tuple(Database(n, v) for v in sorted(values))
-
-
 def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
     """The mask draws the audits run on ``protocol``, and how they are spent.
 
@@ -146,8 +138,11 @@ def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
     * "cycle": a larger space gives at most MASK_CYCLE_LIMIT combinations
       scattered over it (``_cycled_masks``).  Recovery runs one per (x, i, r),
       cycling through them, and the whole subset at its first grid point;
-      data privacy runs the first 4 at every (x, i, r); user privacy reads
-      every mask off histograms instead.
+      data privacy runs the first 4 at every (i, r), on every database (one
+      transcript per reconstruction class); user privacy reads every mask
+      off histograms instead.  Data privacy over the whole product would
+      need an argument that its verdict and mixtures do not depend on the
+      masks, which is not made here.
     """
     head = list(itertools.islice(protocol.mask_space(), MASK_EXHAUSTIVE_LIMIT + 1))
     if head == [()]:
@@ -486,10 +481,56 @@ def compare_views(a: ViewRecord, b: ViewRecord, tol: float = TOL) -> dict | None
 
 
 def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
-    """Views must agree on database pairs that agree on the requested bit."""
+    """Views must agree on database pairs that agree on the requested bit.
+
+    A ``CompiledProtocol`` runs one transcript per reconstruction class
+    (``_data_privacy_by_class``); every other protocol runs one per
+    database (``_data_privacy_by_transcripts``).  Both give the same report.
+    """
+    if isinstance(protocol, CompiledProtocol):
+        return _data_privacy_by_class(protocol, grid)
+    return _data_privacy_by_transcripts(protocol, grid)
+
+
+def _data_privacy_masks(protocol: Protocol) -> list[tuple[int, ...]]:
     mode, mask_subset = _mask_mode(protocol)
     if mode == "cycle":
         mask_subset = mask_subset[:4]  # dense pairing is per-draw; keep grids finite
+    return mask_subset
+
+
+def _data_privacy_witness(protocol: Protocol, i: int, value: int, x: Database,
+                          other: Database, r: int, masks, mismatch: dict) -> dict:
+    return {
+        "i": i, "x_i": value,
+        "x": str(x), "x_prime": str(other),
+        "r": bits(r, _rand_width(protocol)),
+        "masks": [bits(m, protocol.scheme.shape.a) for m in masks] if masks else [],
+        **mismatch,
+    }
+
+
+def _data_privacy_report(protocol: Protocol, grid: AuditGrid, worst: float, witness: dict | None,
+                         pair_count: int, mixed_worst: float) -> AuditReport:
+    return AuditReport(
+        kind="data-privacy",
+        protocol=protocol.name,
+        grid=grid.describe(),
+        tolerance=TOL,
+        worst_case_distance=worst if witness else 0.0,
+        passed=witness is None,
+        witness=witness,
+        details={
+            "pairs_compared": pair_count,
+            "mixed_view_max_distance": mixed_worst,
+            "mixed_view_equal": mixed_worst <= TOL,
+        },
+    )
+
+
+def _data_privacy_by_transcripts(protocol: Protocol, grid: AuditGrid) -> AuditReport:
+    """One transcript and user view per (i, database, r, masks), paired with the group's first."""
+    mask_subset = _data_privacy_masks(protocol)
     worst = 0.0
     witness = None
     pair_count = 0
@@ -513,29 +554,68 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
                         if mismatch is not None:
                             worst = max(worst, float(mismatch.get("distance", 1.0)))
                             if witness is None:
-                                witness = {
-                                    "i": i, "x_i": value,
-                                    "x": str(basis_x), "x_prime": str(other),
-                                    "r": bits(r, _rand_width(protocol)),
-                                    "masks": [bits(m, protocol.scheme.shape.a) for m in masks]
-                                    if masks else [],
-                                    **mismatch,
-                                }
+                                witness = _data_privacy_witness(protocol, i, value, basis_x,
+                                                                other, r, masks, mismatch)
             mixed_worst = max(mixed_worst, _mixed_view_distance(mixtures, group))
-    return AuditReport(
-        kind="data-privacy",
-        protocol=protocol.name,
-        grid=grid.describe(),
-        tolerance=TOL,
-        worst_case_distance=worst if witness else 0.0,
-        passed=witness is None,
-        witness=witness,
-        details={
-            "pairs_compared": pair_count,
-            "mixed_view_max_distance": mixed_worst,
-            "mixed_view_equal": mixed_worst <= TOL,
-        },
-    )
+    return _data_privacy_report(protocol, grid, worst, witness, pair_count, mixed_worst)
+
+
+def _data_privacy_by_class(protocol: CompiledProtocol, grid: AuditGrid) -> AuditReport:
+    """``_data_privacy_by_transcripts`` with one transcript per reconstruction class.
+
+    Each draw is (|0>|v0> + |1>|v1>)/sqrt(2), and server j multiplies the
+    branches by (-1)^<a_j(q_j), m_j> and (-1)^<a_j(q_j), m_j ^ s_j>.  So
+    their relative sign is the classical reconstruction c(x, i, r), the
+    global sign leaves every view and mixture entry as it is (negation is
+    exact), and the user's knowledge never reads x.  So each (i, r) runs
+    once per class of c, on its first database, and every pair takes its
+    classes' verdict.  Views across classes are compared, not assumed to
+    differ: under the countermeasure they are equal.
+    """
+    scheme = protocol.scheme
+    mask_subset = _data_privacy_masks(protocol)
+    rand = list(protocol.randomness_space())
+    worst = 0.0
+    witness = None
+    pair_count = 0
+    mixed_worst = 0.0
+    for i in grid.indices:
+        for value in (0, 1):
+            group = [x for x in grid.databases if x.bit(i) == value]
+            if len(group) < 2:
+                continue
+            # databases with the same c at every r have the same mixtures, to
+            # the bit: each such set accumulates once, under its first database
+            alike: dict[tuple, Database] = {}
+            for x in group:
+                alike.setdefault(tuple(run_classically(scheme, x, i, r) for r in rand), x)
+            mixtures: dict[int, dict[str, DensityAccumulator]] = {
+                x.value: {} for x in alike.values()}
+            for r_idx, r in enumerate(rand):
+                # c -> its sets' first databases; group[0]'s class comes first
+                classes: dict[int, list[Database]] = {}
+                for signature, x in alike.items():
+                    classes.setdefault(signature[r_idx], []).append(x)
+                for masks in mask_subset:
+                    views = []
+                    for members in classes.values():
+                        t = protocol.run(members[0], i, r, masks)
+                        # more than one member only where the scheme is not a correct PIR
+                        for x in members:
+                            view = user_view(t, mixtures[x.value])
+                        views.append(view)
+                    pair_count += len(group) - 1
+                    if len(views) < 2:
+                        continue
+                    mismatch = compare_views(*views)
+                    if mismatch is not None:
+                        worst = max(worst, float(mismatch.get("distance", 1.0)))
+                        if witness is None:  # the first pair across the classes
+                            other = list(classes.values())[1][0]
+                            witness = _data_privacy_witness(protocol, i, value, group[0],
+                                                            other, r, masks, mismatch)
+            mixed_worst = max(mixed_worst, _mixed_view_distance(mixtures, list(alike.values())))
+    return _data_privacy_report(protocol, grid, worst, witness, pair_count, mixed_worst)
 
 
 def _rand_width(protocol: Protocol) -> int:
@@ -553,47 +633,6 @@ def _mixed_view_distance(per_x: dict[int, dict[str, DensityAccumulator]],
             rho_b = per_x[other.value][label].finalize()
             worst = max(worst, trace_distance(rho_a, rho_b))
     return worst
-
-
-def audit_data_privacy_classical_direct(scheme: LinearPirScheme, grid: AuditGrid) -> AuditReport:
-    """Tuple-level twin of the data-privacy audit for classical schemes.
-
-    Compares the honest user's classical view (answers and output) across
-    databases agreeing on the requested bit; used to cross-validate the
-    transcript-based audit.
-    """
-    witness = None
-    pair_count = 0
-    for i in grid.indices:
-        for value in (0, 1):
-            group = [x for x in grid.databases if x.bit(i) == value]
-            for r in scheme.randomness_space:
-                plan = scheme.gen_plan(i, r)
-                views = {}
-                for x in group:
-                    answers = tuple(scheme.answer(q, x) for q in plan.queries)
-                    views[x.value] = answers
-                basis_x = group[0]
-                for other in group[1:]:
-                    pair_count += 1
-                    if views[basis_x.value] != views[other.value] and witness is None:
-                        witness = {
-                            "i": i, "x_i": value, "x": str(basis_x), "x_prime": str(other),
-                            "r": bits(r, scheme.shape.t),
-                            "part": "answers",
-                            "answers": [bits(a, scheme.shape.a) for a in views[basis_x.value]],
-                            "answers_prime": [bits(a, scheme.shape.a) for a in views[other.value]],
-                        }
-    return AuditReport(
-        kind="data-privacy-classical",
-        protocol=scheme.name,
-        grid=grid.describe(),
-        tolerance=0.0,
-        worst_case_distance=0.0 if witness is None else 1.0,
-        passed=witness is None,
-        witness=witness,
-        details={"pairs_compared": pair_count},
-    )
 
 
 def audit_comm(protocol: Protocol, grid: AuditGrid) -> AuditReport:

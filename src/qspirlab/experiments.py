@@ -17,9 +17,7 @@ from .audits import (
     AUDIT_NAMES,
     AuditGrid,
     AuditReport,
-    _mask_mode,
     make_grid,
-    representative_databases,
     run_audit,
 )
 from .protocols import closed_form_comm, resolve_protocol
@@ -109,14 +107,8 @@ class ReportBundle:
         return json.dumps(self.to_jsonable(), indent=1, sort_keys=True) + "\n"
 
 
-def _grid_for(protocol, config: ExperimentConfig, audit: str) -> AuditGrid:
-    databases = config.databases
-    if audit == "data-privacy" and databases == "all" and _mask_mode(protocol)[0] == "cycle":
-        # masks too many to pair exhaustively; audit a fixed representative
-        # database set instead (config may override).  User privacy needs no
-        # such cut: one set of server states per index covers every database.
-        databases = [str(d) for d in representative_databases(config.n)]
-    return make_grid(config.n, databases=databases, indices=config.indices,
+def _grid_for(config: ExperimentConfig) -> AuditGrid:
+    return make_grid(config.n, databases=config.databases, indices=config.indices,
                      cap=config.cap_grid, seed=config.seed)
 
 
@@ -143,10 +135,8 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         protocol = resolve_protocol(config.scheme, config.n, config.countermeasure)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    reports = []
-    for audit in config.audits:
-        grid = _grid_for(protocol, config, audit)
-        reports.append(run_audit(protocol, audit, grid))
+    grid = _grid_for(config)
+    reports = [run_audit(protocol, audit, grid) for audit in config.audits]
     config_echo = json.loads(json.dumps(asdict(config), default=list))
     bundle = ReportBundle(
         config=config_echo,

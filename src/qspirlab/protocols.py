@@ -5,7 +5,7 @@ a computational-basis state: each server has a query register (written by
 the user, sent out, and kept by the server — classical information is
 copyable) and an answer register (filled by the server and returned).
 This makes the quantum audits directly applicable to classical schemes,
-which is also how the audits cross-validate their classical twins.
+which is also how the tests cross-validate them against classical twins.
 
 Protocol names accepted everywhere (CLI, configs):
 
@@ -82,8 +82,13 @@ class ClassicalProtocol(OutputsFromRuns):
         return execute(self, x, i, self._script(x, i, r))
 
     def run_output(self, x: Database, i: int, r: int, masks=()) -> dict[int, float]:
-        """``run(...).output``, from the same script without recording a transcript."""
-        return execute(self, x, i, self._script(x, i, r), output_only=True)
+        """``run(...).output``: the reconstruction, with no state built.
+
+        A run's one basis state reconstructs with probability 1.0 in ``run``
+        too, so the two agree to the bit.
+        """
+        plan = self.scheme.gen_plan(i, r)
+        return {reconstruct(plan, [self.scheme.answer(q, x) for q in plan.queries]): 1.0}
 
     def _script(self, x: Database, i: int, r: int) -> Script:
         s = self.scheme.shape

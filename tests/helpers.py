@@ -1,9 +1,10 @@
-"""Shared test fixtures: broken and random schemes, and a detectable attack."""
+"""Shared test fixtures: broken and random schemes, a detectable attack, a classical twin audit."""
 
 import random
 
+from qspirlab.audits import AuditGrid, AuditReport
 from qspirlab.density import DensityMatrix
-from qspirlab.registers import RegisterLayout
+from qspirlab.registers import RegisterLayout, bits
 from qspirlab.schemes import LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme
 
 
@@ -96,3 +97,44 @@ def leaky_attack_views(protocol, x, r, masks):
     content = (plan.queries[0] << s.a) | 1
     dm = DensityMatrix(layout, {(content, content): 1.0})
     return {("server1", "send:server1"): dm}
+
+
+def audit_data_privacy_classical_direct(scheme: LinearPirScheme, grid: AuditGrid) -> AuditReport:
+    """Tuple-level twin of the data-privacy audit for classical schemes.
+
+    Compares the honest user's classical view (answers and output) across
+    databases agreeing on the requested bit; used to cross-validate the
+    transcript-based audit.
+    """
+    witness = None
+    pair_count = 0
+    for i in grid.indices:
+        for value in (0, 1):
+            group = [x for x in grid.databases if x.bit(i) == value]
+            for r in scheme.randomness_space:
+                plan = scheme.gen_plan(i, r)
+                views = {}
+                for x in group:
+                    answers = tuple(scheme.answer(q, x) for q in plan.queries)
+                    views[x.value] = answers
+                basis_x = group[0]
+                for other in group[1:]:
+                    pair_count += 1
+                    if views[basis_x.value] != views[other.value] and witness is None:
+                        witness = {
+                            "i": i, "x_i": value, "x": str(basis_x), "x_prime": str(other),
+                            "r": bits(r, scheme.shape.t),
+                            "part": "answers",
+                            "answers": [bits(a, scheme.shape.a) for a in views[basis_x.value]],
+                            "answers_prime": [bits(a, scheme.shape.a) for a in views[other.value]],
+                        }
+    return AuditReport(
+        kind="data-privacy-classical",
+        protocol=scheme.name,
+        grid=grid.describe(),
+        tolerance=0.0,
+        worst_case_distance=0.0 if witness is None else 1.0,
+        passed=witness is None,
+        witness=witness,
+        details={"pairs_compared": pair_count},
+    )

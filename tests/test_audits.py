@@ -1,19 +1,21 @@
 """Audit behavior: exhaustive verdicts, witnesses, and cross-validation."""
 
+import itertools
 import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qspirlab import audits
 from qspirlab.audits import (
     AuditReport,
     audit_comm,
     audit_data_privacy,
-    audit_data_privacy_classical_direct,
     audit_recovery,
     audit_user_privacy_classical,
     audit_user_privacy_quantum,
+    compare_views,
     make_grid,
     run_audit,
     server_state_mixtures,
@@ -24,10 +26,15 @@ from qspirlab.audits import (
 from qspirlab.compiler import CompiledProtocol, build_query_state, server_register
 from qspirlab.density import DensityAccumulator, entries_close, trace_distance
 from qspirlab.protocols import ClassicalProtocol, resolve_protocol
-from qspirlab.schemes import Database, make_scheme
+from qspirlab.schemes import Database, all_databases, make_scheme, run_classically
 from qspirlab.transcript import USER, server_party, server_round
 
-from helpers import CorruptedSubsetScheme, LeakyScheme, RandomXorScheme
+from helpers import (
+    CorruptedSubsetScheme,
+    LeakyScheme,
+    RandomXorScheme,
+    audit_data_privacy_classical_direct,
+)
 
 
 class TestRecoveryAudit:
@@ -413,6 +420,70 @@ class TestFusedUserView:
         for accs in groups:
             assert len(accs) == 8 * 8  # databases in the group, times steps with a state
             assert [counts[id(acc)] for acc in accs] == [1] * len(accs)
+
+
+def report_bytes(report):
+    return json.dumps(report.to_jsonable(), sort_keys=True)
+
+
+class TestDataPrivacyByClass:
+    """One transcript per reconstruction class gives the transcript loop's report, byte for byte.
+
+    The random tables make no correct PIR scheme, so a group usually holds
+    both classes c = 0 and c = 1, and several patterns of c over r.
+    """
+
+    @settings(max_examples=4, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_schemes(self, k, countermeasure, data):
+        n = data.draw(st.integers(2, 3), label="n")
+        # a mask product of at most 2**4 combinations: full mask mode
+        a = data.draw(st.integers(1, 4 // k), label="a")
+        t = data.draw(st.integers(0, 2), label="t")
+        size = data.draw(st.integers(1, 2), label="randomness_size")
+        seed = data.draw(st.integers(0, 1 << 16), label="seed")
+        protocol = CompiledProtocol(RandomXorScheme(n, k=k, t=t, a=a, randomness_size=size,
+                                                    seed=seed), countermeasure)
+        assert audits._mask_mode(protocol)[0] == "full"
+        grid = make_grid(n)
+        assert report_bytes(audit_data_privacy(protocol, grid)) == \
+            report_bytes(audits._data_privacy_by_transcripts(protocol, grid))
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    def test_corrupted_scheme(self, countermeasure):
+        protocol = CompiledProtocol(CorruptedSubsetScheme(3), countermeasure)
+        report = audit_data_privacy(protocol, make_grid(3))
+        assert report.passed == countermeasure
+        assert report_bytes(report) == \
+            report_bytes(audits._data_privacy_by_transcripts(protocol, make_grid(3)))
+
+    def test_cycled_masks(self):
+        # 128 mask combinations: the first 4 at every (i, r), on all 128 databases
+        protocol = resolve_protocol("qspir(trivial1)", 7)
+        assert audits._mask_mode(protocol)[0] == "cycle"
+        grid = make_grid(7)
+        assert report_bytes(audit_data_privacy(protocol, grid)) == \
+            report_bytes(audits._data_privacy_by_transcripts(protocol, grid))
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_views_follow_the_reconstruction(self, k, countermeasure):
+        """Equal c gives equal views; without the countermeasure, unequal c unequal ones."""
+        scheme = RandomXorScheme(3, k=k, t=2, a=1, randomness_size=2, seed=k)
+        protocol = CompiledProtocol(scheme, countermeasure)
+        kinds = Counter()
+        for i in range(1, 4):
+            for r in protocol.randomness_space():
+                for masks in protocol.mask_space():
+                    views = [(run_classically(scheme, x, i, r),
+                              user_view(protocol.run(x, i, r, masks))) for x in all_databases(3)]
+                    for (c, view), (c_prime, view_prime) in itertools.combinations(views, 2):
+                        equal = compare_views(view, view_prime) is None
+                        assert equal == (c == c_prime or countermeasure), (i, r, masks)
+                        kinds[c == c_prime] += 1
+        assert kinds[True] and kinds[False]
 
 
 class TestCommAudit:

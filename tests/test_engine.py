@@ -90,3 +90,28 @@ def test_output_only_runs_match_full_runs(name, n, databases, countermeasure):
     for x in grid.databases:
         full = [exact_output(protocol.run(x, i, r, masks).output) for i, r, masks in draws]
         assert [exact_output(out) for out in protocol.run_outputs(x, draws)] == full
+
+
+@pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+@pytest.mark.parametrize("name,n,databases", [("subset2", 3, "all"), ("cube2", 8, 4),
+                                               ("trivial1", 4, "all")])
+def test_classical_output_is_the_reconstruction(name, n, databases, countermeasure):
+    # run_output builds no state, yet gives run's output bit for bit and in key
+    # order, and raises what run raises
+    from qspirlab.audits import make_grid
+
+    protocol = resolve_protocol(name, n, countermeasure)
+    grid = make_grid(n, databases=databases, seed=2)
+    for x in grid.databases:
+        for i in grid.indices:
+            for r in protocol.randomness_space():
+                assert exact_output(protocol.run_output(x, i, r)) == \
+                    exact_output(protocol.run(x, i, r).output)
+    x = grid.databases[0]
+    size = len(protocol.randomness_space())
+    for i, r in ((0, 0), (n + 1, 0), (1, -1), (1, size)):
+        with pytest.raises((IndexError, ValueError)) as want:
+            protocol.run(x, i, r)
+        with pytest.raises(type(want.value)) as got:
+            protocol.run_output(x, i, r)
+        assert str(got.value) == str(want.value)

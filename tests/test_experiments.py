@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qspirlab.audits import _mask_mode, make_grid, representative_databases
+from qspirlab.audits import _mask_mode, make_grid
 from qspirlab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -60,25 +60,23 @@ class TestRunExperiment:
         assert report.witness["r"] == "01"
 
     def test_cube_heavy_audits_use_reduced_database_grid(self):
-        # user privacy covers all 256 databases; only data privacy is cut to
-        # the 4 representatives
+        # user and data privacy both cover all 256 databases
         bundle = run_experiment(ExperimentConfig(
             scheme="qspir(cube2)", n=8, audits=["user-privacy"]))
         assert bundle.passed
         assert bundle.reports[0].grid["databases"] == 256
-        grid = _grid_for(resolve_protocol("qspir(cube2)", 8),
-                         ExperimentConfig(scheme="qspir(cube2)", n=8), "data-privacy")
-        assert len(grid.databases) == 4
+        grid = _grid_for(ExperimentConfig(scheme="qspir(cube2)", n=8, audits=["data-privacy"]))
+        assert len(grid.databases) == 256
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("name", protocol_names())
 def test_data_privacy_grid_follows_the_mask_mode(name, n):
-    """Data privacy runs on the representative databases exactly when masks are cycled."""
+    """Data privacy runs on every database, whether or not masks are cycled."""
     protocol = resolve_protocol(name, n)
     cycled = _mask_mode(protocol)[0] == "cycle"
-    grid = _grid_for(protocol, ExperimentConfig(scheme=name, n=n), "data-privacy")
-    assert grid.databases == (representative_databases(n) if cycled else make_grid(n).databases)
+    grid = _grid_for(ExperimentConfig(scheme=name, n=n, audits=["data-privacy"]))
+    assert grid.databases == make_grid(n).databases
     if name == "qspir(trivial1)":
         assert cycled == (n >= 7)
     elif name == "qspir(cube2)":

@@ -6,12 +6,14 @@ indices.  The construction here is an echo: the user adjoins a fresh sign
 qubit, runs the protocol's preparation, server, and recovery steps
 conditioned on the index register (their classical randomness is drawn
 once per oracle and known to them), CNOTs the recovered bit into the
-target, and then runs the very same steps again.  The servers' conditional
-phases are involutions, so the second pass deterministically returns the
-sign and work registers to zero, and the residual mask-dependent phases of
-the two passes cancel exactly.  Every state the servers see is, draw by
-draw, exactly a state they see in honest runs, so cheating is undetectable
-from their side.
+target, and then runs the very same steps again.  The echo reads each
+index's steps off the protocol itself: its ``sign_table`` (the table honest
+recovery reads too), ``entangle`` and ``unentangle``.  The servers'
+conditional phases are involutions, so the second pass deterministically
+returns the sign and work registers to zero, and the residual
+mask-dependent phases of the two passes cancel exactly.  Every state the
+servers see is, draw by draw, exactly a state they see in honest runs, so
+cheating is undetectable from their side.
 
 The concrete attack at the smallest scale: with the index register in a
 uniform superposition and a phase-encoded target, one clean query followed
@@ -35,16 +37,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .audits import AuditReport, TOL, server_state_mixtures
-from .bell import (
-    BellProtocol,
-    entangle_pairs,
-    left_reg,
-    marker_for,
-    pair_slot,
-    right_reg,
-    unentangle_pairs,
-)
-from .compiler import CompiledProtocol, server_register
+from .bell import BellProtocol
+from .compiler import CompiledProtocol
 from .density import DensityAccumulator, DensityMatrix, mix, trace_distance
 from .registers import RegisterLayout
 from .schemes import Database, all_databases
@@ -100,44 +94,14 @@ class CleanQueryOracle:
         if self.x.n != self.protocol.n:
             raise ValueError("database size does not match the protocol")
 
-    # -- layout plumbing ---------------------------------------------------
-
-    def _relabel_table(self) -> dict[int, dict[str, int]]:
-        """Control (idx, sign) -> XOR constants realizing prepare/recover."""
-        table: dict[int, dict[str, int]] = {}
-        n = self.protocol.n
-        if isinstance(self.protocol, CompiledProtocol):
-            scheme = self.protocol.scheme
-            a = scheme.shape.a
-            for iv in range(n):
-                plan = scheme.gen_plan(iv + 1, self.r)
-                plain = {}
-                flipped = {}
-                for j, (q, sel) in enumerate(zip(plan.queries, plan.selects), start=1):
-                    mask = self.masks[j - 1]
-                    plain[server_register(j)] = (q << a) | mask
-                    flipped[server_register(j)] = (q << a) | (mask ^ sel)
-                table[iv << 1] = plain
-                table[(iv << 1) | 1] = flipped
-        else:
-            for iv in range(n):
-                i = iv + 1
-                slot = pair_slot(i)
-                p, q = marker_for(i)
-                table[(iv << 1) | 1] = {left_reg(slot): p, right_reg(slot): q}
-        return table
-
     # -- the query ----------------------------------------------------------
 
     def _half_run(self, branches: Branches, table, targets) -> Branches:
         """Prepare conditioned on (idx, sign), let servers act, recover."""
         protocol = self.protocol
-        bell = isinstance(protocol, BellProtocol)
         branches = [(p, apply_local_map(st, "sign", hadamard)) for p, st in branches]
-        branches = [(p, conditional_xor_relabel(st, ("idx", "sign"), targets, table))
-                    for p, st in branches]
-        if bell:
-            branches = [(p, entangle_pairs(st, protocol.pair_count)) for p, st in branches]
+        branches = [(p, protocol.entangle(conditional_xor_relabel(
+            st, ("idx", "sign"), targets, table))) for p, st in branches]
         servers = range(1, protocol.k + 1)
         for j in servers:
             self.checkpoints.append((f"send:server{j}", server_party(j), list(branches)))
@@ -145,10 +109,8 @@ class CleanQueryOracle:
                                                protocol.server_operation(self.x), protocol.verb,
                                                protocol.dephase_servers):
             self.checkpoints.append((label, server_party(j), branches))
-        if bell:
-            branches = [(p, unentangle_pairs(st, protocol.pair_count)) for p, st in branches]
-        branches = [(p, conditional_xor_relabel(st, ("idx", "sign"), targets, table))
-                    for p, st in branches]
+        branches = [(p, conditional_xor_relabel(protocol.unentangle(st), ("idx", "sign"),
+                                                targets, table)) for p, st in branches]
         branches = [(p, apply_local_map(st, "sign", hadamard)) for p, st in branches]
         return branches
 
@@ -166,7 +128,9 @@ class CleanQueryOracle:
         work = RegisterLayout(self.protocol.layout().registers[1:])  # all but the sign
         state = tensor(input_state, SparseState.basis(RegisterLayout.of(("sign", 1)), 0))
         state = tensor(state, SparseState.basis(work, 0))
-        table = self._relabel_table()
+        # control (idx, sign) -> the XOR constants of index idx + 1's sign branch
+        table = {(iv << 1) | s: row for iv in range(self.protocol.n)
+                 for s, row in self.protocol.sign_table(iv + 1, self.r, self.masks).items()}
         targets = list(work.names)
 
         branches: Branches = [(1.0, state)]

@@ -39,7 +39,7 @@ from .compiler import build_query_state  # noqa: F401
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
 from .protocols import ClassicalProtocol, Protocol, closed_form_comm
 from .registers import RegisterLayout, bits
-from .schemes import Database, LinearPirScheme, run_classically
+from .schemes import Database, LinearPirScheme, reconstruct
 from .states import SQRT_HALF, SparseState, equal_up_to_global_phase
 from .transcript import USER, Transcript, dephase, server_party
 
@@ -580,6 +580,7 @@ def _data_privacy_by_class(protocol: CompiledProtocol, grid: AuditGrid) -> Audit
     pair_count = 0
     mixed_worst = 0.0
     for i in grid.indices:
+        plans = [scheme.gen_plan(i, r) for r in rand]
         for value in (0, 1):
             group = [x for x in grid.databases if x.bit(i) == value]
             if len(group) < 2:
@@ -588,7 +589,9 @@ def _data_privacy_by_class(protocol: CompiledProtocol, grid: AuditGrid) -> Audit
             # the bit: each such set accumulates once, under its first database
             alike: dict[tuple, Database] = {}
             for x in group:
-                alike.setdefault(tuple(run_classically(scheme, x, i, r) for r in rand), x)
+                signature = tuple(reconstruct(plan, [scheme.answer(q, x) for q in plan.queries])
+                                  for plan in plans)
+                alike.setdefault(signature, x)
             mixtures: dict[int, dict[str, DensityAccumulator]] = {
                 x.value: {} for x in alike.values()}
             for r_idx, r in enumerate(rand):

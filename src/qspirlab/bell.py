@@ -27,11 +27,8 @@ from .states import (
     SQRT_HALF,
     SparseState,
     apply_local_map,
-    conditional_xor_relabel,
-    hadamard,
-    measurement_branches,
 )
-from .transcript import OutputsFromRuns, Script, Transcript, execute
+from .transcript import OutputsFromRuns, Script, Transcript, execute, sign_recovery
 
 # Bell labels used by the scheme; (p, q) names the pair basis state the
 # marker uncomputes to.  The correlated pair is BELL_CORR; the two markers
@@ -156,34 +153,6 @@ def entangle_pairs(state: SparseState, m: int) -> SparseState:
     return state
 
 
-def clear_marker(state: SparseState, i: int) -> SparseState:
-    """XOR away the marker label on the sign-1 branch after unentangling."""
-    j = pair_slot(i)
-    p, q = marker_for(i)
-    return conditional_xor_relabel(
-        state, "sign", [left_reg(j), right_reg(j)],
-        {1: {left_reg(j): p, right_reg(j): q}},
-    )
-
-
-def recovery_branches_bell(state: SparseState, i: int, m: int):
-    state = unentangle_pairs(state, m)
-    state = clear_marker(state, i)
-    state = apply_local_map(state, "sign", hadamard)
-    return measurement_branches(state, "sign")
-
-
-def bell_recover(state: SparseState, i: int) -> tuple[int, SparseState]:
-    """Extract the requested bit; a unique unit-probability outcome is required."""
-    m = (state.layout.width - 1) // 2
-    branches = recovery_branches_bell(state, i, m)
-    if len(branches) != 1:
-        dist = {bit: p for p, bit, _ in branches}
-        raise RuntimeError(f"recovery is not deterministic: {dist}")
-    _, bit, post = branches[0]
-    return bit, post
-
-
 def bell_comm_cost(n: int) -> int:
     """Qubits communicated for an n-bit database (odd n padded to even)."""
     return 2 * (n + (n % 2))
@@ -234,6 +203,18 @@ class BellProtocol(OutputsFromRuns):
         xp = self._padded(x)
         return lambda state, j: server_pauli(state, j, xp)
 
+    def sign_table(self, i: int, r: int = 0, masks=()) -> dict[int, dict[str, int]]:
+        """Sign value -> XOR constants: the marker label of pair_slot(i) on sign 1."""
+        slot = pair_slot(i)
+        p, q = marker_for(i)
+        return {1: {left_reg(slot): p, right_reg(slot): q}}
+
+    def entangle(self, state: SparseState) -> SparseState:
+        return entangle_pairs(state, self.pair_count)
+
+    def unentangle(self, state: SparseState) -> SparseState:
+        return unentangle_pairs(state, self.pair_count)
+
     def run(self, x: Database, i: int, r: int = 0, masks=()) -> Transcript:
         return execute(self, x, i, self._script(x, i))
 
@@ -258,5 +239,5 @@ class BellProtocol(OutputsFromRuns):
             unit="qubits",
             verb=self.verb,
             operate=self.server_operation(x),
-            recover=lambda state: recovery_branches_bell(state, i, self.pair_count),
+            recover=lambda state: sign_recovery(self, state, i),
         )

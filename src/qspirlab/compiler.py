@@ -31,23 +31,16 @@ from .schemes import Database, LinearPirScheme, QueryPlan
 from .states import (
     SQRT_HALF,
     SparseState,
-    apply_local_map,
     apply_local_map_batch,
     apply_phase_oracle,
     apply_phase_oracle_batch,
-    conditional_xor_relabel,
     conditional_xor_relabel_batch,
     hadamard,
     key_dtype,
-    measurement_branches,
     measurement_branches_batch,
     validate_batch,
 )
-from .transcript import Script, Transcript, execute
-
-
-class RecoveryError(RuntimeError):
-    """Recovery did not produce a single outcome with probability 1."""
+from .transcript import Script, Transcript, execute, sign_recovery
 
 
 # Most draws ``run_outputs`` puts in one batch; bounds its arrays' memory.
@@ -203,35 +196,6 @@ def server_phase_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarra
     return apply_phase_oracle_batch(layout, keys, amps, server_register(j), phase)
 
 
-def _recovery_relabel(state: SparseState, plan: QueryPlan, masks: Sequence[int]) -> SparseState:
-    targets = [server_register(j) for j in range(1, plan.k + 1)]
-    return conditional_xor_relabel(
-        state, "sign", targets,
-        {
-            0: _register_values(plan, masks, flip=False),
-            1: _register_values(plan, masks, flip=True),
-        },
-    )
-
-
-def recovery_branches(state: SparseState, plan: QueryPlan, masks: Sequence[int]):
-    """(probability, bit, post-state) outcomes of the recovery measurement."""
-    _check_masks(plan, masks)
-    relabeled = _recovery_relabel(state, plan, masks)
-    rotated = apply_local_map(relabeled, "sign", hadamard)
-    return measurement_branches(rotated, "sign")
-
-
-def user_recover(state: SparseState, plan: QueryPlan, masks: Sequence[int]) -> tuple[int, SparseState]:
-    """Recover the requested bit; exactly one outcome must carry probability 1."""
-    branches = recovery_branches(state, plan, masks)
-    if len(branches) != 1:
-        dist = {bit: p for p, bit, _ in branches}
-        raise RecoveryError(f"recovery is not deterministic: {dist} (broken base scheme?)")
-    _, bit, post = branches[0]
-    return bit, post
-
-
 class CompiledProtocol:
     """Runs the compiled protocol end to end, producing transcripts."""
 
@@ -292,6 +256,18 @@ class CompiledProtocol:
         """Server j's step on database x, as ``(state, j) -> state``."""
         return lambda state, j: server_phase(state, self.scheme, j, x)
 
+    def sign_table(self, i: int, r: int, masks: Sequence[int]) -> dict[int, dict[str, int]]:
+        """Sign value -> the register values the user XORs out of that query branch."""
+        plan = self.scheme.gen_plan(i, r)
+        _check_masks(plan, masks)
+        return {0: _register_values(plan, masks, flip=False),
+                1: _register_values(plan, masks, flip=True)}
+
+    def entangle(self, state: SparseState) -> SparseState:
+        return state  # the query state is prepared by the relabel alone
+
+    unentangle = entangle
+
     def run(self, x: Database, i: int, r: int, masks: Sequence[int]) -> Transcript:
         plan = self.scheme.gen_plan(i, r)
         masks = tuple(masks)
@@ -303,7 +279,7 @@ class CompiledProtocol:
             unit="qubits",
             verb=self.verb,
             operate=self.server_operation(x),
-            recover=lambda state: recovery_branches(state, plan, masks),
+            recover=lambda state: sign_recovery(self, state, i, r, masks),
         ))
 
     def run_output(self, x: Database, i: int, r: int, masks: Sequence[int]) -> dict[int, float]:

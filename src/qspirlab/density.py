@@ -76,11 +76,6 @@ class DensityMatrix:
         mat = (mat + mat.conj().T) / 2.0
         return np.linalg.eigvalsh(mat)
 
-    def validate_psd(self, tol: float = NORM_TOL) -> None:
-        lo = min(self.eigenvalues(), default=0.0)
-        if lo < -tol:
-            raise ValueError(f"negative eigenvalue {lo}")
-
     def purity(self) -> float:
         return sum(abs(c) ** 2 for c in self.entries.values())
 

@@ -15,6 +15,7 @@ from typing import Sequence
 from . import __version__
 from .audits import (
     AUDIT_NAMES,
+    TOL,
     AuditGrid,
     AuditReport,
     make_grid,
@@ -40,7 +41,7 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "table"
     cap_grid: int = 8
-    tolerance: float = 1e-9
+    tolerance: float = TOL
     countermeasure: bool = False
 
     def __post_init__(self):
@@ -48,6 +49,8 @@ class ExperimentConfig:
             raise ConfigError("n must be positive")
         if self.randomness != "exhaustive":
             raise ConfigError("only the exhaustive randomness policy is implemented")
+        if self.tolerance != TOL:
+            raise ConfigError(f"every audit decides at tolerance {TOL}; got {self.tolerance}")
         if self.fmt not in ("table", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         names = []

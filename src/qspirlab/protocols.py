@@ -22,7 +22,7 @@ from functools import lru_cache
 from .bell import BellProtocol
 from .compiler import CompiledProtocol
 from .registers import RegisterLayout, bits
-from .schemes import Database, LinearPirScheme, SCHEMES, make_scheme, reconstruct
+from .schemes import Database, LinearPirScheme, SCHEMES, make_scheme, reconstruct, run_classically
 from .states import SparseState, conditional_xor_relabel
 from .transcript import OutputsFromRuns, Script, Transcript, execute
 
@@ -87,8 +87,7 @@ class ClassicalProtocol(OutputsFromRuns):
         A run's one basis state reconstructs with probability 1.0 in ``run``
         too, so the two agree to the bit.
         """
-        plan = self.scheme.gen_plan(i, r)
-        return {reconstruct(plan, [self.scheme.answer(q, x) for q in plan.queries]): 1.0}
+        return {run_classically(self.scheme, x, i, r): 1.0}
 
     def _script(self, x: Database, i: int, r: int) -> Script:
         s = self.scheme.shape

@@ -101,14 +101,6 @@ class RegisterLayout:
             raise ValueError(f"basis string {text!r} does not match width {self.width}")
         return parse_bits(text)
 
-    def split_key(self, key: int) -> dict[str, int]:
-        """Register name -> sub-value for a basis key."""
-        out = {}
-        for name, _ in self.registers:
-            shift, w = self.piece(name)
-            out[name] = (key >> shift) & ((1 << w) - 1)
-        return out
-
     def assemble(self, values: dict[str, int]) -> int:
         """Basis key from per-register values (missing registers are 0)."""
         key = 0

@@ -12,7 +12,8 @@ build, send to each server, each server's step (its computational-basis
 measurement first when the countermeasure is on), return, recover.  A
 protocol supplies only a :class:`Script` of what differs; the server round
 and the countermeasure's :func:`dephase` are shared with the attack echo
-and the server-view audit.
+and the server-view audit.  Both quantum protocols recover through
+:func:`sign_recovery`, from the relabel table they state once.
 
 Transcripts serialize to JSON (schema below) and round-trip losslessly::
 
@@ -36,7 +37,13 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .density import DensityAccumulator, DensityMatrix
 from .registers import RegisterLayout
-from .states import SparseState, measurement_branches
+from .states import (
+    SparseState,
+    apply_local_map,
+    conditional_xor_relabel,
+    hadamard,
+    measurement_branches,
+)
 
 SCHEMA_VERSION = 1
 
@@ -83,12 +90,6 @@ class Transcript:
     def bits_total(self) -> int:
         return sum(s.bits_sent for s in self.steps)
 
-    def final_branches(self) -> Branches:
-        for step in reversed(self.steps):
-            if step.branches is not None:
-                return step.branches
-        raise ValueError("transcript has no quantum state")
-
     def reduced_density(self, step_index: int, party: str) -> DensityMatrix | None:
         """Mixed reduced state of the registers a party holds after a step."""
         step = self.steps[step_index]
@@ -98,15 +99,6 @@ class Transcript:
         acc = DensityAccumulator(self.layout, held)
         acc.add_branches(step.branches)
         return acc.finalize()
-
-    def output_bit(self) -> int:
-        """The deterministic output; raises if the distribution is spread."""
-        if not self.output:
-            raise ValueError("no output recorded")
-        bit, p = max(self.output.items(), key=lambda kv: kv[1])
-        if abs(p - 1.0) > 1e-9:
-            raise ValueError(f"output distribution is not deterministic: {self.output}")
-        return bit
 
 
 class TranscriptBuilder:
@@ -241,6 +233,19 @@ def execute(protocol, x, i: int, script: Script,
     b.set_output(output)
     b.record(script.final, USER)
     return b.done()
+
+
+def sign_recovery(protocol, state: SparseState, i: int, r: int = 0, masks=()):
+    """A quantum protocol's recovery: (probability, bit, post-state) outcomes.
+
+    The user undoes the protocol's entangling, XORs the register values it
+    knows out of each sign branch (``protocol.sign_table``), Hadamards the
+    sign qubit and measures it.
+    """
+    state = protocol.unentangle(state)
+    targets = [name for name in state.layout.names if name != "sign"]
+    state = conditional_xor_relabel(state, "sign", targets, protocol.sign_table(i, r, masks))
+    return measurement_branches(apply_local_map(state, "sign", hadamard), "sign")
 
 
 def _recover(branches, recover) -> tuple[dict[int, float], list[tuple[float, SparseState]]]:

@@ -20,11 +20,12 @@ from qspirlab.adversary import (
     parity_attack,
     verify_undetectability,
 )
+from qspirlab.compiler import CompiledProtocol
 from qspirlab.protocols import resolve_protocol
-from qspirlab.schemes import Database, all_databases
+from qspirlab.schemes import Database, all_databases, run_classically
 from qspirlab.states import SparseState, equal_up_to_global_phase
 
-from helpers import leaky_attack_views
+from helpers import RandomXorScheme, leaky_attack_views
 
 S = math.sqrt(0.5)
 
@@ -79,6 +80,34 @@ class TestCleanQuery:
         bad = SparseState.basis(RegisterLayout.of(("idx", 2), ("tgt", 1)), 0)
         with pytest.raises(ValueError):
             clean_query(oracle, bad)
+
+
+class TestCleanQueryAnyServerCount:
+    """The echo is one linear query for any XOR-linear scheme and any k.
+
+    The random tables make no correct PIR scheme, so the bit written is the
+    classical reconstruction c(x, i, r), which often differs from x_i.
+    """
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_basis_inputs_get_the_classical_reconstruction(self, k):
+        scheme = RandomXorScheme(3, k=k, t=3, a=3, randomness_size=2, seed=k)
+        protocol = CompiledProtocol(scheme)
+        layout = attack_input_layout(3)
+        checks = 0
+        for x in all_databases(3):
+            for r in range(2):
+                masks = tuple((5 * r + 3 * j + 1) % 8 for j in range(k))
+                for i in range(1, 4):
+                    c = run_classically(scheme, x, i, r)
+                    for b in (0, 1):
+                        oracle = CleanQueryOracle(protocol, x, r, masks)
+                        out = clean_query(oracle, SparseState.basis(layout, ((i - 1) << 1) | b))
+                        want = ((i - 1) << 1) | (b ^ c)
+                        assert set(out.terms) == {want}, (str(x), i, r, b)
+                        assert abs(abs(out.terms[want]) - 1.0) <= 1e-12
+                        checks += 1
+        assert checks == 96
 
 
 class TestParityAttack:

@@ -8,7 +8,6 @@ import pytest
 from qspirlab.bell import (
     BellProtocol,
     bell_comm_cost,
-    bell_recover,
     build_bell_query,
     server_pauli,
 )
@@ -16,6 +15,7 @@ from qspirlab.compiler import CompiledProtocol
 from qspirlab.density import maximally_mixed, partial_trace, trace_distance
 from qspirlab.schemes import Database, all_databases, make_scheme
 from qspirlab.states import PAULI, SparseState, equal_up_to_global_phase
+from qspirlab.transcript import sign_recovery
 
 S = math.sqrt(0.5)
 
@@ -122,8 +122,8 @@ class TestRecovery:
             state = build_bell_query(i, 2)
             for server in (1, 2):
                 state = server_pauli(state, server, x)
-            bit, _ = bell_recover(state, i)
-            assert bit == want
+            (p, bit, _), = sign_recovery(BellProtocol(2), state, i)
+            assert (bit, p) == (want, pytest.approx(1.0))
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_exhaustive(self, n):
@@ -141,7 +141,7 @@ class TestRecovery:
                     if x.bit(i) != value:
                         continue
                     t = protocol.run(x, i)
-                    (p, state), = t.final_branches()
+                    (p, state), = t.steps[-1].branches
                     finals.append(state)
                 first = finals[0]
                 assert all(equal_up_to_global_phase(first, s) for s in finals[1:])

@@ -72,6 +72,13 @@ class TestRun:
         assert code == EXIT_USAGE
         assert "bogus" in err
 
+    def test_tolerance_other_than_the_audits_rejected(self, capsys, tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"scheme": "bell2", "n": 2, "tolerance": 0.001}))
+        code, _, err = run_cli(capsys, "run", "--config", str(config))
+        assert code == EXIT_USAGE == 1
+        assert "tolerance" in err
+
     def test_missing_scheme_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--n", "2")
         assert code == EXIT_USAGE

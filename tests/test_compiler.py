@@ -9,12 +9,10 @@ from qspirlab import compiler
 from qspirlab.audits import TOL, _mask_mode, audit_recovery, make_grid
 from qspirlab.compiler import (
     CompiledProtocol,
-    RecoveryError,
     build_query_batch,
     build_query_state,
     compiled_layout,
     server_phase,
-    user_recover,
 )
 from qspirlab.density import DensityAccumulator
 from qspirlab.schemes import (
@@ -26,6 +24,7 @@ from qspirlab.schemes import (
     run_classically,
 )
 from qspirlab.states import SparseState, equal_up_to_global_phase
+from qspirlab.transcript import sign_recovery
 
 from helpers import CorruptedSubsetScheme, RandomXorScheme
 
@@ -127,8 +126,8 @@ class TestRecovery:
         x = Database.from_string("1")
         plan = s.gen_plan(1, 0)
         state = server_phase(build_query_state(plan, (1,)), s, 1, x)
-        bit, post = user_recover(state, plan, (1,))
-        assert bit == 1
+        (p, bit, post), = sign_recovery(CompiledProtocol(s), state, 1, 0, (1,))
+        assert (bit, p) == (1, pytest.approx(1.0))
         # the answer-mask phase survives only as a global sign
         ideal = SparseState(post.layout, {0b10: 1.0})
         assert equal_up_to_global_phase(post, ideal)
@@ -149,7 +148,8 @@ class TestRecovery:
         s = make_scheme("cube2", 8)
         x = Database.from_string("10110100")
         out = CompiledProtocol(s).run(x, 3, 21, (0b0000111, 0b1110000))
-        assert out.output_bit() == x.bit(3) == 1
+        assert x.bit(3) == 1
+        assert out.output == {1: pytest.approx(1.0)}
 
     def test_corrupted_scheme_outputs_wrong_bit(self):
         # zeroing a selection vector leaves recovery deterministic but
@@ -160,20 +160,21 @@ class TestRecovery:
         state = build_query_state(plan, (0, 0))
         for j in (1, 2):
             state = server_phase(state, s, j, x)
-        bit, _ = user_recover(state, plan, (0, 0))
-        assert bit == 1 != x.bit(1)
+        (p, bit, _), = sign_recovery(CompiledProtocol(s), state, 1, 0b01, (0, 0))
+        assert (bit, p) == (1, pytest.approx(1.0))
+        assert bit != x.bit(1)
 
-    def test_inconsistent_selects_raise(self):
+    def test_inconsistent_selects_split_the_outcome(self):
         # recovering with selection vectors that disagree with the state's
-        # branch structure cannot merge the branches: non-unit probability
+        # branch structure cannot merge the branches: two half-probability outcomes
         s = make_scheme("subset2", 2)
         plan = s.gen_plan(1, 0b01)
         state = build_query_state(plan, (0, 0))
         for j in (1, 2):
             state = server_phase(state, s, j, Database.from_string("01"))
-        broken_plan = CorruptedSubsetScheme(2).gen_plan(1, 0b01)
-        with pytest.raises(RecoveryError):
-            user_recover(state, broken_plan, (0, 0))
+        broken = CompiledProtocol(CorruptedSubsetScheme(2))
+        outcomes = sign_recovery(broken, state, 1, 0b01, (0, 0))
+        assert {bit: p for p, bit, _ in outcomes} == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
 
 
 class TestTranscript:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from qspirlab.audits import _mask_mode, make_grid
+from qspirlab.audits import TOL, _mask_mode, make_grid
 from qspirlab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -35,6 +35,12 @@ class TestConfig:
     def test_only_exhaustive_randomness(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(scheme="bell2", n=2, randomness="sampled")
+
+    def test_only_the_audits_tolerance(self):
+        # every audit decides at audits.TOL; another value would be echoed, not applied
+        assert ExperimentConfig(scheme="bell2", n=2, tolerance=TOL).tolerance == TOL
+        with pytest.raises(ConfigError):
+            ExperimentConfig(scheme="bell2", n=2, tolerance=0.001)
 
 
 class TestRunExperiment:

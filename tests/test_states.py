@@ -54,7 +54,10 @@ class TestLayout:
         assert lay.piece("a") == (4, 2)
         assert lay.piece("b") == (1, 3)
         assert lay.piece("c") == (0, 1)
-        assert lay.split_key(int("10_110_1".replace("_", ""), 2)) == {"a": 0b10, "b": 0b110, "c": 1}
+        key = 0b10_110_1
+        for name, value in (("a", 0b10), ("b", 0b110), ("c", 1)):
+            shift, w = lay.piece(name)
+            assert (key >> shift) & ((1 << w) - 1) == value
 
 
 class TestSparseState:

@@ -350,7 +350,7 @@ def _histogram(layout: RegisterLayout, draws, apart, together, ordered: bool) ->
                 entries[key] = c if old is None else old + c
             total += w
     scale = 1.0 / total
-    return DensityMatrix(layout, {key: c * scale for key, c in entries.items()})
+    return DensityMatrix._trusted(layout, {key: c * scale for key, c in entries.items()})
 
 
 def server_state_mixtures(protocol: Protocol, x: Database,

@@ -5,6 +5,17 @@ sub-layout of kept registers.  They stay tiny in honest protocols but can
 grow to a few thousand diagonal entries in exhaustive audits, so
 ``trace_distance`` takes a closed-form path for diagonal operators and a
 dense eigendecomposition on the joint support otherwise.
+
+Validation happens at the boundary.  The ``DensityMatrix`` constructor,
+which ``mix``, ``maximally_mixed`` and every caller that assembles entries
+by hand use, converts keys to int pairs and entries to complex and checks
+real diagonals, Hermiticity and unit trace.  ``DensityAccumulator.finalize``
+and the audits' diagonal histograms build through ``DensityMatrix._trusted``
+instead, which prunes with the constructor's own step and skips the rest:
+their entries are sums of ``w * a * conj(b)`` over validated states' terms,
+divided by the total weight, so they are Hermitian with unit trace by
+construction.  ``to_pure`` keeps ``SparseState``'s norm check, since its
+result is only as pure as the purity tolerance allows.
 """
 
 from __future__ import annotations
@@ -17,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from .registers import RegisterLayout
-from .states import NORM_TOL, PRUNE_TOL, SparseState
+from .states import NORM_TOL, PRUNE_TOL, SparseState, _pruned
 
 
 @dataclass(frozen=True, eq=False)
@@ -26,12 +37,8 @@ class DensityMatrix:
     entries: Mapping[tuple[int, int], complex]
 
     def __post_init__(self):
-        pruned = {}
+        pruned = _pruned({(int(u), int(v)): complex(c) for (u, v), c in self.entries.items()})
         trace = 0.0
-        for (u, v), val in self.entries.items():
-            c = complex(val)
-            if abs(c) > PRUNE_TOL:
-                pruned[(int(u), int(v))] = c
         for (u, v), c in pruned.items():
             if u == v:
                 if abs(c.imag) > NORM_TOL:
@@ -44,6 +51,20 @@ class DensityMatrix:
         if abs(trace - 1.0) > NORM_TOL:
             raise ValueError(f"trace = {trace!r}, not 1 within {NORM_TOL}")
         object.__setattr__(self, "entries", pruned)
+
+    @classmethod
+    def _trusted(cls, layout: RegisterLayout,
+                 entries: Mapping[tuple[int, int], complex]) -> "DensityMatrix":
+        """The constructor's pruning without its conversions and checks.
+
+        Only for int-pair keys and complex entries built as a normalised
+        mixture of validated states' projectors (see the module docstring).
+        """
+        rho = object.__new__(cls)
+        fields = vars(rho)  # written directly: frozen, and faster than object.__setattr__
+        fields["layout"] = layout
+        fields["entries"] = _pruned(entries)
+        return rho
 
     @property
     def is_diagonal(self) -> bool:
@@ -155,7 +176,8 @@ class DensityAccumulator:
         if self._weight <= 0:
             raise ValueError("nothing accumulated")
         scale = 1.0 / self._weight
-        return DensityMatrix(self.layout, {k: v * scale for k, v in self._entries.items()})
+        return DensityMatrix._trusted(self.layout,
+                                      {k: v * scale for k, v in self._entries.items()})
 
 
 def partial_trace(state: SparseState, keep: Iterable[str]) -> DensityMatrix:

@@ -4,7 +4,20 @@ Every protocol state in this package is a superposition of a handful of
 classical basis strings, so states are finite maps from basis keys to
 complex amplitudes rather than dense vectors.  All operations return new
 states; nothing here mutates.  A dense vector twin for small widths lives
-in :mod:`qspirlab.reference` and is used as an independent test oracle.
+in the test suite (``tests/reference.py``) as an independent test oracle.
+
+Validation happens at the boundary.  The ``SparseState`` constructor,
+which ``basis``, ``from_bits`` and every caller outside this module use,
+converts keys to int and amplitudes to complex and checks key range and
+norm.  The dict ops here build their results through
+``SparseState._trusted`` instead, which prunes as the constructor does
+(the same ``_pruned`` step, so the same terms in the same order) and skips
+the rest: their inputs are validated states, and each op keeps keys in
+range and the norm at 1 by construction.  Those ops are a sign flip, a
+tensor product, an XOR relabel with range-checked masks, a renormalised
+measurement branch, and a local map checked unitary.  A local map wider
+than ``MAX_UNITARITY_CHECK_WIDTH`` is never checked, so its result goes
+through the constructor, whose norm check is its only guard.
 
 The ``*_batch`` twins run many such states through one op at once, for the
 compiled protocol's output-only path.  A batch is two arrays: ``keys[B, T]``
@@ -39,24 +52,45 @@ class NonUnitaryMapError(ValueError):
     """A local map failed the unitarity check on its basis."""
 
 
+def _pruned(terms: Mapping) -> dict:
+    """``terms`` without the values at or below PRUNE_TOL in magnitude, in order.
+
+    The one pruning step of both ``SparseState`` and ``DensityMatrix``.
+    """
+    return {k: v for k, v in terms.items() if abs(v) > PRUNE_TOL}
+
+
 @dataclass(frozen=True, eq=False)
 class SparseState:
     layout: RegisterLayout
     terms: Mapping[int, complex]
 
     def __post_init__(self):
-        pruned = {}
         top = 1 << self.layout.width
+        terms = {}
         for k, v in self.terms.items():
             if not 0 <= k < top:
                 raise ValueError(f"basis key {k} outside layout width {self.layout.width}")
-            c = complex(v)
-            if abs(c) > PRUNE_TOL:
-                pruned[int(k)] = c
+            terms[int(k)] = complex(v)
+        pruned = _pruned(terms)
         object.__setattr__(self, "terms", pruned)
         n = kernels.norm_sq(pruned)
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"state norm^2 = {n!r}, not 1 within {NORM_TOL}")
+
+    @classmethod
+    def _trusted(cls, layout: RegisterLayout, terms: Mapping[int, complex]) -> "SparseState":
+        """The constructor's pruning without its conversions and checks.
+
+        Only for int keys and complex amplitudes that an op here built from
+        validated states in a way that keeps keys in range and the norm at
+        1 (see the module docstring).
+        """
+        state = object.__new__(cls)
+        fields = vars(state)  # written directly: frozen, and faster than object.__setattr__
+        fields["layout"] = layout
+        fields["terms"] = _pruned(terms)
+        return state
 
     @classmethod
     def basis(cls, layout: RegisterLayout, key: int | str) -> "SparseState":
@@ -135,7 +169,7 @@ def tensor(a: SparseState, b: SparseState) -> SparseState:
     """Tensor product; register names must be disjoint."""
     layout = a.layout.concat(b.layout)
     terms = kernels.tensor_terms(a.terms, b.terms, b.layout.width)
-    return SparseState(layout, terms)
+    return SparseState._trusted(layout, terms)
 
 
 def apply_phase_oracle(state: SparseState, target: str | Sequence[str],
@@ -156,13 +190,13 @@ def apply_phase_oracle(state: SparseState, target: str | Sequence[str],
             if sub not in table:
                 table[sub] = phase_fn(sub) & 1
         terms = kernels.phase_apply(state.terms, shift, mask, table)
-        return SparseState(state.layout, terms)
+        return SparseState._trusted(state.layout, terms)
     pieces = state.layout.pieces(names)
     terms = {}
     for k, v in state.terms.items():
         sub = kernels.extract_sub(k, pieces)
         terms[k] = -v if phase_fn(sub) & 1 else v
-    return SparseState(state.layout, terms)
+    return SparseState._trusted(state.layout, terms)
 
 
 def apply_phase_oracle_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
@@ -238,14 +272,17 @@ def apply_local_map(
     SparseState over the targets).  For several targets the sub-key is their
     concatenation in the order given.  Unitarity is checked by enumerating
     the 2**width basis when the joint width is at most 12 (once per callable
-    and width); wider maps are trusted, which the protocol modules only use
-    for XOR relabelings that are permutations by construction.
+    and width); wider maps, which the protocol modules only use for XOR
+    relabelings that are permutations by construction, are not, so only
+    the result's norm check guards them.
     """
     names = (target,) if isinstance(target, str) else tuple(target)
     pieces = state.layout.pieces(names)
     width = sum(w for _, w in pieces)
     images = _map_images(fn, width, (kernels.extract_sub(k, pieces) for k in state.terms))
     terms = kernels.apply_map_terms(state.terms, pieces, images)
+    if width <= MAX_UNITARITY_CHECK_WIDTH:  # checked unitary by _map_images
+        return SparseState._trusted(state.layout, terms)
     return SparseState(state.layout, terms)
 
 
@@ -344,10 +381,10 @@ def conditional_xor_relabel(
                 raise ValueError(f"register {name!r} not listed in targets")
             if value >> w:
                 raise ValueError(f"XOR constant {value} too wide for {name}")
-            full |= value << shift
+            full |= int(value) << shift
         masks[int(c)] = full
     terms = kernels.conditional_xor(state.terms, ctrl_pieces, masks)
-    return SparseState(state.layout, terms)
+    return SparseState._trusted(state.layout, terms)
 
 
 def conditional_xor_relabel_batch(
@@ -393,7 +430,8 @@ def measurement_branches(state: SparseState, target: str) -> tuple[tuple[float, 
         p = kernels.norm_sq(sub_terms)
         if p <= PRUNE_TOL:
             continue
-        post = SparseState(state.layout, kernels.scale_terms(sub_terms, 1.0 / math.sqrt(p)))
+        post = SparseState._trusted(state.layout,
+                                    kernels.scale_terms(sub_terms, 1.0 / math.sqrt(p)))
         branches.append((p, outcome, post))
     return tuple(branches)
 

@@ -1,11 +1,14 @@
-"""Shared test fixtures: broken and random schemes, a detectable attack, a classical twin audit."""
+"""Shared test fixtures: broken and random schemes, a detectable attack, a classical twin
+audit, and the full-validation switch for the internal constructors."""
 
 import random
+from contextlib import contextmanager
 
 from qspirlab.audits import AuditGrid, AuditReport
 from qspirlab.density import DensityMatrix
 from qspirlab.registers import RegisterLayout, bits
 from qspirlab.schemes import LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme
+from qspirlab.states import SparseState
 
 
 class CorruptedSubsetScheme(SubsetScheme):
@@ -138,3 +141,21 @@ def audit_data_privacy_classical_direct(scheme: LinearPirScheme, grid: AuditGrid
         witness=witness,
         details={"pairs_compared": pair_count},
     )
+
+
+@contextmanager
+def full_validation():
+    """Build every trusted state and density matrix through its public constructor.
+
+    Inside the block, ``SparseState._trusted`` and ``DensityMatrix._trusted``
+    check key range and norm, Hermiticity and trace as the constructors do,
+    so an op whose result breaks those invariants raises.
+    """
+    saved = [(cls, vars(cls)["_trusted"]) for cls in (SparseState, DensityMatrix)]
+    for cls, _ in saved:
+        cls._trusted = classmethod(lambda cls, layout, terms: cls(layout, terms))
+    try:
+        yield
+    finally:
+        for cls, trusted in saved:
+            cls._trusted = trusted

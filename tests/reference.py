@@ -14,8 +14,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .registers import RegisterLayout
-from .states import PRUNE_TOL, SparseState
+from qspirlab.registers import RegisterLayout
+from qspirlab.states import PRUNE_TOL, SparseState
 
 MAX_DENSE_WIDTH = 12
 

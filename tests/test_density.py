@@ -112,12 +112,17 @@ class TestMix:
 
 class TestValidation:
     def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"not Hermitian at \(0,1\): \(0\.3\+0j\) vs \(0\.1\+0j\)"):
             DensityMatrix(ONE_BIT, {(0, 0): 0.5, (1, 1): 0.5, (0, 1): 0.3, (1, 0): 0.1})
 
     def test_trace_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"trace = 0\.9, not 1 within 1e-09"):
             DensityMatrix(ONE_BIT, {(0, 0): 0.9})
+
+    def test_complex_diagonal_rejected(self):
+        with pytest.raises(ValueError, match=r"diagonal entry at 1 not real: \(0\.5\+0\.1j\)"):
+            DensityMatrix(ONE_BIT, {(0, 0): 0.5, (1, 1): 0.5 + 0.1j})
 
     def test_psd_check(self):
         rho = DensityMatrix(ONE_BIT, {(0, 0): 0.5, (1, 1): 0.5, (0, 1): 0.5, (1, 0): 0.5})

@@ -8,9 +8,7 @@ master seed, so every run exercises the same >= 1000 comparisons.
 import numpy as np
 import pytest
 
-from qspirlab import reference
 from qspirlab.density import partial_trace, trace_distance
-from qspirlab.reference import DenseState, dense_of_density
 from qspirlab.registers import RegisterLayout
 from qspirlab.states import (
     SparseState,
@@ -20,6 +18,9 @@ from qspirlab.states import (
     measurement_branches,
     tensor,
 )
+
+import reference
+from reference import DenseState, dense_of_density
 
 ATOL = 1e-12
 

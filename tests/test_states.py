@@ -62,7 +62,7 @@ class TestLayout:
 
 class TestSparseState:
     def test_norm_enforced(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"state norm\^2 = 0\.25, not 1 within 1e-09"):
             SparseState.from_bits(ONE_BIT, {"0": 0.5})
 
     def test_tiny_amplitudes_pruned(self):
@@ -70,7 +70,7 @@ class TestSparseState:
         assert state.support() == (0,)
 
     def test_key_bounds_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="basis key 2 outside layout width 1"):
             SparseState(ONE_BIT, {2: 1.0})
 
 

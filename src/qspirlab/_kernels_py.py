@@ -3,9 +3,14 @@
 A "term map" is a dict mapping integer basis keys to complex amplitudes;
 the bits of a key hold the named registers of a layout, first register in
 the most significant position.  A "piece" is a ``(shift, width)`` pair
-addressing one register inside a key.  These functions are the hot inner
-loops of every protocol run and audit; callers reach them through
-:mod:`qspirlab.kernels`.
+addressing one bit field inside a key: a run of registers that are adjacent
+in the layout, or a single one.  A sub-key is its pieces' fields
+concatenated in the order given.  When it is one field, the kernels read
+it inline as ``(key >> shift) & mask``; otherwise through ``extract_sub``
+and ``insert_sub``.  ``ptrace_accumulate`` needs no traced sub-key at all:
+it groups terms by their traced bits under one mask.  These functions are
+the hot inner loops of every protocol run and audit; callers reach them
+through :mod:`qspirlab.kernels`.
 """
 
 PRUNE_TOL = 1e-12
@@ -59,33 +64,58 @@ def insert_sub(key, pieces, sub):
     return key
 
 
+def _field(pieces):
+    """``(shift, mask)`` of pieces that address one bit field, else None."""
+    if len(pieces) != 1:
+        return None
+    shift, w = pieces[0]
+    return shift, (1 << w) - 1
+
+
 def conditional_xor(terms, ctrl_pieces, masks_by_ctrl):
     """XOR each key with a full-width mask selected by its control sub-key.
 
     Masks must not touch the control bits; missing controls act as identity.
     """
     out = {}
+    get = masks_by_ctrl.get
+    field = _field(ctrl_pieces)
+    shift, mask = field or (0, 0)
     for k, v in terms.items():
-        out[k ^ masks_by_ctrl.get(extract_sub(k, ctrl_pieces), 0)] = v
+        sub = extract_sub(k, ctrl_pieces) if field is None else (k >> shift) & mask
+        out[k ^ get(sub, 0)] = v
     return out
 
 
 def apply_map_terms(terms, pieces, images):
     """Linear extension of a local map given as sub-key -> ((sub', amp), ...)."""
     acc = {}
-    for k, v in terms.items():
-        for new_sub, amp in images[extract_sub(k, pieces)]:
-            nk = insert_sub(k, pieces, new_sub)
-            w = acc.get(nk)
-            acc[nk] = v * amp if w is None else w + v * amp
+    field = _field(pieces)
+    if field is None:
+        for k, v in terms.items():
+            for new_sub, amp in images[extract_sub(k, pieces)]:
+                nk = insert_sub(k, pieces, new_sub)
+                w = acc.get(nk)
+                acc[nk] = v * amp if w is None else w + v * amp
+    else:
+        shift, mask = field
+        hole = ~(mask << shift)
+        for k, v in terms.items():
+            rest = k & hole
+            for new_sub, amp in images[(k >> shift) & mask]:
+                nk = rest | (new_sub << shift)
+                w = acc.get(nk)
+                acc[nk] = v * amp if w is None else w + v * amp
     return {k: v for k, v in acc.items() if abs(v) > PRUNE_TOL}
 
 
 def branch_split(terms, pieces):
     """Group terms by the value of the addressed sub-key (pre-measurement)."""
     groups = {}
+    field = _field(pieces)
+    shift, mask = field or (0, 0)
     for k, v in terms.items():
-        sub = extract_sub(k, pieces)
+        sub = extract_sub(k, pieces) if field is None else (k >> shift) & mask
         g = groups.get(sub)
         if g is None:
             groups[sub] = {k: v}
@@ -102,22 +132,30 @@ def ptrace_accumulate(acc, terms, keep_pieces, trace_pieces, weight, also=None):
     contribution is added to it as well, right after ``acc``, so both end as
     two separate calls would leave them, to the last bit.
     """
+    # Terms group by their traced bits, read as ``key & trace_mask``: the
+    # same groups, first seen in the same order, as by the traced sub-key.
+    # Each item carries its amplitude's conjugate, taken once per term.
+    trace_mask = 0
+    for shift, w in trace_pieces:
+        trace_mask |= ((1 << w) - 1) << shift
+    field = _field(keep_pieces)
+    shift, mask = field or (0, 0)
     groups = {}
     for k, v in terms.items():
-        tr = extract_sub(k, trace_pieces)
-        item = (extract_sub(k, keep_pieces), v)
+        tr = k & trace_mask
+        u = extract_sub(k, keep_pieces) if field is None else (k >> shift) & mask
         g = groups.get(tr)
         if g is None:
-            groups[tr] = [item]
+            groups[tr] = [(u, v, v.conjugate())]
         else:
-            g.append(item)
+            g.append((u, v, v.conjugate()))
     for items in groups.values():
-        for u, a in items:
+        for u, a, _ in items:
             wa = weight * a
-            for v2, b in items:
+            for v2, _, cb in items:
                 key = (u, v2)
                 w = acc.get(key)
-                c = wa * b.conjugate()
+                c = wa * cb
                 acc[key] = c if w is None else w + c
                 if also is not None:
                     w = also.get(key)

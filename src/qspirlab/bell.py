@@ -22,12 +22,7 @@ from functools import lru_cache
 
 from .registers import RegisterLayout
 from .schemes import Database
-from .states import (
-    PAULI,
-    SQRT_HALF,
-    SparseState,
-    apply_local_map,
-)
+from .states import SQRT_HALF, SparseState, apply_local_map
 from .transcript import OutputsFromRuns, Script, Transcript, execute, sign_recovery
 
 # Bell labels used by the scheme; (p, q) names the pair basis state the
@@ -105,16 +100,37 @@ def build_bell_query(i: int, n: int) -> SparseState:
     return SparseState(layout, terms)
 
 
+_PLUS = complex(1.0)
+_MINUS = complex(-1.0)
+
+
 def server_pauli(state: SparseState, server: int, x: Database) -> SparseState:
-    """Encode each database pair into this server's qubit of that pair."""
+    """Encode each database pair into this server's qubit of that pair.
+
+    Pair (p, q) acts on its qubit as X^q Z^p: a phase flip on 1 when p is
+    set, then a bit flip when q is.  Over all pairs that is one XOR mask on
+    the key and one sign per pair, taken in a single pass.  Each amplitude
+    is multiplied by +1 or -1 once per pair, in pair order, as the
+    per-pair local maps would: a single product by the overall sign could
+    flip the sign of a zero imaginary part.
+    """
     if x.n % 2 != 0:
         raise ValueError("database size must be even")
     m = x.n // 2
     reg = left_reg if server == 1 else right_reg
+    flip_mask = 0
+    phase_bits = []
     for slot in range(1, m + 1):
-        op = PAULI[(x.bit(2 * slot - 1), x.bit(2 * slot))]
-        state = apply_local_map(state, reg(slot), op)
-    return state
+        bit = 1 << state.layout.piece(reg(slot))[0]
+        phase_bits.append(bit if x.bit(2 * slot - 1) else 0)
+        if x.bit(2 * slot):
+            flip_mask |= bit
+    terms = {}
+    for k, v in state.terms.items():
+        for bit in phase_bits:
+            v = v * (_MINUS if k & bit else _PLUS)
+        terms[k ^ flip_mask] = v
+    return SparseState._trusted(state.layout, terms)
 
 
 # Per-pair basis changes between Bell pairs and classical pair labels.

@@ -23,6 +23,7 @@ from .adversary import (
     verify_undetectability,
 )
 from .audits import AUDIT_NAMES
+from .compiler import CompiledProtocol
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -43,6 +44,13 @@ EXIT_FAILED = 2
 # clean query on qspir(cube2) at n = 2 took 0.73 ms on a 2-core x86-64 box, so
 # the sweep over 4 databases stays near 12 s.
 ATTACK_DRAW_LIMIT = 4096
+# Most runs ``--scenario honest-baseline`` sweeps, over every database and
+# draw, on the same box.  A compiled protocol runs its draws in numpy batches,
+# 2.7 to 6 us a run: qspir(cube2) at n = 2 swept 4,194,304 runs in 11.3 s.
+# bell2 builds each run's transcript, at a cost that grows with n: 1.1 ms a
+# run at n = 12 (4.5 s) and 1.8 ms at n = 13, whose 8,192 runs took 15 s.
+BATCHED_BASELINE_RUN_LIMIT = 1 << 22
+TRANSCRIPT_BASELINE_RUN_LIMIT = 1 << 13
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,6 +174,18 @@ def _cmd_attack(args) -> int:
         if draws > ATTACK_DRAW_LIMIT:
             raise ConfigError(f"parity2 on {protocol.name} sweeps {draws:,} draws per "
                               f"database, more than {ATTACK_DRAW_LIMIT:,}")
+    else:
+        limit = (BATCHED_BASELINE_RUN_LIMIT if isinstance(protocol, CompiledProtocol)
+                 else TRANSCRIPT_BASELINE_RUN_LIMIT)
+        # every protocol has at least one draw, so too many databases refuse
+        # before the draws are counted
+        runs = 1 << protocol.n
+        if runs <= limit:
+            runs *= draw_count(protocol)
+        if runs > limit:
+            raise ConfigError(f"honest-baseline on {protocol.name} sweeps at least "
+                              f"{runs:,} runs over every database and draw, more than "
+                              f"{limit:,}")
     # each database's output mixture is computed once, for the display and
     # every leakage figure
     prior = _uniform_prior(protocol.n)

@@ -70,10 +70,22 @@ class RegisterLayout:
         return (self.width - off - w, w)
 
     def pieces(self, names: Iterable[str] | str) -> tuple[tuple[int, int], ...]:
-        """Pieces for several registers, concatenated in the order given."""
+        """Pieces for several registers, concatenated in the order given.
+
+        Each run of names that are adjacent and in layout order merges into
+        one piece, so the kernels address it as a single bit field; the
+        concatenated sub-key is the same.
+        """
         if isinstance(names, str):
             names = (names,)
-        return tuple(self.piece(n) for n in names)
+        merged = []
+        for name in names:
+            shift, w = self.piece(name)
+            if merged and merged[-1][0] == shift + w:
+                merged[-1] = (shift, merged[-1][1] + w)
+            else:
+                merged.append((shift, w))
+        return tuple(merged)
 
     def in_layout_order(self, names: Iterable[str]) -> tuple[str, ...]:
         wanted = set(names)

@@ -7,17 +7,21 @@ states; nothing here mutates.  A dense vector twin for small widths lives
 in the test suite (``tests/reference.py``) as an independent test oracle.
 
 Validation happens at the boundary.  The ``SparseState`` constructor,
-which ``basis``, ``from_bits`` and every caller outside this module use,
-converts keys to int and amplitudes to complex and checks key range and
-norm.  The dict ops here build their results through
+which ``basis``, ``from_bits`` and every other caller outside this module
+use, converts keys to int and amplitudes to complex and checks key range
+and norm.  The dict ops here build their results through
 ``SparseState._trusted`` instead, which prunes as the constructor does
 (the same ``_pruned`` step, so the same terms in the same order) and skips
 the rest: their inputs are validated states, and each op keeps keys in
 range and the norm at 1 by construction.  Those ops are a sign flip, a
 tensor product, an XOR relabel with range-checked masks, a renormalised
-measurement branch, and a local map checked unitary.  A local map wider
-than ``MAX_UNITARITY_CHECK_WIDTH`` is never checked, so its result goes
-through the constructor, whose norm check is its only guard.
+measurement branch, and a local map checked unitary; ``bell.server_pauli``
+(an XOR mask and a sign per term) is the one such op outside this module.
+A local map wider than ``MAX_UNITARITY_CHECK_WIDTH`` is never checked, so
+its result goes through the constructor, whose norm check is its only
+guard.  A checked map keeps the columns its unitarity check built, per
+callable and width: later applications look its images up instead of
+calling it again.
 
 The ``*_batch`` twins run many such states through one op at once, for the
 compiled protocol's output-only path.  A batch is two arrays: ``keys[B, T]``
@@ -215,8 +219,9 @@ def apply_phase_oracle_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.
     return np.where(odd, -amps, amps)
 
 
-# Local maps verified unitary, keyed by callable and target width.
-_verified_maps: "weakref.WeakKeyDictionary[Callable, set[int]]" = weakref.WeakKeyDictionary()
+# Columns of the local maps verified unitary, keyed by callable, then target width.
+_verified_maps: "weakref.WeakKeyDictionary[Callable, dict[int, dict]]" = \
+    weakref.WeakKeyDictionary()
 
 
 def _as_image(result, width: int) -> tuple[tuple[int, complex], ...]:
@@ -272,9 +277,9 @@ def apply_local_map(
     SparseState over the targets).  For several targets the sub-key is their
     concatenation in the order given.  Unitarity is checked by enumerating
     the 2**width basis when the joint width is at most 12 (once per callable
-    and width); wider maps, which the protocol modules only use for XOR
-    relabelings that are permutations by construction, are not, so only
-    the result's norm check guards them.
+    and width, whose columns are then reused); wider maps, which the
+    protocol modules only use for XOR relabelings that are permutations by
+    construction, are not, so only the result's norm check guards them.
     """
     names = (target,) if isinstance(target, str) else tuple(target)
     pieces = state.layout.pieces(names)
@@ -288,16 +293,20 @@ def apply_local_map(
 
 def _map_images(fn: Callable[[int], Mapping[int, complex]], width: int,
                 subs: Iterable[int]) -> dict:
-    """fn's image of every sub-key in ``subs``, after the unitarity check if due."""
+    """fn's image of every sub-key in ``subs``.
+
+    A map narrow enough to check gets every column, built by the unitarity
+    check on its first use at this width and kept; later calls look them up.
+    """
     if width <= MAX_UNITARITY_CHECK_WIDTH:
         try:
-            seen = _verified_maps.setdefault(fn, set())
+            checked = _verified_maps.setdefault(fn, {})
         except TypeError:  # non-weakrefable callable; check every time
-            seen = set()
-        if width not in seen:
-            columns = _check_unitary(fn, width)
-            seen.add(width)
-            return columns
+            checked = {}
+        columns = checked.get(width)
+        if columns is None:
+            columns = checked[width] = _check_unitary(fn, width)
+        return columns
     images = {}
     for sub in subs:
         if sub not in images:
@@ -505,31 +514,10 @@ def equal_up_to_global_phase(a: SparseState, b: SparseState, tol: float = NORM_T
     return math.sqrt(dist_sq) <= tol
 
 
-# Common single-register maps.
+# A common single-register map.
 
 
 def hadamard(sub: int) -> dict[int, complex]:
     if sub == 0:
         return {0: SQRT_HALF, 1: SQRT_HALF}
     return {0: SQRT_HALF, 1: -SQRT_HALF}
-
-
-def _pauli_map(p: int, q: int) -> Callable[[int], dict[int, complex]]:
-    # Columns of the 2x2 encodings: identity, bit flip, phase flip, and
-    # their product with the [0, -1; 1, 0] sign convention.
-    if (p, q) == (0, 0):
-        cols = ({0: 1.0}, {1: 1.0})
-    elif (p, q) == (0, 1):
-        cols = ({1: 1.0}, {0: 1.0})
-    elif (p, q) == (1, 0):
-        cols = ({0: 1.0}, {1: -1.0})
-    else:
-        cols = ({1: 1.0}, {0: -1.0})
-
-    def apply(sub: int, _cols=cols):
-        return _cols[sub]
-
-    return apply
-
-
-PAULI = {(p, q): _pauli_map(p, q) for p in (0, 1) for q in (0, 1)}

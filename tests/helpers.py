@@ -1,5 +1,6 @@
 """Shared test fixtures: broken and random schemes, a detectable attack, a classical twin
-audit, and the full-validation switch for the internal constructors."""
+audit, the single-qubit Pauli maps, and the full-validation switch for the internal
+constructors."""
 
 import random
 from contextlib import contextmanager
@@ -85,6 +86,29 @@ class RandomXorScheme(LinearPirScheme):
     def answer(self, q, x):
         self._check_query(q)
         return self._answers[q][x.value]
+
+
+def _pauli_map(p: int, q: int):
+    # Columns of the 2x2 encodings: identity, bit flip, phase flip, and
+    # their product with the [0, -1; 1, 0] sign convention.
+    if (p, q) == (0, 0):
+        cols = ({0: 1.0}, {1: 1.0})
+    elif (p, q) == (0, 1):
+        cols = ({1: 1.0}, {0: 1.0})
+    elif (p, q) == (1, 0):
+        cols = ({0: 1.0}, {1: -1.0})
+    else:
+        cols = ({1: 1.0}, {0: -1.0})
+
+    def apply(sub: int, _cols=cols):
+        return _cols[sub]
+
+    return apply
+
+
+# The Bell scheme's per-pair encoding of database bits (p, q) as single-qubit
+# local maps: the reference ``bell.server_pauli`` is checked against.
+PAULI = {(p, q): _pauli_map(p, q) for p in (0, 1) for q in (0, 1)}
 
 
 def leaky_attack_views(protocol, x, r, masks):

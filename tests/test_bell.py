@@ -4,18 +4,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qspirlab import bell
 from qspirlab.bell import (
     BellProtocol,
     bell_comm_cost,
+    bell_layout,
     build_bell_query,
+    left_reg,
+    right_reg,
     server_pauli,
 )
 from qspirlab.compiler import CompiledProtocol
 from qspirlab.density import maximally_mixed, partial_trace, trace_distance
 from qspirlab.schemes import Database, all_databases, make_scheme
-from qspirlab.states import PAULI, SparseState, equal_up_to_global_phase
-from qspirlab.transcript import sign_recovery
+from qspirlab.states import SparseState, apply_local_map, equal_up_to_global_phase
+from qspirlab.transcript import export_transcript, sign_recovery
+
+from helpers import PAULI
 
 S = math.sqrt(0.5)
 
@@ -56,6 +63,66 @@ class TestPauliAlgebraDense:
                 for row, amp in image.items():
                     vec[row] = amp
                 np.testing.assert_allclose(vec, mat[:, col], atol=1e-12)
+
+
+def per_pair_pauli(state, server, x):
+    """The encoding as one single-qubit local map per pair, in pair order."""
+    reg = left_reg if server == 1 else right_reg
+    for slot in range(1, x.n // 2 + 1):
+        state = apply_local_map(state, reg(slot), PAULI[(x.bit(2 * slot - 1), x.bit(2 * slot))])
+    return state
+
+
+def exact(state):
+    """Keys in order, with each amplitude's real and imaginary parts in hex."""
+    return [(key, v.real.hex(), v.imag.hex()) for key, v in state.terms.items()]
+
+
+class TestOnePassEncoding:
+    """``server_pauli`` in one pass equals the per-pair local maps, to the last bit."""
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_every_database_both_servers(self, n):
+        for x in all_databases(n):
+            for i in range(1, n + 1):
+                state = build_bell_query(i, n)
+                for server in (1, 2):
+                    out = server_pauli(state, server, x)
+                    assert exact(out) == exact(per_pair_pauli(state, server, x)), (str(x), i)
+                    state = out
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_amplitudes(self, data):
+        # signed zeros in either part: one product by the overall sign would
+        # differ from the per-pair products here
+        pairs = data.draw(st.integers(1, 3), label="pairs")
+        layout = bell_layout(pairs)
+        part = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, -0.75])
+        amps = data.draw(st.dictionaries(st.integers(0, (1 << layout.width) - 1),
+                                         st.tuples(part, part).filter(any), min_size=1))
+        norm = math.sqrt(sum(re * re + im * im for re, im in amps.values()))
+        state = SparseState(layout, {k: complex(re / norm, im / norm)
+                                     for k, (re, im) in amps.items()})
+        x = Database(2 * pairs, data.draw(st.integers(0, (1 << 2 * pairs) - 1), label="x"))
+        for server in (1, 2):
+            assert exact(server_pauli(state, server, x)) == exact(per_pair_pauli(state, server, x))
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_exported_transcripts(self, n, countermeasure, tmp_path, monkeypatch):
+        protocol = BellProtocol(n, dephase_servers=countermeasure)
+
+        def exported(x, name):
+            path = tmp_path / name
+            export_transcript(protocol.run(x, x.value % n + 1), path)
+            return path.read_bytes()
+
+        for x in all_databases(n):
+            one_pass = exported(x, "one-pass.json")
+            with monkeypatch.context() as patch:
+                patch.setattr(bell, "server_pauli", per_pair_pauli)
+                assert exported(x, "per-pair.json") == one_pass, str(x)
 
 
 class TestQueryState:

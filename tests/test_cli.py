@@ -200,6 +200,38 @@ class TestAttack:
         # 64 randomness values times 2**14 mask pairs
         assert "1,048,576 draws" in err and "4,096" in err
 
+    @pytest.mark.parametrize("scheme, n, runs, limit", [
+        # 2**11 databases times 8,192 draws
+        ("qspir(subset2)", "11", "16,777,216", "4,194,304"),
+        # 2**40 databases refuse before the 2**40 masks are counted
+        ("qspir(trivial1)", "40", "1,099,511,627,776", "4,194,304"),
+        # bell2 runs one draw per database, each through its transcript
+        ("bell2", "14", "16,384", "8,192"),
+        ("bell2", "40", "1,099,511,627,776", "8,192"),
+    ])
+    def test_honest_baseline_refuses_a_sweep_it_cannot_finish(self, capsys, monkeypatch,
+                                                              scheme, n, runs, limit):
+        def never(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "honest_output_mixture", never)
+        monkeypatch.setattr(cli, "_uniform_prior", never)
+        if 1 << int(n) > int(limit.replace(",", "")):
+            monkeypatch.setattr(cli, "draw_count", never)
+        code, out, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
+                                 "--scheme", scheme, "--n", n)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert f"{runs} runs" in err and limit in err
+
+    def test_honest_baseline_admits_sweeps_up_to_the_limits(self, capsys, monkeypatch):
+        # qspir(subset2) at n = 7 sweeps 65,536 runs and bell2 at n = 13
+        # 8,192: both run in seconds, so neither is refused
+        monkeypatch.setattr(cli, "honest_output_mixture", lambda protocol, x, i: {0: 1.0})
+        for scheme, n in (("qspir(subset2)", "7"), ("bell2", "13")):
+            code, _, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
+                                   "--scheme", scheme, "--n", n)
+            assert (code, err) == (EXIT_OK, ""), scheme
+
     def test_classical_protocol_rejected(self, capsys):
         code, _, err = run_cli(capsys, "attack", "--scheme", "subset2", "--n", "2")
         assert code == EXIT_USAGE

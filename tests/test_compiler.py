@@ -4,9 +4,17 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qspirlab import compiler
-from qspirlab.audits import TOL, _mask_mode, audit_recovery, make_grid
+from qspirlab.audits import (
+    TOL,
+    _mask_mode,
+    audit_recovery,
+    audit_user_privacy_classical,
+    audit_user_privacy_quantum,
+    make_grid,
+)
 from qspirlab.compiler import (
     CompiledProtocol,
     build_query_batch,
@@ -417,3 +425,19 @@ class TestAnyServerCount:
             assert (report.witness["x"], report.witness["i"]) == (x, i)
             assert report.witness["example"]["r"] == r
             assert report.witness["recovery_probability"] < 1.0 - TOL
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_user_privacy_verdict_is_classical(self, k, countermeasure, data):
+        # both mask modes: a product of at most 64 mask combinations runs in
+        # full, a larger one reads the per-server histograms
+        scheme = RandomXorScheme(data.draw(st.integers(1, 3), label="n"), k=k,
+                                 t=data.draw(st.integers(0, 2), label="t"),
+                                 a=data.draw(st.integers(1, 3), label="a"),
+                                 randomness_size=data.draw(st.integers(1, 4), label="size"),
+                                 seed=data.draw(st.integers(0, 1 << 16), label="seed"))
+        protocol = CompiledProtocol(scheme, countermeasure)
+        quantum = audit_user_privacy_quantum(protocol, make_grid(scheme.n))
+        assert quantum.passed == audit_user_privacy_classical(scheme).passed

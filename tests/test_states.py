@@ -10,7 +10,6 @@ import pytest
 from qspirlab.registers import RegisterLayout
 from qspirlab.states import (
     NonUnitaryMapError,
-    PAULI,
     SparseState,
     apply_local_map,
     apply_local_map_batch,
@@ -23,6 +22,8 @@ from qspirlab.states import (
     measurement_branches,
     tensor,
 )
+
+from helpers import PAULI
 
 S = math.sqrt(0.5)
 ONE_BIT = RegisterLayout.of(("q", 1))

@@ -3,8 +3,8 @@
 Every op that builds through ``SparseState._trusted`` or
 ``DensityMatrix._trusted`` must give the entries the public constructor
 gives on the same input, in the same key order and to the last bit; and
-with the checks switched back on (``full_validation``), a kernel that
-breaks the norm must make the op raise.
+with the checks switched back on (``full_validation``), a kernel (or the
+Bell encoding's sign) that breaks the norm must make the op raise.
 """
 
 import math
@@ -13,11 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspirlab import kernels
+from qspirlab import bell, kernels
 from qspirlab.audits import _server_histograms
+from qspirlab.bell import bell_layout, server_pauli
 from qspirlab.compiler import CompiledProtocol
 from qspirlab.density import DensityAccumulator
 from qspirlab.registers import RegisterLayout
+from qspirlab.schemes import Database
 from qspirlab.states import (
     MAX_UNITARITY_CHECK_WIDTH,
     SQRT_HALF,
@@ -126,6 +128,13 @@ class TestTrustedSitesMatchPublic:
             [exact(post.terms) for _, _, post in checked]
 
     @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 3).map(bell_layout).flatmap(states_on), st.integers(1, 2), st.data())
+    def test_bell_encoding(self, state, server, data):
+        pairs = (state.layout.width - 1) // 2
+        x = Database(2 * pairs, data.draw(st.integers(0, (1 << 2 * pairs) - 1)))
+        same_as_public(lambda: server_pauli(state, server, x).terms)
+
+    @settings(max_examples=40, deadline=None)
     @given(states("a"), states("b"))
     def test_tensor(self, a, b):
         same_as_public(lambda: tensor(a, b).terms)
@@ -212,6 +221,13 @@ class TestChecksStayLive:
         monkeypatch.setattr(kernels, kernel, doubled(getattr(kernels, kernel)))
         with pytest.raises(ValueError, match=r"state norm\^2 = .*, not 1"):
             self.OPS[kernel](self.PLUS)
+
+    def test_broken_bell_encoding_raises(self, monkeypatch):
+        # the one-pass encoding calls no kernel: break its +1 factor instead
+        monkeypatch.setattr(bell, "_PLUS", complex(2.0))
+        state = bell.build_bell_query(1, 2)
+        with pytest.raises(ValueError, match=r"state norm\^2 = .*, not 1"):
+            server_pauli(state, 1, Database.from_string("00"))
 
     def test_broken_accumulation_raises(self, monkeypatch):
         real = kernels.ptrace_accumulate

@@ -55,10 +55,6 @@ from .transcript import Branches, server_party, server_round
 QuantumProtocol = CompiledProtocol | BellProtocol
 
 
-class CleanQueryError(RuntimeError):
-    """Sign or work registers did not return to zero; erasure failed."""
-
-
 def index_width(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
@@ -154,33 +150,6 @@ class CleanQueryOracle:
                 accs[key] = DensityAccumulator(branches[0][1].layout, held)
             accs[key].add_branches(branches)
         return {key: acc.finalize() for key, acc in accs.items()}
-
-
-def clean_query(oracle: CleanQueryOracle, input_state: SparseState) -> SparseState:
-    """|i>|b> -> |i>|b XOR x_i>, extended linearly over the input support.
-
-    Only defined for coherent protocols: the countermeasured variants
-    produce branch ensembles instead of one unitary image.  Raises
-    :class:`CleanQueryError` if the sign or any work register fails to
-    return to zero, which would leave index branches distinguishable and
-    make erasure impossible.
-    """
-    if oracle.protocol.dephase_servers:
-        raise ValueError("clean queries are unitary; the countermeasured protocol is not")
-    branches = oracle.query_branches(input_state)
-    (_, state), = branches
-    in_layout = attack_input_layout(oracle.protocol.n)
-    scratch_width = state.layout.width - in_layout.width
-    scratch_mask = (1 << scratch_width) - 1
-    terms = {}
-    for key, amp in state.terms.items():
-        if key & scratch_mask:
-            raise CleanQueryError(
-                "sign or work registers did not return to their fixed state; "
-                "the query leaves index branches distinguishable"
-            )
-        terms[key >> scratch_width] = amp
-    return SparseState(in_layout, terms)
 
 
 @dataclass

@@ -28,18 +28,7 @@ import numpy as np
 from . import kernels
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, QueryPlan
-from .states import (
-    SQRT_HALF,
-    SparseState,
-    apply_local_map_batch,
-    apply_phase_oracle,
-    apply_phase_oracle_batch,
-    conditional_xor_relabel_batch,
-    hadamard,
-    key_dtype,
-    measurement_branches_batch,
-    validate_batch,
-)
+from .states import PRUNE_TOL, SQRT_HALF, SparseState, apply_phase_oracle
 from .transcript import Script, Transcript, execute, sign_recovery
 
 
@@ -105,57 +94,32 @@ def _plans(scheme: LinearPirScheme, pairs: Iterable[tuple[int, int]]) -> list[Qu
     return plans
 
 
-def _draw_tables(plans: Sequence[QueryPlan], masks: Sequence[Sequence[int]], wide: bool):
-    """``[B, k]`` tables of queries, selects and masks; None unless every draw is well formed."""
-    k, t, a = plans[0].k, plans[0].t, plans[0].a
-    if any(len(row) != k for row in masks):
-        return None
-    try:
-        tables = [
-            np.array(list(itertools.chain.from_iterable(rows)),
-                     dtype=object if wide else np.int64).reshape(-1, k)
-            for rows in ([p.queries for p in plans], [p.selects for p in plans], masks)
-        ]
-    except OverflowError:  # beyond 64 bits, hence beyond every register of the layout
-        return None
-    queries, selects, mask_values = tables
-    for values, width in ((queries, t), (selects, t + a), (mask_values, a)):
-        if ((values < 0) | (values >> width != 0)).any():
-            return None
-    if not (selects != 0).any(axis=1).all():
-        return None
-    return tables
+def _draw_tables(plans: Sequence[QueryPlan], masks: Sequence[Sequence[int]]) -> np.ndarray:
+    """``[B, k, 2]`` register values of each draw's sign-0 and sign-1 query terms.
 
-
-def build_query_batch(plans: Sequence[QueryPlan], masks: Sequence[Sequence[int]],
-                      layout: RegisterLayout):
-    """Batched build_query_state: one two-branch query state per (plan, masks) row.
-
-    The plans come from one scheme.  Returns the batch's ``keys`` and
-    ``amps`` and each server's register values on the sign-0 and sign-1
-    branches (``plain`` and ``flipped``, ``[B, k]``), which recovery XORs out.
+    int64 while a register fits 62 bits, Python ints in object arrays beyond.
     """
-    tables = _draw_tables(plans, masks, layout.width > 64)
-    if tables is None:
-        # Some draw is malformed: building the states one by one raises the
-        # error that draw's own run raises.
-        for plan, row in zip(plans, masks):
-            build_query_state(plan, row)
-        raise AssertionError("batch checks rejected draws that build")
-    queries, selects, mask_values = tables
     k, t, a = plans[0].k, plans[0].t, plans[0].a
-    dtype = key_dtype(layout)
-    base = (queries << a).astype(dtype)
-    plain = base | mask_values.astype(dtype)
-    flipped = base | (mask_values ^ selects).astype(dtype)
-    k0 = np.zeros(len(plans), dtype=dtype)
-    k1 = np.ones(len(plans), dtype=dtype)
-    for j in range(k):
-        k0 = (k0 << (t + a)) | plain[:, j]
-        k1 = (k1 << (t + a)) | flipped[:, j]
-    keys = np.stack([k0, k1], axis=1)
-    amps = validate_batch(layout, keys, np.full(keys.shape, complex(SQRT_HALF)))
-    return keys, amps, plain, flipped
+    if all(len(row) == k for row in masks):
+        try:
+            queries, selects, mask_values = [
+                np.array(list(itertools.chain.from_iterable(rows)),
+                         dtype=object if t + a > 62 else np.int64).reshape(-1, k)
+                for rows in ([p.queries for p in plans], [p.selects for p in plans], masks)
+            ]
+        except OverflowError:  # beyond 64 bits, hence beyond every register
+            pass
+        else:
+            in_range = all(not ((values < 0) | (values >> width != 0)).any()
+                           for values, width in ((queries, t), (selects, t + a), (mask_values, a)))
+            if in_range and (selects != 0).any(axis=1).all():
+                base = queries << a
+                return np.stack([base | mask_values, base | (mask_values ^ selects)], axis=2)
+    # Some draw is malformed: building the states one by one raises the error
+    # that draw's own run raises.
+    for plan, row in zip(plans, masks):
+        build_query_state(plan, row)
+    raise AssertionError("batch checks rejected draws that build")
 
 
 def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Database) -> SparseState:
@@ -179,21 +143,6 @@ def _parity(values: np.ndarray, width: int) -> np.ndarray:
         span >>= 1
         values = values ^ (values >> span)
     return values & 1
-
-
-def server_phase_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
-                       scheme: LinearPirScheme, j: int, x: Database) -> np.ndarray:
-    """Batched server_phase; ``scheme.answer`` runs once per distinct query."""
-    a = scheme.shape.a
-    mask_bits = (1 << a) - 1
-
-    def phase(subs: np.ndarray) -> np.ndarray:
-        distinct, inverse = np.unique(subs >> a, return_inverse=True)
-        answers = np.array([scheme.answer(q, x) & mask_bits for q in distinct.tolist()],
-                           dtype=subs.dtype)
-        return _parity(answers[inverse] & (subs & mask_bits), a)
-
-    return apply_phase_oracle_batch(layout, keys, amps, server_register(j), phase)
 
 
 class CompiledProtocol:
@@ -291,13 +240,12 @@ class CompiledProtocol:
         """Output distributions of many runs on one database, one per (i, r, masks) draw.
 
         The draws run in batches of up to ``BATCH_ROWS`` through the step
-        sequence of ``run``: query states, each server's phase (after its
-        dephasing split when ``dephase_servers`` is set), the recovery
-        relabel, the Hadamard on ``sign`` and its measurement.  Exactness
-        contract: every probability comes from the IEEE operations of the
-        dict ops, in their order, so each distribution equals ``run(x, i,
-        r, masks).output`` to the last bit, keys in the same order; and a
-        malformed draw raises the exception its single run raises.
+        sequence of ``run``, each state held as its two query terms' real
+        amplitudes (see ``_run_batch``).  Exactness contract: every
+        probability comes from the IEEE operations of the dict ops, in their
+        order, so each distribution equals ``run(x, i, r, masks).output`` to
+        the last bit, keys in the same order; and a malformed draw raises the
+        exception its single run raises.
         """
         outputs: list[dict[int, float]] = []
         for start in range(0, len(draws), BATCH_ROWS):
@@ -305,28 +253,61 @@ class CompiledProtocol:
         return outputs
 
     def _run_batch(self, x: Database, draws) -> list[dict[int, float]]:
-        layout = self.layout()
+        """``run_outputs`` of one batch, with each run stated as two real amplitudes.
+
+        A batch row holds the amplitudes ``(c0, c1)`` of a query state's
+        sign-0 and sign-1 terms (0.0 once a term is measured away), the draw
+        it came from and its weight.  Per server: with ``dephase_servers``, a
+        row whose two live terms differ on the server's register splits in
+        two, lower register value first, and each row is renormalised; then
+        the phase negates a term on odd <answer(query), mask part>.  Recovery
+        XORs both terms down to one key, so the Hadamard gives the sign
+        amplitudes ``c0*h + c1*h`` and ``c0*h - c1*h``, whose squares, above
+        PRUNE_TOL, add to the draw's output, row by row, bit 0 first.
+
+        Why this is exact: every amplitude of a compiled run is real, its
+        imaginary part ±0 throughout, so Python's complex ops on the dict
+        terms reduce to these real ops in this order, and a dead term adds
+        only 0.0.
+        """
         plans = _plans(self.scheme, ((i, r) for i, r, _ in draws))
-        keys, amps, plain, flipped = build_query_batch(plans, [m for _, _, m in draws], layout)
-        # the server round: each server's dephasing split (when set), then its phase;
-        # ``row`` is the draw each batch row descends from, ``weight`` its probability
-        row = np.arange(len(keys))
-        weight = np.ones(len(keys))
-        for j in range(1, self.k + 1):
+        values = _draw_tables(plans, [m for _, _, m in draws])
+        a = self.scheme.shape.a
+        mask_bits = (1 << a) - 1
+        row = np.arange(len(draws))
+        amps = np.full((len(draws), 2), SQRT_HALF)
+        weight = np.ones(len(draws))
+        for j in range(self.k):
+            v = values[row, j]
             if self.dephase_servers:
-                parent, _, q, keys, amps = measurement_branches_batch(
-                    layout, keys, amps, server_register(j))
-                row, weight = row[parent], weight[parent] * q
-            amps = server_phase_batch(layout, keys, amps, self.scheme, j, x)
-        targets = [server_register(j) for j in range(1, self.k + 1)]
-        keys = conditional_xor_relabel_batch(layout, keys, "sign", targets, {
-            0: {reg: plain[row, j] for j, reg in enumerate(targets)},
-            1: {reg: flipped[row, j] for j, reg in enumerate(targets)},
-        })
-        keys, amps = apply_local_map_batch(layout, keys, amps, "sign", hadamard)
-        parent, bit, q, _, _ = measurement_branches_batch(layout, keys, amps, "sign")
+                split = (amps != 0).all(axis=1) & (v[:, 0] != v[:, 1])
+                parent = np.repeat(np.arange(len(row)), 1 + split)
+                second = np.zeros(len(parent), dtype=bool)
+                second[1:] = parent[1:] == parent[:-1]
+                # a split row's first copy keeps its term of lower register value
+                gone = ((v[parent, 0] < v[parent, 1]) != second).astype(int)
+                cut = split[parent]
+                amps = amps[parent]
+                amps[cut, gone[cut]] = 0.0
+                p = amps[:, 0] * amps[:, 0] + amps[:, 1] * amps[:, 1]
+                amps = amps * (1.0 / np.sqrt(p))[:, None]
+                row, weight, v = row[parent], weight[parent] * p, v[parent]
+            live = amps != 0
+            distinct, inverse = np.unique(v[live] >> a, return_inverse=True)
+            answers = np.array([self.scheme.answer(q, x) & mask_bits for q in distinct.tolist()],
+                               dtype=v.dtype)
+            odd = np.zeros(amps.shape, dtype=bool)
+            odd[live] = _parity(answers[inverse] & v[live], a) != 0
+            amps = np.where(odd, -amps, amps)
+        h = SQRT_HALF
+        signs = np.stack([amps[:, 0] * h + amps[:, 1] * h,
+                          amps[:, 0] * h + amps[:, 1] * -h], axis=1)
+        q = signs * signs
+        kept = q > PRUNE_TOL
+        probs = weight[:, None] * q
         outputs: list[dict[int, float]] = [{} for _ in draws]
-        for d, b, p in zip(row[parent].tolist(), bit.tolist(), (weight[parent] * q).tolist()):
+        for d, b, p in zip(np.repeat(row, 2)[kept.ravel()].tolist(),
+                           np.nonzero(kept)[1].tolist(), probs[kept].tolist()):
             out = outputs[d]
             out[b] = out.get(b, 0.0) + p
         return outputs

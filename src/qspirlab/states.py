@@ -22,16 +22,6 @@ its result goes through the constructor, whose norm check is its only
 guard.  A checked map keeps the columns its unitarity check built, per
 callable and width: later applications look its images up instead of
 calling it again.
-
-The ``*_batch`` twins run many such states through one op at once, for the
-compiled protocol's output-only path.  A batch is two arrays: ``keys[B, T]``
-and ``amps[B, T]`` (complex), row b holding one state's terms in term order.
-A slot whose amplitude is exactly 0 is empty; every op prunes at
-``PRUNE_TOL`` as the SparseState constructor does, so a live term is never
-0.  Keys are uint64 while the layout fits 64 bits and Python ints in object
-arrays beyond, through the same expressions.  Each twin performs the IEEE
-operations of the dict op it mirrors in the same order, so its results are
-equal to the last bit.
 """
 
 from __future__ import annotations
@@ -39,9 +29,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
+from typing import Callable, Mapping, Sequence
 
 from . import kernels
 from .registers import RegisterLayout
@@ -123,52 +111,6 @@ class SparseState:
         return f"SparseState({' + '.join(parts)}{more})"
 
 
-def key_dtype(layout: RegisterLayout) -> np.dtype:
-    """Array dtype of a batch's keys: uint64 up to 64 bits, Python ints beyond."""
-    return np.dtype(np.uint64) if layout.width <= 64 else np.dtype(object)
-
-
-def _too_wide(values: np.ndarray, width: int) -> np.ndarray:
-    """Where ``values`` do not fit ``width`` bits (negative Python ints never do)."""
-    if values.dtype != object and width >= 64:
-        return np.zeros(values.shape, dtype=bool)
-    return (values >> width) != 0
-
-
-def _sub_keys(keys: np.ndarray, shift: int, width: int) -> np.ndarray:
-    return (keys >> shift) & ((1 << width) - 1)
-
-
-def _batch_norms(amps: np.ndarray) -> np.ndarray:
-    """Per-row norm^2: re*re + im*im summed in term order from 0, as ``norm_sq``."""
-    squares = amps.real * amps.real + amps.imag * amps.imag
-    total = np.zeros(len(amps))
-    for column in squares.T:
-        total = total + column
-    return total
-
-
-def validate_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray) -> np.ndarray:
-    """Prune at PRUNE_TOL and check key range and norm, as the SparseState constructor does."""
-    amps = np.where(np.abs(amps) > PRUNE_TOL, amps, 0j)
-    outside = _too_wide(keys, layout.width) & (amps != 0)
-    if outside.any():
-        raise ValueError(f"basis key {keys[outside][0]} outside layout width {layout.width}")
-    norms = _batch_norms(amps)
-    off = np.abs(norms - 1.0) > NORM_TOL
-    if off.any():
-        raise ValueError(f"state norm^2 = {float(norms[off][0])!r}, not 1 within {NORM_TOL}")
-    return amps
-
-
-def _compact(keys: np.ndarray, amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Move each row's live terms to the front, in order, and drop empty columns."""
-    live = amps != 0
-    order = np.argsort(~live, axis=1, kind="stable")
-    order = order[:, :max(int(live.sum(axis=1).max(initial=0)), 1)]
-    return np.take_along_axis(keys, order, axis=1), np.take_along_axis(amps, order, axis=1)
-
-
 def tensor(a: SparseState, b: SparseState) -> SparseState:
     """Tensor product; register names must be disjoint."""
     layout = a.layout.concat(b.layout)
@@ -185,38 +127,25 @@ def apply_phase_oracle(state: SparseState, target: str | Sequence[str],
     concatenated substring in the order given.
     """
     names = (target,) if isinstance(target, str) else tuple(target)
-    if len(names) == 1:
-        shift, w = state.layout.piece(names[0])
+    pieces = state.layout.pieces(names)
+    table = {}
+    if len(pieces) == 1:
+        (shift, w), = pieces
         mask = (1 << w) - 1
-        table = {}
         for k in state.terms:
             sub = (k >> shift) & mask
             if sub not in table:
                 table[sub] = phase_fn(sub) & 1
         terms = kernels.phase_apply(state.terms, shift, mask, table)
         return SparseState._trusted(state.layout, terms)
-    pieces = state.layout.pieces(names)
     terms = {}
     for k, v in state.terms.items():
         sub = kernels.extract_sub(k, pieces)
-        terms[k] = -v if phase_fn(sub) & 1 else v
+        odd = table.get(sub)
+        if odd is None:
+            odd = table[sub] = phase_fn(sub) & 1
+        terms[k] = -v if odd else v
     return SparseState._trusted(state.layout, terms)
-
-
-def apply_phase_oracle_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
-                             target: str, phase_fn: Callable[[np.ndarray], np.ndarray]
-                             ) -> np.ndarray:
-    """Batched apply_phase_oracle on one register; returns the new amplitudes.
-
-    ``phase_fn`` maps the array of distinct target sub-keys among the batch's
-    live terms, each given once, to an array of parities.
-    """
-    subs = _sub_keys(keys, *layout.piece(target))
-    live = amps != 0
-    distinct, inverse = np.unique(subs[live], return_inverse=True)
-    odd = np.zeros(amps.shape, dtype=bool)
-    odd[live] = (phase_fn(distinct) & 1)[inverse] != 0
-    return np.where(odd, -amps, amps)
 
 
 # Columns of the local maps verified unitary, keyed by callable, then target width.
@@ -284,21 +213,8 @@ def apply_local_map(
     names = (target,) if isinstance(target, str) else tuple(target)
     pieces = state.layout.pieces(names)
     width = sum(w for _, w in pieces)
-    images = _map_images(fn, width, (kernels.extract_sub(k, pieces) for k in state.terms))
-    terms = kernels.apply_map_terms(state.terms, pieces, images)
-    if width <= MAX_UNITARITY_CHECK_WIDTH:  # checked unitary by _map_images
-        return SparseState._trusted(state.layout, terms)
-    return SparseState(state.layout, terms)
-
-
-def _map_images(fn: Callable[[int], Mapping[int, complex]], width: int,
-                subs: Iterable[int]) -> dict:
-    """fn's image of every sub-key in ``subs``.
-
-    A map narrow enough to check gets every column, built by the unitarity
-    check on its first use at this width and kept; later calls look them up.
-    """
     if width <= MAX_UNITARITY_CHECK_WIDTH:
+        # every column, built by the unitarity check on the map's first use at this width
         try:
             checked = _verified_maps.setdefault(fn, {})
         except TypeError:  # non-weakrefable callable; check every time
@@ -306,61 +222,14 @@ def _map_images(fn: Callable[[int], Mapping[int, complex]], width: int,
         columns = checked.get(width)
         if columns is None:
             columns = checked[width] = _check_unitary(fn, width)
-        return columns
+        terms = kernels.apply_map_terms(state.terms, pieces, columns)
+        return SparseState._trusted(state.layout, terms)
     images = {}
-    for sub in subs:
+    for k in state.terms:
+        sub = kernels.extract_sub(k, pieces)
         if sub not in images:
             images[sub] = _as_image(fn(sub), width)
-    return images
-
-
-def apply_local_map_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
-                          target: str, fn: Callable[[int], Mapping[int, complex]]
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched apply_local_map on one register; returns the new keys and amplitudes.
-
-    Candidate terms come in ``apply_map_terms`` order (term, then image
-    entry), equal keys accumulate in that order into the first one's slot,
-    and the result is pruned, checked and compacted.
-    """
-    shift, width = layout.piece(target)
-    subs = _sub_keys(keys, shift, width)
-    live = amps != 0
-    distinct, inverse = np.unique(subs[live], return_inverse=True)
-    distinct = distinct.tolist()
-    images = _map_images(fn, width, distinct)
-    columns = [images[sub] for sub in distinct]
-    entries = max((len(col) for col in columns), default=1)
-    image_subs = np.zeros((len(columns), entries), dtype=keys.dtype)
-    image_amps = np.zeros((len(columns), entries), dtype=complex)
-    image_live = np.zeros((len(columns), entries), dtype=bool)
-    for u, col in enumerate(columns):
-        for e, (sub, amp) in enumerate(col):
-            image_subs[u, e], image_amps[u, e], image_live[u, e] = sub, amp, True
-    column = np.zeros(amps.shape, dtype=np.intp)
-    column[live] = inverse
-
-    count = len(keys)
-    rest = keys ^ (keys & (((1 << width) - 1) << shift))
-    cand_keys = (rest[:, :, None] | (image_subs[column] << shift)).reshape(count, -1)
-    # v * amp spelled out as Python's complex multiply rounds it (numpy's may fuse)
-    v, amp = amps[:, :, None], image_amps[column]
-    cand_amps = np.empty(amp.shape, dtype=complex)
-    cand_amps.real = v.real * amp.real - v.imag * amp.imag
-    cand_amps.imag = v.real * amp.imag + v.imag * amp.real
-    cand_amps = cand_amps.reshape(count, -1)
-    cand_live = (live[:, :, None] & image_live[column]).reshape(count, -1)
-    same = (cand_keys[:, :, None] == cand_keys[:, None, :]) & cand_live[:, None, :]
-    first = same.argmax(axis=2)
-    acc = np.zeros(cand_amps.shape, dtype=complex)
-    rows = np.arange(count)
-    for c in range(cand_amps.shape[1]):
-        new = cand_live[:, c] & (first[:, c] == c)
-        acc[new, c] = cand_amps[new, c]
-        again = cand_live[:, c] & ~new
-        r, f = rows[again], first[again, c]
-        acc[r, f] = acc[r, f] + cand_amps[again, c]
-    return _compact(cand_keys, validate_batch(layout, cand_keys, acc))
+    return SparseState(state.layout, kernels.apply_map_terms(state.terms, pieces, images))
 
 
 def conditional_xor_relabel(
@@ -396,35 +265,6 @@ def conditional_xor_relabel(
     return SparseState._trusted(state.layout, terms)
 
 
-def conditional_xor_relabel_batch(
-    layout: RegisterLayout,
-    keys: np.ndarray,
-    control: str,
-    targets: Sequence[str],
-    values_by_control: Mapping[int, Mapping[str, np.ndarray]],
-    ) -> np.ndarray:
-    """Batched conditional_xor_relabel on one control register; returns the new keys.
-
-    ``values_by_control[c][name]`` holds one XOR constant per batch row.
-    """
-    if control in targets:
-        raise ValueError("control registers cannot also be XOR targets")
-    ctrl = _sub_keys(keys, *layout.piece(control))
-    out = keys
-    for c, per_reg in values_by_control.items():
-        full = np.zeros(len(keys), dtype=keys.dtype)
-        for name, values in per_reg.items():
-            shift, w = layout.piece(name)
-            if name not in targets:
-                raise ValueError(f"register {name!r} not listed in targets")
-            wide = _too_wide(values, w)
-            if wide.any():
-                raise ValueError(f"XOR constant {values[wide][0]} too wide for {name}")
-            full = full | (values << shift)
-        out = np.where(ctrl == c, keys ^ full[:, None], out)
-    return out
-
-
 def measurement_branches(state: SparseState, target: str) -> tuple[tuple[float, int, SparseState], ...]:
     """All computational-basis outcomes of measuring one register.
 
@@ -443,38 +283,6 @@ def measurement_branches(state: SparseState, target: str) -> tuple[tuple[float, 
                                     kernels.scale_terms(sub_terms, 1.0 / math.sqrt(p)))
         branches.append((p, outcome, post))
     return tuple(branches)
-
-
-def measurement_branches_batch(layout: RegisterLayout, keys: np.ndarray, amps: np.ndarray,
-                               target: str):
-    """Batched measurement_branches of one register.
-
-    Returns ``(row, outcome, probability, keys, amps)`` with one entry per
-    branch above PRUNE_TOL: the batch row it came from, its outcome, its
-    probability (its terms' norm^2 in term order) and its renormalised
-    post-states as a new batch.  Branches are ordered by row, then outcome.
-    """
-    subs = _sub_keys(keys, *layout.piece(target))
-    live = amps != 0
-    count, width = amps.shape
-    same = (subs[:, :, None] == subs[:, None, :]) & live[:, None, :]
-    group = same.argmax(axis=2)   # each live term's first term with its outcome
-    squares = amps.real * amps.real + amps.imag * amps.imag
-    probs = np.zeros(amps.shape)
-    rows = np.arange(count)
-    for t in range(width):
-        probs[rows, group[:, t]] += squares[:, t]
-    lead = live & (group == np.arange(width))
-    rank = ((subs[:, None, :] < subs[:, :, None]) & lead[:, None, :]).sum(axis=2)
-    row, slot = np.nonzero(lead & (probs > PRUNE_TOL))
-    order = np.lexsort((rank[row, slot], row))
-    row, slot = row[order], slot[order]
-    p = probs[row, slot]
-    members = (group[row] == slot[:, None]) & live[row]
-    post = np.where(members, amps[row] * (1.0 / np.sqrt(p))[:, None], 0j)
-    post_keys = keys[row]
-    post_keys, post = _compact(post_keys, validate_batch(layout, post_keys, post))
-    return row, subs[row, slot], p, post_keys, post
 
 
 def measure_register(state: SparseState, target: str, rng) -> tuple[int, SparseState]:

@@ -1,10 +1,11 @@
-"""Shared test fixtures: broken and random schemes, a detectable attack, a classical twin
-audit, the single-qubit Pauli maps, and the full-validation switch for the internal
-constructors."""
+"""Shared test fixtures: broken and random schemes, a detectable attack, the clean
+query's unitary image, a classical twin audit, the single-qubit Pauli maps, and the
+full-validation switch for the internal constructors."""
 
 import random
 from contextlib import contextmanager
 
+from qspirlab.adversary import CleanQueryOracle, attack_input_layout
 from qspirlab.audits import AuditGrid, AuditReport
 from qspirlab.density import DensityMatrix
 from qspirlab.registers import RegisterLayout, bits
@@ -124,6 +125,37 @@ def leaky_attack_views(protocol, x, r, masks):
     content = (plan.queries[0] << s.a) | 1
     dm = DensityMatrix(layout, {(content, content): 1.0})
     return {("server1", "send:server1"): dm}
+
+
+class CleanQueryError(RuntimeError):
+    """Sign or work registers did not return to zero; erasure failed."""
+
+
+def clean_query(oracle: CleanQueryOracle, input_state: SparseState) -> SparseState:
+    """|i>|b> -> |i>|b XOR x_i>, extended linearly over the input support.
+
+    Only defined for coherent protocols: the countermeasured variants
+    produce branch ensembles instead of one unitary image.  Raises
+    :class:`CleanQueryError` if the sign or any work register fails to
+    return to zero, which would leave index branches distinguishable and
+    make erasure impossible.
+    """
+    if oracle.protocol.dephase_servers:
+        raise ValueError("clean queries are unitary; the countermeasured protocol is not")
+    branches = oracle.query_branches(input_state)
+    (_, state), = branches
+    in_layout = attack_input_layout(oracle.protocol.n)
+    scratch_width = state.layout.width - in_layout.width
+    scratch_mask = (1 << scratch_width) - 1
+    terms = {}
+    for key, amp in state.terms.items():
+        if key & scratch_mask:
+            raise CleanQueryError(
+                "sign or work registers did not return to their fixed state; "
+                "the query leaves index branches distinguishable"
+            )
+        terms[key >> scratch_width] = amp
+    return SparseState(in_layout, terms)
 
 
 def audit_data_privacy_classical_direct(scheme: LinearPirScheme, grid: AuditGrid) -> AuditReport:

@@ -12,7 +12,6 @@ from qspirlab.adversary import (
     _draw_space,
     attack_input_layout,
     attack_output_mixture,
-    clean_query,
     honest_output_mixture,
     leakage_report,
     mutual_information_bits,
@@ -25,7 +24,7 @@ from qspirlab.protocols import resolve_protocol
 from qspirlab.schemes import Database, all_databases, run_classically
 from qspirlab.states import SparseState, equal_up_to_global_phase
 
-from helpers import RandomXorScheme, leaky_attack_views
+from helpers import RandomXorScheme, clean_query, leaky_attack_views
 
 S = math.sqrt(0.5)
 

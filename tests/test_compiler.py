@@ -17,7 +17,6 @@ from qspirlab.audits import (
 )
 from qspirlab.compiler import (
     CompiledProtocol,
-    build_query_batch,
     build_query_state,
     compiled_layout,
     server_phase,
@@ -362,19 +361,29 @@ class TestBatchedOutputs:
 
 
 class TestWideLayout:
-    """``qspir(subset2)`` at n=40 has an 83-bit layout: keys are Python ints."""
+    """Registers wider than a machine word, which the batch holds as Python ints.
+
+    ``qspir(subset2)`` at n=40 has 41-bit registers in an 83-bit layout;
+    ``qspir(trivial1)`` at n=70 has one 70-bit register in a 71-bit layout.
+    """
 
     def setup_method(self):
         self.protocol = CompiledProtocol(make_scheme("subset2", 40))
         self.x = Database(40, 0xA5C3F00F5A)
 
     def test_layout_is_wider_than_a_word(self):
-        layout = self.protocol.layout()
-        assert layout.width == 83
-        plans = [self.protocol.scheme.gen_plan(40, (1 << 40) - 1)]
-        keys, _, _, _ = build_query_batch(plans, [(1, 0)], layout)
-        assert keys.dtype == object
-        assert int(keys[0, 1]) >> 82 == 1
+        assert self.protocol.layout().width == 83
+        plan = self.protocol.scheme.gen_plan(40, (1 << 40) - 1)
+        assert max(build_query_state(plan, (1, 0)).terms) >> 82 == 1
+        assert CompiledProtocol(make_scheme("trivial1", 70)).layout().width == 71
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_register_wider_than_a_word(self, countermeasure):
+        protocol = CompiledProtocol(make_scheme("trivial1", 70), dephase_servers=countermeasure)
+        x = Database(70, 0x2F0F_5A5A_C3C3_9669_A5)
+        draws = [(i, 0, (m,)) for i in (1, 35, 70)
+                 for m in (0, 1, 0x15_A5A5_A5A5_A5A5_A5A5, (1 << 70) - 1)]
+        _assert_outputs_equal_runs(protocol, [x], draws)
 
     @pytest.mark.parametrize("countermeasure", [False, True])
     def test_outputs_equal_runs(self, countermeasure):

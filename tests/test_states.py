@@ -1,10 +1,8 @@
 """Sparse-state core: construction, operations, and their basic algebra."""
 
-import cmath
 import math
 import random
 
-import numpy as np
 import pytest
 
 from qspirlab.registers import RegisterLayout
@@ -12,12 +10,10 @@ from qspirlab.states import (
     NonUnitaryMapError,
     SparseState,
     apply_local_map,
-    apply_local_map_batch,
     apply_phase_oracle,
     conditional_xor_relabel,
     equal_up_to_global_phase,
     hadamard,
-    key_dtype,
     measure_register,
     measurement_branches,
     tensor,
@@ -118,6 +114,18 @@ class TestPhaseOracle:
         out = apply_phase_oracle(state, "b", lambda z: z)
         assert out.support() == state.support()
 
+    @pytest.mark.parametrize("targets, keys", [
+        (("a", "b"), ("000", "001", "110", "111")),   # adjacent: one bit field
+        (("a", "c"), ("000", "010", "101", "111")),   # apart: two
+    ])
+    def test_phase_fn_called_once_per_distinct_sub_key(self, targets, keys):
+        layout = RegisterLayout.of(("a", 1), ("b", 1), ("c", 1))
+        state = SparseState.from_bits(layout, dict.fromkeys(keys, 0.5))
+        calls = []
+        out = apply_phase_oracle(state, targets, lambda z: calls.append(z) or z & 1)
+        assert calls == [0, 3]
+        assert out.bits_terms() == {s: -0.5 if s[0] == "1" else 0.5 for s in keys}
+
 
 class TestLocalMap:
     def test_hadamard_on_zero(self):
@@ -144,39 +152,6 @@ class TestLocalMap:
         swap = lambda z: {((z & 1) << 1) | (z >> 1): 1.0}
         out = apply_local_map(SparseState.basis(TWO_BITS, "10"), ("a", "b"), swap)
         assert out.bits_terms() == {"01": 1 + 0j}
-
-
-PHASE = cmath.exp(0.3j)
-
-
-def phased_hadamard(sub):
-    """A Hadamard followed by a complex phase on |1>."""
-    return {0: S, 1: PHASE * S} if sub == 0 else {0: S, 1: -PHASE * S}
-
-
-def exact_terms(keys, amps):
-    return [(int(k), a.real.hex(), a.imag.hex()) for k, a in zip(keys, amps) if a != 0]
-
-
-class TestLocalMapBatch:
-    def test_complex_map_matches_dict_op(self):
-        # terms sharing the untouched register merge, so candidates accumulate
-        layout = RegisterLayout.of(("a", 2), ("q", 1))
-        rng = random.Random(11)
-        rows = 200
-        keys = np.zeros((rows, 3), dtype=key_dtype(layout))
-        amps = np.zeros((rows, 3), dtype=complex)
-        for b in range(rows):
-            values = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(3)]
-            norm = math.sqrt(sum(abs(v) ** 2 for v in values))
-            keys[b] = rng.sample(range(8), 3)
-            amps[b] = [v / norm for v in values]
-        out_keys, out_amps = apply_local_map_batch(layout, keys, amps, "q", phased_hadamard)
-        for b in range(rows):
-            state = SparseState(layout, dict(zip(keys[b].tolist(), amps[b].tolist())))
-            single = apply_local_map(state, "q", phased_hadamard)
-            assert exact_terms(out_keys[b], out_amps[b]) == \
-                exact_terms(single.terms, single.terms.values())
 
 
 class TestMeasurement:

@@ -21,9 +21,10 @@ The three audit families:
   randomness draw) must coincide, pure states up to a global phase.  A
   strictly weaker mixed-over-randomness comparison is reported alongside
   for information; it is fed from the same partial trace as the per-draw
-  view.  A compiled protocol's user state depends on the database only
-  through the classical reconstruction c(x, i, r), so it runs one
-  transcript per class of c instead of one per database.
+  view.  The user's view reads the database only through its protocol's
+  view class (the compiled reconstruction c(x, i, r), Bell's x_i, a
+  classical scheme's answers), so the audit runs one transcript per class
+  instead of one per database.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .compiler import build_query_state  # noqa: F401
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
 from .protocols import ClassicalProtocol, Protocol, closed_form_comm
 from .registers import RegisterLayout, bits
-from .schemes import Database, LinearPirScheme, reconstruct
+from .schemes import Database, LinearPirScheme
 from .states import SQRT_HALF, SparseState, equal_up_to_global_phase
 from .transcript import USER, Transcript, dephase, server_party
 
@@ -139,7 +140,7 @@ def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
       scattered over it (``_cycled_masks``).  Recovery runs one per (x, i, r),
       cycling through them, and the whole subset at its first grid point;
       data privacy runs the first 4 at every (i, r), on every database (one
-      transcript per reconstruction class); user privacy reads every mask
+      transcript per view class); user privacy reads every mask
       off histograms instead.  Data privacy over the whole product would
       need an argument that its verdict and mixtures do not depend on the
       masks, which is not made here.
@@ -483,13 +484,57 @@ def compare_views(a: ViewRecord, b: ViewRecord, tol: float = TOL) -> dict | None
 def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     """Views must agree on database pairs that agree on the requested bit.
 
-    A ``CompiledProtocol`` runs one transcript per reconstruction class
-    (``_data_privacy_by_class``); every other protocol runs one per
-    database (``_data_privacy_by_transcripts``).  Both give the same report.
+    Each protocol names the class its user's view reads x through
+    (``view_class``): the compiled protocol's reconstruction c(x, i, r),
+    Bell's x_i, and a classical scheme's answers.  So each (i, r, masks)
+    runs one transcript per class, on its first database, and every pair
+    takes its classes' verdict.  Views across classes are compared, not
+    assumed to differ: under the countermeasure the compiled ones are
+    equal.  The report is the one-transcript-per-database loop's: the
+    witness is its first failing pair, group[0] against the first member
+    of the first class whose view differs.
     """
-    if isinstance(protocol, CompiledProtocol):
-        return _data_privacy_by_class(protocol, grid)
-    return _data_privacy_by_transcripts(protocol, grid)
+    mask_subset = _data_privacy_masks(protocol)
+    rand = list(protocol.randomness_space())
+    worst = 0.0
+    witness = None
+    pair_count = 0
+    mixed_worst = 0.0
+    for i in grid.indices:
+        for value in (0, 1):
+            group = [x for x in grid.databases if x.bit(i) == value]
+            if len(group) < 2:
+                continue
+            # databases with the same class at every r have the same mixtures,
+            # to the bit: each such set accumulates once, under its first database
+            alike: dict[tuple, Database] = {}
+            for x in group:
+                alike.setdefault(tuple(protocol.view_class(x, i, r) for r in rand), x)
+            mixtures: dict[int, dict[str, DensityAccumulator]] = {
+                x.value: {} for x in alike.values()}
+            for r_idx, r in enumerate(rand):
+                # class -> its sets' first databases, in group order
+                classes: dict = {}
+                for signature, x in alike.items():
+                    classes.setdefault(signature[r_idx], []).append(x)
+                for masks in mask_subset:
+                    views = []
+                    for members in classes.values():
+                        t = protocol.run(members[0], i, r, masks)
+                        # several members where their classes differ at another r
+                        for x in members:
+                            view = user_view(t, mixtures[x.value])
+                        views.append((members[0], view))
+                    pair_count += len(group) - 1
+                    for other, view in views[1:]:
+                        mismatch = compare_views(views[0][1], view)
+                        if mismatch is not None:
+                            worst = max(worst, float(mismatch.get("distance", 1.0)))
+                            if witness is None:
+                                witness = _data_privacy_witness(protocol, i, value, group[0],
+                                                                other, r, masks, mismatch)
+            mixed_worst = max(mixed_worst, _mixed_view_distance(mixtures, list(alike.values())))
+    return _data_privacy_report(protocol, grid, worst, witness, pair_count, mixed_worst)
 
 
 def _data_privacy_masks(protocol: Protocol) -> list[tuple[int, ...]]:
@@ -526,99 +571,6 @@ def _data_privacy_report(protocol: Protocol, grid: AuditGrid, worst: float, witn
             "mixed_view_equal": mixed_worst <= TOL,
         },
     )
-
-
-def _data_privacy_by_transcripts(protocol: Protocol, grid: AuditGrid) -> AuditReport:
-    """One transcript and user view per (i, database, r, masks), paired with the group's first."""
-    mask_subset = _data_privacy_masks(protocol)
-    worst = 0.0
-    witness = None
-    pair_count = 0
-    mixed_worst = 0.0
-    for i in grid.indices:
-        for value in (0, 1):
-            group = [x for x in grid.databases if x.bit(i) == value]
-            if len(group) < 2:
-                continue
-            mixtures: dict[int, dict[str, DensityAccumulator]] = {x.value: {} for x in group}
-            for r in protocol.randomness_space():
-                for masks in mask_subset:
-                    views = {}
-                    for x in group:
-                        views[x.value] = user_view(protocol.run(x, i, r, masks),
-                                                   mixtures[x.value])
-                    basis_x = group[0]
-                    for other in group[1:]:
-                        pair_count += 1
-                        mismatch = compare_views(views[basis_x.value], views[other.value])
-                        if mismatch is not None:
-                            worst = max(worst, float(mismatch.get("distance", 1.0)))
-                            if witness is None:
-                                witness = _data_privacy_witness(protocol, i, value, basis_x,
-                                                                other, r, masks, mismatch)
-            mixed_worst = max(mixed_worst, _mixed_view_distance(mixtures, group))
-    return _data_privacy_report(protocol, grid, worst, witness, pair_count, mixed_worst)
-
-
-def _data_privacy_by_class(protocol: CompiledProtocol, grid: AuditGrid) -> AuditReport:
-    """``_data_privacy_by_transcripts`` with one transcript per reconstruction class.
-
-    Each draw is (|0>|v0> + |1>|v1>)/sqrt(2), and server j multiplies the
-    branches by (-1)^<a_j(q_j), m_j> and (-1)^<a_j(q_j), m_j ^ s_j>.  So
-    their relative sign is the classical reconstruction c(x, i, r), the
-    global sign leaves every view and mixture entry as it is (negation is
-    exact), and the user's knowledge never reads x.  So each (i, r) runs
-    once per class of c, on its first database, and every pair takes its
-    classes' verdict.  Views across classes are compared, not assumed to
-    differ: under the countermeasure they are equal.
-    """
-    scheme = protocol.scheme
-    mask_subset = _data_privacy_masks(protocol)
-    rand = list(protocol.randomness_space())
-    worst = 0.0
-    witness = None
-    pair_count = 0
-    mixed_worst = 0.0
-    for i in grid.indices:
-        plans = [scheme.gen_plan(i, r) for r in rand]
-        for value in (0, 1):
-            group = [x for x in grid.databases if x.bit(i) == value]
-            if len(group) < 2:
-                continue
-            # databases with the same c at every r have the same mixtures, to
-            # the bit: each such set accumulates once, under its first database
-            alike: dict[tuple, Database] = {}
-            for x in group:
-                signature = tuple(reconstruct(plan, [scheme.answer(q, x) for q in plan.queries])
-                                  for plan in plans)
-                alike.setdefault(signature, x)
-            mixtures: dict[int, dict[str, DensityAccumulator]] = {
-                x.value: {} for x in alike.values()}
-            for r_idx, r in enumerate(rand):
-                # c -> its sets' first databases; group[0]'s class comes first
-                classes: dict[int, list[Database]] = {}
-                for signature, x in alike.items():
-                    classes.setdefault(signature[r_idx], []).append(x)
-                for masks in mask_subset:
-                    views = []
-                    for members in classes.values():
-                        t = protocol.run(members[0], i, r, masks)
-                        # more than one member only where the scheme is not a correct PIR
-                        for x in members:
-                            view = user_view(t, mixtures[x.value])
-                        views.append(view)
-                    pair_count += len(group) - 1
-                    if len(views) < 2:
-                        continue
-                    mismatch = compare_views(*views)
-                    if mismatch is not None:
-                        worst = max(worst, float(mismatch.get("distance", 1.0)))
-                        if witness is None:  # the first pair across the classes
-                            other = list(classes.values())[1][0]
-                            witness = _data_privacy_witness(protocol, i, value, group[0],
-                                                            other, r, masks, mismatch)
-            mixed_worst = max(mixed_worst, _mixed_view_distance(mixtures, list(alike.values())))
-    return _data_privacy_report(protocol, grid, worst, witness, pair_count, mixed_worst)
 
 
 def _rand_width(protocol: Protocol) -> int:

@@ -225,6 +225,18 @@ class BellProtocol(OutputsFromRuns):
         p, q = marker_for(i)
         return {1: {left_reg(slot): p, right_reg(slot): q}}
 
+    def view_class(self, x: Database, i: int, r: int = 0) -> int:
+        """x_i: the user's view reads x only through it.
+
+        Both servers apply the same Pauli to their halves of each pair, which
+        fixes the correlated pairs and multiplies the marker pair by
+        (-1)^{x_i}; every other pair is correlated in both query branches.
+        Views at one (i, x_i) differ at most in key order, the global sign
+        of pure states and the sign of zero imaginary parts, none of which
+        a comparison or a mixture distance sees.
+        """
+        return x.bit(i)
+
     def entangle(self, state: SparseState) -> SparseState:
         return entangle_pairs(state, self.pair_count)
 

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import kernels
 from .registers import RegisterLayout, bits
-from .schemes import Database, LinearPirScheme, QueryPlan
+from .schemes import Database, LinearPirScheme, QueryPlan, run_classically
 from .states import PRUNE_TOL, SQRT_HALF, SparseState, apply_phase_oracle
 from .transcript import Script, Transcript, execute, sign_recovery
 
@@ -51,6 +51,8 @@ def _check_masks(plan: QueryPlan, masks: Sequence[int]) -> None:
     if len(masks) != plan.k:
         raise ValueError(f"{len(masks)} masks for {plan.k} servers")
     for m in masks:
+        if not isinstance(m, int):
+            raise TypeError(f"mask {m!r} is not an int")
         if not 0 <= m < (1 << plan.a):
             raise ValueError(f"mask {m} does not fit {plan.a} bits")
 
@@ -76,31 +78,13 @@ def build_query_state(plan: QueryPlan, masks: Sequence[int]) -> SparseState:
     return SparseState(layout, {k0: SQRT_HALF, k1: SQRT_HALF})
 
 
-def _plans(scheme: LinearPirScheme, pairs: Iterable[tuple[int, int]]) -> list[QueryPlan]:
-    """``scheme.gen_plan`` of each (i, r), built once per distinct pair of plain ints.
-
-    Any other pair goes to ``gen_plan`` every time, which raises what a run raises.
-    """
-    memo: dict[tuple[int, int], QueryPlan] = {}
-    plans = []
-    for i, r in pairs:
-        if type(i) is not int or type(r) is not int:
-            plans.append(scheme.gen_plan(i, r))
-            continue
-        plan = memo.get((i, r))
-        if plan is None:
-            plan = memo[i, r] = scheme.gen_plan(i, r)
-        plans.append(plan)
-    return plans
-
-
 def _draw_tables(plans: Sequence[QueryPlan], masks: Sequence[Sequence[int]]) -> np.ndarray:
     """``[B, k, 2]`` register values of each draw's sign-0 and sign-1 query terms.
 
     int64 while a register fits 62 bits, Python ints in object arrays beyond.
     """
     k, t, a = plans[0].k, plans[0].t, plans[0].a
-    if all(len(row) == k for row in masks):
+    if all(len(row) == k and all(isinstance(m, int) for m in row) for row in masks):
         try:
             queries, selects, mask_values = [
                 np.array(list(itertools.chain.from_iterable(rows)),
@@ -212,6 +196,17 @@ class CompiledProtocol:
         return {0: _register_values(plan, masks, flip=False),
                 1: _register_values(plan, masks, flip=True)}
 
+    def view_class(self, x: Database, i: int, r: int) -> int:
+        """The classical reconstruction c(x, i, r): the user's view reads x only through it.
+
+        Each draw is (|0>|v0> + |1>|v1>)/sqrt(2), and server j multiplies
+        the branches by (-1)^<a_j(q_j), m_j> and (-1)^<a_j(q_j), m_j ^ s_j>.
+        So their relative sign is c, the global sign leaves every view and
+        mixture entry as it is (negation is exact), and the user's knowledge
+        never reads x.
+        """
+        return run_classically(self.scheme, x, i, r)
+
     def entangle(self, state: SparseState) -> SparseState:
         return state  # the query state is prepared by the relabel alone
 
@@ -220,6 +215,7 @@ class CompiledProtocol:
     def run(self, x: Database, i: int, r: int, masks: Sequence[int]) -> Transcript:
         plan = self.scheme.gen_plan(i, r)
         masks = tuple(masks)
+        _check_masks(plan, masks)
         return execute(self, x, i, Script(
             knowledge=self._knowledge(plan, masks),
             state=build_query_state(plan, masks),
@@ -270,7 +266,7 @@ class CompiledProtocol:
         terms reduce to these real ops in this order, and a dead term adds
         only 0.0.
         """
-        plans = _plans(self.scheme, ((i, r) for i, r, _ in draws))
+        plans = [self.scheme.plan(i, r) for i, r, _ in draws]
         values = _draw_tables(plans, [m for _, _, m in draws])
         a = self.scheme.shape.a
         mask_bits = (1 << a) - 1

@@ -89,6 +89,15 @@ class ClassicalProtocol(OutputsFromRuns):
         """
         return {run_classically(self.scheme, x, i, r): 1.0}
 
+    def view_class(self, x: Database, i: int, r: int) -> tuple[int, ...]:
+        """The answers to the plan's queries: the user's view reads x only through them.
+
+        The knowledge and the query state come from the plan alone, each
+        server writes its answer into a basis state, and the output is their
+        reconstruction, so equal answers give the same view, to the bit.
+        """
+        return tuple(self.scheme.answer(q, x) for q in self.scheme.plan(i, r).queries)
+
     def _script(self, x: Database, i: int, r: int) -> Script:
         s = self.scheme.shape
         plan = self.scheme.gen_plan(i, r)

@@ -117,6 +117,20 @@ class LinearPirScheme:
         """a-bit answer; a function of the query and the database only."""
         raise NotImplementedError
 
+    def plan(self, i: int, r: int) -> QueryPlan:
+        """``gen_plan(i, r)``, built once per pair of plain ints and kept.
+
+        Any other pair goes to ``gen_plan`` every time, which raises what a
+        run raises: 1.0 == 1, but index 1.0 is refused.
+        """
+        if type(i) is not int or type(r) is not int:
+            return self.gen_plan(i, r)
+        memo = self.__dict__.setdefault("_plan_memo", {})
+        plan = memo.get((i, r))
+        if plan is None:
+            plan = memo[i, r] = self.gen_plan(i, r)
+        return plan
+
     def comm_cost(self) -> int:
         """Total classical communication in bits: k * (t + a)."""
         s = self.shape
@@ -150,7 +164,7 @@ def reconstruct(plan: QueryPlan, answers: Sequence[int]) -> int:
 
 
 def run_classically(scheme: LinearPirScheme, x: Database, i: int, r: int) -> int:
-    plan = scheme.gen_plan(i, r)
+    plan = scheme.plan(i, r)
     answers = [scheme.answer(q, x) for q in plan.queries]
     return reconstruct(plan, answers)
 

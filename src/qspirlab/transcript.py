@@ -38,7 +38,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
-from .density import DensityAccumulator, DensityMatrix
 from .registers import RegisterLayout
 from .states import (
     SparseState,
@@ -92,16 +91,6 @@ class Transcript:
     @property
     def bits_total(self) -> int:
         return sum(s.bits_sent for s in self.steps)
-
-    def reduced_density(self, step_index: int, party: str) -> DensityMatrix | None:
-        """Mixed reduced state of the registers a party holds after a step."""
-        step = self.steps[step_index]
-        held = self.layout.in_layout_order(step.holdings(party))
-        if not held or step.branches is None:
-            return None
-        acc = DensityAccumulator(self.layout, held)
-        acc.add_branches(step.branches)
-        return acc.finalize()
 
 
 class TranscriptBuilder:

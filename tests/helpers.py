@@ -1,13 +1,15 @@
 """Shared test fixtures: broken and random schemes, a detectable attack, the clean
-query's unitary image, a classical twin audit, the single-qubit Pauli maps, and the
-full-validation switch for the internal constructors."""
+query's unitary image, a classical twin audit, the one-transcript-per-database
+data-privacy reference, the single-qubit Pauli maps, and the full-validation switch
+for the internal constructors."""
 
 import random
 from contextlib import contextmanager
 
 from qspirlab.adversary import CleanQueryOracle, attack_input_layout
+from qspirlab import audits
 from qspirlab.audits import AuditGrid, AuditReport
-from qspirlab.density import DensityMatrix
+from qspirlab.density import DensityAccumulator, DensityMatrix
 from qspirlab.registers import RegisterLayout, bits
 from qspirlab.schemes import LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme
 from qspirlab.states import SparseState
@@ -197,6 +199,42 @@ def audit_data_privacy_classical_direct(scheme: LinearPirScheme, grid: AuditGrid
         witness=witness,
         details={"pairs_compared": pair_count},
     )
+
+
+def data_privacy_by_transcripts(protocol, grid: AuditGrid) -> AuditReport:
+    """One transcript and user view per (i, database, r, masks), paired with the group's first.
+
+    The reference ``audits.audit_data_privacy`` must match byte for byte:
+    it runs one transcript per view class instead of one per database.
+    """
+    mask_subset = audits._data_privacy_masks(protocol)
+    worst = 0.0
+    witness = None
+    pair_count = 0
+    mixed_worst = 0.0
+    for i in grid.indices:
+        for value in (0, 1):
+            group = [x for x in grid.databases if x.bit(i) == value]
+            if len(group) < 2:
+                continue
+            mixtures: dict[int, dict[str, DensityAccumulator]] = {x.value: {} for x in group}
+            for r in protocol.randomness_space():
+                for masks in mask_subset:
+                    views = {}
+                    for x in group:
+                        views[x.value] = audits.user_view(protocol.run(x, i, r, masks),
+                                                          mixtures[x.value])
+                    basis_x = group[0]
+                    for other in group[1:]:
+                        pair_count += 1
+                        mismatch = audits.compare_views(views[basis_x.value], views[other.value])
+                        if mismatch is not None:
+                            worst = max(worst, float(mismatch.get("distance", 1.0)))
+                            if witness is None:
+                                witness = audits._data_privacy_witness(
+                                    protocol, i, value, basis_x, other, r, masks, mismatch)
+            mixed_worst = max(mixed_worst, audits._mixed_view_distance(mixtures, group))
+    return audits._data_privacy_report(protocol, grid, worst, witness, pair_count, mixed_worst)
 
 
 @contextmanager

@@ -34,6 +34,7 @@ from helpers import (
     LeakyScheme,
     RandomXorScheme,
     audit_data_privacy_classical_direct,
+    data_privacy_by_transcripts,
 )
 
 
@@ -398,7 +399,24 @@ class TestFusedUserView:
                 reference = json.dumps(audit_data_privacy(protocol, make_grid(n)).to_jsonable())
             assert report == reference
 
-    def test_each_mixture_finalized_once_per_group(self, monkeypatch):
+    @pytest.mark.parametrize("name,n", [("bell2", 4), ("subset2", 3)])
+    def test_each_mixture_finalized_once_per_group(self, name, n, monkeypatch):
+        """One accumulator set per view class signature, each finalized exactly once.
+
+        A bell2 group is one class (x_i); a classical subset2 group holds one
+        per answers pattern over r.
+        """
+        protocol = resolve_protocol(name, n)
+        grid = make_grid(n)
+        rand = list(protocol.randomness_space())
+        expected = []
+        for i in grid.indices:
+            t = protocol.run(grid.databases[0], i, rand[0], ())
+            steps = sum(1 for step in t.steps if step.branches is not None and step.holdings(USER))
+            for value in (0, 1):
+                signatures = {tuple(protocol.view_class(x, i, r) for r in rand)
+                              for x in grid.databases if x.bit(i) == value}
+                expected.append(len(signatures) * steps)
         finalized = []
         finalize = DensityAccumulator.finalize
         groups = []
@@ -414,11 +432,13 @@ class TestFusedUserView:
 
         monkeypatch.setattr(DensityAccumulator, "finalize", counting_finalize)
         monkeypatch.setattr(audits, "_mixed_view_distance", recording_distance)
-        audit_data_privacy(resolve_protocol("bell2", 4), make_grid(4))
+        audit_data_privacy(protocol, grid)
         counts = Counter(map(id, finalized))
-        assert len(groups) == 8
+        assert [len(accs) for accs in groups] == expected
+        # bell2: one class per group, times 8 steps with a state; subset2: each of
+        # a group's 4 databases answers differently at some r, times 5 steps
+        assert expected == {"bell2": [1 * 8] * 8, "subset2": [4 * 5] * 6}[name]
         for accs in groups:
-            assert len(accs) == 8 * 8  # databases in the group, times steps with a state
             assert [counts[id(acc)] for acc in accs] == [1] * len(accs)
 
 
@@ -427,11 +447,25 @@ def report_bytes(report):
 
 
 class TestDataPrivacyByClass:
-    """One transcript per reconstruction class gives the transcript loop's report, byte for byte.
+    """One transcript per view class gives the transcript loop's report, byte for byte.
 
     The random tables make no correct PIR scheme, so a group usually holds
-    both classes c = 0 and c = 1, and several patterns of c over r.
+    both classes c = 0 and c = 1, and several patterns of c over r.  A Bell
+    group is one class, x_i; a classical group holds one per answers tuple.
     """
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name,n", [("bell2", n) for n in range(2, 7)]
+                             + [(name, n) for name in ("subset2", "cube2", "trivial1")
+                                for n in range(2, 5)]
+                             + [(name, n) for name in ("qspir(subset2)", "qspir(trivial1)")
+                                for n in range(1, 4)])
+    def test_registered_protocols(self, name, n, countermeasure):
+        protocol = resolve_protocol(name, n, countermeasure)
+        grid = make_grid(n)
+        report = audit_data_privacy(protocol, grid)
+        assert report.passed == (protocol.kind == "quantum")
+        assert report_bytes(report) == report_bytes(data_privacy_by_transcripts(protocol, grid))
 
     @settings(max_examples=4, deadline=None)
     @given(data=st.data())
@@ -449,7 +483,7 @@ class TestDataPrivacyByClass:
         assert audits._mask_mode(protocol)[0] == "full"
         grid = make_grid(n)
         assert report_bytes(audit_data_privacy(protocol, grid)) == \
-            report_bytes(audits._data_privacy_by_transcripts(protocol, grid))
+            report_bytes(data_privacy_by_transcripts(protocol, grid))
 
     @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
     def test_corrupted_scheme(self, countermeasure):
@@ -457,7 +491,7 @@ class TestDataPrivacyByClass:
         report = audit_data_privacy(protocol, make_grid(3))
         assert report.passed == countermeasure
         assert report_bytes(report) == \
-            report_bytes(audits._data_privacy_by_transcripts(protocol, make_grid(3)))
+            report_bytes(data_privacy_by_transcripts(protocol, make_grid(3)))
 
     def test_cycled_masks(self):
         # 128 mask combinations: the first 4 at every (i, r), on all 128 databases
@@ -465,7 +499,7 @@ class TestDataPrivacyByClass:
         assert audits._mask_mode(protocol)[0] == "cycle"
         grid = make_grid(7)
         assert report_bytes(audit_data_privacy(protocol, grid)) == \
-            report_bytes(audits._data_privacy_by_transcripts(protocol, grid))
+            report_bytes(data_privacy_by_transcripts(protocol, grid))
 
     @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -199,8 +199,10 @@ class TestTranscript:
         s = make_scheme("subset2", 2)
         plan = s.gen_plan(1, 0b10)
         t = CompiledProtocol(s).run(Database.from_string("11"), 1, 0b10, (1, 0))
-        idx = [step.label for step in t.steps].index("send:server1")
-        rho = t.reduced_density(idx, "server1")
+        step = next(step for step in t.steps if step.label == "send:server1")
+        acc = DensityAccumulator(t.layout, step.holdings("server1"))
+        acc.add_branches(step.branches)
+        rho = acc.finalize()
         assert rho.is_diagonal
         assert rho.entry((plan.queries[0] << 1) | 1, (plan.queries[0] << 1) | 1) == pytest.approx(0.5)
         assert rho.entry((plan.queries[0] << 1) | 0, (plan.queries[0] << 1) | 0) == pytest.approx(0.5)
@@ -322,6 +324,8 @@ class TestBatchedOutputs:
         ((1, 0, (0, 2)), ValueError),        # mask wider than the answer
         ((1, 0, (-1, 0)), ValueError),
         ((1, 0, (1 << 70, 0)), ValueError),  # beyond any machine word
+        ((1, 0, (0.5, 0)), TypeError),       # masks are ints: no float is truncated
+        ((1, 0, (1.0, 0)), TypeError),
     ])
     def test_malformed_draw_raises_like_a_single_run(self, draw, error):
         protocol = CompiledProtocol(make_scheme("subset2", 2))
@@ -340,6 +344,8 @@ class TestBatchedOutputs:
                             lambda i, r: calls.append((i, r)) or gen_plan(i, r))
         draws = _full_draws(protocol) * 2
         protocol.run_outputs(Database.from_string("10"), draws)
+        # the scheme keeps its plans: another database builds none
+        protocol.run_outputs(Database.from_string("01"), draws)
         assert calls == list(dict.fromkeys((i, r) for i, r, _ in draws))
 
     def test_equal_draw_of_another_type_gets_its_own_plan(self):

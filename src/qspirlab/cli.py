@@ -45,11 +45,12 @@ EXIT_FAILED = 2
 # the sweep over 4 databases stays near 12 s.
 ATTACK_DRAW_LIMIT = 4096
 # Most runs ``--scenario honest-baseline`` sweeps, over every database and
-# draw, on the same box.  A compiled protocol runs its draws in numpy batches,
-# 2.7 to 6 us a run: qspir(cube2) at n = 2 swept 4,194,304 runs in 11.3 s.
+# draw, on the same box.  A compiled protocol runs each draw as the two real
+# amplitudes of its query terms: qspir(cube2) at n = 2 swept 4,194,304 runs
+# in 13.9 to 14.5 s, and in 25.9 to 28.1 s with --countermeasure.
 # bell2 builds each run's transcript, at a cost that grows with n: 1.1 ms a
 # run at n = 12 (4.5 s) and 1.8 ms at n = 13, whose 8,192 runs took 15 s.
-BATCHED_BASELINE_RUN_LIMIT = 1 << 22
+COMPILED_BASELINE_RUN_LIMIT = 1 << 22
 TRANSCRIPT_BASELINE_RUN_LIMIT = 1 << 13
 
 
@@ -175,7 +176,7 @@ def _cmd_attack(args) -> int:
             raise ConfigError(f"parity2 on {protocol.name} sweeps {draws:,} draws per "
                               f"database, more than {ATTACK_DRAW_LIMIT:,}")
     else:
-        limit = (BATCHED_BASELINE_RUN_LIMIT if isinstance(protocol, CompiledProtocol)
+        limit = (COMPILED_BASELINE_RUN_LIMIT if isinstance(protocol, CompiledProtocol)
                  else TRANSCRIPT_BASELINE_RUN_LIMIT)
         # every protocol has at least one draw, so too many databases refuse
         # before the draws are counted

@@ -20,20 +20,15 @@ Communication is 2*k*(t+a) qubits: every register travels out and back.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from . import kernels
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, QueryPlan, run_classically
 from .states import PRUNE_TOL, SQRT_HALF, SparseState, apply_phase_oracle
 from .transcript import Script, Transcript, execute, sign_recovery
-
-
-# Most draws ``run_outputs`` puts in one batch; bounds its arrays' memory.
-BATCH_ROWS = 1 << 13
 
 
 def server_register(j: int) -> str:
@@ -58,52 +53,24 @@ def _check_masks(plan: QueryPlan, masks: Sequence[int]) -> None:
 
 
 def _register_values(plan: QueryPlan, masks: Sequence[int], flip: bool) -> dict[str, int]:
-    values = {}
-    for j, (q, sel, m) in enumerate(zip(plan.queries, plan.selects, masks), start=1):
-        payload = m ^ sel if flip else m
-        values[server_register(j)] = (q << plan.a) | payload
-    return values
+    return {server_register(j): (q << plan.a) | (m ^ sel if flip else m)
+            for j, (q, sel, m) in enumerate(zip(plan.queries, plan.selects, masks), start=1)}
+
+
+def _query_keys(plan: QueryPlan, masks: Sequence[int]) -> tuple[int, int]:
+    """Basis keys of the query state's sign-0 and sign-1 terms, after the draw's checks."""
+    _check_masks(plan, masks)
+    if not any(plan.selects):
+        raise ValueError("degenerate plan: all selection vectors are zero")
+    layout = compiled_layout(plan.k, plan.t, plan.a)
+    return (layout.assemble({"sign": 0, **_register_values(plan, masks, flip=False)}),
+            layout.assemble({"sign": 1, **_register_values(plan, masks, flip=True)}))
 
 
 def build_query_state(plan: QueryPlan, masks: Sequence[int]) -> SparseState:
     """The two-branch query superposition over sign + per-server registers."""
-    _check_masks(plan, masks)
-    if all(sel == 0 for sel in plan.selects):
-        raise ValueError("degenerate plan: all selection vectors are zero")
-    layout = compiled_layout(plan.k, plan.t, plan.a)
-    plain = _register_values(plan, masks, flip=False)
-    flipped = _register_values(plan, masks, flip=True)
-    k0 = layout.assemble({"sign": 0, **plain})
-    k1 = layout.assemble({"sign": 1, **flipped})
-    return SparseState(layout, {k0: SQRT_HALF, k1: SQRT_HALF})
-
-
-def _draw_tables(plans: Sequence[QueryPlan], masks: Sequence[Sequence[int]]) -> np.ndarray:
-    """``[B, k, 2]`` register values of each draw's sign-0 and sign-1 query terms.
-
-    int64 while a register fits 62 bits, Python ints in object arrays beyond.
-    """
-    k, t, a = plans[0].k, plans[0].t, plans[0].a
-    if all(len(row) == k and all(isinstance(m, int) for m in row) for row in masks):
-        try:
-            queries, selects, mask_values = [
-                np.array(list(itertools.chain.from_iterable(rows)),
-                         dtype=object if t + a > 62 else np.int64).reshape(-1, k)
-                for rows in ([p.queries for p in plans], [p.selects for p in plans], masks)
-            ]
-        except OverflowError:  # beyond 64 bits, hence beyond every register
-            pass
-        else:
-            in_range = all(not ((values < 0) | (values >> width != 0)).any()
-                           for values, width in ((queries, t), (selects, t + a), (mask_values, a)))
-            if in_range and (selects != 0).any(axis=1).all():
-                base = queries << a
-                return np.stack([base | mask_values, base | (mask_values ^ selects)], axis=2)
-    # Some draw is malformed: building the states one by one raises the error
-    # that draw's own run raises.
-    for plan, row in zip(plans, masks):
-        build_query_state(plan, row)
-    raise AssertionError("batch checks rejected draws that build")
+    k0, k1 = _query_keys(plan, masks)
+    return SparseState(compiled_layout(plan.k, plan.t, plan.a), {k0: SQRT_HALF, k1: SQRT_HALF})
 
 
 def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Database) -> SparseState:
@@ -118,15 +85,16 @@ def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Databas
     return apply_phase_oracle(state, server_register(j), phase)
 
 
-def _parity(values: np.ndarray, width: int) -> np.ndarray:
-    """Parity of the low ``width`` bits of each value, by XOR-folding."""
-    span = 1
-    while span < width:
-        span <<= 1
-    while span > 1:
-        span >>= 1
-        values = values ^ (values >> span)
-    return values & 1
+class _Answers(dict):
+    """Query -> its answer on one database, cut to the mask part; computed on first use."""
+
+    def __init__(self, scheme: LinearPirScheme, x: Database):
+        super().__init__()
+        self.scheme, self.x, self.mask_bits = scheme, x, (1 << scheme.shape.a) - 1
+
+    def __missing__(self, q: int) -> int:
+        answer = self[q] = self.scheme.answer(q, self.x) & self.mask_bits
+        return answer
 
 
 class CompiledProtocol:
@@ -138,6 +106,9 @@ class CompiledProtocol:
     def __init__(self, scheme: LinearPirScheme, dephase_servers: bool = False):
         self.scheme = scheme
         self.dephase_servers = dephase_servers
+        # (i, r) -> its plan, checked by ``run_outputs``, and per server the
+        # register values of the plan's sign-0 and sign-1 query terms at mask 0
+        self._checked: dict[tuple[int, int], tuple[QueryPlan, list[tuple[int, int]]]] = {}
 
     @property
     def name(self) -> str:
@@ -191,7 +162,7 @@ class CompiledProtocol:
 
     def sign_table(self, i: int, r: int, masks: Sequence[int]) -> dict[int, dict[str, int]]:
         """Sign value -> the register values the user XORs out of that query branch."""
-        plan = self.scheme.gen_plan(i, r)
+        plan = self.scheme.plan(i, r)
         _check_masks(plan, masks)
         return {0: _register_values(plan, masks, flip=False),
                 1: _register_values(plan, masks, flip=True)}
@@ -213,7 +184,7 @@ class CompiledProtocol:
     unentangle = entangle
 
     def run(self, x: Database, i: int, r: int, masks: Sequence[int]) -> Transcript:
-        plan = self.scheme.gen_plan(i, r)
+        plan = self.scheme.plan(i, r)
         masks = tuple(masks)
         _check_masks(plan, masks)
         return execute(self, x, i, Script(
@@ -235,75 +206,74 @@ class CompiledProtocol:
                     ) -> list[dict[int, float]]:
         """Output distributions of many runs on one database, one per (i, r, masks) draw.
 
-        The draws run in batches of up to ``BATCH_ROWS`` through the step
-        sequence of ``run``, each state held as its two query terms' real
-        amplitudes (see ``_run_batch``).  Exactness contract: every
-        probability comes from the IEEE operations of the dict ops, in their
-        order, so each distribution equals ``run(x, i, r, masks).output`` to
-        the last bit, keys in the same order; and a malformed draw raises the
-        exception its single run raises.
-        """
-        outputs: list[dict[int, float]] = []
-        for start in range(0, len(draws), BATCH_ROWS):
-            outputs += self._run_batch(x, draws[start:start + BATCH_ROWS])
-        return outputs
-
-    def _run_batch(self, x: Database, draws) -> list[dict[int, float]]:
-        """``run_outputs`` of one batch, with each run stated as two real amplitudes.
-
-        A batch row holds the amplitudes ``(c0, c1)`` of a query state's
-        sign-0 and sign-1 terms (0.0 once a term is measured away), the draw
-        it came from and its weight.  Per server: with ``dephase_servers``, a
-        row whose two live terms differ on the server's register splits in
-        two, lower register value first, and each row is renormalised; then
-        the phase negates a term on odd <answer(query), mask part>.  Recovery
-        XORs both terms down to one key, so the Hadamard gives the sign
-        amplitudes ``c0*h + c1*h`` and ``c0*h - c1*h``, whose squares, above
-        PRUNE_TOL, add to the draw's output, row by row, bit 0 first.
+        Each run is stated directly, as rows ``(c0, c1, weight)``: the real
+        amplitudes of the query state's sign-0 and sign-1 terms (0.0 once a
+        term is measured away) and the row's probability.  Server j's phase
+        negates a term on odd <answer(query), mask part>, so each term's sign
+        is the XOR of its per-server parities, applied once up front.  With
+        ``dephase_servers``, per server, a row whose two live terms differ on
+        that server's register splits in two, lower register value first, and
+        every row is renormalised.  Recovery XORs both terms down to one key,
+        so the Hadamard gives the sign amplitudes ``c0*h + c1*h`` and
+        ``c0*h - c1*h``, whose squares, above PRUNE_TOL, add to the output,
+        row by row, bit 0 first.
 
         Why this is exact: every amplitude of a compiled run is real, its
         imaginary part ±0 throughout, so Python's complex ops on the dict
-        terms reduce to these real ops in this order, and a dead term adds
-        only 0.0.
+        terms of ``run`` reduce to these real ops in this order; a dead term
+        adds only 0.0; and negation is exact and commutes with the
+        renormalisation, so the signs may come first.  Each distribution
+        equals ``run(x, i, r, masks).output`` to the last bit, keys in the
+        same order, and a malformed draw raises what its single run raises.
         """
-        plans = [self.scheme.plan(i, r) for i, r, _ in draws]
-        values = _draw_tables(plans, [m for _, _, m in draws])
         a = self.scheme.shape.a
-        mask_bits = (1 << a) - 1
-        row = np.arange(len(draws))
-        amps = np.full((len(draws), 2), SQRT_HALF)
-        weight = np.ones(len(draws))
-        for j in range(self.k):
-            v = values[row, j]
-            if self.dephase_servers:
-                split = (amps != 0).all(axis=1) & (v[:, 0] != v[:, 1])
-                parent = np.repeat(np.arange(len(row)), 1 + split)
-                second = np.zeros(len(parent), dtype=bool)
-                second[1:] = parent[1:] == parent[:-1]
-                # a split row's first copy keeps its term of lower register value
-                gone = ((v[parent, 0] < v[parent, 1]) != second).astype(int)
-                cut = split[parent]
-                amps = amps[parent]
-                amps[cut, gone[cut]] = 0.0
-                p = amps[:, 0] * amps[:, 0] + amps[:, 1] * amps[:, 1]
-                amps = amps * (1.0 / np.sqrt(p))[:, None]
-                row, weight, v = row[parent], weight[parent] * p, v[parent]
-            live = amps != 0
-            distinct, inverse = np.unique(v[live] >> a, return_inverse=True)
-            answers = np.array([self.scheme.answer(q, x) & mask_bits for q in distinct.tolist()],
-                               dtype=v.dtype)
-            odd = np.zeros(amps.shape, dtype=bool)
-            odd[live] = _parity(answers[inverse] & v[live], a) != 0
-            amps = np.where(odd, -amps, amps)
+        answers = _Answers(self.scheme, x)
         h = SQRT_HALF
-        signs = np.stack([amps[:, 0] * h + amps[:, 1] * h,
-                          amps[:, 0] * h + amps[:, 1] * -h], axis=1)
-        q = signs * signs
-        kept = q > PRUNE_TOL
-        probs = weight[:, None] * q
-        outputs: list[dict[int, float]] = [{} for _ in draws]
-        for d, b, p in zip(np.repeat(row, 2)[kept.ravel()].tolist(),
-                           np.nonzero(kept)[1].tolist(), probs[kept].tolist()):
-            out = outputs[d]
-            out[b] = out.get(b, 0.0) + p
+        outputs = []
+        for i, r, masks in draws:
+            # like ``scheme.plan``, keep plain-int pairs only: 1.0 == 1, but
+            # index 1.0 is refused, so any other pair is planned every time
+            plain = type(i) is int and type(r) is int
+            plan, base = self._checked.get((i, r), (None, None)) if plain else (None, None)
+            if plan is None:
+                plan = self.scheme.plan(i, r)
+                # the query state's checks; a plan that passes them passes for
+                # every mask that fits, since a mask fills only the low a bits
+                _query_keys(plan, masks)
+                base = [(q << plan.a, (q << plan.a) | sel) for q, sel in zip(plan.queries, plan.selects)]
+                if plain:
+                    self._checked[i, r] = plan, base
+            else:
+                _check_masks(plan, masks)
+            values = []
+            odd0 = odd1 = 0
+            for (v0, v1), m in zip(base, masks):
+                v0 ^= m
+                v1 ^= m
+                values.append((v0, v1))
+                odd0 ^= answers[v0 >> a] & v0
+                odd1 ^= answers[v1 >> a] & v1
+            rows = [(-h if odd0.bit_count() & 1 else h, -h if odd1.bit_count() & 1 else h, 1.0)]
+            if self.dephase_servers:
+                for v0, v1 in values:
+                    split = []
+                    for c0, c1, w in rows:
+                        if c0 and c1 and v0 != v1:
+                            halves = [(c0, 0.0, w), (0.0, c1, w)]
+                            split += halves if v0 < v1 else halves[::-1]
+                        else:
+                            split.append((c0, c1, w))
+                    rows = []
+                    for c0, c1, w in split:
+                        p = c0 * c0 + c1 * c1
+                        scale = 1.0 / math.sqrt(p)
+                        rows.append((c0 * scale, c1 * scale, w * p))
+            out: dict[int, float] = {}
+            for c0, c1, w in rows:
+                s0 = c0 * h + c1 * h
+                s1 = c0 * h + c1 * -h
+                for b, q in (0, s0 * s0), (1, s1 * s1):
+                    if q > PRUNE_TOL:
+                        out[b] = out.get(b, 0.0) + w * q
+            outputs.append(out)
         return outputs

@@ -4,7 +4,9 @@ Density matrices here are keyed by (row, column) basis pairs over a
 sub-layout of kept registers.  They stay tiny in honest protocols but can
 grow to a few thousand diagonal entries in exhaustive audits, so
 ``trace_distance`` takes a closed-form path for diagonal operators and a
-dense eigendecomposition on the joint support otherwise.
+dense eigendecomposition on the joint support otherwise.  That dense path
+and ``DensityMatrix.dense`` are the package's only numpy code, and they
+import it when called, so ``import qspirlab`` does not load numpy.
 
 Validation happens at the boundary.  The ``DensityMatrix`` constructor,
 which ``mix``, ``maximally_mixed`` and every caller that assembles entries
@@ -23,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from . import kernels
 from .registers import RegisterLayout
@@ -81,21 +81,16 @@ class DensityMatrix:
         keys = {u for u, _ in self.entries} | {v for _, v in self.entries}
         return tuple(sorted(keys))
 
-    def dense(self, basis: Sequence[int] | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+    def dense(self, basis: Sequence[int] | None = None) -> tuple["numpy.ndarray", tuple[int, ...]]:
         """Dense matrix on the given (or own) support basis."""
+        import numpy as np
+
         basis = tuple(basis) if basis is not None else self.support()
         index = {k: j for j, k in enumerate(basis)}
         mat = np.zeros((len(basis), len(basis)), dtype=complex)
         for (u, v), c in self.entries.items():
             mat[index[u], index[v]] = c
         return mat, basis
-
-    def eigenvalues(self) -> np.ndarray:
-        if self.is_diagonal:
-            return np.array(sorted(c.real for c in self.entries.values()))
-        mat, _ = self.dense()
-        mat = (mat + mat.conj().T) / 2.0
-        return np.linalg.eigvalsh(mat)
 
     def purity(self) -> float:
         return sum(abs(c) ** 2 for c in self.entries.values())
@@ -227,6 +222,8 @@ def trace_distance(p: DensityMatrix, q: DensityMatrix) -> float:
         return 0.5 * sum(
             abs(p.entries.get((u, u), 0j).real - q.entries.get((u, u), 0j).real) for u in keys
         )
+    import numpy as np
+
     basis = tuple(sorted(set(p.support()) | set(q.support())))
     mp, _ = p.dense(basis)
     mq, _ = q.dense(basis)

@@ -15,8 +15,8 @@ and the countermeasure's :func:`dephase` are shared with the attack echo
 and the server-view audit.  Both quantum protocols recover through
 :func:`sign_recovery`, from the relabel table they state once.  The one
 exception is a compiled protocol's output-only runs
-(``CompiledProtocol.run_outputs``), which take the same steps in
-batches, each run held as the two real amplitudes of its query terms.
+(``CompiledProtocol.run_outputs``), which take the same steps on each
+run's two query terms, held as two real amplitudes.
 
 Transcripts serialize to JSON (schema below) and round-trip losslessly::
 

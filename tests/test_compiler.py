@@ -6,7 +6,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspirlab import compiler
 from qspirlab.audits import (
     TOL,
     _mask_mode,
@@ -247,7 +246,7 @@ def _full_draws(protocol):
 
 
 def _assert_outputs_equal_runs(protocol, databases, draws):
-    # ``==`` on floats, not approx: the batch must repeat the dict ops to the bit
+    # ``==`` on floats, not approx: ``run_outputs`` must repeat the dict ops to the bit
     for x in databases:
         outputs = protocol.run_outputs(x, draws)
         assert len(outputs) == len(draws)
@@ -264,6 +263,18 @@ class ZeroSelectSubsetScheme(SubsetScheme):
         plan = super().gen_plan(i, r)
         selects = (0, 0) if i == 1 else plan.selects
         return QueryPlan(i=plan.i, r=plan.r, queries=plan.queries, selects=selects,
+                         t=plan.t, a=plan.a)
+
+
+class WideQuerySubsetScheme(SubsetScheme):
+    """Subset scheme whose first query at index 1 has bit t set: one bit too wide."""
+
+    def gen_plan(self, i, r):
+        plan = super().gen_plan(i, r)
+        queries = plan.queries
+        if i == 1:
+            queries = (queries[0] | 1 << plan.t,) + queries[1:]
+        return QueryPlan(i=plan.i, r=plan.r, queries=queries, selects=plan.selects,
                          t=plan.t, a=plan.a)
 
 
@@ -305,35 +316,42 @@ class TestBatchedOutputs:
             assert protocol.run_outputs(x, [draws[k]]) == [outputs[k]]
             assert protocol.run_output(x, *draws[k]) == outputs[k]
 
-    def test_long_sequences_split_into_batches(self, monkeypatch):
-        protocol = CompiledProtocol(make_scheme("subset2", 3))
-        x = Database.from_string("011")
-        draws = _full_draws(protocol)
-        whole = protocol.run_outputs(x, draws)
-        monkeypatch.setattr(compiler, "BATCH_ROWS", 7)
-        assert protocol.run_outputs(x, draws) == whole
-
     def test_empty_batch(self):
         protocol = CompiledProtocol(make_scheme("subset2", 2))
         assert protocol.run_outputs(Database.from_string("10"), []) == []
 
-    @pytest.mark.parametrize("draw, error", [
-        ((3, 0, (0, 0)), IndexError),        # index outside [1, n]
-        ((1, 4, (0, 0)), ValueError),        # randomness outside the enumeration
-        ((1, 0, (0,)), ValueError),          # one mask for two servers
-        ((1, 0, (0, 2)), ValueError),        # mask wider than the answer
-        ((1, 0, (-1, 0)), ValueError),
-        ((1, 0, (1 << 70, 0)), ValueError),  # beyond any machine word
-        ((1, 0, (0.5, 0)), TypeError),       # masks are ints: no float is truncated
-        ((1, 0, (1.0, 0)), TypeError),
+    @pytest.mark.parametrize("scheme, draw, error", [
+        (SubsetScheme, (3, 0, (0, 0)), IndexError),        # index outside [1, n]
+        (SubsetScheme, (1, 4, (0, 0)), ValueError),        # randomness outside the enumeration
+        (SubsetScheme, (1, 0, (0,)), ValueError),          # one mask for two servers
+        (SubsetScheme, (1, 0, (0, 2)), ValueError),        # mask wider than the answer
+        (SubsetScheme, (1, 0, (-1, 0)), ValueError),
+        (SubsetScheme, (1, 0, (1 << 70, 0)), ValueError),  # beyond any machine word
+        (SubsetScheme, (1, 0, (0.5, 0)), TypeError),       # masks are ints: no float is truncated
+        (SubsetScheme, (1, 0, (1.0, 0)), TypeError),
+        # the plan's query does not fit t bits: the register check refuses it
+        (WideQuerySubsetScheme, (1, 0, (0, 0)), ValueError),
     ])
-    def test_malformed_draw_raises_like_a_single_run(self, draw, error):
-        protocol = CompiledProtocol(make_scheme("subset2", 2))
+    def test_malformed_draw_raises_like_a_single_run(self, scheme, draw, error):
+        protocol = CompiledProtocol(scheme(2))
         x = Database.from_string("10")
         with pytest.raises(error) as single:
             protocol.run(x, *draw)
         with pytest.raises(error) as batched:
             protocol.run_outputs(x, [(2, 1, (0, 1)), draw])
+        assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("masks, error", [
+        ((0,), ValueError), ((0, 2), ValueError), ((0.5, 0), TypeError),
+    ])
+    def test_kept_plan_still_checks_masks(self, masks, error):
+        protocol = CompiledProtocol(make_scheme("subset2", 2))
+        x = Database.from_string("10")
+        protocol.run_outputs(x, [(1, 0, (0, 1))])  # the plan of (1, 0) is now kept
+        with pytest.raises(error) as single:
+            protocol.run(x, 1, 0, masks)
+        with pytest.raises(error) as batched:
+            protocol.run_outputs(x, [(1, 0, (1, 1)), (1, 0, masks)])
         assert str(batched.value) == str(single.value)
 
     def test_one_plan_per_distinct_draw(self, monkeypatch):
@@ -344,8 +362,10 @@ class TestBatchedOutputs:
                             lambda i, r: calls.append((i, r)) or gen_plan(i, r))
         draws = _full_draws(protocol) * 2
         protocol.run_outputs(Database.from_string("10"), draws)
-        # the scheme keeps its plans: another database builds none
+        # the scheme keeps its plans: another database builds none, nor do runs
         protocol.run_outputs(Database.from_string("01"), draws)
+        for i, r, masks in draws:
+            protocol.run(Database.from_string("01"), i, r, masks)
         assert calls == list(dict.fromkeys((i, r) for i, r, _ in draws))
 
     def test_equal_draw_of_another_type_gets_its_own_plan(self):
@@ -367,7 +387,7 @@ class TestBatchedOutputs:
 
 
 class TestWideLayout:
-    """Registers wider than a machine word, which the batch holds as Python ints.
+    """Registers wider than a machine word: Python ints, to the last bit.
 
     ``qspir(subset2)`` at n=40 has 41-bit registers in an 83-bit layout;
     ``qspir(trivial1)`` at n=70 has one 70-bit register in a 71-bit layout.

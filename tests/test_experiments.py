@@ -1,6 +1,10 @@
 """Experiment configs, bundles, and the accounting table as a library API."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -115,3 +119,27 @@ def test_render_helpers_are_plain_text():
     assert "bell2" in text and "measured" in text
     bundle = run_experiment(ExperimentConfig(scheme="bell2", n=2, audits=["comm"]))
     assert "PASS" in render_reports(bundle.reports)
+
+
+NUMPY_FREE_RUN = """
+import sys
+
+import qspirlab
+import qspirlab.cli
+from qspirlab import adversary, audits, experiments
+from qspirlab.protocols import resolve_protocol
+
+recovery = audits.audit_recovery(resolve_protocol("qspir(subset2)", 3), audits.make_grid(3))
+privacy = audits.audit_data_privacy(resolve_protocol("bell2", 4), audits.make_grid(4))
+assert recovery.passed and privacy.passed
+sys.exit("numpy was loaded" if "numpy" in sys.modules else 0)
+"""
+
+
+def test_numpy_stays_off_the_import_path():
+    # only the dense trace distance reads numpy, and neither audit reaches it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -1,4 +1,4 @@
-"""Dishonest-user machinery: clean queries, a parity attack, and the fix.
+"""Dishonest-user machinery: clean queries, the parity attack's figures, and the fix.
 
 A dishonest user can turn honest-protocol executions into one clean oracle
 call ``|i>|b> -> |i>|b XOR x_i``, coherently over any superposition of
@@ -6,19 +6,25 @@ indices.  The construction here is an echo: the user adjoins a fresh sign
 qubit, runs the protocol's preparation, server, and recovery steps
 conditioned on the index register (their classical randomness is drawn
 once per oracle and known to them), CNOTs the recovered bit into the
-target, and then runs the very same steps again.  The echo reads each
-index's steps off the protocol itself: its ``sign_table`` (the table honest
-recovery reads too), ``entangle`` and ``unentangle``.  The servers'
+target, and then runs the very same steps again.  The echo spells none of
+the honest steps itself: it reads each index's relabel table off the
+protocol (``sign_table``, the table honest recovery reads too), sends and
+lets the servers act through honest runs' ``server_round``, under its step
+labels, and undoes the query with honest recovery's ``undo_query``,
+controlled by (index, sign) instead of the sign alone.  The servers'
 conditional phases are involutions, so the second pass deterministically
 returns the sign and work registers to zero, and the residual
 mask-dependent phases of the two passes cancel exactly.  Every state the
 servers see is, draw by draw, exactly a state they see in honest runs, so
-cheating is undetectable from their side.
+cheating is undetectable from their side; ``server_views`` mixes them with
+the honest audit's ``mix_views``.
 
 The concrete attack at the smallest scale: with the index register in a
 uniform superposition and a phase-encoded target, one clean query followed
 by a Hadamard on the index register outputs the XOR of the two database
 bits with certainty — a function no honest single-index retrieval reveals.
+``scenario_mixtures`` gives each database's output mixture, under the
+attack or an honest run, and ``leakage_bits`` the information it carries.
 
 The countermeasure makes each server measure what it receives in the
 computational basis (simulated as exhaustive dephasing branches).  That
@@ -36,10 +42,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .audits import AuditReport, TOL, server_state_mixtures
+from .audits import AuditReport, TOL, mix_views, server_state_mixtures
 from .bell import BellProtocol
 from .compiler import CompiledProtocol
-from .density import DensityAccumulator, DensityMatrix, mix, trace_distance
+from .density import DensityMatrix, mix, trace_distance
 from .registers import RegisterLayout
 from .schemes import Database, all_databases
 from .states import (
@@ -50,7 +56,7 @@ from .states import (
     measurement_branches,
     tensor,
 )
-from .transcript import Branches, server_party, server_round
+from .transcript import Branches, server_party, server_round, undo_query
 
 QuantumProtocol = CompiledProtocol | BellProtocol
 
@@ -63,7 +69,7 @@ def attack_input_layout(n: int) -> RegisterLayout:
     return RegisterLayout.of(("idx", index_width(n)), ("tgt", 1))
 
 
-Checkpoint = tuple[str, str, Branches]  # (step label, server party, branches)
+Checkpoint = tuple[str, int, Branches]  # (step label, server index, branches)
 
 
 @dataclass
@@ -93,22 +99,17 @@ class CleanQueryOracle:
     # -- the query ----------------------------------------------------------
 
     def _half_run(self, branches: Branches, table, targets) -> Branches:
-        """Prepare conditioned on (idx, sign), let servers act, recover."""
+        """Prepare conditioned on (idx, sign), send and let servers act, undo the query."""
         protocol = self.protocol
-        branches = [(p, apply_local_map(st, "sign", hadamard)) for p, st in branches]
         branches = [(p, protocol.entangle(conditional_xor_relabel(
-            st, ("idx", "sign"), targets, table))) for p, st in branches]
-        servers = range(1, protocol.k + 1)
-        for j in servers:
-            self.checkpoints.append((f"send:server{j}", server_party(j), list(branches)))
-        for label, j, branches in server_round(branches, servers, protocol.server_registers,
+            apply_local_map(st, "sign", hadamard), ("idx", "sign"), targets, table)))
+            for p, st in branches]
+        for label, j, branches in server_round(branches, range(1, protocol.k + 1),
+                                               protocol.server_registers,
                                                protocol.server_operation(self.x), protocol.verb,
                                                protocol.dephase_servers):
-            self.checkpoints.append((label, server_party(j), branches))
-        branches = [(p, conditional_xor_relabel(protocol.unentangle(st), ("idx", "sign"),
-                                                targets, table)) for p, st in branches]
-        branches = [(p, apply_local_map(st, "sign", hadamard)) for p, st in branches]
-        return branches
+            self.checkpoints.append((label, j, branches))
+        return [(p, undo_query(protocol, st, ("idx", "sign"), table)) for p, st in branches]
 
     def query_branches(self, input_state: SparseState) -> Branches:
         """Both passes of the echo; the CNOT to the target sits in between.
@@ -142,39 +143,9 @@ class CleanQueryOracle:
         Both passes checkpoint under honest step labels, so a label's view
         is the even mixture of its occurrences.
         """
-        accs: dict[tuple[str, str], DensityAccumulator] = {}
-        for label, party, branches in self.checkpoints:
-            key = (party, label)
-            if key not in accs:
-                held = self.protocol.server_registers(int(party.removeprefix("server")))
-                accs[key] = DensityAccumulator(branches[0][1].layout, held)
-            accs[key].add_branches(branches)
-        return {key: acc.finalize() for key, acc in accs.items()}
-
-
-@dataclass
-class AttackOutcome:
-    scenario: str
-    protocol: str
-    x: str
-    output_distribution: dict[int, float]
-    expected: int
-    success_probability: float
-    success: bool
-    draws: dict
-    server_views: dict = field(default_factory=dict)
-
-    def to_jsonable(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "x": self.x,
-            "output_distribution": {str(k): v for k, v in sorted(self.output_distribution.items())},
-            "expected": self.expected,
-            "success_probability": self.success_probability,
-            "success": self.success,
-            "draws": self.draws,
-        }
+        return mix_views(((server_party(j), label), branches[0][1].layout,
+                          self.protocol.server_registers(j), branches)
+                         for label, j, branches in self.checkpoints)
 
 
 def _phase_encoded_input(n: int) -> SparseState:
@@ -190,8 +161,13 @@ def _phase_encoded_input(n: int) -> SparseState:
     return SparseState(layout, terms)
 
 
-def _parity_query(protocol: QuantumProtocol, x: Database, r: int, masks: Sequence[int]):
-    """The parity attack's clean query and its measured output, without server views."""
+def parity_query(protocol: QuantumProtocol, x: Database, r: int = 0, masks: Sequence[int] = ()):
+    """The oracle and output of one clean query extracting x_1 XOR x_2 from a two-bit database.
+
+    The phase-encoded target turns the query into a phase kickback, so a
+    Hadamard on the index register afterwards reads out the parity with
+    certainty on coherent protocols.
+    """
     if protocol.n != 2:
         raise ValueError("the parity attack is defined for two-bit databases")
     oracle = CleanQueryOracle(protocol, x, r, tuple(masks))
@@ -202,30 +178,6 @@ def _parity_query(protocol: QuantumProtocol, x: Database, r: int, masks: Sequenc
         for q, outcome, _ in measurement_branches(rotated, "idx"):
             output[outcome] = output.get(outcome, 0.0) + p * q
     return oracle, output
-
-
-def parity_attack(protocol: QuantumProtocol, x: Database, r: int = 0,
-                  masks: Sequence[int] = ()) -> AttackOutcome:
-    """One clean query extracting x_1 XOR x_2 from a two-bit database.
-
-    The phase-encoded target turns the query into a phase kickback, so a
-    Hadamard on the index register afterwards reads out the parity with
-    certainty on coherent protocols.
-    """
-    oracle, output = _parity_query(protocol, x, r, masks)
-    parity_bit = x.bit(1) ^ x.bit(2)
-    p_success = output.get(parity_bit, 0.0)
-    return AttackOutcome(
-        scenario="parity2",
-        protocol=protocol.name,
-        x=str(x),
-        output_distribution=output,
-        expected=parity_bit,
-        success_probability=p_success,
-        success=abs(p_success - 1.0) <= TOL,
-        draws={"r": r, "masks": list(oracle.masks)},
-        server_views=oracle.server_views(),
-    )
 
 
 def _draw_space(protocol: QuantumProtocol) -> list[tuple[int, tuple[int, ...]]]:
@@ -302,7 +254,7 @@ def attack_output_mixture(protocol: QuantumProtocol, x: Database) -> dict[int, f
     output: dict[int, float] = {}
     w = 1.0 / len(draws)
     for r, masks in draws:
-        _, dist = _parity_query(protocol, x, r, masks)
+        _, dist = parity_query(protocol, x, r, masks)
         for bit, p in dist.items():
             output[bit] = output.get(bit, 0.0) + w * p
     return output
@@ -336,42 +288,40 @@ def mutual_information_bits(joint: Mapping[tuple, float]) -> float:
     return max(mi, 0.0)
 
 
-def _uniform_prior(n: int) -> dict[Database, float]:
-    return {x: 1.0 / (1 << n) for x in all_databases(n)}
+def scenario_mixtures(protocol, scenario: str, index: int) -> dict[Database, dict[int, float]]:
+    """Each database's output distribution, mixed over the draw space.
+
+    Scenarios: "parity2" sweeps the parity attack, "honest-baseline" runs
+    the honest protocol at ``index``.
+    """
+    if scenario == "parity2":
+        return {x: attack_output_mixture(protocol, x) for x in all_databases(protocol.n)}
+    if scenario == "honest-baseline":
+        return {x: honest_output_mixture(protocol, x, index) for x in all_databases(protocol.n)}
+    raise ValueError(f"unknown scenario {scenario!r}")
 
 
-def _leakage_bits(prior: Mapping[Database, float],
-                  mixtures: Mapping[Database, Mapping[int, float]],
-                  target: Callable[[Database], int] | None) -> float:
-    """Mutual information (bits) between ``target(x)`` and the output, x drawn from the prior."""
+def leakage_bits(mixtures: Mapping[Database, Mapping[int, float]],
+                 target: Callable[[Database], int] | None = None) -> float:
+    """Mutual information (bits) between ``target(x)`` and the output, x uniform over ``mixtures``.
+
+    ``target`` projects the database before measuring information about it
+    (defaults to the whole database).
+    """
+    w = 1.0 / len(mixtures)
     joint: dict[tuple, float] = {}
-    for x, px in prior.items():
+    for x, dist in mixtures.items():
         t = target(x) if target is not None else x.value
-        for out, p in mixtures[x].items():
+        for out, p in dist.items():
             key = (t, out)
-            joint[key] = joint.get(key, 0.0) + px * p
+            joint[key] = joint.get(key, 0.0) + w * p
     return mutual_information_bits(joint)
 
 
 def leakage_report(protocol, scenario: str = "parity2", *, index: int = 1,
-                   prior: Mapping[Database, float] | None = None,
                    target: Callable[[Database], int] | None = None) -> float:
-    """Exact mutual information (bits) between the run's output and the data.
-
-    ``target`` projects the database before measuring information about it
-    (defaults to the whole database); the prior defaults to uniform.
-    Scenarios: "parity2" sweeps the parity attack, "honest-baseline" runs
-    the honest protocol at a fixed index.
-    """
-    if prior is None:
-        prior = _uniform_prior(protocol.n)
-    if scenario == "parity2":
-        mixtures = {x: attack_output_mixture(protocol, x) for x in prior}
-    elif scenario == "honest-baseline":
-        mixtures = {x: honest_output_mixture(protocol, x, index) for x in prior}
-    else:
-        raise ValueError(f"unknown scenario {scenario!r}")
-    return _leakage_bits(prior, mixtures, target)
+    """Exact mutual information (bits) between output and data: ``leakage_bits`` of the mixtures."""
+    return leakage_bits(scenario_mixtures(protocol, scenario, index), target)
 
 
 def parity(x: Database) -> int:

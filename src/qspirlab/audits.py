@@ -265,29 +265,30 @@ def audit_user_privacy_classical(scheme: LinearPirScheme) -> AuditReport:
     )
 
 
+def mix_views(records) -> dict:
+    """``(key, layout, held, branches)`` records mixed into one finalized matrix per key.
+
+    Keys keep the order of their first records, whose layout and held registers they take."""
+    accs: dict = {}
+    for key, layout, held, branches in records:
+        acc = accs.get(key)
+        if acc is None:
+            acc = accs[key] = DensityAccumulator(layout, held)
+        acc.add_branches(branches)
+    return {key: acc.finalize() for key, acc in accs.items()}
+
+
 def _server_mixtures_generic(protocol: Protocol, x: Database,
                              i: int) -> dict[tuple[str, str], DensityMatrix]:
     """(server, step label) -> reduced state mixed over randomness and masks."""
     mode, mask_subset = _mask_mode(protocol)
     if mode == "cycle":
         raise ValueError("generic mixture path needs an exhaustible mask space")
-    accs: dict[tuple[str, str], DensityAccumulator] = {}
-    for r in protocol.randomness_space():
-        for masks in mask_subset:
-            t = protocol.run(x, i, r, masks)
-            for step in t.steps:
-                if step.branches is None:
-                    continue
-                for party in {h for h in step.custody.values() if h != USER}:
-                    held = step.holdings(party)
-                    if not held:
-                        continue
-                    key = (party, step.label)
-                    acc = accs.get(key)
-                    if acc is None:
-                        acc = accs[key] = DensityAccumulator(t.layout, held)
-                    acc.add_branches(step.branches)
-    return {key: acc.finalize() for key, acc in accs.items()}
+    runs = (protocol.run(x, i, r, masks)
+            for r in protocol.randomness_space() for masks in mask_subset)
+    return mix_views(((party, step.label), t.layout, step.holdings(party), step.branches)
+                     for t in runs for step in t.steps if step.branches is not None
+                     for party in {h for h in step.custody.values() if h != USER})
 
 
 def _server_histograms(protocol: CompiledProtocol, i: int) -> dict[tuple[str, str], DensityMatrix]:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .registers import RegisterLayout
 from .schemes import Database
 from .states import SQRT_HALF, SparseState, apply_local_map
-from .transcript import OutputsFromRuns, Script, Transcript, execute, sign_recovery
+from .transcript import Script, Transcript, execute, sign_recovery
 
 # Bell labels used by the scheme; (p, q) names the pair basis state the
 # marker uncomputes to.  The correlated pair is BELL_CORR; the two markers
@@ -174,7 +174,7 @@ def bell_comm_cost(n: int) -> int:
     return 2 * (n + (n % 2))
 
 
-class BellProtocol(OutputsFromRuns):
+class BellProtocol:
     kind = "quantum"
     name = "bell2"
     verb = "pauli"
@@ -246,9 +246,9 @@ class BellProtocol(OutputsFromRuns):
     def run(self, x: Database, i: int, r: int = 0, masks=()) -> Transcript:
         return execute(self, x, i, self._script(x, i))
 
-    def run_output(self, x: Database, i: int, r: int = 0, masks=()) -> dict[int, float]:
-        """``run(...).output``, from the same script without recording a transcript."""
-        return execute(self, x, i, self._script(x, i), output_only=True)
+    def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
+        """``run(x, i).output`` of each (i, r, masks) draw, recording no transcript."""
+        return [execute(self, x, i, self._script(x, i), output_only=True) for i, r, masks in draws]
 
     def _script(self, x: Database, i: int) -> Script:
         if not 1 <= i <= self.n:

@@ -13,15 +13,7 @@ import argparse
 import json
 import sys
 
-from .adversary import (
-    _leakage_bits,
-    _uniform_prior,
-    attack_output_mixture,
-    draw_count,
-    honest_output_mixture,
-    parity,
-    verify_undetectability,
-)
+from .adversary import draw_count, leakage_bits, parity, scenario_mixtures, verify_undetectability
 from .audits import AUDIT_NAMES
 from .compiler import CompiledProtocol
 from .experiments import (
@@ -48,10 +40,11 @@ ATTACK_DRAW_LIMIT = 4096
 # draw, on the same box.  A compiled protocol runs each draw as the two real
 # amplitudes of its query terms: qspir(cube2) at n = 2 swept 4,194,304 runs
 # in 13.9 to 14.5 s, and in 25.9 to 28.1 s with --countermeasure.
-# bell2 builds each run's transcript, at a cost that grows with n: 1.1 ms a
-# run at n = 12 (4.5 s) and 1.8 ms at n = 13, whose 8,192 runs took 15 s.
+# bell2 takes each run's steps on its sparse state, recording no transcript,
+# at a cost that grows with n: 1.1 ms a run at n = 12 (4.5 s) and 1.8 ms at
+# n = 13, whose 8,192 runs took 15 s.
 COMPILED_BASELINE_RUN_LIMIT = 1 << 22
-TRANSCRIPT_BASELINE_RUN_LIMIT = 1 << 13
+BELL_BASELINE_RUN_LIMIT = 1 << 13
 
 
 class _Parser(argparse.ArgumentParser):
@@ -177,7 +170,7 @@ def _cmd_attack(args) -> int:
                               f"database, more than {ATTACK_DRAW_LIMIT:,}")
     else:
         limit = (COMPILED_BASELINE_RUN_LIMIT if isinstance(protocol, CompiledProtocol)
-                 else TRANSCRIPT_BASELINE_RUN_LIMIT)
+                 else BELL_BASELINE_RUN_LIMIT)
         # every protocol has at least one draw, so too many databases refuse
         # before the draws are counted
         runs = 1 << protocol.n
@@ -189,12 +182,11 @@ def _cmd_attack(args) -> int:
                               f"{limit:,}")
     # each database's output mixture is computed once, for the display and
     # every leakage figure
-    prior = _uniform_prior(protocol.n)
-    databases = [shown] if shown is not None else list(prior)
+    mixtures = scenario_mixtures(protocol, args.scenario, args.i)
+    databases = [shown] if shown is not None else list(mixtures)
     results = []
     ok = True
     if args.scenario == "parity2":
-        mixtures = {x: attack_output_mixture(protocol, x) for x in prior}
         for x in databases:
             dist = mixtures[x]
             expected = parity(x)
@@ -208,7 +200,7 @@ def _cmd_attack(args) -> int:
                 ok = ok and abs(p - 0.5) <= 1e-9
             else:
                 ok = ok and abs(p - 1.0) <= 1e-9
-        leak = _leakage_bits(prior, mixtures, parity)
+        leak = leakage_bits(mixtures, parity)
         summary = {"parity_leakage_bits": leak}
         if args.countermeasure:
             ok = ok and leak <= 1e-9
@@ -217,7 +209,6 @@ def _cmd_attack(args) -> int:
             summary["undetectability"] = rep.to_jsonable()
             ok = ok and rep.passed
     else:
-        mixtures = {x: honest_output_mixture(protocol, x, args.i) for x in prior}
         for x in databases:
             dist = mixtures[x]
             results.append({
@@ -225,8 +216,8 @@ def _cmd_attack(args) -> int:
                 "output_distribution": {str(k): round(v, 12) for k, v in sorted(dist.items())},
             })
         summary = {
-            "database_leakage_bits": _leakage_bits(prior, mixtures, None),
-            "parity_leakage_bits": _leakage_bits(prior, mixtures, parity),
+            "database_leakage_bits": leakage_bits(mixtures),
+            "parity_leakage_bits": leakage_bits(mixtures, parity),
         }
     payload = {"protocol": protocol.name, "countermeasure": args.countermeasure,
                "results": results, "summary": summary, "passed": ok}

@@ -185,7 +185,6 @@ class CompiledProtocol:
 
     def run(self, x: Database, i: int, r: int, masks: Sequence[int]) -> Transcript:
         plan = self.scheme.plan(i, r)
-        masks = tuple(masks)
         _check_masks(plan, masks)
         return execute(self, x, i, Script(
             knowledge=self._knowledge(plan, masks),
@@ -197,10 +196,6 @@ class CompiledProtocol:
             operate=self.server_operation(x),
             recover=lambda state: sign_recovery(self, state, i, r, masks),
         ))
-
-    def run_output(self, x: Database, i: int, r: int, masks: Sequence[int]) -> dict[int, float]:
-        """Output distribution only; skips transcript bookkeeping."""
-        return self.run_outputs(x, [(i, r, masks)])[0]
 
     def run_outputs(self, x: Database, draws: Sequence[tuple[int, int, Sequence[int]]]
                     ) -> list[dict[int, float]]:

@@ -24,7 +24,7 @@ from .compiler import CompiledProtocol
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, SCHEMES, make_scheme, reconstruct, run_classically
 from .states import SparseState, conditional_xor_relabel
-from .transcript import OutputsFromRuns, Script, Transcript, execute
+from .transcript import Script, Transcript, execute
 
 
 def query_reg(j: int) -> str:
@@ -41,7 +41,7 @@ def classical_layout(k: int, t: int, a: int) -> RegisterLayout:
         (name, w) for j in range(1, k + 1) for name, w in ((query_reg(j), t), (answer_reg(j), a))))
 
 
-class ClassicalProtocol(OutputsFromRuns):
+class ClassicalProtocol:
     kind = "classical"
     verb = "answer"
 
@@ -81,13 +81,13 @@ class ClassicalProtocol(OutputsFromRuns):
     def run(self, x: Database, i: int, r: int, masks=()) -> Transcript:
         return execute(self, x, i, self._script(x, i, r))
 
-    def run_output(self, x: Database, i: int, r: int, masks=()) -> dict[int, float]:
-        """``run(...).output``: the reconstruction, with no state built.
+    def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
+        """``run(x, i, r).output`` of each draw: the reconstruction, with no state built.
 
         A run's one basis state reconstructs with probability 1.0 in ``run``
         too, so the two agree to the bit.
         """
-        return {run_classically(self.scheme, x, i, r): 1.0}
+        return [{run_classically(self.scheme, x, i, r): 1.0} for i, r, _ in draws]
 
     def view_class(self, x: Database, i: int, r: int) -> tuple[int, ...]:
         """The answers to the plan's queries: the user's view reads x only through them.

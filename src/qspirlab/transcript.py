@@ -10,10 +10,13 @@ rather than stored.
 Every protocol run goes through one step engine, :func:`execute`: plan,
 build, send to each server, each server's step (its computational-basis
 measurement first when the countermeasure is on), return, recover.  A
-protocol supplies only a :class:`Script` of what differs; the server round
-and the countermeasure's :func:`dephase` are shared with the attack echo
-and the server-view audit.  Both quantum protocols recover through
-:func:`sign_recovery`, from the relabel table they state once.  The one
+protocol supplies only a :class:`Script` of what differs.  The sends and
+server steps are one generator, :func:`server_round`, which the attack
+echo runs too, under the same labels; the countermeasure's :func:`dephase`
+is shared with the server-view audit.  Both quantum protocols recover
+through :func:`sign_recovery`: the recovery unitary :func:`undo_query`,
+from the relabel table they state once, then the sign measurement.  The
+echo runs the same unitary under an (index, sign) control.  The one
 exception is a compiled protocol's output-only runs
 (``CompiledProtocol.run_outputs``), which take the same steps on each
 run's two query terms, held as two real amplitudes.
@@ -146,14 +149,18 @@ def dephase(branches, registers: Sequence[str]) -> list[tuple[float, SparseState
     return branches
 
 
-def server_round(branches, servers: Iterable[int], receives, operate, verb: str,
+def server_round(branches, servers: Sequence[int], receives, operate, verb: str,
                  dephased: bool):
-    """Each server in turn measures what it received (when ``dephased``) and acts.
+    """Send each server its registers, then let each in turn measure them (when
+    ``dephased``) and act.
 
     ``receives(j)`` names server j's registers and ``operate(state, j)`` is
     its operation.  Yields ``(label, j, branches)`` after every step, under
-    the labels a transcript records.
+    the labels a transcript records: every ``send`` first, then the servers'
+    steps.
     """
+    for j in servers:
+        yield f"send:{server_party(j)}", j, branches
     for j in servers:
         if dephased:
             branches = dephase(branches, receives(j))
@@ -212,12 +219,13 @@ def execute(protocol, x, i: int, script: Script,
         size = sum(layout.width_of(name) for name in registers)
         b.record(label, sender, moved=registers, **{script.unit: size})
 
-    for j in servers:
-        message(f"send:{server_party(j)}", script.receives(j), USER, server_party(j))
     for label, j, branches in server_round(b.branches, servers, script.receives, script.operate,
                                            script.verb, protocol.dephase_servers):
         b.branches = branches
-        b.record(label, server_party(j))
+        if label.startswith("send:"):
+            message(label, script.receives(j), USER, server_party(j))
+        else:
+            b.record(label, server_party(j))
     for j in servers:
         message(f"return:{server_party(j)}", script.returns(j), server_party(j), USER)
 
@@ -227,17 +235,26 @@ def execute(protocol, x, i: int, script: Script,
     return b.done()
 
 
+def undo_query(protocol, state: SparseState, control, table) -> SparseState:
+    """The user's recovery unitary: undo the protocol's entangling, XOR out of each
+    branch of ``control`` the register values ``table`` names for it, and
+    Hadamard the sign qubit.
+    """
+    state = protocol.unentangle(state)
+    targets = [name for name in protocol.layout().names if name != "sign"]
+    state = conditional_xor_relabel(state, control, targets, table)
+    return apply_local_map(state, "sign", hadamard)
+
+
 def sign_recovery(protocol, state: SparseState, i: int, r: int = 0, masks=()):
     """A quantum protocol's recovery: (probability, bit, post-state) outcomes.
 
-    The user undoes the protocol's entangling, XORs the register values it
-    knows out of each sign branch (``protocol.sign_table``), Hadamards the
-    sign qubit and measures it.
+    The user undoes the query, controlled by the sign qubit and reading the
+    relabel table honest runs state once (``protocol.sign_table``), and
+    measures the sign qubit.
     """
-    state = protocol.unentangle(state)
-    targets = [name for name in state.layout.names if name != "sign"]
-    state = conditional_xor_relabel(state, "sign", targets, protocol.sign_table(i, r, masks))
-    return measurement_branches(apply_local_map(state, "sign", hadamard), "sign")
+    state = undo_query(protocol, state, "sign", protocol.sign_table(i, r, masks))
+    return measurement_branches(state, "sign")
 
 
 def _recover(branches, recover) -> tuple[dict[int, float], list[tuple[float, SparseState]]]:
@@ -249,14 +266,6 @@ def _recover(branches, recover) -> tuple[dict[int, float], list[tuple[float, Spa
             output[bit] = output.get(bit, 0.0) + p * q
             final.append((p * q, post))
     return output, final
-
-
-class OutputsFromRuns:
-    """``run_outputs`` as one ``run_output`` per draw."""
-
-    def run_outputs(self, x, draws) -> list[dict[int, float]]:
-        """``run_output`` of each (i, r, masks) draw."""
-        return [self.run_output(x, i, r, masks) for i, r, masks in draws]
 
 
 def _terms_jsonable(state: SparseState) -> dict:

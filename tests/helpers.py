@@ -114,6 +114,12 @@ def _pauli_map(p: int, q: int):
 PAULI = {(p, q): _pauli_map(p, q) for p in (0, 1) for q in (0, 1)}
 
 
+def output_of(protocol, x, i, r=0, masks=()):
+    """One run's output distribution, from the protocol's output-only entry point."""
+    (output,) = protocol.run_outputs(x, [(i, r, masks)])
+    return output
+
+
 def leaky_attack_views(protocol, x, r, masks):
     """An attack whose server-1 message pins the mask register to 1.
 

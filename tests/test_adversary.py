@@ -16,15 +16,17 @@ from qspirlab.adversary import (
     leakage_report,
     mutual_information_bits,
     parity,
-    parity_attack,
+    parity_query,
+    scenario_mixtures,
     verify_undetectability,
 )
 from qspirlab.compiler import CompiledProtocol
 from qspirlab.protocols import resolve_protocol
 from qspirlab.schemes import Database, all_databases, run_classically
 from qspirlab.states import SparseState, equal_up_to_global_phase
+from qspirlab.transcript import server_party
 
-from helpers import RandomXorScheme, clean_query, leaky_attack_views
+from helpers import RandomXorScheme, clean_query, leaky_attack_views, output_of
 
 S = math.sqrt(0.5)
 
@@ -109,14 +111,17 @@ class TestCleanQueryAnyServerCount:
         assert checks == 96
 
 
+def reads_parity(output, x) -> bool:
+    return abs(output.get(parity(x), 0.0) - 1.0) <= 1e-9
+
+
 class TestParityAttack:
     @pytest.mark.parametrize("name", ["qspir(subset2)", "qspir(trivial1)", "bell2"])
     def test_all_databases(self, name):
         protocol = resolve_protocol(name, 2)
         for x in all_databases(2):
-            outcome = parity_attack(protocol, x)
-            assert outcome.success
-            assert outcome.expected == parity(x)
+            _, output = parity_query(protocol, x)
+            assert reads_parity(output, x)
 
     def test_every_draw_succeeds(self):
         protocol = resolve_protocol("qspir(subset2)", 2)
@@ -124,19 +129,19 @@ class TestParityAttack:
             for r in range(4):
                 for m1 in (0, 1):
                     for m2 in (0, 1):
-                        assert parity_attack(protocol, x, r, (m1, m2)).success
+                        assert reads_parity(parity_query(protocol, x, r, (m1, m2))[1], x)
 
     def test_requires_two_bits(self):
         with pytest.raises(ValueError):
-            parity_attack(resolve_protocol("qspir(subset2)", 4), Database.from_string("0000"))
+            parity_query(resolve_protocol("qspir(subset2)", 4), Database.from_string("0000"))
 
 
 def old_attack_output_mixture(protocol, x):
-    """The attack's output mixture as a loop over whole ``parity_attack`` outcomes."""
+    """The attack's output mixture as a loop over whole parity queries."""
     draws = _draw_space(protocol)
     output = {}
     for r, masks in draws:
-        for bit, p in parity_attack(protocol, x, r, masks).output_distribution.items():
+        for bit, p in parity_query(protocol, x, r, masks)[1].items():
             output[bit] = output.get(bit, 0.0) + (1.0 / len(draws)) * p
     return output
 
@@ -251,7 +256,7 @@ class TestCountermeasure:
         for x in all_databases(2):
             for i in (1, 2):
                 for r in range(4):
-                    assert plain.run_output(x, i, r) == measured.run_output(x, i, r)
+                    assert output_of(plain, x, i, r) == output_of(measured, x, i, r)
                     t = measured.run(x, i, r)
                     assert all(len(step.branches) == 1 for step in t.steps
                                if step.branches is not None)
@@ -282,6 +287,10 @@ class TestLeakage:
         assert leakage_report(protocol, "parity2", target=parity) == pytest.approx(0.0, abs=1e-12)
         assert leakage_report(protocol, "parity2") == pytest.approx(0.0, abs=1e-12)
 
+    def test_unknown_scenario_refused(self):
+        with pytest.raises(ValueError, match="unknown scenario 'parity3'"):
+            scenario_mixtures(resolve_protocol("qspir(subset2)", 2), "parity3", 1)
+
     def test_mutual_information_basics(self):
         assert mutual_information_bits({(0, 0): 0.5, (1, 1): 0.5}) == pytest.approx(1.0)
         assert mutual_information_bits({(0, 0): 0.25, (0, 1): 0.25,
@@ -290,18 +299,20 @@ class TestLeakage:
             mutual_information_bits({(0, 0): 0.3})
 
 
-class TestOutcomeRecord:
-    def test_outcome_serializes(self):
-        protocol = resolve_protocol("qspir(subset2)", 2)
-        outcome = parity_attack(protocol, Database.from_string("10"), r=1, masks=(1, 0))
-        data = outcome.to_jsonable()
-        assert data["scenario"] == "parity2"
-        assert data["expected"] == 1
-        assert data["draws"] == {"r": 1, "masks": [1, 0]}
-
-    def test_server_views_recorded_at_honest_labels(self):
-        protocol = resolve_protocol("qspir(subset2)", 2)
-        outcome = parity_attack(protocol, Database.from_string("10"))
-        keys = set(outcome.server_views)
-        assert ("server1", "send:server1") in keys
-        assert ("server2", "phase:server2") in keys
+class TestEchoLabels:
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name", ["qspir(subset2)", "qspir(trivial1)", "bell2"])
+    def test_server_views_recorded_at_honest_labels(self, name, countermeasure):
+        # each half of the echo checkpoints exactly the honest run's send,
+        # measure and server steps: same labels, same servers, same order
+        protocol = resolve_protocol(name, 2, countermeasure)
+        x = Database.from_string("10")
+        oracle, _ = parity_query(protocol, x)
+        honest = [(step.label, step.custody[step.moved[0]] if step.moved else step.party)
+                  for step in protocol.run(x, 1, oracle.r, oracle.masks).steps
+                  if step.label.partition(":")[0] in ("send", "measure", protocol.verb)]
+        assert len(honest) == protocol.k * (3 if countermeasure else 2)
+        assert [(label, server_party(j)) for label, j, _ in oracle.checkpoints] == honest * 2
+        views = oracle.server_views()
+        assert list(views) == [(party, label) for label, party in honest]
+        assert set(views) <= set(adversary.server_state_mixtures(protocol, x, 1))

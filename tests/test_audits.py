@@ -159,7 +159,7 @@ def dict_sweep(protocol, x, i):
                     for m in range(1 << s.a)]
             steps = server_round(sent, (j,), protocol.server_registers, operate, protocol.verb,
                                  protocol.dephase_servers)
-            for label, _, branches in [(f"send:{party}", j, sent), *steps]:
+            for label, _, branches in steps:
                 if label not in accs:
                     accs[label] = DensityAccumulator(layout, [server_register(j)])
                 accs[label].add_branches(branches)

@@ -22,7 +22,7 @@ from qspirlab.schemes import Database, all_databases, make_scheme
 from qspirlab.states import SparseState, apply_local_map, equal_up_to_global_phase
 from qspirlab.transcript import export_transcript, sign_recovery
 
-from helpers import PAULI
+from helpers import PAULI, output_of
 
 S = math.sqrt(0.5)
 
@@ -197,7 +197,7 @@ class TestRecovery:
         protocol = BellProtocol(n)
         for x in all_databases(n):
             for i in range(1, n + 1):
-                assert protocol.run_output(x, i) == {x.bit(i): pytest.approx(1.0)}
+                assert output_of(protocol, x, i) == {x.bit(i): pytest.approx(1.0)}
 
     def test_final_state_depends_only_on_index_and_bit(self):
         protocol = BellProtocol(4)
@@ -239,7 +239,7 @@ class TestCommunication:
         assert protocol.comm_qubits() == 8
         for x in all_databases(3):
             for i in (1, 2, 3):
-                assert protocol.run_output(x, i) == {x.bit(i): pytest.approx(1.0)}
+                assert output_of(protocol, x, i) == {x.bit(i): pytest.approx(1.0)}
 
 
 def test_agrees_with_compiled_subset_at_n2():
@@ -248,6 +248,6 @@ def test_agrees_with_compiled_subset_at_n2():
     for x in all_databases(2):
         for i in (1, 2):
             want = {x.bit(i): pytest.approx(1.0)}
-            assert bell.run_output(x, i) == want
+            assert output_of(bell, x, i) == want
             for r in range(4):
-                assert compiled.run_output(x, i, r, (0, 1)) == want
+                assert output_of(compiled, x, i, r, (0, 1)) == want

@@ -166,7 +166,6 @@ class TestAttack:
             return original(*args)
 
         monkeypatch.setattr(adversary, name, counting)
-        monkeypatch.setattr(cli, name, counting)
         argv = ["attack", "--scenario", scenario, "--scheme", "qspir(subset2)", "--n", str(n),
                 "--skip-undetectability"]
         if x:
@@ -194,7 +193,7 @@ class TestAttack:
         def never(*args):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setattr(cli, "attack_output_mixture", never)
+        monkeypatch.setattr(cli, "scenario_mixtures", never)
         code, out, err = run_cli(capsys, "attack", "--scheme", "qspir(cube2)", "--n", "2")
         assert (code, out) == (EXIT_USAGE, "")
         # 64 randomness values times 2**14 mask pairs
@@ -205,7 +204,7 @@ class TestAttack:
         ("qspir(subset2)", "11", "16,777,216", "4,194,304"),
         # 2**40 databases refuse before the 2**40 masks are counted
         ("qspir(trivial1)", "40", "1,099,511,627,776", "4,194,304"),
-        # bell2 runs one draw per database, each through its transcript
+        # bell2 runs one draw per database, each through the step engine with no transcript
         ("bell2", "14", "16,384", "8,192"),
         ("bell2", "40", "1,099,511,627,776", "8,192"),
     ])
@@ -214,8 +213,7 @@ class TestAttack:
         def never(*args):
             raise AssertionError("the sweep started")
 
-        monkeypatch.setattr(cli, "honest_output_mixture", never)
-        monkeypatch.setattr(cli, "_uniform_prior", never)
+        monkeypatch.setattr(cli, "scenario_mixtures", never)
         if 1 << int(n) > int(limit.replace(",", "")):
             monkeypatch.setattr(cli, "draw_count", never)
         code, out, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
@@ -226,7 +224,7 @@ class TestAttack:
     def test_honest_baseline_admits_sweeps_up_to_the_limits(self, capsys, monkeypatch):
         # qspir(subset2) at n = 7 sweeps 65,536 runs and bell2 at n = 13
         # 8,192: both run in seconds, so neither is refused
-        monkeypatch.setattr(cli, "honest_output_mixture", lambda protocol, x, i: {0: 1.0})
+        monkeypatch.setattr(adversary, "honest_output_mixture", lambda protocol, x, i: {0: 1.0})
         for scheme, n in (("qspir(subset2)", "7"), ("bell2", "13")):
             code, _, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
                                    "--scheme", scheme, "--n", n)

@@ -32,7 +32,7 @@ from qspirlab.schemes import (
 from qspirlab.states import SparseState, equal_up_to_global_phase
 from qspirlab.transcript import sign_recovery
 
-from helpers import CorruptedSubsetScheme, RandomXorScheme
+from helpers import CorruptedSubsetScheme, RandomXorScheme, output_of
 
 S = math.sqrt(0.5)
 
@@ -146,7 +146,7 @@ class TestRecovery:
             for i in (1, 2):
                 for r in s.randomness_space:
                     for masks in itertools.product(range(2), repeat=2):
-                        assert protocol.run_output(x, i, r, masks) == {x.bit(i): pytest.approx(1.0)}
+                        assert output_of(protocol, x, i, r, masks) == {x.bit(i): pytest.approx(1.0)}
                         count += 1
         assert count == 128
 
@@ -314,7 +314,6 @@ class TestBatchedOutputs:
         outputs = protocol.run_outputs(x, draws)
         for k in (0, 17, len(draws) - 1):
             assert protocol.run_outputs(x, [draws[k]]) == [outputs[k]]
-            assert protocol.run_output(x, *draws[k]) == outputs[k]
 
     def test_empty_batch(self):
         protocol = CompiledProtocol(make_scheme("subset2", 2))
@@ -331,6 +330,9 @@ class TestBatchedOutputs:
         (SubsetScheme, (1, 0, (1.0, 0)), TypeError),
         # the plan's query does not fit t bits: the register check refuses it
         (WideQuerySubsetScheme, (1, 0, (0, 0)), ValueError),
+        # masks are a sized sequence: no masks, or an iterator, is refused up front
+        (SubsetScheme, (1, 0, None), TypeError),
+        (SubsetScheme, (1, 0, iter((0, 1))), TypeError),
     ])
     def test_malformed_draw_raises_like_a_single_run(self, scheme, draw, error):
         protocol = CompiledProtocol(scheme(2))
@@ -343,6 +345,7 @@ class TestBatchedOutputs:
 
     @pytest.mark.parametrize("masks, error", [
         ((0,), ValueError), ((0, 2), ValueError), ((0.5, 0), TypeError),
+        (None, TypeError), (iter((0, 1)), TypeError),
     ])
     def test_kept_plan_still_checks_masks(self, masks, error):
         protocol = CompiledProtocol(make_scheme("subset2", 2))

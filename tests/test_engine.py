@@ -60,7 +60,7 @@ def test_step_structure(name, countermeasure):
         if not step.moved:
             assert step.qubits_sent == step.bits_sent == 0
 
-    assert list(protocol.run_output(x, i, r, masks).items()) == list(t.output.items())
+    assert list(protocol.run_outputs(x, [(i, r, masks)])[0].items()) == list(t.output.items())
     if countermeasure:
         assert sum(t.output.values()) == pytest.approx(1.0)
     else:
@@ -96,7 +96,7 @@ def test_output_only_runs_match_full_runs(name, n, databases, countermeasure):
 @pytest.mark.parametrize("name,n,databases", [("subset2", 3, "all"), ("cube2", 8, 4),
                                                ("trivial1", 4, "all")])
 def test_classical_output_is_the_reconstruction(name, n, databases, countermeasure):
-    # run_output builds no state, yet gives run's output bit for bit and in key
+    # run_outputs builds no state, yet gives run's output bit for bit and in key
     # order, and raises what run raises
     from qspirlab.audits import make_grid
 
@@ -105,7 +105,7 @@ def test_classical_output_is_the_reconstruction(name, n, databases, countermeasu
     for x in grid.databases:
         for i in grid.indices:
             for r in protocol.randomness_space():
-                assert exact_output(protocol.run_output(x, i, r)) == \
+                assert exact_output(protocol.run_outputs(x, [(i, r, ())])[0]) == \
                     exact_output(protocol.run(x, i, r).output)
     x = grid.databases[0]
     size = len(protocol.randomness_space())
@@ -113,5 +113,5 @@ def test_classical_output_is_the_reconstruction(name, n, databases, countermeasu
         with pytest.raises((IndexError, ValueError)) as want:
             protocol.run(x, i, r)
         with pytest.raises(type(want.value)) as got:
-            protocol.run_output(x, i, r)
+            protocol.run_outputs(x, [(i, r, ())])
         assert str(got.value) == str(want.value)

@@ -17,11 +17,14 @@ PRUNE_TOL = 1e-12
 
 
 def tensor_terms(a, b, width_b):
+    """Products of every pair of terms, ``a``'s key high; those at or below PRUNE_TOL dropped."""
     out = {}
     for ka, va in a.items():
         base = ka << width_b
         for kb, vb in b.items():
-            out[base | kb] = va * vb
+            v = va * vb
+            if abs(v) > PRUNE_TOL:
+                out[base | kb] = v
     return out
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .audits import AuditReport, TOL, mix_views, server_state_mixtures
@@ -65,8 +66,16 @@ def index_width(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
+@lru_cache(maxsize=None)
 def attack_input_layout(n: int) -> RegisterLayout:
     return RegisterLayout.of(("idx", index_width(n)), ("tgt", 1))
+
+
+@lru_cache(maxsize=None)
+def _zero_registers(layout: RegisterLayout) -> tuple[SparseState, SparseState]:
+    """The echo's fresh registers for a protocol layout: |0> on the sign, and on the rest."""
+    return (SparseState.basis(RegisterLayout(layout.registers[:1]), 0),
+            SparseState.basis(RegisterLayout(layout.registers[1:]), 0))
 
 
 Checkpoint = tuple[str, int, Branches]  # (step label, server index, branches)
@@ -122,13 +131,12 @@ class CleanQueryOracle:
         if input_state.layout != expected:
             raise ValueError(f"input must use layout {expected.registers}")
         self.checkpoints = []
-        work = RegisterLayout(self.protocol.layout().registers[1:])  # all but the sign
-        state = tensor(input_state, SparseState.basis(RegisterLayout.of(("sign", 1)), 0))
-        state = tensor(state, SparseState.basis(work, 0))
+        sign, work = _zero_registers(self.protocol.layout())
+        state = tensor(tensor(input_state, sign), work)
         # control (idx, sign) -> the XOR constants of index idx + 1's sign branch
         table = {(iv << 1) | s: row for iv in range(self.protocol.n)
                  for s, row in self.protocol.sign_table(iv + 1, self.r, self.masks).items()}
-        targets = list(work.names)
+        targets = work.layout.names
 
         branches: Branches = [(1.0, state)]
         branches = self._half_run(branches, table, targets)
@@ -148,6 +156,7 @@ class CleanQueryOracle:
                          for label, j, branches in self.checkpoints)
 
 
+@lru_cache(maxsize=None)
 def _phase_encoded_input(n: int) -> SparseState:
     """Uniform index superposition with a phase-encoded (|0>-|1>) target."""
     layout = attack_input_layout(n)
@@ -199,7 +208,9 @@ def verify_undetectability(
 
     Both sides are mixed over the full classical draw space (randomness and
     masks); the honest side is compared at every index, which must agree
-    with the attack mixture by user privacy.
+    with the attack mixture by user privacy.  An attack view at a (server,
+    step) where honest runs have none fails the report; its witness has
+    distance None.
     """
     n = protocol.n
     if databases is None:
@@ -227,9 +238,13 @@ def verify_undetectability(
             honest = {i: server_state_mixtures(protocol, x, i) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             for key, attack_dm in attack_mix.items():
-                if key not in honest[i]:
+                honest_dm = honest[i].get(key)
+                if honest_dm is None:  # a view no honest run has is a deviation too
+                    if witness is None:
+                        witness = {"server": key[0], "step": key[1], "x": str(x),
+                                   "honest_i": i, "distance": None}
                     continue
-                d = trace_distance(attack_dm, honest[i][key])
+                d = trace_distance(attack_dm, honest_dm)
                 comparisons += 1
                 if d > worst:
                     worst = d
@@ -242,7 +257,7 @@ def verify_undetectability(
         grid={"n": n, "databases": len(databases), "draws": len(draws)},
         tolerance=TOL,
         worst_case_distance=worst,
-        passed=worst <= TOL,
+        passed=witness is None,  # set by the first distance over TOL or unmatched view
         witness=witness,
         details={"comparisons": comparisons},
     )

@@ -5,6 +5,10 @@ strings over a layout are stored as integers: the first register occupies
 the most significant bits, and within a register the first bit is the most
 significant.  ``bits()``/``parse_bits()`` convert between that integer form
 and the left-to-right string form used in displays and serialized files.
+
+A layout works out each register's ``(shift, width)`` address when it is
+built, and keeps what ``pieces`` and ``concat`` return, so the state ops
+pay a dict lookup per call.  An unknown register raises on every call.
 """
 
 from __future__ import annotations
@@ -31,43 +35,39 @@ class RegisterLayout:
     def __post_init__(self):
         regs = tuple((str(n), int(w)) for n, w in self.registers)
         object.__setattr__(self, "registers", regs)
-        names = [n for n, _ in regs]
+        names = tuple(n for n, _ in regs)
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate register names in {names}")
+            raise ValueError(f"duplicate register names in {list(names)}")
         if any(w < 0 for _, w in regs):
             raise ValueError("register widths must be >= 0")
-        offsets = {}
-        off = 0
+        width = sum(w for _, w in regs)
+        addresses = {}
+        shift = width
         for name, w in regs:
-            offsets[name] = (off, w)
-            off += w
-        object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "width", off)
+            shift -= w
+            addresses[name] = (shift, w)
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "width", width)
+        object.__setattr__(self, "_addresses", addresses)
+        object.__setattr__(self, "_pieces", {})   # names -> pieces, successful lookups only
+        object.__setattr__(self, "_concats", {})  # other layout -> self.concat(other)
 
     @classmethod
     def of(cls, *pairs: tuple[str, int]) -> "RegisterLayout":
         return cls(tuple(pairs))
 
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.registers)
-
     def __contains__(self, name: str) -> bool:
-        return name in self._offsets
+        return name in self._addresses
 
     def width_of(self, name: str) -> int:
-        return self._require(name)[1]
-
-    def _require(self, name: str) -> tuple[int, int]:
-        try:
-            return self._offsets[name]
-        except KeyError:
-            raise KeyError(f"unknown register {name!r}; layout has {self.names}") from None
+        return self.piece(name)[1]
 
     def piece(self, name: str) -> tuple[int, int]:
         """(shift, width) addressing a register inside an integer basis key."""
-        off, w = self._require(name)
-        return (self.width - off - w, w)
+        try:
+            return self._addresses[name]
+        except KeyError:
+            raise KeyError(f"unknown register {name!r}; layout has {self.names}") from None
 
     def pieces(self, names: Iterable[str] | str) -> tuple[tuple[int, int], ...]:
         """Pieces for several registers, concatenated in the order given.
@@ -76,8 +76,10 @@ class RegisterLayout:
         one piece, so the kernels address it as a single bit field; the
         concatenated sub-key is the same.
         """
-        if isinstance(names, str):
-            names = (names,)
+        names = (names,) if isinstance(names, str) else tuple(names)
+        found = self._pieces.get(names)
+        if found is not None:
+            return found
         merged = []
         for name in names:
             shift, w = self.piece(name)
@@ -85,7 +87,8 @@ class RegisterLayout:
                 merged[-1] = (shift, merged[-1][1] + w)
             else:
                 merged.append((shift, w))
-        return tuple(merged)
+        found = self._pieces[names] = tuple(merged)
+        return found
 
     def in_layout_order(self, names: Iterable[str]) -> tuple[str, ...]:
         wanted = set(names)
@@ -100,10 +103,13 @@ class RegisterLayout:
         return RegisterLayout(tuple((n, self.width_of(n)) for n in ordered))
 
     def concat(self, other: "RegisterLayout") -> "RegisterLayout":
-        overlap = set(self.names) & set(other.names)
-        if overlap:
-            raise ValueError(f"register name collision: {sorted(overlap)}")
-        return RegisterLayout(self.registers + other.registers)
+        joined = self._concats.get(other)
+        if joined is None:
+            overlap = set(self.names) & set(other.names)
+            if overlap:
+                raise ValueError(f"register name collision: {sorted(overlap)}")
+            joined = self._concats[other] = RegisterLayout(self.registers + other.registers)
+        return joined
 
     def key_bits(self, key: int) -> str:
         return bits(key, self.width)

@@ -10,13 +10,19 @@ Validation happens at the boundary.  The ``SparseState`` constructor,
 which ``basis``, ``from_bits`` and every other caller outside this module
 use, converts keys to int and amplitudes to complex and checks key range
 and norm.  The dict ops here build their results through
-``SparseState._trusted`` instead, which prunes as the constructor does
-(the same ``_pruned`` step, so the same terms in the same order) and skips
-the rest: their inputs are validated states, and each op keeps keys in
-range and the norm at 1 by construction.  Those ops are a sign flip, a
-tensor product, an XOR relabel with range-checked masks, a renormalised
-measurement branch, and a local map checked unitary; ``bell.server_pauli``
-(an XOR mask and a sign per term) is the one such op outside this module.
+``SparseState._trusted`` instead, which skips all of it: their inputs are
+validated states, and each op keeps keys in range and the norm at 1 by
+construction.  Those ops are a sign flip, a tensor product, an XOR relabel
+with range-checked masks, a renormalised measurement branch, and a local
+map checked unitary; ``bell.server_pauli`` (an XOR mask and a sign per
+term) is the one such op outside this module.
+
+Every state is pruned: no amplitude is at or below PRUNE_TOL.  ``_trusted``
+does not prune, so the ops whose arithmetic can make a new small amplitude
+prune as the constructor does (the same terms, in the same order):
+``tensor_terms``, ``apply_map_terms`` and the measurement renormalisation.
+Sign flips and XOR relabels keep every magnitude of a pruned input.
+
 A local map wider than ``MAX_UNITARITY_CHECK_WIDTH`` is never checked, so
 its result goes through the constructor, whose norm check is its only
 guard.  A checked map keeps the columns its unitarity check built, per
@@ -71,17 +77,17 @@ class SparseState:
             raise ValueError(f"state norm^2 = {n!r}, not 1 within {NORM_TOL}")
 
     @classmethod
-    def _trusted(cls, layout: RegisterLayout, terms: Mapping[int, complex]) -> "SparseState":
-        """The constructor's pruning without its conversions and checks.
+    def _trusted(cls, layout: RegisterLayout, terms: dict[int, complex]) -> "SparseState":
+        """The state ``terms`` already is, without the constructor's conversions and checks.
 
-        Only for int keys and complex amplitudes that an op here built from
-        validated states in a way that keeps keys in range and the norm at
-        1 (see the module docstring).
+        Only for pruned int keys and complex amplitudes that an op here built
+        from validated states in a way that keeps keys in range and the norm
+        at 1 (see the module docstring).  ``terms`` is kept, not copied.
         """
         state = object.__new__(cls)
         fields = vars(state)  # written directly: frozen, and faster than object.__setattr__
         fields["layout"] = layout
-        fields["terms"] = _pruned(terms)
+        fields["terms"] = terms
         return state
 
     @classmethod
@@ -216,7 +222,9 @@ def apply_local_map(
     if width <= MAX_UNITARITY_CHECK_WIDTH:
         # every column, built by the unitarity check on the map's first use at this width
         try:
-            checked = _verified_maps.setdefault(fn, {})
+            checked = _verified_maps.get(fn)
+            if checked is None:
+                checked = _verified_maps[fn] = {}
         except TypeError:  # non-weakrefable callable; check every time
             checked = {}
         columns = checked.get(width)
@@ -279,8 +287,8 @@ def measurement_branches(state: SparseState, target: str) -> tuple[tuple[float, 
         p = kernels.norm_sq(sub_terms)
         if p <= PRUNE_TOL:
             continue
-        post = SparseState._trusted(state.layout,
-                                    kernels.scale_terms(sub_terms, 1.0 / math.sqrt(p)))
+        post = SparseState._trusted(
+            state.layout, _pruned(kernels.scale_terms(sub_terms, 1.0 / math.sqrt(p))))
         branches.append((p, outcome, post))
     return tuple(branches)
 

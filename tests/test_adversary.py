@@ -205,6 +205,20 @@ class TestUndetectability:
                      "distance": 0.5},
             details={"comparisons": 8})
 
+    def test_view_without_honest_mixture_fails(self):
+        # the leaky view under a step label no honest run records: nothing to compare it with
+        def renamed(protocol, x, r, masks):
+            (dm,) = leaky_attack_views(protocol, x, r, masks).values()
+            return {("server1", "send1"): dm}
+
+        report = verify_undetectability(resolve_protocol("qspir(subset2)", 2),
+                                        attack_views=renamed)
+        assert json.dumps(report.to_jsonable()) == report_json(
+            passed=False,
+            witness={"server": "server1", "step": "send1", "x": "00", "honest_i": 1,
+                     "distance": None},
+            details={"comparisons": 0})
+
     def test_no_databases(self):
         report = verify_undetectability(resolve_protocol("qspir(subset2)", 2), databases=[])
         assert json.dumps(report.to_jsonable()) == report_json(

@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +136,27 @@ class TestUserPrivacyQuantum:
             assert len(fast) == 3 * (3 if countermeasure else 2)
             for key in fast:
                 assert entries_close(generic[key], fast[key], 1e-12)
+
+    def test_key_order_is_the_same_under_any_string_hashing(self):
+        # holders are visited in custody order, not in a set's hash order
+        code = ("from qspirlab.audits import server_state_mixtures\n"
+                "from qspirlab.protocols import resolve_protocol\n"
+                "from qspirlab.schemes import Database\n"
+                "for name in ('qspir(subset2)', 'bell2'):\n"
+                "    print(list(server_state_mixtures(resolve_protocol(name, 2), Database(2, 1), 1)))\n")
+        root = Path(__file__).resolve().parents[1]
+        orders = set()
+        for seed in ("0", "1", "2", "3"):
+            env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONHASHSEED=seed)
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            orders.add(done.stdout)
+        (out,) = orders
+        assert out.splitlines()[0].startswith(
+            "[('server1', 'send:server1'), ('server1', 'send:server2'), "
+            "('server2', 'send:server2'), ('server1', 'phase:server1'), "
+            "('server2', 'phase:server1'),")
 
     def test_cube_uses_fast_path(self):
         protocol = resolve_protocol("qspir(cube2)", 8)

@@ -56,6 +56,37 @@ class TestLayout:
             shift, w = lay.piece(name)
             assert (key >> shift) & ((1 << w) - 1) == value
 
+    def test_unknown_register_raises_on_every_call(self):
+        lay = RegisterLayout.of(("a", 2), ("b", 3))
+        assert lay.pieces(("a", "b")) == ((0, 5),)
+        for _ in range(2):
+            with pytest.raises(KeyError, match="unknown register 'z'"):
+                lay.piece("z")
+            with pytest.raises(KeyError, match="unknown register 'z'"):
+                lay.pieces(("a", "z"))
+            with pytest.raises(KeyError, match="unknown register 'z'"):
+                lay.pieces("z")
+            assert lay.pieces(["a", "b"]) == ((0, 5),)
+
+    def test_kept_pieces_match_a_fresh_layout(self):
+        registers = (("a", 2), ("b", 3), ("c", 1), ("d", 0))
+        lay = RegisterLayout(registers)
+        queries = [("c",), ("a", "b"), ("b", "a"), ("a", "c"), ("a", "b", "c", "d"), ("d", "c"), ()]
+        first = [lay.pieces(q) for q in queries]
+        assert [lay.pieces(q) for q in queries] == first
+        assert [RegisterLayout(registers).pieces(q) for q in queries] == first
+        assert lay.pieces("c") == lay.pieces(["c"]) == first[0]
+
+    def test_concat_reuses_its_layout(self):
+        left, right = RegisterLayout.of(("a", 1)), RegisterLayout.of(("b", 2))
+        joined = left.concat(right)
+        assert joined == RegisterLayout.of(("a", 1), ("b", 2))
+        assert left.concat(RegisterLayout.of(("b", 2))) is joined
+        assert tensor(SparseState.basis(left, 0), SparseState.basis(right, 3)).layout is joined
+        for _ in range(2):
+            with pytest.raises(ValueError, match="collision"):
+                left.concat(left)
+
 
 class TestSparseState:
     def test_norm_enforced(self):

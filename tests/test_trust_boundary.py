@@ -156,6 +156,34 @@ class TestTrustedSitesMatchPublic:
         entries = same_as_public(finalize)
         assert all(type(u) is int and type(v) is int for u, v in entries)
 
+    def test_tensor_prunes_a_product_under_the_tolerance(self):
+        # 1e-7 * 1e-7 is below PRUNE_TOL though each factor is above it
+        big = math.sqrt(1 - 1e-14)
+        a = SparseState(RegisterLayout.of(("a", 1)), {0: big, 1: 1e-7})
+        b = SparseState(RegisterLayout.of(("b", 1)), {1: 1e-7j, 0: big})
+        out = same_as_public(lambda: tensor(a, b).terms)
+        assert list(out) == [0b01, 0b00, 0b10]
+        product = tensor(a, b)
+        for name in ("a", "b"):
+            branches = measurement_branches(product, name)
+            with full_validation():
+                checked = measurement_branches(product, name)
+            assert [(p.hex(), outcome, exact(post.terms)) for p, outcome, post in branches] == \
+                [(p.hex(), outcome, exact(post.terms)) for p, outcome, post in checked]
+
+    def test_measurement_prunes_a_renormalised_amplitude(self):
+        # norm^2 just over 1 (within NORM_TOL): renormalising pulls the small term under PRUNE_TOL
+        tiny = 1e-12 * (1 + 1e-10)
+        state = SparseState(RegisterLayout.of(("m", 1), ("q", 1)),
+                            {0b01: tiny, 0b00: math.sqrt(1 + 5e-10)})
+        assert list(state.terms) == [0b01, 0b00]
+        (p, outcome, post), = measurement_branches(state, "m")
+        with full_validation():
+            (checked_p, _, checked), = measurement_branches(state, "m")
+        assert (p.hex(), outcome) == (checked_p.hex(), 0)
+        assert exact(post.terms) == exact(checked.terms)
+        assert list(post.terms) == [0b00]
+
     def test_finalize_prunes_a_cancelled_entry(self):
         # |+> and |-> at nearly equal weights: the off-diagonal sum is about -2.5e-14
         layout = RegisterLayout.of(("q", 1))

@@ -158,16 +158,21 @@ class CleanQueryOracle:
 
 @lru_cache(maxsize=None)
 def _phase_encoded_input(n: int) -> SparseState:
-    """Uniform index superposition with a phase-encoded (|0>-|1>) target."""
-    layout = attack_input_layout(n)
+    """Uniform superposition of the indices 1..n with a phase-encoded (|0>-|1>) target.
+
+    Index register values n and above have no sign-table row, so they get
+    no amplitude.  When n is a power of two the amplitude stays a product of
+    per-qubit factors: sqrt(0.5 / n) differs from it in the last bit, and
+    so would the attack mixtures it feeds.
+    """
     w = index_width(n)
-    amp = math.sqrt(0.5) ** (w + 1)
+    amp = math.sqrt(0.5) ** (w + 1) if n == 1 << w else math.sqrt(0.5 / n)
     terms = {}
-    for iv in range(1 << w):
+    for iv in range(n):
         base = iv << 1
         terms[base] = amp
         terms[base | 1] = -amp
-    return SparseState(layout, terms)
+    return SparseState(attack_input_layout(n), terms)
 
 
 def parity_query(protocol: QuantumProtocol, x: Database, r: int = 0, masks: Sequence[int] = ()):

@@ -169,11 +169,6 @@ def entangle_pairs(state: SparseState, m: int) -> SparseState:
     return state
 
 
-def bell_comm_cost(n: int) -> int:
-    """Qubits communicated for an n-bit database (odd n padded to even)."""
-    return 2 * (n + (n % 2))
-
-
 class BellProtocol:
     kind = "quantum"
     name = "bell2"
@@ -191,8 +186,9 @@ class BellProtocol:
     def layout(self) -> RegisterLayout:
         return bell_layout(self.pair_count)
 
-    def comm_qubits(self) -> int:
-        return bell_comm_cost(self.n)
+    def comm(self) -> int:
+        """Qubits communicated: every pair's halves, out and back (odd n padded to even)."""
+        return 2 * self.padded_n
 
     def with_countermeasure(self) -> "BellProtocol":
         return BellProtocol(self.n, dephase_servers=True)
@@ -264,8 +260,6 @@ class BellProtocol:
             state=build_bell_query(i, self.padded_n),
             receives=self.server_registers,
             returns=self.server_registers,
-            unit="qubits",
-            verb=self.verb,
             operate=self.server_operation(x),
             recover=lambda state: sign_recovery(self, state, i),
         )

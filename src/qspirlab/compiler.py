@@ -126,7 +126,8 @@ class CompiledProtocol:
         s = self.scheme.shape
         return compiled_layout(s.k, s.t, s.a)
 
-    def comm_qubits(self) -> int:
+    def comm(self) -> int:
+        """Qubits communicated: each server's register, out and back."""
         s = self.scheme.shape
         return 2 * s.k * (s.t + s.a)
 
@@ -191,8 +192,6 @@ class CompiledProtocol:
             state=build_query_state(plan, masks),
             receives=self.server_registers,
             returns=self.server_registers,
-            unit="qubits",
-            verb=self.verb,
             operate=self.server_operation(x),
             recover=lambda state: sign_recovery(self, state, i, r, masks),
         ))

@@ -24,7 +24,7 @@ from .compiler import CompiledProtocol
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, SCHEMES, make_scheme, reconstruct, run_classically
 from .states import SparseState, conditional_xor_relabel
-from .transcript import Script, Transcript, execute
+from .transcript import Script, Transcript, execute, message_unit
 
 
 def query_reg(j: int) -> str:
@@ -66,7 +66,8 @@ class ClassicalProtocol:
         s = self.scheme.shape
         return classical_layout(s.k, s.t, s.a)
 
-    def comm_bits(self) -> int:
+    def comm(self) -> int:
+        """Bits communicated: the queries out, the answers back."""
         return self.scheme.comm_cost()
 
     def with_countermeasure(self) -> "ClassicalProtocol":
@@ -123,8 +124,6 @@ class ClassicalProtocol:
             receives=lambda j: [query_reg(j)],
             returns=lambda j: [answer_reg(j)],
             held=lambda j: [answer_reg(j)],
-            unit="bits",
-            verb=self.verb,
             operate=answer,
             recover=lambda state: ((1.0, reconstruct(plan, answers), state),),
             final="reconstruct",
@@ -161,6 +160,4 @@ def resolve_protocol(name: str, n: int, countermeasure: bool = False) -> Protoco
 
 def closed_form_comm(protocol: Protocol) -> tuple[str, int]:
     """('bits'|'qubits', count) the protocol must measure exactly."""
-    if isinstance(protocol, ClassicalProtocol):
-        return ("bits", protocol.comm_bits())
-    return ("qubits", protocol.comm_qubits())
+    return (message_unit(protocol), protocol.comm())

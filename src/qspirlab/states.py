@@ -212,9 +212,10 @@ def apply_local_map(
     SparseState over the targets).  For several targets the sub-key is their
     concatenation in the order given.  Unitarity is checked by enumerating
     the 2**width basis when the joint width is at most 12 (once per callable
-    and width, whose columns are then reused); wider maps, which the
-    protocol modules only use for XOR relabelings that are permutations by
-    construction, are not, so only the result's norm check guards them.
+    and width, whose columns are then reused); wider maps are not, so only
+    the result's norm check guards them.  The protocol modules pass maps of
+    at most 2 bits (Bell's pair maps, Hadamards); relabelings go through
+    :func:`conditional_xor_relabel`.
     """
     names = (target,) if isinstance(target, str) else tuple(target)
     pieces = state.layout.pieces(names)

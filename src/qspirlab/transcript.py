@@ -9,17 +9,19 @@ rather than stored.
 
 Every protocol run goes through one step engine, :func:`execute`: plan,
 build, send to each server, each server's step (its computational-basis
-measurement first when the countermeasure is on), return, recover.  A
-protocol supplies only a :class:`Script` of what differs.  The sends and
-server steps are one generator, :func:`server_round`, which the attack
-echo runs too, under the same labels; the countermeasure's :func:`dephase`
-is shared with the server-view audit.  Both quantum protocols recover
-through :func:`sign_recovery`: the recovery unitary :func:`undo_query`,
-from the relabel table they state once, then the sign measurement.  The
-echo runs the same unitary under an (index, sign) control.  The one
-exception is a compiled protocol's output-only runs
-(``CompiledProtocol.run_outputs``), which take the same steps on each
-run's two query terms, held as two real amplitudes.
+measurement first when the countermeasure is on), return, recover.  It
+records each step itself.  A :class:`Script` holds only what differs per
+run; the server verb and the message unit (:func:`message_unit`) are the
+protocol's own.  The sends and server steps are one generator,
+:func:`server_round`, which the attack echo runs too, under the same
+labels; the countermeasure's :func:`dephase` is shared with the
+server-view audit.  Both quantum protocols recover through
+:func:`sign_recovery`: the recovery unitary :func:`undo_query`, from the
+relabel table they state once, then the sign measurement.  The echo runs
+the same unitary under an (index, sign) control.  The one exception is a
+compiled protocol's output-only runs (``CompiledProtocol.run_outputs``),
+which take the same steps on each run's two query terms, held as two real
+amplitudes.
 
 Transcripts serialize to JSON (schema below) and round-trip losslessly::
 
@@ -96,48 +98,6 @@ class Transcript:
         return sum(s.bits_sent for s in self.steps)
 
 
-class TranscriptBuilder:
-    """Accumulates steps while a protocol run evolves its state ensemble."""
-
-    def __init__(self, protocol: str, n: int, x, i: int, knowledge: dict, layout: RegisterLayout,
-                 parties: Sequence[str]):
-        self.transcript = Transcript(
-            protocol=protocol, n=n, x=str(x), i=i, knowledge=knowledge, layout=layout,
-        )
-        self.custody: dict[str, str] = {}
-        self.branches: list[tuple[float, SparseState]] | None = None
-        self._parties = tuple(parties)
-
-    def assign(self, registers: Sequence[str], party: str) -> None:
-        for name in registers:
-            self.custody[name] = party
-
-    def set_state(self, state: SparseState) -> None:
-        self.branches = [(1.0, state)]
-
-    def record(self, label: str, party: str, moved: Sequence[str] = (), qubits: int = 0,
-               bits: int = 0) -> None:
-        self.transcript.steps.append(Step(
-            label=label,
-            party=party,
-            moved=tuple(moved),
-            custody=dict(self.custody),
-            branches=tuple(self.branches) if self.branches is not None else None,
-            qubits_sent=qubits,
-            bits_sent=bits,
-        ))
-
-    def set_output(self, distribution: Mapping[int, float]) -> None:
-        if self.transcript.output is not None:
-            raise ValueError("output already recorded")
-        self.transcript.output = dict(sorted(distribution.items()))
-
-    def done(self) -> Transcript:
-        if self.transcript.output is None:
-            raise ValueError("protocol run ended without an output")
-        return self.transcript
-
-
 # -- the step engine -----------------------------------------------------------
 
 def dephase(branches, registers: Sequence[str]) -> list[tuple[float, SparseState]]:
@@ -170,25 +130,27 @@ def server_round(branches, servers: Sequence[int], receives, operate, verb: str,
 
 
 class Script(NamedTuple):
-    """What one protocol run supplies to :func:`execute`.
+    """What differs per run, for :func:`execute`.
 
     Server j receives ``receives(j)``, applies ``operate(state, j)``
-    (recorded as ``verb``) and sends back ``returns(j)``; it holds
-    ``held(j)`` from the start.  ``recover(state)`` yields the user's
-    ``(probability, bit, post-state)`` outcomes, recorded as ``final``.
-    Messages are counted in ``unit`` ("qubits" or "bits"), by register width.
+    (recorded under the protocol's ``verb``) and sends back ``returns(j)``;
+    it holds ``held(j)`` from the start.  ``recover(state)`` yields the
+    user's ``(probability, bit, post-state)`` outcomes, recorded as ``final``.
     """
 
     knowledge: dict
     state: SparseState
     receives: Callable[[int], Sequence[str]]
     returns: Callable[[int], Sequence[str]]
-    unit: str
-    verb: str
     operate: Callable[[SparseState, int], SparseState]
     recover: Callable[[SparseState], Iterable[tuple[float, int, SparseState]]]
     final: str = "recover"
     held: Callable[[int], Sequence[str]] = lambda j: ()
+
+
+def message_unit(protocol) -> str:
+    """What the protocol's messages are counted in, by register width."""
+    return "bits" if protocol.kind == "classical" else "qubits"
 
 
 def execute(protocol, x, i: int, script: Script,
@@ -199,40 +161,40 @@ def execute(protocol, x, i: int, script: Script,
     """
     layout = script.state.layout
     servers = range(1, protocol.k + 1)
+    branches = [(1.0, script.state)]
+    rounds = server_round(branches, servers, script.receives, script.operate, protocol.verb,
+                          protocol.dephase_servers)
     if output_only:
-        branches = [(1.0, script.state)]
-        for _, _, branches in server_round(branches, servers, script.receives, script.operate,
-                                           script.verb, protocol.dephase_servers):
+        for _, _, branches in rounds:
             pass
         return dict(sorted(_recover(branches, script.recover)[0].items()))
-    b = TranscriptBuilder(protocol.name, protocol.n, x, i, script.knowledge, layout,
-                          [USER] + [server_party(j) for j in servers])
-    b.assign(layout.names, USER)
+    t = Transcript(protocol=protocol.name, n=protocol.n, x=str(x), i=i,
+                   knowledge=script.knowledge, layout=layout)
+    custody = dict.fromkeys(layout.names, USER)
     for j in servers:
-        b.assign(script.held(j), server_party(j))
-    b.record("plan", USER)
-    b.set_state(script.state)
-    b.record("build", USER)
+        custody.update(dict.fromkeys(script.held(j), server_party(j)))
+    sent = message_unit(protocol) + "_sent"
 
-    def message(label: str, registers: Sequence[str], sender: str, receiver: str) -> None:
-        b.assign(registers, receiver)
-        size = sum(layout.width_of(name) for name in registers)
-        b.record(label, sender, moved=registers, **{script.unit: size})
+    def record(label: str, party: str, branches, moved: Sequence[str] = (), to: str = "") -> None:
+        """Append a step; a message first hands the ``moved`` registers ``to`` its receiver."""
+        custody.update(dict.fromkeys(moved, to))
+        t.steps.append(Step(label, party, tuple(moved), dict(custody),
+                            None if branches is None else tuple(branches),
+                            **{sent: sum(layout.width_of(name) for name in moved)}))
 
-    for label, j, branches in server_round(b.branches, servers, script.receives, script.operate,
-                                           script.verb, protocol.dephase_servers):
-        b.branches = branches
+    record("plan", USER, None)
+    record("build", USER, branches)
+    for label, j, branches in rounds:
         if label.startswith("send:"):
-            message(label, script.receives(j), USER, server_party(j))
+            record(label, USER, branches, script.receives(j), server_party(j))
         else:
-            b.record(label, server_party(j))
+            record(label, server_party(j), branches)
     for j in servers:
-        message(f"return:{server_party(j)}", script.returns(j), server_party(j), USER)
-
-    output, b.branches = _recover(b.branches, script.recover)
-    b.set_output(output)
-    b.record(script.final, USER)
-    return b.done()
+        record(f"return:{server_party(j)}", server_party(j), branches, script.returns(j), USER)
+    output, branches = _recover(branches, script.recover)
+    t.output = dict(sorted(output.items()))
+    record(script.final, USER, branches)
+    return t
 
 
 def undo_query(protocol, state: SparseState, control, table) -> SparseState:

@@ -120,7 +120,7 @@ def test_criterion_5_bell_scheme():
                 rho = partial_trace(state, [name])
                 worst_marginal = max(
                     worst_marginal, trace_distance(rho, maximally_mixed(rho.layout)))
-        assert protocol.comm_qubits() == 2 * n
+        assert protocol.comm() == 2 * n
         assert protocol.run(Database(n, 0), 1).qubits_total == 2 * n
     ok = worst_marginal <= TOL
     verdict(5, ok, f"Bell scheme exact on n in (2,4,6); transmitted qubits maximally "

@@ -219,6 +219,18 @@ class TestUndetectability:
                      "distance": None},
             details={"comparisons": 0})
 
+    @pytest.mark.parametrize("name,n", [("qspir(subset2)", 3), ("qspir(trivial1)", 1),
+                                        ("qspir(trivial1)", 3), ("qspir(trivial1)", 5),
+                                        ("bell2", 3)])
+    def test_index_count_not_a_power_of_two(self, name, n):
+        # the input superposes only the indices 1..n: the echo has no sign row for the rest
+        input_state = adversary._phase_encoded_input(n)
+        assert sorted({k >> 1 for k in input_state.terms}) == list(range(n))
+        assert sum(abs(v) ** 2 for v in input_state.terms.values()) == pytest.approx(1.0)
+        report = verify_undetectability(resolve_protocol(name, n))
+        assert report.passed, report.witness
+        assert report.worst_case_distance <= 1e-9
+
     def test_no_databases(self):
         report = verify_undetectability(resolve_protocol("qspir(subset2)", 2), databases=[])
         assert json.dumps(report.to_jsonable()) == report_json(

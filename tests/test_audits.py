@@ -112,6 +112,27 @@ class TestUserPrivacyQuantum:
         assert report.worst_case_distance > 0.5
         assert report.witness["server"] == "server1"
 
+    @pytest.mark.parametrize("extra", [False, True], ids=["renamed", "extra"])
+    def test_view_missing_at_one_index_fails(self, extra, monkeypatch):
+        # a (server, step) view that only one of two indices has tells them apart
+        build = audits.server_state_mixtures
+
+        def relabelled(protocol, x, i):
+            mixtures = dict(build(protocol, x, i))
+            if i == 2:
+                dm = mixtures[("server1", "send:server1")]
+                if not extra:
+                    del mixtures[("server1", "send:server1")]
+                mixtures[("server1", "send1")] = dm
+            return mixtures
+
+        monkeypatch.setattr(audits, "server_state_mixtures", relabelled)
+        report = audit_user_privacy_quantum(resolve_protocol("qspir(subset2)", 2), make_grid(2))
+        assert not report.passed
+        assert report.witness == {"server": "server1", "step": "send1" if extra else "send:server1",
+                                  "i": 1, "i_prime": 2, "x": "00", "distance": None}
+        assert report.worst_case_distance <= 1e-9
+
     def test_fast_path_matches_generic(self):
         protocol = resolve_protocol("qspir(subset2)", 2)
         x = Database.from_string("10")
@@ -261,19 +282,19 @@ def per_database_user_privacy(protocol, grid, mixtures_of):
         mixtures = {i: mixtures_of(x, i) for i in grid.indices}
         base_i = grid.indices[0]
         for i in grid.indices[1:]:
-            for key in mixtures[base_i]:
-                if key not in mixtures[i]:
-                    continue
-                d = trace_distance(mixtures[base_i][key], mixtures[i][key])
-                comparisons += 1
-                if d > worst:
-                    worst = d
-                    if d > audits.TOL and witness is None:
-                        witness = {"server": key[0], "step": key[1], "i": base_i,
-                                   "i_prime": i, "x": str(x), "distance": d}
+            for key in dict.fromkeys([*mixtures[base_i], *mixtures[i]]):
+                if key in mixtures[base_i] and key in mixtures[i]:
+                    d = trace_distance(mixtures[base_i][key], mixtures[i][key])
+                    comparisons += 1
+                    worst = max(worst, d)
+                else:  # a view one index has and the other lacks
+                    d = None
+                if witness is None and (d is None or d > audits.TOL):
+                    witness = {"server": key[0], "step": key[1], "i": base_i,
+                               "i_prime": i, "x": str(x), "distance": d}
     return AuditReport(kind="user-privacy", protocol=protocol.name, grid=grid.describe(),
                        tolerance=audits.TOL, worst_case_distance=worst,
-                       passed=worst <= audits.TOL, witness=witness,
+                       passed=witness is None, witness=witness,
                        details={"comparisons": comparisons})
 
 

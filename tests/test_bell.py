@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from qspirlab import bell
 from qspirlab.bell import (
     BellProtocol,
-    bell_comm_cost,
     bell_layout,
     build_bell_query,
     left_reg,
@@ -230,13 +229,13 @@ class TestMarginals:
 
 class TestCommunication:
     def test_costs(self):
-        assert bell_comm_cost(2) == 4
-        assert bell_comm_cost(6) == 12
-        assert bell_comm_cost(7) == 16  # odd sizes pad with a zero bit
+        assert BellProtocol(2).comm() == 4
+        assert BellProtocol(6).comm() == 12
+        assert BellProtocol(7).comm() == 16  # odd sizes pad with a zero bit
 
     def test_odd_size_padding_run(self):
         protocol = BellProtocol(3)
-        assert protocol.comm_qubits() == 8
+        assert protocol.comm() == 8
         for x in all_databases(3):
             for i in (1, 2, 3):
                 assert output_of(protocol, x, i) == {x.bit(i): pytest.approx(1.0)}

@@ -207,9 +207,9 @@ class TestTranscript:
         assert rho.entry((plan.queries[0] << 1) | 0, (plan.queries[0] << 1) | 0) == pytest.approx(0.5)
 
     def test_comm_examples(self):
-        assert CompiledProtocol(make_scheme("trivial1", 5)).comm_qubits() == 10
-        assert CompiledProtocol(make_scheme("subset2", 8)).comm_qubits() == 36
-        assert CompiledProtocol(make_scheme("cube2", 8)).comm_qubits() == 52
+        assert CompiledProtocol(make_scheme("trivial1", 5)).comm() == 10
+        assert CompiledProtocol(make_scheme("subset2", 8)).comm() == 36
+        assert CompiledProtocol(make_scheme("cube2", 8)).comm() == 52
 
 
 class TestServerIgnoranceOfMasks:

@@ -56,6 +56,7 @@ from .states import (
     hadamard,
     measurement_branches,
     tensor,
+    xor_relabeling,
 )
 from .transcript import Branches, server_party, server_round, undo_query
 
@@ -107,18 +108,17 @@ class CleanQueryOracle:
 
     # -- the query ----------------------------------------------------------
 
-    def _half_run(self, branches: Branches, table, targets) -> Branches:
+    def _half_run(self, branches: Branches, relabel) -> Branches:
         """Prepare conditioned on (idx, sign), send and let servers act, undo the query."""
         protocol = self.protocol
-        branches = [(p, protocol.entangle(conditional_xor_relabel(
-            apply_local_map(st, "sign", hadamard), ("idx", "sign"), targets, table)))
-            for p, st in branches]
+        branches = [(p, protocol.entangle(relabel(apply_local_map(st, "sign", hadamard))))
+                    for p, st in branches]
         for label, j, branches in server_round(branches, range(1, protocol.k + 1),
                                                protocol.server_registers,
                                                protocol.server_operation(self.x), protocol.verb,
                                                protocol.dephase_servers):
             self.checkpoints.append((label, j, branches))
-        return [(p, undo_query(protocol, st, ("idx", "sign"), table)) for p, st in branches]
+        return [(p, undo_query(protocol, st, relabel)) for p, st in branches]
 
     def query_branches(self, input_state: SparseState) -> Branches:
         """Both passes of the echo; the CNOT to the target sits in between.
@@ -136,13 +136,14 @@ class CleanQueryOracle:
         # control (idx, sign) -> the XOR constants of index idx + 1's sign branch
         table = {(iv << 1) | s: row for iv in range(self.protocol.n)
                  for s, row in self.protocol.sign_table(iv + 1, self.r, self.masks).items()}
-        targets = work.layout.names
+        # one set of masks for every branch of both passes: they share the layout
+        relabel = xor_relabeling(state.layout, ("idx", "sign"), work.layout.names, table)
 
         branches: Branches = [(1.0, state)]
-        branches = self._half_run(branches, table, targets)
+        branches = self._half_run(branches, relabel)
         branches = [(p, conditional_xor_relabel(st, "sign", ["tgt"], {1: {"tgt": 1}}))
                     for p, st in branches]
-        branches = self._half_run(branches, table, targets)
+        branches = self._half_run(branches, relabel)
         return branches
 
     def server_views(self) -> dict[tuple[str, str], DensityMatrix]:

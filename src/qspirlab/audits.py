@@ -145,12 +145,17 @@ def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
       need an argument that its verdict and mixtures do not depend on the
       masks, which is not made here.
     """
-    head = list(itertools.islice(protocol.mask_space(), MASK_EXHAUSTIVE_LIMIT + 1))
+    head = _mask_head(protocol)
     if head == [()]:
         return "none", head
     if len(head) <= MASK_EXHAUSTIVE_LIMIT:
         return "full", head
     return "cycle", _cycled_masks(protocol)
+
+
+def _mask_head(protocol: Protocol) -> list[tuple[int, ...]]:
+    """The first MASK_EXHAUSTIVE_LIMIT + 1 mask tuples: one more than the limit is cycle mode."""
+    return list(itertools.islice(protocol.mask_space(), MASK_EXHAUSTIVE_LIMIT + 1))
 
 
 def _cycled_masks(protocol: CompiledProtocol) -> list[tuple[int, ...]]:
@@ -299,16 +304,14 @@ def _server_histograms(protocol: CompiledProtocol, i: int) -> dict[tuple[str, st
     the other, so its state, which has no cross terms (see
     ``server_state_mixtures``), is half on each.  Its phase maps basis
     states to +-themselves and its measurement leaves them as they are, so
-    every step's mixture is a histogram of the two values over r and m_j.
-    The other servers' masks and steps touch only traced-out registers, so
-    it is read off the ``gen_plan`` tables, without a state.
+    every step's mixture is diagonal over the values (q_j << a) | m_j.  The
+    other servers' masks and steps touch only traced-out registers, so it
+    is read off the ``gen_plan`` tables, without a state.
 
     The entries are those of ``server_round`` on server j alone, over draws
     in (r, m_j) order with the other masks 0, to the last bit and in the
-    same key order: each term adds ``(weight * amp) * conj(amp)``, where a
-    measured term has the weight and renormalised amplitude that ``dephase``
-    gives its outcome, outcomes in sorted order.  The phase step repeats the
-    step before it, since a sign flip leaves every such product as it is.
+    same key order (see ``_histogram``).  The phase step repeats the step
+    before it, since a sign flip leaves every product as it is.
     """
     s = protocol.scheme.shape
     plans = [protocol.scheme.gen_plan(i, r) for r in protocol.scheme.randomness_space]
@@ -316,44 +319,78 @@ def _server_histograms(protocol: CompiledProtocol, i: int) -> dict[tuple[str, st
     pair = RegisterLayout.of(("sign", 1), ("srv", 1))
     apart = [(1.0, SparseState(pair, {0b00: SQRT_HALF, 0b11: SQRT_HALF}))]
     together = [(1.0, SparseState(pair, {0b00: SQRT_HALF, 0b10: SQRT_HALF}))]
-    steps = [("send", apart, together, False)]
+    steps = [("send", apart, together)]
     if protocol.dephase_servers:
-        steps.append(("measure", dephase(apart, ["srv"]), dephase(together, ["srv"]), True))
+        steps.append(("measure", dephase(apart, ["srv"]), dephase(together, ["srv"])))
     out = {}
     for j in range(1, s.k + 1):
         party = server_party(j)
         layout = protocol.layout().sub_layout([server_register(j)])
-        draws = [((p.queries[j - 1] << s.a) | m, (p.queries[j - 1] << s.a) | (m ^ p.selects[j - 1]))
-                 for p in plans for m in range(1 << s.a)]
+        cells = [(p.queries[j - 1], p.selects[j - 1]) for p in plans]
         for label, *forms in steps:
-            out[(party, f"{label}:{party}")] = rho = _histogram(layout, draws, *forms)
+            out[(party, f"{label}:{party}")] = rho = _histogram(layout, s.a, cells, *forms)
         out[(party, f"{protocol.verb}:{party}")] = rho
     return out
 
 
-def _histogram(layout: RegisterLayout, draws, apart, together, ordered: bool) -> DensityMatrix:
-    """The mixture ``DensityAccumulator`` makes of each draw's stand-in branches.
+def _histogram(layout: RegisterLayout, a: int, cells, apart, together) -> DensityMatrix:
+    """The mixture ``DensityAccumulator`` makes of the stand-in branches of every
+    draw: plan by plan over its (query, select) ``cells``, each plan's masks
+    0..2**a - 1 in turn.
 
-    A draw (u0, u1) puts u0 and u1 in place of the stand-in values 0 and 1
-    or, when ``ordered``, the smaller and the larger of them.
+    A draw of mask m puts the values (q << a) | m and (q << a) | (m ^ s) in
+    place of the stand-in values 0 and 1 (or the smaller and the larger, as
+    a measurement's sorted outcomes would), and adds ``(w * amp) *
+    conj(amp)`` at each for every term of its form.  The symmetric
+    stand-in states give every term of a form the same product, in the
+    send and the measure step alike.  So, exactly, and without a pass over
+    the draws:
+
+    * each value of a query's block gets, from every plan with that query,
+      two copies of one product: ``apart``'s when s != 0 (one at mask m,
+      one at m ^ s), ``together``'s when s = 0 (both at m).  All 2**a
+      entries of a block are the same sequential float sum, in plan order,
+      computed once per block;
+    * keys go in the order the per-draw loop first saw them, set by the
+      block's first plan: for s != 0, m then m ^ s for each m < m ^ s
+      (ordering a draw's two values never changes this), and for s = 0, m
+      ascending;
+    * the normalisation is still the per-draw sum of branch weights, in
+      draw order.
     """
-    def products(branches):
-        return [(w, [(key & 1, (w * amp) * amp.conjugate()) for key, amp in st.terms.items()])
-                for w, st in branches]
+    def fold(branches):
+        (c,) = {(w * amp) * amp.conjugate() for w, st in branches for amp in st.terms.values()}
+        # a plan's draws' branch weights, in draw order
+        weights = tuple(w for w, _ in branches) * (1 << a)
+        return c, sum(len(st.terms) for _, st in branches), weights
 
-    apart, together = products(apart), products(together)
-    entries: dict[tuple[int, int], complex] = {}
+    apart, together = fold(apart), fold(together)
+    sums: dict[int, complex] = {}
+    first: dict[int, int] = {}  # query -> the select of its first plan
     total = 0.0
-    for u0, u1 in draws:
-        subs = (u1, u0) if ordered and u1 < u0 else (u0, u1)
-        for w, terms in apart if u0 != u1 else together:
-            for value, c in terms:
-                key = (subs[value], subs[value])
-                old = entries.get(key)
-                entries[key] = c if old is None else old + c
+    for q, select in cells:
+        c, copies, weights = apart if select else together
+        acc = sums.get(q)
+        for _ in range(copies):
+            acc = c if acc is None else acc + c
+        sums[q] = acc
+        first.setdefault(q, select)
+        for w in weights:
             total += w
     scale = 1.0 / total
-    return DensityMatrix._trusted(layout, {key: c * scale for key, c in entries.items()})
+    orders: dict[int, tuple[int, ...]] = {}  # select -> masks in the order its draws reach them
+    entries: dict[tuple[int, int], complex] = {}
+    for q, select in first.items():
+        order = orders.get(select)
+        if order is None:
+            order = orders[select] = (
+                tuple(v for m in range(1 << a) if m < m ^ select for v in (m, m ^ select))
+                if select else tuple(range(1 << a)))
+        c = sums[q] * scale
+        base = q << a
+        for m in order:
+            entries[base | m, base | m] = c
+    return DensityMatrix._trusted(layout, entries)
 
 
 def server_state_mixtures(protocol: Protocol, x: Database,
@@ -366,8 +403,7 @@ def server_state_mixtures(protocol: Protocol, x: Database,
     flips the sign of whole terms, leaving each ``(w * amp) * conj(amp)``, norm
     and renormalised amplitude as it is, to the bit.  Bell servers' Paulis act on qubits they hold.
     """
-    mode, _ = _mask_mode(protocol)
-    if mode == "cycle":
+    if len(_mask_head(protocol)) > MASK_EXHAUSTIVE_LIMIT:  # cycle mode, without its draws
         return _server_histograms(protocol, i)
     return _server_mixtures_generic(protocol, x, i)
 

@@ -255,23 +255,46 @@ def conditional_xor_relabel(
     table is applied twice), hence unitary by construction, and is the
     primitive behind all user-side relabelings.
     """
+    ctrl_pieces, masks = _xor_masks(state.layout, control, targets, values_by_control)
+    return SparseState._trusted(state.layout, kernels.conditional_xor(state.terms, ctrl_pieces, masks))
+
+
+def xor_relabeling(
+    layout: RegisterLayout,
+    control: str | Sequence[str],
+    targets: Sequence[str],
+    values_by_control: Mapping[int, Mapping[str, int]],
+    ) -> Callable[[SparseState], SparseState]:
+    """:func:`conditional_xor_relabel` of states over ``layout``, with its checks
+    and full-width masks done once, for a table applied to many states."""
+    ctrl_pieces, masks = _xor_masks(layout, control, targets, values_by_control)
+
+    def relabel(state: SparseState) -> SparseState:
+        if state.layout != layout:
+            raise ValueError("relabeling built for another layout")
+        return SparseState._trusted(layout, kernels.conditional_xor(state.terms, ctrl_pieces, masks))
+
+    return relabel
+
+
+def _xor_masks(layout: RegisterLayout, control, targets, values_by_control):
+    """The control pieces and, per control value, the full-width XOR mask."""
     ctrl_names = (control,) if isinstance(control, str) else tuple(control)
-    ctrl_pieces = state.layout.pieces(ctrl_names)
+    ctrl_pieces = layout.pieces(ctrl_names)
     if set(ctrl_names) & set(targets):
         raise ValueError("control registers cannot also be XOR targets")
     masks = {}
     for c, per_reg in values_by_control.items():
         full = 0
         for name, value in per_reg.items():
-            shift, w = state.layout.piece(name)
+            shift, w = layout.piece(name)
             if name not in targets:
                 raise ValueError(f"register {name!r} not listed in targets")
             if value >> w:
                 raise ValueError(f"XOR constant {value} too wide for {name}")
             full |= int(value) << shift
         masks[int(c)] = full
-    terms = kernels.conditional_xor(state.terms, ctrl_pieces, masks)
-    return SparseState._trusted(state.layout, terms)
+    return ctrl_pieces, masks
 
 
 def measurement_branches(state: SparseState, target: str) -> tuple[tuple[float, int, SparseState], ...]:

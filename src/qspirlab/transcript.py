@@ -197,14 +197,12 @@ def execute(protocol, x, i: int, script: Script,
     return t
 
 
-def undo_query(protocol, state: SparseState, control, table) -> SparseState:
-    """The user's recovery unitary: undo the protocol's entangling, XOR out of each
-    branch of ``control`` the register values ``table`` names for it, and
+def undo_query(protocol, state: SparseState, relabel) -> SparseState:
+    """The user's recovery unitary: undo the protocol's entangling, ``relabel``
+    (XOR out of each query branch the register values its table names), and
     Hadamard the sign qubit.
     """
-    state = protocol.unentangle(state)
-    targets = [name for name in protocol.layout().names if name != "sign"]
-    state = conditional_xor_relabel(state, control, targets, table)
+    state = relabel(protocol.unentangle(state))
     return apply_local_map(state, "sign", hadamard)
 
 
@@ -215,7 +213,10 @@ def sign_recovery(protocol, state: SparseState, i: int, r: int = 0, masks=()):
     relabel table honest runs state once (``protocol.sign_table``), and
     measures the sign qubit.
     """
-    state = undo_query(protocol, state, "sign", protocol.sign_table(i, r, masks))
+    table = protocol.sign_table(i, r, masks)
+    targets = [name for name in protocol.layout().names if name != "sign"]
+    state = undo_query(protocol, state,
+                       lambda st: conditional_xor_relabel(st, "sign", targets, table))
     return measurement_branches(state, "sign")
 
 

@@ -245,6 +245,37 @@ class TestBatchedSweep:
                     exact_entries(dict_sweep(protocol, Database.from_string(x), i))
 
     @pytest.mark.parametrize("countermeasure", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_repeated_queries_match_dict_sweep(self, seed, countermeasure):
+        # t=2 over 64 randomness values: each query comes from many plans, its
+        # block apart (s != 0) in some and together (s = 0) in others, so the
+        # fold sums many plans' products in plan order
+        scheme = RandomXorScheme(3, k=2, t=2, a=7, randomness_size=64, seed=seed)
+        protocol = CompiledProtocol(scheme, countermeasure)
+        assert audits._mask_mode(protocol)[0] == "cycle"
+        x = Database.from_string("101")
+        for i in range(1, 4):
+            for j in range(2):
+                kinds: dict[int, Counter] = {}
+                for r in scheme.randomness_space:
+                    plan = scheme.gen_plan(i, r)
+                    kinds.setdefault(plan.queries[j], Counter())[plan.selects[j] != 0] += 1
+                assert any(c[True] and c[False] for c in kinds.values())
+            assert exact_entries(_server_histograms(protocol, i)) == \
+                exact_entries(dict_sweep(protocol, x, i))
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_cube_audit_draws_no_masks(self, countermeasure, monkeypatch):
+        # cycle mode is read off the head of the mask space, not off its draws
+        def cycled_masks(protocol):
+            raise AssertionError("the user-privacy audit reads no mask draws")
+
+        monkeypatch.setattr(audits, "_cycled_masks", cycled_masks)
+        grid = make_grid(8, databases=["10110100"])
+        report = run_audit(resolve_protocol("qspir(cube2)", 8, countermeasure), "user-privacy", grid)
+        assert report.passed and report.details["comparisons"] > 0
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
     def test_leaky_scheme_keeps_its_witness(self, countermeasure, monkeypatch):
         # a=8: 256 masks, so cycle mode and the histogram
         protocol = CompiledProtocol(LeakyScheme(8), dephase_servers=countermeasure)

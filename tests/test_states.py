@@ -17,6 +17,7 @@ from qspirlab.states import (
     measure_register,
     measurement_branches,
     tensor,
+    xor_relabeling,
 )
 
 from helpers import PAULI
@@ -172,6 +173,18 @@ class TestLocalMap:
         once = conditional_xor_relabel(state, "a", ["b"], {0: {"b": 1}, 1: {"b": 1}})
         twice = conditional_xor_relabel(once, "a", ["b"], {0: {"b": 1}, 1: {"b": 1}})
         assert twice.bits_terms() == state.bits_terms()
+
+    def test_prebuilt_relabeling_matches_and_checks(self):
+        table = {0: {"b": 1}, 1: {"b": 0}}
+        relabel = xor_relabeling(TWO_BITS, "a", ["b"], table)
+        for state in (bell_00(), SparseState.from_bits(TWO_BITS, {"01": S, "10": S})):
+            assert relabel(state).terms == conditional_xor_relabel(state, "a", ["b"], table).terms
+        with pytest.raises(ValueError, match="another layout"):
+            relabel(SparseState.basis(RegisterLayout.of(("a", 1), ("c", 1)), "00"))
+        with pytest.raises(ValueError, match="not listed in targets"):
+            xor_relabeling(TWO_BITS, "a", [], table)
+        with pytest.raises(ValueError, match="too wide"):
+            xor_relabeling(TWO_BITS, "a", ["b"], {1: {"b": 2}})
 
     def test_non_unitary_rejected(self):
         collapse = lambda z: {0: 1.0}

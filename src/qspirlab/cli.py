@@ -71,9 +71,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run a configured experiment (audits + accounting)")
-    run.add_argument("--config", help="JSON config file; flags override its keys")
+    run.add_argument("--config", help="JSON config file; flags given override its keys")
     run.add_argument("--audits", help=f"comma list from {AUDIT_NAMES} or 'all'")
     _add_common(run)
+    # a flag left out must not override the config file's key
+    run.set_defaults(seed=None, fmt=None, cap_grid=None)
 
     audit = sub.add_parser("audit", help="run named audits against a protocol")
     audit.add_argument("--audits", default="all", help=f"comma list from {AUDIT_NAMES}")
@@ -113,6 +115,24 @@ def _emit(args, payload_json: dict, payload_table: str) -> None:
             fh.write("\n")
 
 
+def _database(text: str) -> Database:
+    if not text or set(text) - {"0", "1"}:
+        raise ConfigError(f"--x must be a string of 0s and 1s, got {text!r}")
+    return Database.from_string(text)
+
+
+def _check_index(i: int, n: int) -> None:
+    if not 1 <= i <= n:
+        raise ConfigError(f"--i {i} outside [1, {n}]")
+
+
+def _resolve(args, n: int):
+    try:
+        return resolve_protocol(args.scheme, n, args.countermeasure)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _cmd_run(args) -> int:
     overrides = {}
     for key, value in (("scheme", args.scheme), ("n", args.n), ("seed", args.seed),
@@ -131,7 +151,7 @@ def _cmd_run(args) -> int:
         overrides.setdefault("audits", ["all"])
         config = ExperimentConfig.from_dict(overrides)
     bundle = run_experiment(config)
-    if args.fmt == "json" or config.fmt == "json":
+    if config.fmt == "json":
         sys.stdout.write(bundle.to_json())
     else:
         sys.stdout.write(render_reports(bundle.reports))
@@ -155,10 +175,10 @@ def _cmd_audit(args) -> int:
 def _cmd_attack(args) -> int:
     if args.scheme is None or args.n is None:
         raise ConfigError("attack needs --scheme and --n")
-    protocol = resolve_protocol(args.scheme, args.n, args.countermeasure)
+    protocol = _resolve(args, args.n)
     if protocol.kind != "quantum":
         raise ConfigError("attack scenarios run against quantum protocols")
-    shown = Database.from_string(args.x) if args.x else None
+    shown = _database(args.x) if args.x else None
     if shown is not None and shown.n != protocol.n:
         raise ConfigError(f"--n {protocol.n} does not match --x of {shown.n} bits")
     if args.scenario == "parity2":
@@ -169,6 +189,7 @@ def _cmd_attack(args) -> int:
             raise ConfigError(f"parity2 on {protocol.name} sweeps {draws:,} draws per "
                               f"database, more than {ATTACK_DRAW_LIMIT:,}")
     else:
+        _check_index(args.i, protocol.n)
         limit = (COMPILED_BASELINE_RUN_LIMIT if isinstance(protocol, CompiledProtocol)
                  else BELL_BASELINE_RUN_LIMIT)
         # every protocol has at least one draw, so too many databases refuse
@@ -242,18 +263,19 @@ def _cmd_comm_table(args) -> int:
 def _cmd_export(args) -> int:
     if args.scheme is None:
         raise ConfigError("export needs --scheme")
-    x = Database.from_string(args.x)
+    if not args.out:
+        raise ConfigError("export needs --out")
+    x = _database(args.x)
     n = args.n if args.n is not None else x.n
     if n != x.n:
         raise ConfigError(f"--n {n} does not match --x of {x.n} bits")
-    protocol = resolve_protocol(args.scheme, n, args.countermeasure)
+    _check_index(args.i, n)
+    protocol = _resolve(args, n)
     if args.masks:
         masks = tuple(int(v) for v in args.masks.split(","))
     else:
         masks = next(iter(protocol.mask_space()))
     transcript = protocol.run(x, args.i, args.r, masks)
-    if not args.out:
-        raise ConfigError("export needs --out")
     export_transcript(transcript, args.out)
     if args.check_roundtrip:
         reloaded = load_transcript(args.out)

@@ -519,6 +519,123 @@ class TestFusedUserView:
             assert [counts[id(acc)] for acc in accs] == [1] * len(accs)
 
 
+def per_set_mixtures(protocol, grid):
+    """Every set's mixtures as the audit fed them when each set built its own view.
+
+    The audit's loop with one ``user_view`` per set at every draw, its
+    class's transcript shared, and nothing compared: the reference for the
+    audit's views built only where a draw has two classes.  Also says
+    whether some class held several sets at a draw.
+    """
+    mask_subset = audits._data_privacy_masks(protocol)
+    rand = list(protocol.randomness_space())
+    per_group, shared = [], False
+    for i in grid.indices:
+        for value in (0, 1):
+            group = [x for x in grid.databases if x.bit(i) == value]
+            if len(group) < 2:
+                continue
+            alike = {}
+            for x in group:
+                alike.setdefault(tuple(protocol.view_class(x, i, r) for r in rand), x)
+            mixtures = {x.value: {} for x in alike.values()}
+            for r_idx, r in enumerate(rand):
+                classes = {}
+                for signature, x in alike.items():
+                    classes.setdefault(signature[r_idx], []).append(x)
+                for masks in mask_subset:
+                    for members in classes.values():
+                        t = protocol.run(members[0], i, r, masks)
+                        shared |= len(members) > 1
+                        for x in members:
+                            user_view(t, mixtures[x.value])
+            per_group.append([mixtures[x.value] for x in alike.values()])
+    return per_group, shared
+
+
+def draws_compared(protocol, grid):
+    """Classes per index summed over every draw of two classes or more."""
+    expected = Counter()
+    masks = len(audits._data_privacy_masks(protocol))
+    for i in grid.indices:
+        for value in (0, 1):
+            group = [x for x in grid.databases if x.bit(i) == value]
+            for r in protocol.randomness_space() if len(group) > 1 else ():
+                classes = len({protocol.view_class(x, i, r) for x in group})
+                if classes > 1:
+                    expected[i] += classes * masks
+    return expected
+
+
+class TestViewsOnlyWhereCompared:
+    """Per-draw views are built once per class where a draw has two, and nowhere else."""
+
+    @staticmethod
+    def _count_views(monkeypatch):
+        calls = []
+        original = audits.user_view
+
+        def counting(t, mixtures=None):
+            calls.append(t.i)
+            return original(t, mixtures)
+
+        monkeypatch.setattr(audits, "user_view", counting)
+        return calls
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name,n", [("qspir(subset2)", 3), ("qspir(trivial1)", 4),
+                                        ("bell2", 5)])
+    def test_no_views_where_every_draw_has_one_class(self, name, n, countermeasure,
+                                                     monkeypatch):
+        protocol = resolve_protocol(name, n, countermeasure)
+        calls = self._count_views(monkeypatch)
+        report = audit_data_privacy(protocol, make_grid(n))
+        assert report.passed and report.details["pairs_compared"] > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("make", [lambda cm: resolve_protocol("subset2", 2, cm),
+                                      lambda cm: CompiledProtocol(CorruptedSubsetScheme(3), cm)],
+                             ids=["subset2", "corrupted"])
+    def test_one_view_per_class_where_compared(self, make, countermeasure, monkeypatch):
+        protocol = make(countermeasure)
+        grid = make_grid(protocol.n)
+        expected = draws_compared(protocol, grid)
+        calls = self._count_views(monkeypatch)
+        audit_data_privacy(protocol, grid)
+        assert sum(expected.values()) > 0
+        assert Counter(calls) == expected
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("make,shared", [
+        (lambda cm: resolve_protocol("subset2", 2, cm), True),
+        (lambda cm: CompiledProtocol(CorruptedSubsetScheme(3), cm), True),
+        (lambda cm: resolve_protocol("qspir(subset2)", 3, cm), False),
+        (lambda cm: resolve_protocol("bell2", 4, cm), False),
+        *[(lambda cm, seed=seed: CompiledProtocol(
+            RandomXorScheme(3, k=2, t=2, a=1, randomness_size=2, seed=seed), cm), True)
+          for seed in range(3)],
+    ], ids=["subset2", "corrupted", "qspir-subset2", "bell2",
+            "random-0", "random-1", "random-2"])
+    def test_mixtures_match_per_set_views(self, make, shared, countermeasure, monkeypatch):
+        """Every set's mixture, fed with or without a view, to the bit and in key order."""
+        protocol = make(countermeasure)
+        grid = make_grid(protocol.n)
+        reference, reference_shared = per_set_mixtures(protocol, grid)
+        assert reference_shared == shared
+        recorded = []
+        mixed_view_distance = audits._mixed_view_distance
+
+        def recording_distance(per_x, group):
+            recorded.append([per_x[x.value] for x in group])
+            return mixed_view_distance(per_x, group)
+
+        monkeypatch.setattr(audits, "_mixed_view_distance", recording_distance)
+        audit_data_privacy(protocol, grid)
+        assert [[exact_mixtures(m) for m in sets] for sets in recorded] == \
+            [[exact_mixtures(m) for m in sets] for sets in reference]
+
+
 def report_bytes(report):
     return json.dumps(report.to_jsonable(), sort_keys=True)
 

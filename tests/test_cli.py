@@ -83,6 +83,32 @@ class TestRun:
         code, _, _ = run_cli(capsys, "run", "--n", "2")
         assert code == EXIT_USAGE
 
+    @staticmethod
+    def _config(tmp_path):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"scheme": "bell2", "n": 2, "audits": ["comm"],
+                                      "seed": 5, "cap_grid": 4, "fmt": "json"}))
+        return str(config)
+
+    def test_config_keys_kept_without_flags(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "run", "--config", self._config(tmp_path))
+        assert code == EXIT_OK
+        bundle = json.loads(out)  # the file's "fmt": "json", not the table default
+        assert bundle["seed"] == bundle["config"]["seed"] == 5
+        assert (bundle["config"]["cap_grid"], bundle["config"]["fmt"]) == (4, "json")
+
+    def test_given_flags_override_config(self, capsys, tmp_path):
+        config = self._config(tmp_path)
+        code, out, _ = run_cli(capsys, "run", "--config", config,
+                               "--seed", "0", "--cap-grid", "8")
+        assert code == EXIT_OK
+        bundle = json.loads(out)
+        assert bundle["seed"] == bundle["config"]["seed"] == 0
+        assert bundle["config"]["cap_grid"] == 8
+        code, out, _ = run_cli(capsys, "run", "--config", config, "--format", "table")
+        assert code == EXIT_OK
+        assert out.startswith("audit") and "PASS" in out
+
 
 class TestAttack:
     def test_parity_scenario_passes(self, capsys):
@@ -235,6 +261,27 @@ class TestAttack:
         assert code == EXIT_USAGE
         assert "quantum" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--scenario", "honest-baseline", "--scheme", "bell2", "--n", "2", "--i", "3"),
+         "--i 3 outside [1, 2]"),
+        (("--scenario", "honest-baseline", "--scheme", "qspir(subset2)", "--n", "2",
+          "--i", "0"), "--i 0 outside [1, 2]"),
+        (("--scheme", "bell2", "--n", "2", "--x", "0a"),
+         "--x must be a string of 0s and 1s, got '0a'"),
+        (("--scenario", "honest-baseline", "--scheme", "bell2", "--n", "4", "--x", "01a1"),
+         "--x must be a string of 0s and 1s, got '01a1'"),
+        (("--scheme", "nope", "--n", "2"), "unknown protocol 'nope'"),
+    ])
+    def test_bad_input_refused_before_the_sweep(self, capsys, monkeypatch, argv, message):
+        def never(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "scenario_mixtures", never)
+        monkeypatch.setattr(cli, "draw_count", never)
+        code, out, err = run_cli(capsys, "attack", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("qspirlab: ") and message in err
+
 
 class TestCommTable:
     def test_table_rows(self, capsys):
@@ -265,6 +312,33 @@ class TestExport:
         assert path.exists()
         data = json.loads(path.read_text())
         assert data["schema_version"] == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--scheme", "subset2", "--x", "0101", "--i", "9", "--out", "t.json"),
+         "--i 9 outside [1, 4]"),
+        (("--scheme", "subset2", "--x", "0101", "--i", "0", "--out", "t.json"),
+         "--i 0 outside [1, 4]"),
+        (("--scheme", "subset2", "--x", "01a1", "--i", "1", "--out", "t.json"),
+         "--x must be a string of 0s and 1s, got '01a1'"),
+        (("--scheme", "bell2", "--x=", "--i", "1", "--out", "t.json"),
+         "--x must be a string of 0s and 1s, got ''"),
+        (("--scheme", "nope", "--x", "01", "--i", "1", "--out", "t.json"),
+         "unknown protocol 'nope'"),
+        (("--scheme", "subset2", "--x", "0101", "--i", "1"), "export needs --out"),
+    ])
+    def test_bad_input_refused_before_the_run(self, capsys, monkeypatch, tmp_path,
+                                              argv, message):
+        def never(*args):
+            raise AssertionError("the protocol ran")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "export_transcript", never)
+        for name in ("qspir(subset2)", "subset2", "bell2"):
+            monkeypatch.setattr(type(resolve_protocol(name, 2)), "run", never)
+        code, out, err = run_cli(capsys, "export", *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("qspirlab: ") and message in err
+        assert not (tmp_path / "t.json").exists()
 
     def test_mismatched_n_rejected(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "export", "--scheme", "bell2", "--n", "4",

@@ -20,8 +20,7 @@ The three audit families:
   user's classical knowledge and quantum holdings at every step, paired per
   randomness draw) must coincide, pure states up to a global phase.  A
   strictly weaker mixed-over-randomness comparison is reported alongside
-  for information; every run feeds it, from the same partial trace as the
-  per-draw view where one is built.  The user's view reads the database
+  for information; every run feeds it.  The user's view reads the database
   only through its protocol's view class (the compiled reconstruction
   c(x, i, r), Bell's x_i, a classical scheme's answers), so the audit runs
   one transcript per class instead of one per database, and builds
@@ -463,55 +462,37 @@ class ViewRecord:
     output: dict[int, float]
 
 
-def _user_steps(transcript: Transcript, mixtures: dict[str, DensityAccumulator] | None):
-    """``(label, held, branches, mix)`` per step, ``held`` empty where the user holds no state.
-
-    ``mix`` is the step label's mixture in ``mixtures``, made on first use,
-    or None without ``mixtures`` or where nothing is held.
-    """
+def _feed_mixtures(transcript: Transcript, mixtures: dict[str, DensityAccumulator]) -> None:
+    """Add each step's user state to ``mixtures[label]``, made on first use."""
     for step in transcript.steps:
         held = step.holdings(USER) if step.branches is not None else ()
-        mix = None
-        if held and mixtures is not None:
+        if held:
             mix = mixtures.get(step.label)
             if mix is None:
                 mix = mixtures[step.label] = DensityAccumulator(transcript.layout, held)
-        yield step.label, held, step.branches, mix
+            mix.add_branches(step.branches)
 
 
-def _feed_mixtures(transcript: Transcript, mixtures: dict[str, DensityAccumulator]) -> None:
-    """Add each step's user state to ``mixtures[label]``, as ``user_view`` does, without a view."""
-    for _, held, branches, mix in _user_steps(transcript, mixtures):
-        if held:
-            mix.add_branches(branches)
-
-
-def user_view(transcript: Transcript,
-              mixtures: dict[str, DensityAccumulator] | None = None) -> ViewRecord:
-    """The user's view of one run, adding each step's state to ``mixtures[label]`` if given.
-
-    The mixed-over-randomness comparison is fed from the same partial trace
-    as this per-draw view: each run's holdings are reduced once per step.
-    """
+def user_view(transcript: Transcript) -> ViewRecord:
+    """The user's view of one run."""
     steps = []
     all_regs = set(transcript.layout.names)
-    for label, held, branches, mix in _user_steps(transcript, mixtures):
+    for step in transcript.steps:
+        held = step.holdings(USER) if step.branches is not None else ()
         if not held:
-            steps.append(ViewStep(label, None, None))
+            steps.append(ViewStep(step.label, None, None))
             continue
-        if set(held) == all_regs and len(branches) == 1:
-            steps.append(ViewStep(label, branches[0][1], None))
-            if mix is not None:
-                mix.add_branches(branches)
+        if set(held) == all_regs and len(step.branches) == 1:
+            steps.append(ViewStep(step.label, step.branches[0][1], None))
             continue
         acc = DensityAccumulator(transcript.layout, held)
-        acc.add_branches(branches, also=mix)
+        acc.add_branches(step.branches)
         rho = acc.finalize()
         pure = rho.to_pure()
         if pure is not None:
-            steps.append(ViewStep(label, pure, None))
+            steps.append(ViewStep(step.label, pure, None))
         else:
-            steps.append(ViewStep(label, None, rho))
+            steps.append(ViewStep(step.label, None, rho))
     return ViewRecord(knowledge=dict(transcript.knowledge), steps=steps,
                       output=dict(transcript.output))
 
@@ -553,10 +534,9 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
 
     Every run feeds the mixed-over-randomness accumulators of the sets its
     class holds.  A per-draw view is built only at a draw with two classes
-    or more, once per class, fused with its first set's mixture; a draw of
-    one class has nothing to compare its view with.  ``pairs_compared``
-    counts the database pairs the class verdicts cover, len(group) - 1 per
-    draw, not ``compare_views`` calls.
+    or more, once per class; a draw of one class has nothing to compare its
+    view with.  ``pairs_compared`` counts the database pairs the class
+    verdicts cover, len(group) - 1 per draw, not ``compare_views`` calls.
     """
     mask_subset = _data_privacy_masks(protocol)
     rand = list(protocol.randomness_space())
@@ -586,12 +566,10 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
                     views = []
                     for members in classes.values():
                         t = protocol.run(members[0], i, r, masks)
-                        # several members where their classes differ at another r
-                        fed = members
                         if compared:
-                            views.append((members[0], user_view(t, mixtures[members[0].value])))
-                            fed = members[1:]
-                        for x in fed:
+                            views.append((members[0], user_view(t)))
+                        # several members where their classes differ at another r
+                        for x in members:
                             _feed_mixtures(t, mixtures[x.value])
                     pair_count += len(group) - 1
                     for other, view in views[1:]:

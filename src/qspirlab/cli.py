@@ -249,15 +249,25 @@ def _cmd_attack(args) -> int:
 def _cmd_comm_table(args) -> int:
     rows = comm_table(args.schemes.split(","), [int(v) for v in args.n_list.split(",")])
     payload = {"communication": rows, "passed": all(r["residual"] == 0 for r in rows)}
-    if args.fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write(render_table(rows))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+    _emit(args, payload, render_table(rows))
     return EXIT_OK if payload["passed"] else EXIT_FAILED
+
+
+def _masks(text: str, protocol) -> tuple[int, ...]:
+    """``--masks`` as a mask tuple, all zeros when empty; only a compiled protocol draws masks."""
+    k, a = (protocol.k, protocol.scheme.shape.a) if isinstance(protocol, CompiledProtocol) else (0, 0)
+    if not text:
+        return (0,) * k
+    try:
+        masks = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--masks must be a comma list of integers, got {text!r}") from None
+    if len(masks) != k:
+        raise ConfigError(f"--masks needs {k} values for {protocol.name}, got {len(masks)}")
+    for m in masks:
+        if not 0 <= m < 1 << a:
+            raise ConfigError(f"--masks value {m} outside [0, {(1 << a) - 1}]")
+    return masks
 
 
 def _cmd_export(args) -> int:
@@ -271,11 +281,10 @@ def _cmd_export(args) -> int:
         raise ConfigError(f"--n {n} does not match --x of {x.n} bits")
     _check_index(args.i, n)
     protocol = _resolve(args, n)
-    if args.masks:
-        masks = tuple(int(v) for v in args.masks.split(","))
-    else:
-        masks = next(iter(protocol.mask_space()))
-    transcript = protocol.run(x, args.i, args.r, masks)
+    rand = protocol.randomness_space()
+    if args.r not in rand:
+        raise ConfigError(f"--r {args.r} outside [0, {rand[-1]}]")
+    transcript = protocol.run(x, args.i, args.r, _masks(args.masks, protocol))
     export_transcript(transcript, args.out)
     if args.check_roundtrip:
         reloaded = load_transcript(args.out)

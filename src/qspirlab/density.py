@@ -142,30 +142,17 @@ class DensityAccumulator:
         self._entries: dict[tuple[int, int], complex] = {}
         self._weight = 0.0
 
-    def add(self, state: SparseState, weight: float = 1.0,
-            also: "DensityAccumulator | None" = None) -> None:
-        """Add ``weight`` times the reduced state, to ``also`` too when given.
-
-        ``also`` must reduce onto the same registers; it gets each entry
-        contribution right after this accumulator, from the one partial trace.
-        """
+    def add(self, state: SparseState, weight: float = 1.0) -> None:
+        """Add ``weight`` times the reduced state."""
         if state.layout != self._state_layout:
             raise ValueError("state layout does not match accumulator layout")
-        if also is not None and (also._state_layout, also.keep_names) != \
-                (self._state_layout, self.keep_names):
-            raise ValueError("accumulators reduce onto different registers")
         kernels.ptrace_accumulate(
-            self._entries, state.terms, self._keep_pieces, self._trace_pieces,
-            weight, None if also is None else also._entries,
-        )
+            self._entries, state.terms, self._keep_pieces, self._trace_pieces, weight)
         self._weight += weight
-        if also is not None:
-            also._weight += weight
 
-    def add_branches(self, branches: Iterable[tuple[float, SparseState]], weight: float = 1.0,
-                     also: "DensityAccumulator | None" = None) -> None:
+    def add_branches(self, branches: Iterable[tuple[float, SparseState]], weight: float = 1.0) -> None:
         for p, state in branches:
-            self.add(state, weight * p, also)
+            self.add(state, weight * p)
 
     def finalize(self) -> DensityMatrix:
         if self._weight <= 0:

@@ -13,6 +13,7 @@ from qspirlab.density import DensityAccumulator, DensityMatrix
 from qspirlab.registers import RegisterLayout, bits
 from qspirlab.schemes import LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme
 from qspirlab.states import SparseState
+from qspirlab.transcript import USER
 
 
 class CorruptedSubsetScheme(SubsetScheme):
@@ -207,6 +208,18 @@ def audit_data_privacy_classical_direct(scheme: LinearPirScheme, grid: AuditGrid
     )
 
 
+def feed_user_mixtures(transcript, mixtures: dict[str, DensityAccumulator]) -> None:
+    """Add each step's user holdings to ``mixtures[label]``, made on first use."""
+    for step in transcript.steps:
+        held = step.holdings(USER)
+        if step.branches is None or not held:
+            continue
+        acc = mixtures.get(step.label)
+        if acc is None:
+            acc = mixtures[step.label] = DensityAccumulator(transcript.layout, held)
+        acc.add_branches(step.branches)
+
+
 def data_privacy_by_transcripts(protocol, grid: AuditGrid) -> AuditReport:
     """One transcript and user view per (i, database, r, masks), paired with the group's first.
 
@@ -228,8 +241,9 @@ def data_privacy_by_transcripts(protocol, grid: AuditGrid) -> AuditReport:
                 for masks in mask_subset:
                     views = {}
                     for x in group:
-                        views[x.value] = audits.user_view(protocol.run(x, i, r, masks),
-                                                          mixtures[x.value])
+                        t = protocol.run(x, i, r, masks)
+                        views[x.value] = audits.user_view(t)
+                        feed_user_mixtures(t, mixtures[x.value])
                     basis_x = group[0]
                     for other in group[1:]:
                         pair_count += 1

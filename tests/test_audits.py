@@ -28,7 +28,7 @@ from qspirlab.audits import (
     _server_mixtures_generic,
 )
 from qspirlab.compiler import CompiledProtocol, build_query_state, server_register
-from qspirlab.density import DensityAccumulator, entries_close, trace_distance
+from qspirlab.density import DensityAccumulator, entries_close, partial_trace, trace_distance
 from qspirlab.protocols import ClassicalProtocol, resolve_protocol
 from qspirlab.schemes import Database, all_databases, make_scheme, run_classically
 from qspirlab.transcript import USER, server_party, server_round
@@ -39,6 +39,7 @@ from helpers import (
     RandomXorScheme,
     audit_data_privacy_classical_direct,
     data_privacy_by_transcripts,
+    feed_user_mixtures,
 )
 
 
@@ -405,33 +406,9 @@ class TestDataPrivacy:
         assert report.passed
 
 
-def two_pass_view(t, mixtures):
-    """The user's view of a run and its mixture feed as two passes made them.
-
-    ``user_view`` alone, then each step's holdings traced again into that
-    step label's mixture.  The reference for the fused ``user_view(t, mixtures)``.
-    """
-    view = user_view(t)
-    for step in t.steps:
-        held = step.holdings(USER)
-        if step.branches is None or not held:
-            continue
-        acc = mixtures.get(step.label)
-        if acc is None:
-            acc = mixtures[step.label] = DensityAccumulator(t.layout, held)
-        acc.add_branches(step.branches)
-    return view
-
-
 def exact_terms(mapping):
     """Every value of a term or entry map to the bit, in key order."""
     return [(k, c.real.hex(), c.imag.hex()) for k, c in mapping.items()]
-
-
-def exact_view(view):
-    return (view.knowledge, view.output, [
-        (s.label, s.pure and exact_terms(s.pure.terms), s.rho and exact_terms(s.rho.entries))
-        for s in view.steps])
 
 
 def exact_mixtures(mixtures):
@@ -439,42 +416,129 @@ def exact_mixtures(mixtures):
             for label, acc in mixtures.items()]
 
 
-class TestFusedUserView:
-    """One partial trace per (run, step) feeds both the view and the mixture, bit for bit."""
+class TestFeedMixtures:
+    """A run feeds each step's user state into that step label's mixture, one way only."""
 
     @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
     @pytest.mark.parametrize("name,n", [("qspir(subset2)", 3), ("qspir(trivial1)", 3),
                                         ("bell2", 5), ("subset2", 2)])
-    def test_matches_two_passes(self, name, n, countermeasure):
+    def test_matches_step_loop_and_view(self, name, n, countermeasure):
+        """To the bit as the test's own step loop; one run alone mixes to its own view."""
         protocol = resolve_protocol(name, n, countermeasure)
         grid = make_grid(n)
-        _, mask_subset = audits._mask_mode(protocol)
-        fused, reference = {}, {}
+        fed, reference = {}, {}
         branch_counts = set()
         for i in grid.indices:
             for r in protocol.randomness_space():
-                for masks in mask_subset:
+                for masks in audits._data_privacy_masks(protocol):
                     for x in grid.databases:
                         t = protocol.run(x, i, r, masks)
                         branch_counts.add(max(len(s.branches or ()) for s in t.steps))
                         key = (i, x.value)
-                        view = user_view(t, fused.setdefault(key, {}))
-                        assert exact_view(view) == exact_view(
-                            two_pass_view(t, reference.setdefault(key, {})))
-        assert list(fused) == list(reference)
-        for key in fused:
-            assert exact_mixtures(fused[key]) == exact_mixtures(reference[key])
+                        audits._feed_mixtures(t, fed.setdefault(key, {}))
+                        feed_user_mixtures(t, reference.setdefault(key, {}))
+                        alone = {}
+                        audits._feed_mixtures(t, alone)
+                        held = [s for s in user_view(t).steps if s.pure or s.rho]
+                        assert [s.label for s in held] == list(alone)
+                        for s in held:
+                            rho = s.rho or partial_trace(s.pure, s.pure.layout.names)
+                            assert entries_close(alone[s.label].finalize(), rho)
+        assert list(fed) == list(reference)
+        for key in fed:
+            assert exact_mixtures(fed[key]) == exact_mixtures(reference[key])
         assert (max(branch_counts) > 1) == (countermeasure and name != "subset2")
 
-    @pytest.mark.parametrize("name,n", [("bell2", 3), ("qspir(subset2)", 2), ("subset2", 2)])
-    def test_audit_report_unchanged(self, name, n, monkeypatch):
-        for countermeasure in (False, True):
-            protocol = resolve_protocol(name, n, countermeasure)
-            report = json.dumps(audit_data_privacy(protocol, make_grid(n)).to_jsonable())
-            with monkeypatch.context() as m:
-                m.setattr(audits, "user_view", two_pass_view)
-                reference = json.dumps(audit_data_privacy(protocol, make_grid(n)).to_jsonable())
-            assert report == reference
+
+def per_set_mixtures(protocol, grid):
+    """Every set's mixtures, each fed from its class's transcript at every draw.
+
+    The audit's loop with nothing compared and the test's own step loop
+    feeding the mixtures: the reference for the mixtures the audit feeds
+    beside the views it builds only where a draw has two classes.  Also
+    says whether some class held several sets at a draw.
+    """
+    mask_subset = audits._data_privacy_masks(protocol)
+    rand = list(protocol.randomness_space())
+    per_group, shared = [], False
+    for i in grid.indices:
+        for value in (0, 1):
+            group = [x for x in grid.databases if x.bit(i) == value]
+            if len(group) < 2:
+                continue
+            alike = {}
+            for x in group:
+                alike.setdefault(tuple(protocol.view_class(x, i, r) for r in rand), x)
+            mixtures = {x.value: {} for x in alike.values()}
+            for r_idx, r in enumerate(rand):
+                classes = {}
+                for signature, x in alike.items():
+                    classes.setdefault(signature[r_idx], []).append(x)
+                for masks in mask_subset:
+                    for members in classes.values():
+                        t = protocol.run(members[0], i, r, masks)
+                        shared |= len(members) > 1
+                        for x in members:
+                            feed_user_mixtures(t, mixtures[x.value])
+            per_group.append([mixtures[x.value] for x in alike.values()])
+    return per_group, shared
+
+
+def draws_compared(protocol, grid):
+    """Classes per index summed over every draw of two classes or more."""
+    expected = Counter()
+    masks = len(audits._data_privacy_masks(protocol))
+    for i in grid.indices:
+        for value in (0, 1):
+            group = [x for x in grid.databases if x.bit(i) == value]
+            for r in protocol.randomness_space() if len(group) > 1 else ():
+                classes = len({protocol.view_class(x, i, r) for x in group})
+                if classes > 1:
+                    expected[i] += classes * masks
+    return expected
+
+
+class TestViewsOnlyWhereCompared:
+    """Per-draw views are built once per class where a draw has two, and nowhere else.
+
+    Every set's mixtures are fed at every draw all the same, and finalized once.
+    """
+
+    @staticmethod
+    def _count_views(monkeypatch):
+        calls = []
+        original = audits.user_view
+
+        def counting(t):
+            calls.append(t.i)
+            return original(t)
+
+        monkeypatch.setattr(audits, "user_view", counting)
+        return calls
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name,n", [("qspir(subset2)", 3), ("qspir(trivial1)", 4),
+                                        ("bell2", 5)])
+    def test_no_views_where_every_draw_has_one_class(self, name, n, countermeasure,
+                                                     monkeypatch):
+        protocol = resolve_protocol(name, n, countermeasure)
+        calls = self._count_views(monkeypatch)
+        report = audit_data_privacy(protocol, make_grid(n))
+        assert report.passed and report.details["pairs_compared"] > 0
+        assert calls == []
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("make", [lambda cm: resolve_protocol("subset2", 2, cm),
+                                      lambda cm: CompiledProtocol(CorruptedSubsetScheme(3), cm)],
+                             ids=["subset2", "corrupted"])
+    def test_one_view_per_class_where_compared(self, make, countermeasure, monkeypatch):
+        protocol = make(countermeasure)
+        grid = make_grid(protocol.n)
+        expected = draws_compared(protocol, grid)
+        calls = self._count_views(monkeypatch)
+        audit_data_privacy(protocol, grid)
+        assert sum(expected.values()) > 0
+        assert Counter(calls) == expected
 
     @pytest.mark.parametrize("name,n", [("bell2", 4), ("subset2", 3)])
     def test_each_mixture_finalized_once_per_group(self, name, n, monkeypatch):
@@ -517,94 +581,6 @@ class TestFusedUserView:
         assert expected == {"bell2": [1 * 8] * 8, "subset2": [4 * 5] * 6}[name]
         for accs in groups:
             assert [counts[id(acc)] for acc in accs] == [1] * len(accs)
-
-
-def per_set_mixtures(protocol, grid):
-    """Every set's mixtures as the audit fed them when each set built its own view.
-
-    The audit's loop with one ``user_view`` per set at every draw, its
-    class's transcript shared, and nothing compared: the reference for the
-    audit's views built only where a draw has two classes.  Also says
-    whether some class held several sets at a draw.
-    """
-    mask_subset = audits._data_privacy_masks(protocol)
-    rand = list(protocol.randomness_space())
-    per_group, shared = [], False
-    for i in grid.indices:
-        for value in (0, 1):
-            group = [x for x in grid.databases if x.bit(i) == value]
-            if len(group) < 2:
-                continue
-            alike = {}
-            for x in group:
-                alike.setdefault(tuple(protocol.view_class(x, i, r) for r in rand), x)
-            mixtures = {x.value: {} for x in alike.values()}
-            for r_idx, r in enumerate(rand):
-                classes = {}
-                for signature, x in alike.items():
-                    classes.setdefault(signature[r_idx], []).append(x)
-                for masks in mask_subset:
-                    for members in classes.values():
-                        t = protocol.run(members[0], i, r, masks)
-                        shared |= len(members) > 1
-                        for x in members:
-                            user_view(t, mixtures[x.value])
-            per_group.append([mixtures[x.value] for x in alike.values()])
-    return per_group, shared
-
-
-def draws_compared(protocol, grid):
-    """Classes per index summed over every draw of two classes or more."""
-    expected = Counter()
-    masks = len(audits._data_privacy_masks(protocol))
-    for i in grid.indices:
-        for value in (0, 1):
-            group = [x for x in grid.databases if x.bit(i) == value]
-            for r in protocol.randomness_space() if len(group) > 1 else ():
-                classes = len({protocol.view_class(x, i, r) for x in group})
-                if classes > 1:
-                    expected[i] += classes * masks
-    return expected
-
-
-class TestViewsOnlyWhereCompared:
-    """Per-draw views are built once per class where a draw has two, and nowhere else."""
-
-    @staticmethod
-    def _count_views(monkeypatch):
-        calls = []
-        original = audits.user_view
-
-        def counting(t, mixtures=None):
-            calls.append(t.i)
-            return original(t, mixtures)
-
-        monkeypatch.setattr(audits, "user_view", counting)
-        return calls
-
-    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
-    @pytest.mark.parametrize("name,n", [("qspir(subset2)", 3), ("qspir(trivial1)", 4),
-                                        ("bell2", 5)])
-    def test_no_views_where_every_draw_has_one_class(self, name, n, countermeasure,
-                                                     monkeypatch):
-        protocol = resolve_protocol(name, n, countermeasure)
-        calls = self._count_views(monkeypatch)
-        report = audit_data_privacy(protocol, make_grid(n))
-        assert report.passed and report.details["pairs_compared"] > 0
-        assert calls == []
-
-    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
-    @pytest.mark.parametrize("make", [lambda cm: resolve_protocol("subset2", 2, cm),
-                                      lambda cm: CompiledProtocol(CorruptedSubsetScheme(3), cm)],
-                             ids=["subset2", "corrupted"])
-    def test_one_view_per_class_where_compared(self, make, countermeasure, monkeypatch):
-        protocol = make(countermeasure)
-        grid = make_grid(protocol.n)
-        expected = draws_compared(protocol, grid)
-        calls = self._count_views(monkeypatch)
-        audit_data_privacy(protocol, grid)
-        assert sum(expected.values()) > 0
-        assert Counter(calls) == expected
 
     @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
     @pytest.mark.parametrize("make,shared", [

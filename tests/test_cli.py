@@ -301,6 +301,19 @@ class TestCommTable:
         assert [r["measured"] for r in rows] == [52, 76, 100]
         assert all(r["residual"] == 0 for r in rows)
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_out_file_holds_the_json_payload(self, capsys, tmp_path, fmt):
+        argv = ("comm-table", "--schemes", "qspir(trivial1),bell2", "--n-list", "2,4")
+        _, as_json, _ = run_cli(capsys, *argv, "--format", "json")
+        path = tmp_path / "ct.json"
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert code == EXIT_OK
+        assert path.read_text(encoding="utf-8") == as_json
+        if fmt == "json":
+            assert out == as_json
+        else:
+            assert out != as_json and len(out.splitlines()) == 2 + 4
+
 
 class TestExport:
     def test_export_and_roundtrip(self, capsys, tmp_path):
@@ -325,6 +338,24 @@ class TestExport:
         (("--scheme", "nope", "--x", "01", "--i", "1", "--out", "t.json"),
          "unknown protocol 'nope'"),
         (("--scheme", "subset2", "--x", "0101", "--i", "1"), "export needs --out"),
+        (("--scheme", "subset2", "--x", "01", "--i", "1", "--r", "99", "--out", "t.json"),
+         "--r 99 outside [0, 3]"),
+        (("--scheme", "subset2", "--x", "01", "--i", "1", "--r", "-1", "--out", "t.json"),
+         "--r -1 outside [0, 3]"),
+        (("--scheme", "bell2", "--x", "01", "--i", "1", "--r", "1", "--out", "t.json"),
+         "--r 1 outside [0, 0]"),
+        (("--scheme", "qspir(subset2)", "--x", "01", "--i", "1", "--masks", "99,0",
+          "--out", "t.json"), "--masks value 99 outside [0, 1]"),
+        (("--scheme", "qspir(subset2)", "--x", "01", "--i", "1", "--masks", "0,-1",
+          "--out", "t.json"), "--masks value -1 outside [0, 1]"),
+        (("--scheme", "qspir(subset2)", "--x", "01", "--i", "1", "--masks", "1",
+          "--out", "t.json"), "--masks needs 2 values for qspir(subset2), got 1"),
+        (("--scheme", "qspir(subset2)", "--x", "01", "--i", "1", "--masks", "a",
+          "--out", "t.json"), "--masks must be a comma list of integers, got 'a'"),
+        (("--scheme", "bell2", "--x", "01", "--i", "1", "--masks", "0", "--out", "t.json"),
+         "--masks needs 0 values for bell2, got 1"),
+        (("--scheme", "subset2", "--x", "01", "--i", "1", "--masks", "0", "--out", "t.json"),
+         "--masks needs 0 values for subset2, got 1"),
     ])
     def test_bad_input_refused_before_the_run(self, capsys, monkeypatch, tmp_path,
                                               argv, message):

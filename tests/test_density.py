@@ -77,15 +77,6 @@ class TestAccumulatorGeometry:
             with pytest.raises(ValueError, match="nonempty"):
                 DensityAccumulator(self.LAYOUT, [])
 
-    def test_second_accumulator_must_keep_the_same_registers(self):
-        state = SparseState.basis(self.LAYOUT, "0110")
-        acc = DensityAccumulator(self.LAYOUT, ["a"])
-        with pytest.raises(ValueError, match="different registers"):
-            acc.add(state, 1.0, also=DensityAccumulator(self.LAYOUT, ["b"]))
-        also = DensityAccumulator(self.LAYOUT, ["a"])
-        acc.add(state, 1.0, also=also)
-        assert acc.finalize().entries == also.finalize().entries == {(0, 0): 1.0}
-
 
 class TestMix:
     def test_singleton(self):

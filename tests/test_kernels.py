@@ -18,13 +18,6 @@ from qspirlab.schemes import make_scheme
 from qspirlab.states import SparseState, apply_local_map, hadamard
 
 
-def random_terms(rng, width, count):
-    keys = set()
-    while len(keys) < min(count, 1 << width):
-        keys.add(rng.getrandbits(width))
-    return {k: complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for k in keys}
-
-
 def exact(entries):
     """Every entry to the bit, in key order."""
     return [(key, c.real.hex(), c.imag.hex()) for key, c in entries.items()]
@@ -71,23 +64,6 @@ class TestSingleBackend:
         assert acc[(1, 1)] == pytest.approx(0.5)
         assert (0, 1) not in acc
 
-    def test_ptrace_accumulate_second_target(self):
-        # one call with a second target leaves both dicts as two separate
-        # calls would: same entries to the bit, same key order
-        rng = random.Random(7)
-        keep, trace = ((3, 3),), ((0, 3),)
-        for trial in range(20):
-            start = {(0, 0): 0.25 + 0j, (5, 2): -0.5j}
-            acc, also = dict(start), {}
-            ref_acc, ref_also = dict(start), {}
-            for weight in (0.5, 0.25, 0.25):
-                terms = random_terms(rng, 6, rng.randrange(1, 9))
-                kernels.ptrace_accumulate(acc, terms, keep, trace, weight, also)
-                kernels.ptrace_accumulate(ref_acc, terms, keep, trace, weight)
-                kernels.ptrace_accumulate(ref_also, terms, keep, trace, weight)
-            assert exact(acc) == exact(ref_acc)
-            assert exact(also) == exact(ref_also)
-
     def test_apply_map_cancellation(self):
         s = 0.5 ** 0.5
         images = {0: ((0, s), (1, s)), 1: ((0, s), (1, -s))}
@@ -132,7 +108,7 @@ def per_register(layout, names):
     return tuple(layout.piece(n) for n in names)
 
 
-def ptrace_by_sub_keys(acc, terms, keep_pieces, trace_pieces, weight, also=None):
+def ptrace_by_sub_keys(acc, terms, keep_pieces, trace_pieces, weight):
     """The partial trace spelled out: terms grouped by their traced sub-key."""
     groups = {}
     for k, v in terms.items():
@@ -142,8 +118,7 @@ def ptrace_by_sub_keys(acc, terms, keep_pieces, trace_pieces, weight, also=None)
         for u, a in items:
             for v2, b in items:
                 c = weight * a * b.conjugate()
-                for target in (acc,) if also is None else (acc, also):
-                    target[u, v2] = target[u, v2] + c if (u, v2) in target else c
+                acc[u, v2] = acc[u, v2] + c if (u, v2) in acc else c
 
 
 class TestMergedPieces:
@@ -192,8 +167,8 @@ class TestKernelsOnMergedPieces:
     """
 
     @settings(max_examples=60, deadline=None)
-    @given(st.data(), st.booleans(), st.booleans())
-    def test_ptrace_accumulate(self, data, with_also, trace_nothing):
+    @given(st.data(), st.booleans())
+    def test_ptrace_accumulate(self, data, trace_nothing):
         layout = data.draw(layouts(40))
         keep = layout.names if trace_nothing else data.draw(name_runs(layout))
         trace = tuple(data.draw(st.permutations([n for n in layout.names if n not in keep])))
@@ -201,10 +176,10 @@ class TestKernelsOnMergedPieces:
             st.tuples(st.floats(0.05, 1), term_maps(layout)), min_size=1, max_size=3))
 
         def accumulate(ptrace, keep_pieces, trace_pieces):
-            acc, also = {(0, 0): 0.25 + 0j}, {} if with_also else None
+            acc = {(0, 0): 0.25 + 0j}
             for weight, terms in mixture:
-                ptrace(acc, terms, keep_pieces, trace_pieces, weight, also)
-            return exact(acc), None if also is None else exact(also)
+                ptrace(acc, terms, keep_pieces, trace_pieces, weight)
+            return exact(acc)
 
         assert not trace_nothing or layout.pieces(trace) == ()
         single = per_register(layout, keep), per_register(layout, trace)

@@ -260,8 +260,8 @@ class TestChecksStayLive:
     def test_broken_accumulation_raises(self, monkeypatch):
         real = kernels.ptrace_accumulate
 
-        def broken(acc, terms, keep, trace, weight, also=None):
-            return real(acc, terms, keep, trace, 2.0 * weight, also)
+        def broken(acc, terms, keep, trace, weight):
+            return real(acc, terms, keep, trace, 2.0 * weight)
 
         monkeypatch.setattr(kernels, "ptrace_accumulate", broken)
         acc = DensityAccumulator(self.PLUS.layout, ["c"])

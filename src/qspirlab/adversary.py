@@ -26,6 +26,14 @@ bits with certainty — a function no honest single-index retrieval reveals.
 ``scenario_mixtures`` gives each database's output mixture, under the
 attack or an honest run, and ``leakage_bits`` the information it carries.
 
+Every figure mixes over the full (r, masks) product, but a sweep runs only
+the draws whose results can differ.  On a compiled protocol, an honest run
+and the echo without the countermeasure give one r the same output at
+every mask (``_mix_per_r``), so they run once per r and that output is
+added once per draw; the dephased echo's output rounds with the masks, so
+it runs every draw.  The default echo's server views are the same on every
+database, so ``verify_undetectability`` builds the first database's only.
+
 The countermeasure makes each server measure what it receives in the
 computational basis (simulated as exhaustive dephasing branches).  That
 collapses the coherence the attack rides on, driving its success
@@ -202,7 +210,43 @@ def _draw_space(protocol: QuantumProtocol) -> list[tuple[int, tuple[int, ...]]]:
 
 def draw_count(protocol: QuantumProtocol) -> int:
     """``len(_draw_space(protocol))``, without listing the draws."""
-    return len(protocol.randomness_space()) * sum(1 for _ in protocol.mask_space())
+    return len(protocol.randomness_space()) * len(protocol.mask_space())
+
+
+def _mix(dists: Sequence[Mapping[int, float]], repeats: int = 1) -> dict[int, float]:
+    """The even mixture over draws of ``dists``, each of which stands for ``repeats`` draws in a row.
+
+    Each ``w * p`` is added once per draw, in draw order, so every sum is the
+    one a sweep over all the draws makes, to the bit.
+    """
+    w = 1.0 / (len(dists) * repeats)
+    output: dict[int, float] = {}
+    for dist in dists:
+        for bit, p in dist.items():
+            wp, total = w * p, output.get(bit, 0.0)
+            for _ in range(repeats):
+                total += wp
+            output[bit] = total
+    return output
+
+
+def _mix_per_r(protocol, outputs: Callable[[list[tuple[int, tuple[int, ...]]]], list[dict]]
+               ) -> dict[int, float]:
+    """The mixture over every (r, masks) draw, from ``outputs`` at one draw per r.
+
+    Each r runs at the first mask tuple, and its output stands for every
+    mask tuple of that r, to the bit.  The servers' phases are ±1 on whole
+    terms, and a mask only decides which terms they negate.  An honest
+    run's two terms keep their relative sign c(x, i, r), and negating both
+    leaves every square, norm and renormalised amplitude as it is; under
+    the countermeasure a run splits into two rows, each giving bit 0 then
+    bit 1, and two floats add to the same sum in either order.  In the echo
+    without the countermeasure, the second pass undoes the first pass's
+    mask phases.
+    """
+    masks = next(iter(protocol.mask_space()))
+    dists = outputs([(r, masks) for r in protocol.randomness_space()])
+    return _mix(dists, len(protocol.mask_space()))
 
 
 def verify_undetectability(
@@ -217,11 +261,23 @@ def verify_undetectability(
     with the attack mixture by user privacy.  An attack view at a (server,
     step) where honest runs have none fails the report; its witness has
     distance None.
+
+    The default echo on a compiled protocol builds the first database's
+    views only, and they stand for every database's, to the bit.  Inside
+    each (idx, sign) group, a server's register holds one value.  So the
+    echo's server states have no cross terms, and x only flips the signs of
+    whole terms.  Bell servers' Paulis act on the qubits they hold, and
+    supplied ``attack_views`` may read x any way, so both sweep every
+    database.
     """
     n = protocol.n
     if databases is None:
         databases = tuple(Database(n, v) for v in range(1 << n))
+    swept, repeats = databases, 1
     if attack_views is None:
+        if isinstance(protocol, CompiledProtocol):
+            swept, repeats = databases[:1], len(databases)
+
         def attack_views(proto, x, r, masks):
             oracle = CleanQueryOracle(proto, x, r, tuple(masks))
             oracle.query_branches(_phase_encoded_input(n))
@@ -232,7 +288,7 @@ def verify_undetectability(
     witness = None
     comparisons = 0
     honest: dict[int, dict[tuple[str, str], DensityMatrix]] = {}
-    for x in databases:
+    for x in swept:
         attack_accs: dict[tuple[str, str], list[DensityMatrix]] = {}
         for r, masks in draws:
             for key, dm in attack_views(protocol, x, r, masks).items():
@@ -251,7 +307,7 @@ def verify_undetectability(
                                    "honest_i": i, "distance": None}
                     continue
                 d = trace_distance(attack_dm, honest_dm)
-                comparisons += 1
+                comparisons += repeats
                 if d > worst:
                     worst = d
                     if d > TOL and witness is None:
@@ -271,24 +327,22 @@ def verify_undetectability(
 
 def attack_output_mixture(protocol: QuantumProtocol, x: Database) -> dict[int, float]:
     """Parity-attack output distribution averaged over the full draw space."""
-    draws = _draw_space(protocol)
-    output: dict[int, float] = {}
-    w = 1.0 / len(draws)
-    for r, masks in draws:
-        _, dist = parity_query(protocol, x, r, masks)
-        for bit, p in dist.items():
-            output[bit] = output.get(bit, 0.0) + w * p
-    return output
+    def outputs(draws):
+        return [parity_query(protocol, x, r, masks)[1] for r, masks in draws]
+
+    if isinstance(protocol, CompiledProtocol) and protocol.dephase_servers:
+        # every draw runs: the dephased echo's branches come out in the order
+        # of the masked register values, so its sums round with the masks
+        # (qspir(trivial1), x = 00, r = 0: both bits read 0x1.0000000000005p-1
+        # at mask (3,) and 0x1.0000000000006p-1 at mask (0,))
+        return _mix(outputs(_draw_space(protocol)))
+    return _mix_per_r(protocol, outputs)
 
 
 def honest_output_mixture(protocol, x: Database, i: int) -> dict[int, float]:
-    draws = _draw_space(protocol)
-    output: dict[int, float] = {}
-    w = 1.0 / len(draws)
-    for dist in protocol.run_outputs(x, [(i, r, masks) for r, masks in draws]):
-        for bit, p in dist.items():
-            output[bit] = output.get(bit, 0.0) + w * p
-    return output
+    """Honest output distribution at index i, averaged over the full draw space."""
+    return _mix_per_r(protocol, lambda draws: protocol.run_outputs(
+        x, [(i, r, masks) for r, masks in draws]))
 
 
 def mutual_information_bits(joint: Mapping[tuple, float]) -> float:

@@ -32,19 +32,26 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
 
-# Most (r, masks) draws ``attack --scenario parity2`` sweeps per database.  A
-# clean query on qspir(cube2) at n = 2 took 0.73 ms on a 2-core x86-64 box, so
-# the sweep over 4 databases stays near 12 s.
+# Most (r, masks) draws ``attack --scenario parity2`` sweeps per database:
+# the undetectability audit still builds the echo's views at every draw, and
+# the countermeasure's output mixture runs every draw.  On a 2-core x86-64
+# box a clean query on qspir(cube2) at n = 2 took 0.09 ms (0.14 ms with its
+# server views) and 0.24 ms with --countermeasure, so 4 databases at the
+# limit stay under 4 s.
 ATTACK_DRAW_LIMIT = 4096
-# Most runs ``--scenario honest-baseline`` sweeps, over every database and
-# draw, on the same box.  A compiled protocol runs each draw as the two real
-# amplitudes of its query terms: qspir(cube2) at n = 2 swept 4,194,304 runs
-# in 13.9 to 14.5 s, and in 25.9 to 28.1 s with --countermeasure.
-# bell2 takes each run's steps on its sparse state, recording no transcript,
-# at a cost that grows with n: 1.1 ms a run at n = 12 (4.5 s) and 1.8 ms at
-# n = 13, whose 8,192 runs took 15 s.
+# Most runs ``--scenario honest-baseline`` makes, one per database and r: a
+# compiled protocol's output stands for every mask of its r, and runs as the
+# two real amplitudes of its query terms.  On the same box qspir(subset2) at
+# n = 11 made 4,194,304 runs in 9.4 s, and in 16.4 s with --countermeasure.
+# bell2 takes each run's steps on its sparse state, recording no transcript;
+# at n = 13 its 8,192 runs took 7.8 s.
 COMPILED_BASELINE_RUN_LIMIT = 1 << 22
 BELL_BASELINE_RUN_LIMIT = 1 << 13
+# Most draws the honest-baseline mixtures add up, over every database: each
+# output is added once per draw, in draw order.  qspir(trivial1) at n = 14
+# mixed 268,435,456 draws from 16,384 runs in 5.2 s, and in 10.1 s with
+# --countermeasure, which gives two output bits a run.
+BASELINE_DRAW_LIMIT = 1 << 28
 
 
 class _Parser(argparse.ArgumentParser):
@@ -192,15 +199,19 @@ def _cmd_attack(args) -> int:
         _check_index(args.i, protocol.n)
         limit = (COMPILED_BASELINE_RUN_LIMIT if isinstance(protocol, CompiledProtocol)
                  else BELL_BASELINE_RUN_LIMIT)
-        # every protocol has at least one draw, so too many databases refuse
-        # before the draws are counted
+        # one run per database and r; every protocol has at least one r, so
+        # too many databases refuse before the randomness is counted
         runs = 1 << protocol.n
         if runs <= limit:
-            runs *= draw_count(protocol)
+            runs *= len(protocol.randomness_space())
         if runs > limit:
             raise ConfigError(f"honest-baseline on {protocol.name} sweeps at least "
-                              f"{runs:,} runs over every database and draw, more than "
+                              f"{runs:,} runs over every database and r, more than "
                               f"{limit:,}")
+        draws = (1 << protocol.n) * draw_count(protocol)
+        if draws > BASELINE_DRAW_LIMIT:
+            raise ConfigError(f"honest-baseline on {protocol.name} mixes {draws:,} draws "
+                              f"over every database, more than {BASELINE_DRAW_LIMIT:,}")
     # each database's output mixture is computed once, for the display and
     # every leakage figure
     mixtures = scenario_mixtures(protocol, args.scenario, args.i)

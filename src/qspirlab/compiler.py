@@ -19,7 +19,6 @@ Communication is 2*k*(t+a) qubits: every register travels out and back.
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 from typing import Sequence
@@ -97,6 +96,25 @@ class _Answers(dict):
         return answer
 
 
+class MaskSpace:
+    """Every tuple of k a-bit masks, in ``itertools.product`` order: server 1 varies slowest.
+
+    Each tuple is built as it is reached and no mask range is listed, so the
+    first tuples of a space too large to list cost what a small one's do.
+    """
+
+    def __init__(self, a: int, k: int):
+        self.a, self.k = a, k
+
+    def __len__(self) -> int:
+        return 1 << (self.a * self.k)
+
+    def __iter__(self):
+        if self.k == 1:
+            return zip(range(1 << self.a))
+        return ((*head, m) for head in MaskSpace(self.a, self.k - 1) for m in range(1 << self.a))
+
+
 class CompiledProtocol:
     """Runs the compiled protocol end to end, producing transcripts."""
 
@@ -137,9 +155,8 @@ class CompiledProtocol:
     def randomness_space(self):
         return self.scheme.randomness_space
 
-    def mask_space(self):
-        a = self.scheme.shape.a
-        return itertools.product(range(1 << a), repeat=self.k)
+    def mask_space(self) -> MaskSpace:
+        return MaskSpace(self.scheme.shape.a, self.k)
 
     def _knowledge(self, plan: QueryPlan, masks: Sequence[int]) -> dict:
         s = self.scheme.shape

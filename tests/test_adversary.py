@@ -166,6 +166,127 @@ class TestAttackOutputMixture:
             pytest.approx(1.0, abs=1e-12)
 
 
+def full_sweep_honest_mixture(protocol, x, i):
+    """The honest output mixture as one output-only run per draw of the full product."""
+    draws = _draw_space(protocol)
+    output = {}
+    for dist in protocol.run_outputs(x, [(i, r, masks) for r, masks in draws]):
+        for bit, p in dist.items():
+            output[bit] = output.get(bit, 0.0) + (1.0 / len(draws)) * p
+    return output
+
+
+def echo_views(protocol, x, r, masks):
+    """The default echo's server views, supplied by hand: the audit sweeps every database."""
+    oracle = CleanQueryOracle(protocol, x, r, tuple(masks))
+    oracle.query_branches(adversary._phase_encoded_input(protocol.n))
+    return oracle.server_views()
+
+
+def hex_items(dist):
+    return [(bit, p.hex()) for bit, p in dist.items()]
+
+
+def table_protocols(n, countermeasure, most_mask_bits):
+    """qspir(subset2), qspir(trivial1) and random XOR schemes at k = 1..4, a = 1..3."""
+    protocols = {name: resolve_protocol(name, n, countermeasure)
+                 for name in ("qspir(subset2)", "qspir(trivial1)")}
+    for k in range(1, 5):
+        for a in range(1, 4):
+            if a * k <= most_mask_bits:
+                scheme = RandomXorScheme(n, k=k, t=2, a=a, randomness_size=2, seed=10 * k + a)
+                protocols[f"random-k{k}-a{a}"] = CompiledProtocol(scheme, countermeasure)
+    return protocols
+
+
+MODES = pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+
+
+class TestReducedSweeps:
+    """One echo or honest run per r stands for every mask of that r, to the bit."""
+
+    @MODES
+    def test_attack_mixture_matches_full_sweep(self, countermeasure):
+        for name, protocol in table_protocols(2, countermeasure, 8).items():
+            for x in all_databases(2):
+                assert hex_items(attack_output_mixture(protocol, x)) == \
+                    hex_items(old_attack_output_mixture(protocol, x)), (name, str(x))
+
+    @MODES
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_honest_mixture_matches_full_sweep(self, n, countermeasure):
+        protocols = table_protocols(n, countermeasure, 12)
+        protocols["bell2"] = resolve_protocol("bell2", n, countermeasure)
+        for name, protocol in protocols.items():
+            for x in all_databases(n):
+                for i in range(1, n + 1):
+                    assert hex_items(honest_output_mixture(protocol, x, i)) == \
+                        hex_items(full_sweep_honest_mixture(protocol, x, i)), (name, str(x), i)
+
+    @MODES
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_undetectability_matches_per_database_loop(self, n, countermeasure):
+        protocols = table_protocols(n, countermeasure, 4)
+        protocols["bell2"] = resolve_protocol("bell2", n, countermeasure)
+        for name, protocol in protocols.items():
+            got = verify_undetectability(protocol).to_jsonable()
+            assert json.dumps(got) == \
+                json.dumps(verify_undetectability(protocol, attack_views=echo_views).to_jsonable()), name
+            assert got["grid"]["databases"] == 1 << n
+
+    def test_supplied_views_sweep_every_database(self):
+        protocol = resolve_protocol("qspir(subset2)", 2)
+        seen = Counter()
+
+        def counting(proto, x, r, masks):
+            seen[str(x)] += 1
+            return leaky_attack_views(proto, x, r, masks)
+
+        assert not verify_undetectability(protocol, attack_views=counting).passed
+        assert seen == Counter({str(x): 16 for x in all_databases(2)})
+
+    @pytest.mark.parametrize("countermeasure, mixture_echoes, audit_echoes",
+                             [(False, 4, 16), (True, 16, 16)], ids=["plain", "countermeasure"])
+    def test_echo_count(self, monkeypatch, countermeasure, mixture_echoes, audit_echoes):
+        # qspir(subset2) at n = 2 draws 4 values of r and 4 mask pairs
+        calls = []
+        query = CleanQueryOracle.query_branches
+
+        def counting(oracle, input_state):
+            calls.append((str(oracle.x), oracle.r, oracle.masks))
+            return query(oracle, input_state)
+
+        monkeypatch.setattr(CleanQueryOracle, "query_branches", counting)
+        protocol = resolve_protocol("qspir(subset2)", 2, countermeasure)
+        for x in all_databases(2):
+            calls.clear()
+            attack_output_mixture(protocol, x)
+            assert len(calls) == len(set(calls)) == mixture_echoes
+        calls.clear()
+        verify_undetectability(protocol)
+        # the first database's views stand for all four
+        assert len(calls) == audit_echoes and {x for x, _, _ in calls} == {"00"}
+
+    def test_countermeasure_echo_depends_on_the_masks(self):
+        # why the countermeasure's attack mixture still runs every draw: its
+        # dephased branches come out in the order of the masked register values
+        protocol = resolve_protocol("qspir(trivial1)", 2, countermeasure=True)
+        x = Database.from_string("00")
+        assert hex_items(parity_query(protocol, x, 0, (3,))[1]) == \
+            [(0, "0x1.0000000000005p-1"), (1, "0x1.0000000000005p-1")]
+        assert hex_items(parity_query(protocol, x, 0, (0,))[1]) == \
+            [(0, "0x1.0000000000006p-1"), (1, "0x1.0000000000006p-1")]
+        # here one echo per r would move the mixture itself
+        protocol = CompiledProtocol(RandomXorScheme(2, k=1, t=2, a=2, randomness_size=2, seed=2),
+                                    dephase_servers=True)
+        per_r = adversary._mix_per_r(protocol, lambda draws: [
+            parity_query(protocol, x, r, masks)[1] for r, masks in draws])
+        want = hex_items(old_attack_output_mixture(protocol, x))
+        assert hex_items(attack_output_mixture(protocol, x)) == want \
+            == [(0, "0x1.0000000000006p-1"), (1, "0x1.0000000000006p-1")]
+        assert hex_items(per_r) == [(0, "0x1.0000000000007p-1"), (1, "0x1.0000000000007p-1")]
+
+
 def report_json(**fields):
     """An undetectability report on two-bit databases, as the per-database loop gave it."""
     report = {"audit": "undetectability", "protocol": "qspir(subset2)",

@@ -38,6 +38,14 @@ class TestAudit:
         assert {r["audit"] for r in data["reports"]} == {
             "recovery", "user-privacy", "data-privacy", "comm"}
 
+    def test_comm_audit_with_wide_masks(self, capsys):
+        # 70-bit masks: the comm audit runs at the first mask tuple, not a listed product
+        code, out, err = run_cli(capsys, "audit", "--scheme", "qspir(trivial1)", "--n", "70",
+                                 "--audits", "comm", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        (report,) = json.loads(out)["reports"]
+        assert report["details"] == {"unit": "qubits", "measured": 140, "closed_form": 140}
+
     def test_unknown_scheme_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "audit", "--scheme", "nope", "--n", "2")
         assert code == EXIT_USAGE
@@ -226,9 +234,9 @@ class TestAttack:
         assert "1,048,576 draws" in err and "4,096" in err
 
     @pytest.mark.parametrize("scheme, n, runs, limit", [
-        # 2**11 databases times 8,192 draws
-        ("qspir(subset2)", "11", "16,777,216", "4,194,304"),
-        # 2**40 databases refuse before the 2**40 masks are counted
+        # 2**12 databases times 4,096 values of r: one run each, whatever the masks
+        ("qspir(subset2)", "12", "16,777,216", "4,194,304"),
+        # 2**40 databases refuse before the randomness and the 2**40 masks are counted
         ("qspir(trivial1)", "40", "1,099,511,627,776", "4,194,304"),
         # bell2 runs one draw per database, each through the step engine with no transcript
         ("bell2", "14", "16,384", "8,192"),
@@ -247,11 +255,26 @@ class TestAttack:
         assert (code, out) == (EXIT_USAGE, "")
         assert f"{runs} runs" in err and limit in err
 
+    def test_honest_baseline_refuses_more_draws_than_it_can_add_up(self, capsys, monkeypatch):
+        # 2**15 runs, but each output stands for 2**15 masks, every one of them added up
+        def never(*args):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(cli, "scenario_mixtures", never)
+        code, out, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
+                                 "--scheme", "qspir(trivial1)", "--n", "15")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("qspirlab: honest-baseline on qspir(trivial1) mixes 1,073,741,824 draws "
+                       "over every database, more than 268,435,456\n")
+
     def test_honest_baseline_admits_sweeps_up_to_the_limits(self, capsys, monkeypatch):
-        # qspir(subset2) at n = 7 sweeps 65,536 runs and bell2 at n = 13
-        # 8,192: both run in seconds, so neither is refused
+        # qspir(subset2) at n = 7 sweeps 65,536 runs, qspir(subset2) at n = 11
+        # 4,194,304, qspir(cube2) at n = 2 mixes 256 runs over 4,194,304
+        # draws, qspir(trivial1) at n = 14 16,384 runs over 268,435,456 draws,
+        # and bell2 at n = 13 makes 8,192 runs: none is refused
         monkeypatch.setattr(adversary, "honest_output_mixture", lambda protocol, x, i: {0: 1.0})
-        for scheme, n in (("qspir(subset2)", "7"), ("bell2", "13")):
+        for scheme, n in (("qspir(subset2)", "7"), ("qspir(subset2)", "11"), ("qspir(cube2)", "2"),
+                          ("qspir(trivial1)", "14"), ("bell2", "13")):
             code, _, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
                                    "--scheme", scheme, "--n", n)
             assert (code, err) == (EXIT_OK, ""), scheme

@@ -16,6 +16,7 @@ from qspirlab.audits import (
 )
 from qspirlab.compiler import (
     CompiledProtocol,
+    MaskSpace,
     build_query_state,
     compiled_layout,
     server_phase,
@@ -238,6 +239,29 @@ def test_mask_cycle_distinctness():
     assert set(combos) == set(itertools.product(range(128), repeat=1))
     small = CompiledProtocol(make_scheme("subset2", 2))
     assert _mask_mode(small) == ("full", list(small.mask_space()))
+
+
+class TestMaskSpace:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("a", [0, 1, 2, 3])
+    def test_matches_the_product(self, a, k):
+        space = MaskSpace(a, k)
+        want = list(itertools.product(range(1 << a), repeat=k))
+        assert list(space) == want  # server 1 varies slowest
+        assert list(space) == want  # iterable more than once
+        assert len(space) == len(want)
+
+    def test_protocol_space(self):
+        protocol = CompiledProtocol(RandomXorScheme(2, k=3, t=2, a=2, seed=0))
+        assert list(protocol.mask_space()) == list(itertools.product(range(4), repeat=3))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_wide_masks_start_at_once(self, k):
+        # a product over range(1 << 70) cannot even be set up
+        space = MaskSpace(70, k)
+        head = list(itertools.islice(space, 3))
+        assert head == [(0,) * (k - 1) + (m,) for m in range(3)]
+        assert next(iter(CompiledProtocol(make_scheme("trivial1", 70)).mask_space())) == (0,)
 
 
 def _full_draws(protocol):

@@ -13,11 +13,10 @@ lets the servers act through honest runs' ``server_round``, under its step
 labels, and undoes the query with honest recovery's ``undo_query``,
 controlled by (index, sign) instead of the sign alone.  The servers'
 conditional phases are involutions, so the second pass deterministically
-returns the sign and work registers to zero, and the residual
-mask-dependent phases of the two passes cancel exactly.  Every state the
-servers see is, draw by draw, exactly a state they see in honest runs, so
-cheating is undetectable from their side; ``server_views`` mixes them with
-the honest audit's ``mix_views``.
+returns the sign and work registers to zero.  Every state the servers see
+is, draw by draw, exactly a state they see in honest runs, so cheating is
+undetectable from their side; ``server_views`` mixes them with the honest
+audit's ``mix_views``.
 
 The concrete attack at the smallest scale: with the index register in a
 uniform superposition and a phase-encoded target, one clean query followed
@@ -26,13 +25,9 @@ bits with certainty — a function no honest single-index retrieval reveals.
 ``scenario_mixtures`` gives each database's output mixture, under the
 attack or an honest run, and ``leakage_bits`` the information it carries.
 
-Every figure mixes over the full (r, masks) product, but a sweep runs only
-the draws whose results can differ.  On a compiled protocol, an honest run
-and the echo without the countermeasure give one r the same output at
-every mask (``_mix_per_r``), so they run once per r and that output is
-added once per draw; the dephased echo's output rounds with the masks, so
-it runs every draw.  The default echo's server views are the same on every
-database, so ``verify_undetectability`` builds the first database's only.
+Every figure mixes over the full (r, masks) product, but runs only the
+draws ``plan_sweep`` names; ``check_sweep`` counts from it and refuses a
+sweep too large to finish before any echo or run.
 
 The countermeasure makes each server measure what it receives in the
 computational basis (simulated as exhaustive dephasing branches).  That
@@ -49,7 +44,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .audits import AuditReport, TOL, mix_views, server_state_mixtures
 from .bell import BellProtocol
@@ -176,11 +171,7 @@ def _phase_encoded_input(n: int) -> SparseState:
     """
     w = index_width(n)
     amp = math.sqrt(0.5) ** (w + 1) if n == 1 << w else math.sqrt(0.5 / n)
-    terms = {}
-    for iv in range(n):
-        base = iv << 1
-        terms[base] = amp
-        terms[base | 1] = -amp
+    terms = {(iv << 1) | t: -amp if t else amp for iv in range(n) for t in (0, 1)}
     return SparseState(attack_input_layout(n), terms)
 
 
@@ -203,14 +194,50 @@ def parity_query(protocol: QuantumProtocol, x: Database, r: int = 0, masks: Sequ
     return oracle, output
 
 
-def _draw_space(protocol: QuantumProtocol) -> list[tuple[int, tuple[int, ...]]]:
-    """Every (r, masks) draw: the full product, r outermost."""
-    return list(itertools.product(protocol.randomness_space(), protocol.mask_space()))
+class Sweep(NamedTuple):
+    """The draws ``randomness`` x ``masks``, r outermost, that ``plan_sweep`` names."""
+
+    randomness: Sequence[int]
+    masks: Sequence[tuple[int, ...]]
+    repeats: int = 1
+    first_only: bool = False
+
+    def draws(self) -> list[tuple[int, tuple[int, ...]]]:
+        return list(itertools.product(self.randomness, self.masks))
 
 
-def draw_count(protocol: QuantumProtocol) -> int:
-    """``len(_draw_space(protocol))``, without listing the draws."""
-    return len(protocol.randomness_space()) * len(protocol.mask_space())
+def plan_sweep(protocol: QuantumProtocol, scenario: str) -> Sweep:
+    """The draws ``scenario`` runs per database, and what each stands for.
+
+    "parity2" and "honest-baseline" mix each database's output over the full
+    (r, masks) product, "undetectability" the default echo's server views.
+    ``_mix`` adds each result once per draw it stands for (``repeats``).  An
+    honest run, and the echo without the countermeasure, give one r the same
+    output at every mask tuple, to the bit, so each r runs at its first: the
+    servers' ±1 phases act on whole terms, and a mask only decides which
+    they negate.  An honest run's two terms keep their relative sign
+    c(x, i, r), and negating both leaves every square, norm and renormalised
+    amplitude as it is; dephased, a run splits into two rows, each giving
+    bit 0 then bit 1, and two floats add to the same sum in either order.
+    The echo's second pass undoes the first pass's mask phases, but
+    dephased, its branches come out in the order of the masked register
+    values and its sums round with the masks (qspir(trivial1), x = 00,
+    r = 0: both bits read 0x1.0000000000005p-1 at mask (3,) and
+    0x1.0000000000006p-1 at (0,)), so it runs every draw.  Bell's mask
+    space is one tuple, so both ways run one draw.
+
+    The echo's views run every draw.  On a compiled protocol the first
+    database's stand for every database's, to the bit (``first_only``):
+    inside each (idx, sign) group a server's register holds one value, so
+    the echo's server states have no cross terms, and x only flips the
+    signs of whole terms.  Bell servers' Paulis act on the qubits they hold.
+    """
+    rs, masks = protocol.randomness_space(), protocol.mask_space()
+    if scenario == "undetectability":
+        return Sweep(rs, masks, first_only=isinstance(protocol, CompiledProtocol))
+    if scenario == "parity2" and protocol.dephase_servers:
+        return Sweep(rs, masks)
+    return Sweep(rs, [next(iter(masks))], len(masks))
 
 
 def _mix(dists: Sequence[Mapping[int, float]], repeats: int = 1) -> dict[int, float]:
@@ -230,25 +257,6 @@ def _mix(dists: Sequence[Mapping[int, float]], repeats: int = 1) -> dict[int, fl
     return output
 
 
-def _mix_per_r(protocol, outputs: Callable[[list[tuple[int, tuple[int, ...]]]], list[dict]]
-               ) -> dict[int, float]:
-    """The mixture over every (r, masks) draw, from ``outputs`` at one draw per r.
-
-    Each r runs at the first mask tuple, and its output stands for every
-    mask tuple of that r, to the bit.  The servers' phases are ±1 on whole
-    terms, and a mask only decides which terms they negate.  An honest
-    run's two terms keep their relative sign c(x, i, r), and negating both
-    leaves every square, norm and renormalised amplitude as it is; under
-    the countermeasure a run splits into two rows, each giving bit 0 then
-    bit 1, and two floats add to the same sum in either order.  In the echo
-    without the countermeasure, the second pass undoes the first pass's
-    mask phases.
-    """
-    masks = next(iter(protocol.mask_space()))
-    dists = outputs([(r, masks) for r in protocol.randomness_space()])
-    return _mix(dists, len(protocol.mask_space()))
-
-
 def verify_undetectability(
     protocol: QuantumProtocol,
     attack_views: Callable[[QuantumProtocol, Database, int, Sequence[int]], Mapping] | None = None,
@@ -260,30 +268,22 @@ def verify_undetectability(
     masks); the honest side is compared at every index, which must agree
     with the attack mixture by user privacy.  An attack view at a (server,
     step) where honest runs have none fails the report; its witness has
-    distance None.
-
-    The default echo on a compiled protocol builds the first database's
-    views only, and they stand for every database's, to the bit.  Inside
-    each (idx, sign) group, a server's register holds one value.  So the
-    echo's server states have no cross terms, and x only flips the signs of
-    whole terms.  Bell servers' Paulis act on the qubits they hold, and
-    supplied ``attack_views`` may read x any way, so both sweep every
-    database.
+    distance None.  The default echo sweeps what ``plan_sweep(protocol,
+    "undetectability")`` names; supplied ``attack_views`` may read x any
+    way, so they sweep every database.
     """
     n = protocol.n
-    if databases is None:
-        databases = tuple(Database(n, v) for v in range(1 << n))
-    swept, repeats = databases, 1
+    databases = tuple(all_databases(n)) if databases is None else databases
+    sweep = plan_sweep(protocol, "undetectability")
+    first_only = attack_views is None and sweep.first_only
+    swept, repeats = (databases[:1], len(databases)) if first_only else (databases, 1)
     if attack_views is None:
-        if isinstance(protocol, CompiledProtocol):
-            swept, repeats = databases[:1], len(databases)
-
         def attack_views(proto, x, r, masks):
             oracle = CleanQueryOracle(proto, x, r, tuple(masks))
             oracle.query_branches(_phase_encoded_input(n))
             return oracle.server_views()
 
-    draws = _draw_space(protocol)
+    draws = sweep.draws()
     worst = 0.0
     witness = None
     comparisons = 0
@@ -301,18 +301,14 @@ def verify_undetectability(
         for i in range(1, n + 1):
             for key, attack_dm in attack_mix.items():
                 honest_dm = honest[i].get(key)
-                if honest_dm is None:  # a view no honest run has is a deviation too
-                    if witness is None:
-                        witness = {"server": key[0], "step": key[1], "x": str(x),
-                                   "honest_i": i, "distance": None}
-                    continue
-                d = trace_distance(attack_dm, honest_dm)
-                comparisons += repeats
-                if d > worst:
-                    worst = d
-                    if d > TOL and witness is None:
-                        witness = {"server": key[0], "step": key[1], "x": str(x),
-                                   "honest_i": i, "distance": d}
+                # a view no honest run has is a deviation too
+                d = None if honest_dm is None else trace_distance(attack_dm, honest_dm)
+                if d is not None:
+                    comparisons += repeats
+                    worst = max(worst, d)
+                if witness is None and (d is None or d > TOL):
+                    witness = {"server": key[0], "step": key[1], "x": str(x),
+                               "honest_i": i, "distance": d}
     return AuditReport(
         kind="undetectability",
         protocol=protocol.name,
@@ -327,22 +323,16 @@ def verify_undetectability(
 
 def attack_output_mixture(protocol: QuantumProtocol, x: Database) -> dict[int, float]:
     """Parity-attack output distribution averaged over the full draw space."""
-    def outputs(draws):
-        return [parity_query(protocol, x, r, masks)[1] for r, masks in draws]
-
-    if isinstance(protocol, CompiledProtocol) and protocol.dephase_servers:
-        # every draw runs: the dephased echo's branches come out in the order
-        # of the masked register values, so its sums round with the masks
-        # (qspir(trivial1), x = 00, r = 0: both bits read 0x1.0000000000005p-1
-        # at mask (3,) and 0x1.0000000000006p-1 at mask (0,))
-        return _mix(outputs(_draw_space(protocol)))
-    return _mix_per_r(protocol, outputs)
+    sweep = plan_sweep(protocol, "parity2")
+    return _mix([parity_query(protocol, x, r, masks)[1] for r, masks in sweep.draws()],
+                sweep.repeats)
 
 
 def honest_output_mixture(protocol, x: Database, i: int) -> dict[int, float]:
     """Honest output distribution at index i, averaged over the full draw space."""
-    return _mix_per_r(protocol, lambda draws: protocol.run_outputs(
-        x, [(i, r, masks) for r, masks in draws]))
+    sweep = plan_sweep(protocol, "honest-baseline")
+    return _mix(protocol.run_outputs(x, [(i, r, masks) for r, masks in sweep.draws()]),
+                sweep.repeats)
 
 
 def mutual_information_bits(joint: Mapping[tuple, float]) -> float:
@@ -374,6 +364,57 @@ def scenario_mixtures(protocol, scenario: str, index: int) -> dict[Database, dic
     if scenario == "honest-baseline":
         return {x: honest_output_mixture(protocol, x, index) for x in all_databases(protocol.n)}
     raise ValueError(f"unknown scenario {scenario!r}")
+
+
+# ``check_sweep``'s limits, timed on a 2-core x86-64 box.  Echoes per database
+# and echo views: a clean query on qspir(cube2) at n = 2 took 0.09 ms (0.14 ms
+# with its views, 0.24 ms dephased), so 4 databases at the limit take < 4 s.
+# Honest runs, one per database and r: qspir(subset2) at n = 11 made 4,194,304
+# in 9.4 s (16.4 s dephased, at most two rows a run).  bell2 runs through the
+# step engine, 0.18, 0.30, 0.29, 0.52, 0.52 and 0.97 ms a run at n = 8 to 13
+# (n = 13: 8.1 s); dephased, 2.4, 7.3, 7.3, 24, 24 and 87 ms, so a run counts
+# its up to 2^(pairs + 1) branches (n = 8: 8,192, in 0.7 s).  Draws added up:
+# qspir(trivial1) at n = 14 mixed 268,435,456 from 16,384 runs in 5.2 s (10.1 s
+# dephased).
+ATTACK_ECHO_LIMIT = 4096
+COMPILED_BASELINE_RUN_LIMIT = 1 << 22
+BELL_BASELINE_RUN_LIMIT = 1 << 13
+MIXED_DRAW_LIMIT = 1 << 28
+
+
+class SweepRefused(ValueError):
+    """A sweep refused before any echo or run."""
+
+
+def check_sweep(protocol, scenario: str, undetectability: bool = False) -> None:
+    """Refuse a ``scenario_mixtures`` sweep, and ``verify_undetectability`` when
+    ``undetectability``, that would not finish in seconds, counting from
+    ``plan_sweep``: echoes per database, echo views over the databases swept,
+    honest runs weighed by their dephased branches, and draws added up.
+    """
+    if scenario == "parity2" and protocol.n != 2:
+        raise SweepRefused("the parity2 scenario needs --n 2")
+    databases, sweep = 1 << protocol.n, plan_sweep(protocol, scenario)
+    runs = len(sweep.randomness) * len(sweep.masks)  # per database
+    if scenario == "parity2":
+        audit = plan_sweep(protocol, "undetectability")
+        views = len(audit.randomness) * len(audit.masks) * (1 if audit.first_only else databases)
+        counts = [(runs, ATTACK_ECHO_LIMIT, "runs {:,} echoes per database"),
+                  (views if undetectability else 0, ATTACK_ECHO_LIMIT,
+                   "builds {:,} echo views for the undetectability audit")]
+    else:
+        bell = isinstance(protocol, BellProtocol)
+        branches = 1 << protocol.pair_count + 1 if bell and protocol.dephase_servers else 1
+        unit = "runs" if branches == 1 else "dephased branches"
+        counts = [(databases * runs * branches,
+                   BELL_BASELINE_RUN_LIMIT if bell else COMPILED_BASELINE_RUN_LIMIT,
+                   f"sweeps at least {{:,}} {unit} over every database and r")]
+    counts.append((databases * runs * sweep.repeats, MIXED_DRAW_LIMIT,
+                   "mixes {:,} draws over every database"))
+    for count, limit, what in counts:
+        if count > limit:
+            raise SweepRefused(f"{scenario} on {protocol.name} {what.format(count)}, "
+                               f"more than {limit:,}")
 
 
 def leakage_bits(mixtures: Mapping[Database, Mapping[int, float]],

@@ -104,7 +104,9 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
     """Grid with an exhaustive database set up to ``2**cap``, sampled beyond.
 
     ``databases`` may be "all", an int sample size, or an iterable of bit
-    strings / Database values; ``indices`` may be "all" or an iterable.
+    strings / Database values; ``indices`` may be "all" or an iterable.  An
+    empty set, a database of another size or an index that is not an int in
+    [1, n] raises ValueError.
     """
     if databases == "all":
         if n <= cap:
@@ -127,6 +129,14 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
         idx = tuple(range(1, n + 1))
     else:
         idx = tuple(indices)
+    if not dbs or not idx:
+        raise ValueError("the grid needs at least one database and one index")
+    for d in dbs:
+        if d.n != n:
+            raise ValueError(f"database {d} has {d.n} bits, not n = {n}")
+    for i in idx:
+        if type(i) is not int or not 1 <= i <= n:
+            raise ValueError(f"index {i!r} outside [1, {n}]")
     return AuditGrid(n=n, databases=dbs, indices=idx)
 
 

@@ -243,8 +243,8 @@ class BellProtocol:
         return execute(self, x, i, self._script(x, i))
 
     def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
-        """``run(x, i).output`` of each (i, r, masks) draw, recording no transcript."""
-        return [execute(self, x, i, self._script(x, i), output_only=True) for i, r, masks in draws]
+        """``run(x, i).output`` of each (i, r, masks) draw."""
+        return [self.run(x, i).output for i, r, masks in draws]
 
     def _script(self, x: Database, i: int) -> Script:
         if not 1 <= i <= self.n:

@@ -3,6 +3,12 @@
 Subcommands: ``run`` (config-driven experiment), ``audit`` (named audits
 over a protocol), ``attack`` (dishonest-user scenarios), ``comm-table``
 (communication accounting), and ``export`` (write a transcript to JSON).
+``attack --scenario parity2`` runs the parity attack on every two-bit
+database, then the undetectability audit unless ``--countermeasure`` or
+``--skip-undetectability``; ``honest-baseline`` runs the honest protocol
+at ``--i`` on every database.  ``adversary.plan_sweep`` says which draws
+each runs; a sweep too large to finish in seconds exits 1 before it starts
+(``adversary.check_sweep``).
 Exit codes: 0 all passed, 1 usage or config error, 2 an audit or check
 failed (a witness is included in the output).
 """
@@ -13,7 +19,8 @@ import argparse
 import json
 import sys
 
-from .adversary import draw_count, leakage_bits, parity, scenario_mixtures, verify_undetectability
+from .adversary import (SweepRefused, check_sweep, leakage_bits, parity, scenario_mixtures,
+                        verify_undetectability)
 from .audits import AUDIT_NAMES
 from .compiler import CompiledProtocol
 from .experiments import (
@@ -31,28 +38,6 @@ from .transcript import export_transcript, load_transcript, transcripts_equal
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_FAILED = 2
-
-# Most (r, masks) draws ``attack --scenario parity2`` sweeps per database:
-# the undetectability audit still builds the echo's views at every draw, and
-# the countermeasure's output mixture runs every draw.  On a 2-core x86-64
-# box a clean query on qspir(cube2) at n = 2 took 0.09 ms (0.14 ms with its
-# server views) and 0.24 ms with --countermeasure, so 4 databases at the
-# limit stay under 4 s.
-ATTACK_DRAW_LIMIT = 4096
-# Most runs ``--scenario honest-baseline`` makes, one per database and r: a
-# compiled protocol's output stands for every mask of its r, and runs as the
-# two real amplitudes of its query terms.  On the same box qspir(subset2) at
-# n = 11 made 4,194,304 runs in 9.4 s, and in 16.4 s with --countermeasure.
-# bell2 takes each run's steps on its sparse state, recording no transcript;
-# at n = 13 its 8,192 runs took 7.8 s.
-COMPILED_BASELINE_RUN_LIMIT = 1 << 22
-BELL_BASELINE_RUN_LIMIT = 1 << 13
-# Most draws the honest-baseline mixtures add up, over every database: each
-# output is added once per draw, in draw order.  qspir(trivial1) at n = 14
-# mixed 268,435,456 draws from 16,384 runs in 5.2 s, and in 10.1 s with
-# --countermeasure, which gives two output bits a run.
-BASELINE_DRAW_LIMIT = 1 << 28
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -188,55 +173,31 @@ def _cmd_attack(args) -> int:
     shown = _database(args.x) if args.x else None
     if shown is not None and shown.n != protocol.n:
         raise ConfigError(f"--n {protocol.n} does not match --x of {shown.n} bits")
-    if args.scenario == "parity2":
-        if protocol.n != 2:
-            raise ConfigError("the parity2 scenario needs --n 2")
-        draws = draw_count(protocol)
-        if draws > ATTACK_DRAW_LIMIT:
-            raise ConfigError(f"parity2 on {protocol.name} sweeps {draws:,} draws per "
-                              f"database, more than {ATTACK_DRAW_LIMIT:,}")
-    else:
+    if args.scenario == "honest-baseline":
         _check_index(args.i, protocol.n)
-        limit = (COMPILED_BASELINE_RUN_LIMIT if isinstance(protocol, CompiledProtocol)
-                 else BELL_BASELINE_RUN_LIMIT)
-        # one run per database and r; every protocol has at least one r, so
-        # too many databases refuse before the randomness is counted
-        runs = 1 << protocol.n
-        if runs <= limit:
-            runs *= len(protocol.randomness_space())
-        if runs > limit:
-            raise ConfigError(f"honest-baseline on {protocol.name} sweeps at least "
-                              f"{runs:,} runs over every database and r, more than "
-                              f"{limit:,}")
-        draws = (1 << protocol.n) * draw_count(protocol)
-        if draws > BASELINE_DRAW_LIMIT:
-            raise ConfigError(f"honest-baseline on {protocol.name} mixes {draws:,} draws "
-                              f"over every database, more than {BASELINE_DRAW_LIMIT:,}")
-    # each database's output mixture is computed once, for the display and
-    # every leakage figure
+    audit = not args.countermeasure and not args.skip_undetectability
+    check_sweep(protocol, args.scenario, audit)
+    # one output mixture per database, for the display and every leakage figure
     mixtures = scenario_mixtures(protocol, args.scenario, args.i)
     databases = [shown] if shown is not None else list(mixtures)
     results = []
     ok = True
     if args.scenario == "parity2":
+        want = 0.5 if args.countermeasure else 1.0
         for x in databases:
-            dist = mixtures[x]
-            expected = parity(x)
+            dist, expected = mixtures[x], parity(x)
             p = dist.get(expected, 0.0)
             results.append({
                 "scenario": "parity2", "x": str(x), "expected_parity": expected,
                 "output_distribution": {str(k): round(v, 12) for k, v in sorted(dist.items())},
                 "success_probability": p,
             })
-            if args.countermeasure:
-                ok = ok and abs(p - 0.5) <= 1e-9
-            else:
-                ok = ok and abs(p - 1.0) <= 1e-9
+            ok = ok and abs(p - want) <= 1e-9
         leak = leakage_bits(mixtures, parity)
         summary = {"parity_leakage_bits": leak}
         if args.countermeasure:
             ok = ok and leak <= 1e-9
-        if not args.countermeasure and not args.skip_undetectability:
+        if audit:
             rep = verify_undetectability(protocol)
             summary["undetectability"] = rep.to_jsonable()
             ok = ok and rep.passed
@@ -319,10 +280,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        sys.stderr.write(f"qspirlab: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ConfigError, SweepRefused, OSError) as exc:
         sys.stderr.write(f"qspirlab: {exc}\n")
         return EXIT_USAGE
 

@@ -111,8 +111,11 @@ class ReportBundle:
 
 
 def _grid_for(config: ExperimentConfig) -> AuditGrid:
-    return make_grid(config.n, databases=config.databases, indices=config.indices,
-                     cap=config.cap_grid, seed=config.seed)
+    try:
+        return make_grid(config.n, databases=config.databases, indices=config.indices,
+                         cap=config.cap_grid, seed=config.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def comm_row(protocol, n: int) -> dict:

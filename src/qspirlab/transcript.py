@@ -153,21 +153,13 @@ def message_unit(protocol) -> str:
     return "bits" if protocol.kind == "classical" else "qubits"
 
 
-def execute(protocol, x, i: int, script: Script,
-            output_only: bool = False) -> Transcript | dict[int, float]:
-    """One run: plan, build, send, [measure,] operate, return, recover.
-
-    With ``output_only`` it records no step and returns only the output distribution.
-    """
+def execute(protocol, x, i: int, script: Script) -> Transcript:
+    """One run: plan, build, send, [measure,] operate, return, recover."""
     layout = script.state.layout
     servers = range(1, protocol.k + 1)
     branches = [(1.0, script.state)]
     rounds = server_round(branches, servers, script.receives, script.operate, protocol.verb,
                           protocol.dephase_servers)
-    if output_only:
-        for _, _, branches in rounds:
-            pass
-        return dict(sorted(_recover(branches, script.recover)[0].items()))
     t = Transcript(protocol=protocol.name, n=protocol.n, x=str(x), i=i,
                    knowledge=script.knowledge, layout=layout)
     custody = dict.fromkeys(layout.names, USER)

@@ -1,5 +1,6 @@
 """Dishonest-user suite: clean queries, the parity attack, the fix."""
 
+import itertools
 import json
 import math
 from collections import Counter
@@ -9,14 +10,16 @@ import pytest
 from qspirlab import adversary
 from qspirlab.adversary import (
     CleanQueryOracle,
-    _draw_space,
+    SweepRefused,
     attack_input_layout,
+    check_sweep,
     attack_output_mixture,
     honest_output_mixture,
     leakage_report,
     mutual_information_bits,
     parity,
     parity_query,
+    plan_sweep,
     scenario_mixtures,
     verify_undetectability,
 )
@@ -136,9 +139,14 @@ class TestParityAttack:
             parity_query(resolve_protocol("qspir(subset2)", 4), Database.from_string("0000"))
 
 
+def full_draw_space(protocol):
+    """Every (r, masks) draw: the full product, r outermost."""
+    return list(itertools.product(protocol.randomness_space(), protocol.mask_space()))
+
+
 def old_attack_output_mixture(protocol, x):
     """The attack's output mixture as a loop over whole parity queries."""
-    draws = _draw_space(protocol)
+    draws = full_draw_space(protocol)
     output = {}
     for r, masks in draws:
         for bit, p in parity_query(protocol, x, r, masks)[1].items():
@@ -168,7 +176,7 @@ class TestAttackOutputMixture:
 
 def full_sweep_honest_mixture(protocol, x, i):
     """The honest output mixture as one output-only run per draw of the full product."""
-    draws = _draw_space(protocol)
+    draws = full_draw_space(protocol)
     output = {}
     for dist in protocol.run_outputs(x, [(i, r, masks) for r, masks in draws]):
         for bit, p in dist.items():
@@ -279,12 +287,88 @@ class TestReducedSweeps:
         # here one echo per r would move the mixture itself
         protocol = CompiledProtocol(RandomXorScheme(2, k=1, t=2, a=2, randomness_size=2, seed=2),
                                     dephase_servers=True)
-        per_r = adversary._mix_per_r(protocol, lambda draws: [
-            parity_query(protocol, x, r, masks)[1] for r, masks in draws])
+        first = next(iter(protocol.mask_space()))
+        per_r = adversary._mix([parity_query(protocol, x, r, first)[1]
+                                for r in protocol.randomness_space()], len(protocol.mask_space()))
         want = hex_items(old_attack_output_mixture(protocol, x))
         assert hex_items(attack_output_mixture(protocol, x)) == want \
             == [(0, "0x1.0000000000006p-1"), (1, "0x1.0000000000006p-1")]
         assert hex_items(per_r) == [(0, "0x1.0000000000007p-1"), (1, "0x1.0000000000007p-1")]
+
+
+# (protocol, countermeasure, scenario, undetectability, the limit, the count held to it)
+SWEEP_COUNTS = [
+    # qspir(subset2) at n = 2: 4 values of r, 4 mask pairs; one echo per r
+    ("qspir(subset2)", False, "parity2", False, "ATTACK_ECHO_LIMIT", 4),
+    # the audit's echo views: every draw of the first database
+    ("qspir(subset2)", False, "parity2", True, "ATTACK_ECHO_LIMIT", 16),
+    # the dephased echo runs every draw
+    ("qspir(subset2)", True, "parity2", False, "ATTACK_ECHO_LIMIT", 16),
+    # Bell's audit sweeps every database
+    ("bell2", False, "parity2", True, "ATTACK_ECHO_LIMIT", 4),
+    ("qspir(subset2)", False, "honest-baseline", False, "COMPILED_BASELINE_RUN_LIMIT", 16),
+    ("qspir(subset2)", True, "honest-baseline", False, "COMPILED_BASELINE_RUN_LIMIT", 16),
+    ("bell2", False, "honest-baseline", False, "BELL_BASELINE_RUN_LIMIT", 4),
+    # one pair: a dephased run splits into up to 4 branches
+    ("bell2", True, "honest-baseline", False, "BELL_BASELINE_RUN_LIMIT", 16),
+    ("qspir(subset2)", False, "honest-baseline", False, "MIXED_DRAW_LIMIT", 64),
+    ("qspir(subset2)", True, "parity2", False, "MIXED_DRAW_LIMIT", 64),
+]
+
+
+class TestSweepAdmission:
+    @pytest.mark.parametrize("name, countermeasure, scenario, audit, limit, count", SWEEP_COUNTS)
+    def test_admits_its_count_and_refuses_one_less(self, monkeypatch, name, countermeasure,
+                                                   scenario, audit, limit, count):
+        protocol = resolve_protocol(name, 2, countermeasure)
+        monkeypatch.setattr(adversary, limit, count)
+        check_sweep(protocol, scenario, audit)
+        monkeypatch.setattr(adversary, limit, count - 1)
+        with pytest.raises(SweepRefused, match=f"more than {count - 1}$"):
+            check_sweep(protocol, scenario, audit)
+
+    @MODES
+    @pytest.mark.parametrize("name", ["qspir(subset2)", "qspir(trivial1)", "bell2"])
+    def test_plan_names_the_draws_each_sweep_runs(self, monkeypatch, name, countermeasure):
+        echoes, runs = [], []
+        query = CleanQueryOracle.query_branches
+
+        def counting(oracle, input_state):
+            echoes.append((str(oracle.x), oracle.r, oracle.masks))
+            return query(oracle, input_state)
+
+        monkeypatch.setattr(CleanQueryOracle, "query_branches", counting)
+        protocol = resolve_protocol(name, 2, countermeasure)
+        run_outputs = protocol.run_outputs
+
+        def counting_runs(x, draws):
+            runs.extend((str(x), r, tuple(m)) for _, r, m in draws)
+            return run_outputs(x, draws)
+
+        monkeypatch.setattr(protocol, "run_outputs", counting_runs)
+        attack, honest = plan_sweep(protocol, "parity2"), plan_sweep(protocol, "honest-baseline")
+        for sweep in attack, honest:
+            assert len(sweep.draws()) * sweep.repeats == len(full_draw_space(protocol))
+        scenario_mixtures(protocol, "parity2", 1)
+        scenario_mixtures(protocol, "honest-baseline", 1)
+        assert echoes == [(str(x), r, m) for x in all_databases(2) for r, m in attack.draws()]
+        assert runs == [(str(x), r, m) for x in all_databases(2) for r, m in honest.draws()]
+        echoes.clear()
+        verify_undetectability(protocol)
+        audit = plan_sweep(protocol, "undetectability")
+        swept = list(all_databases(2))[:1] if audit.first_only else list(all_databases(2))
+        assert echoes == [(str(x), r, m) for x in swept for r, m in full_draw_space(protocol)]
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dephased_bell_runs_split_into_at_most_the_branches_counted(self, n):
+        # the weight check_sweep gives a dephased Bell run: 2**(pairs + 1),
+        # reached at odd indices, whose marker pair differs on the right qubit
+        protocol = resolve_protocol("bell2", n, countermeasure=True)
+        x = Database(n, (1 << n) - 1)
+        for i in range(1, n + 1):
+            served = [s for s in protocol.run(x, i).steps if s.label == "pauli:server2"]
+            want = 1 << protocol.pair_count + (i % 2)
+            assert len(served[0].branches) == want <= 1 << protocol.pair_count + 1
 
 
 def report_json(**fields):

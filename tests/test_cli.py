@@ -5,8 +5,11 @@ import json
 import pytest
 
 from qspirlab import adversary, cli
-from qspirlab.adversary import attack_output_mixture, honest_output_mixture, leakage_report, parity
+from qspirlab.adversary import (CleanQueryOracle, attack_output_mixture, honest_output_mixture,
+                                leakage_report, parity)
+from qspirlab.bell import BellProtocol
 from qspirlab.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
+from qspirlab.compiler import CompiledProtocol
 from qspirlab.protocols import resolve_protocol
 from qspirlab.schemes import Database, all_databases
 
@@ -87,6 +90,19 @@ class TestRun:
         assert code == EXIT_USAGE == 1
         assert "tolerance" in err
 
+    @pytest.mark.parametrize("keys, message", [
+        ({"indices": [3]}, "index 3 outside [1, 2]"),
+        ({"indices": ["1"]}, "index '1' outside [1, 2]"),
+        ({"indices": []}, "the grid needs at least one database and one index"),
+        ({"databases": ["011"]}, "database 011 has 3 bits, not n = 2"),
+    ])
+    def test_grid_outside_the_database_is_config_error(self, capsys, tmp_path, keys, message):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"scheme": "bell2", "n": 2, "audits": ["comm"], **keys}))
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qspirlab: {message}\n"
+
     def test_missing_scheme_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--n", "2")
         assert code == EXIT_USAGE
@@ -116,6 +132,17 @@ class TestRun:
         code, out, _ = run_cli(capsys, "run", "--config", config, "--format", "table")
         assert code == EXIT_OK
         assert out.startswith("audit") and "PASS" in out
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Any clean query or honest run fails the test: a refusal must come before the first."""
+    def never(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(CleanQueryOracle, "query_branches", never)
+    monkeypatch.setattr(CompiledProtocol, "run_outputs", never)
+    monkeypatch.setattr(BellProtocol, "run_outputs", never)
 
 
 class TestAttack:
@@ -217,67 +244,85 @@ class TestAttack:
         assert out == ""
         assert "--n 2 does not match --x of 3 bits" in err
 
-    def test_parity2_needs_two_bits(self, capsys):
+    def test_parity2_needs_two_bits(self, capsys, no_work):
         code, out, err = run_cli(capsys, "attack", "--scheme", "qspir(subset2)", "--n", "3",
                                  "--skip-undetectability")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "qspirlab: the parity2 scenario needs --n 2\n"
 
-    def test_parity2_refuses_a_draw_space_it_cannot_finish(self, capsys, monkeypatch):
-        def never(*args):
-            raise AssertionError("the sweep started")
+    def test_parity2_runs_one_echo_per_r_without_the_audit(self, capsys):
+        # 64 values of r, each standing for 2**14 mask pairs: four mixtures in a fraction of a second
+        code, out, err = run_cli(capsys, "attack", "--scheme", "qspir(cube2)", "--n", "2",
+                                 "--skip-undetectability", "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out)["summary"]["parity_leakage_bits"] == pytest.approx(1.0)
 
-        monkeypatch.setattr(cli, "scenario_mixtures", never)
-        code, out, err = run_cli(capsys, "attack", "--scheme", "qspir(cube2)", "--n", "2")
+    @pytest.mark.parametrize("flag, message", [
+        # the audit builds the echo's views at all 64 * 2**14 draws of the first database
+        (None, "parity2 on qspir(cube2) builds 1,048,576 echo views for the undetectability "
+               "audit, more than 4,096"),
+        # the dephased echo runs every draw, on every database
+        ("--countermeasure", "parity2 on qspir(cube2) runs 1,048,576 echoes per database, "
+                             "more than 4,096"),
+    ])
+    def test_parity2_refuses_a_draw_space_it_cannot_finish(self, capsys, no_work, flag, message):
+        argv = ["attack", "--scheme", "qspir(cube2)", "--n", "2"] + ([flag] if flag else [])
+        code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (EXIT_USAGE, "")
-        # 64 randomness values times 2**14 mask pairs
-        assert "1,048,576 draws" in err and "4,096" in err
+        assert err == f"qspirlab: {message}\n"
 
     @pytest.mark.parametrize("scheme, n, runs, limit", [
         # 2**12 databases times 4,096 values of r: one run each, whatever the masks
         ("qspir(subset2)", "12", "16,777,216", "4,194,304"),
-        # 2**40 databases refuse before the randomness and the 2**40 masks are counted
+        # 2**40 databases, one value of r each
         ("qspir(trivial1)", "40", "1,099,511,627,776", "4,194,304"),
-        # bell2 runs one draw per database, each through the step engine with no transcript
+        # bell2 runs one draw per database, each through the step engine
         ("bell2", "14", "16,384", "8,192"),
         ("bell2", "40", "1,099,511,627,776", "8,192"),
     ])
-    def test_honest_baseline_refuses_a_sweep_it_cannot_finish(self, capsys, monkeypatch,
+    def test_honest_baseline_refuses_a_sweep_it_cannot_finish(self, capsys, no_work,
                                                               scheme, n, runs, limit):
-        def never(*args):
-            raise AssertionError("the sweep started")
-
-        monkeypatch.setattr(cli, "scenario_mixtures", never)
-        if 1 << int(n) > int(limit.replace(",", "")):
-            monkeypatch.setattr(cli, "draw_count", never)
         code, out, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
                                  "--scheme", scheme, "--n", n)
         assert (code, out) == (EXIT_USAGE, "")
         assert f"{runs} runs" in err and limit in err
 
-    def test_honest_baseline_refuses_more_draws_than_it_can_add_up(self, capsys, monkeypatch):
-        # 2**15 runs, but each output stands for 2**15 masks, every one of them added up
-        def never(*args):
-            raise AssertionError("the sweep started")
+    @pytest.mark.parametrize("n, branches", [
+        # 2**13 runs, each split by the servers' measurements into up to 2**8 branches
+        ("13", "2,097,152"),
+        # 2**9 runs of up to 2**6 branches
+        ("9", "32,768"),
+    ])
+    def test_honest_baseline_weighs_dephased_bell_runs(self, capsys, no_work, n, branches):
+        code, out, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
+                                 "--scheme", "bell2", "--n", n, "--countermeasure")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"qspirlab: honest-baseline on bell2 sweeps at least {branches} dephased "
+                       "branches over every database and r, more than 8,192\n")
 
-        monkeypatch.setattr(cli, "scenario_mixtures", never)
+    def test_honest_baseline_refuses_more_draws_than_it_can_add_up(self, capsys, no_work):
+        # 2**15 runs, but each output stands for 2**15 masks, every one of them added up
         code, out, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
                                  "--scheme", "qspir(trivial1)", "--n", "15")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == ("qspirlab: honest-baseline on qspir(trivial1) mixes 1,073,741,824 draws "
                        "over every database, more than 268,435,456\n")
 
-    def test_honest_baseline_admits_sweeps_up_to_the_limits(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("scheme, n, countermeasure", [
         # qspir(subset2) at n = 7 sweeps 65,536 runs, qspir(subset2) at n = 11
         # 4,194,304, qspir(cube2) at n = 2 mixes 256 runs over 4,194,304
         # draws, qspir(trivial1) at n = 14 16,384 runs over 268,435,456 draws,
-        # and bell2 at n = 13 makes 8,192 runs: none is refused
-        monkeypatch.setattr(adversary, "honest_output_mixture", lambda protocol, x, i: {0: 1.0})
-        for scheme, n in (("qspir(subset2)", "7"), ("qspir(subset2)", "11"), ("qspir(cube2)", "2"),
-                          ("qspir(trivial1)", "14"), ("bell2", "13")):
-            code, _, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
-                                   "--scheme", scheme, "--n", n)
-            assert (code, err) == (EXIT_OK, ""), scheme
+        # bell2 at n = 13 makes 8,192 runs, and at n = 8 with the
+        # countermeasure 256 runs of up to 32 branches: none is refused
+        ("qspir(subset2)", "7", False), ("qspir(subset2)", "11", False),
+        ("qspir(cube2)", "2", False), ("qspir(trivial1)", "14", False), ("bell2", "13", False),
+        ("bell2", "8", True),
+    ])
+    def test_honest_baseline_admits_sweeps_up_to_the_limits(self, capsys, no_work, scheme, n,
+                                                            countermeasure):
+        argv = ["attack", "--scenario", "honest-baseline", "--scheme", scheme, "--n", n]
+        with pytest.raises(AssertionError, match="the sweep started"):
+            main(argv + ["--countermeasure"] * countermeasure)
 
     def test_classical_protocol_rejected(self, capsys):
         code, _, err = run_cli(capsys, "attack", "--scheme", "subset2", "--n", "2")
@@ -295,12 +340,7 @@ class TestAttack:
          "--x must be a string of 0s and 1s, got '01a1'"),
         (("--scheme", "nope", "--n", "2"), "unknown protocol 'nope'"),
     ])
-    def test_bad_input_refused_before_the_sweep(self, capsys, monkeypatch, argv, message):
-        def never(*args):
-            raise AssertionError("the sweep started")
-
-        monkeypatch.setattr(cli, "scenario_mixtures", never)
-        monkeypatch.setattr(cli, "draw_count", never)
+    def test_bad_input_refused_before_the_sweep(self, capsys, no_work, argv, message):
         code, out, err = run_cli(capsys, "attack", *argv)
         assert (code, out) == (EXIT_USAGE, "")
         assert err.startswith("qspirlab: ") and message in err

@@ -20,11 +20,12 @@ The three audit families:
   user's classical knowledge and quantum holdings at every step, paired per
   randomness draw) must coincide, pure states up to a global phase.  A
   strictly weaker mixed-over-randomness comparison is reported alongside
-  for information; every run feeds it.  The user's view reads the database
-  only through its protocol's view class (the compiled reconstruction
-  c(x, i, r), Bell's x_i, a classical scheme's answers), so the audit runs
-  one transcript per class instead of one per database, and builds
-  per-draw views only where a draw has two classes or more to compare.
+  for information; its mixtures are built only where a group has a second
+  set to compare.  The user's view reads the database only through its
+  protocol's view class (the compiled reconstruction c(x, i, r), Bell's
+  x_i, a classical scheme's answers), so the audit runs one transcript per
+  class instead of one per database, and builds per-draw views only where
+  a draw has two classes or more to compare.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .compiler import CompiledProtocol, server_register
 # unused here; perfbench's tracer tests check that its wrapper re-binds this copy
@@ -103,11 +104,20 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
               seed: int = 0) -> AuditGrid:
     """Grid with an exhaustive database set up to ``2**cap``, sampled beyond.
 
-    ``databases`` may be "all", an int sample size, or an iterable of bit
-    strings / Database values; ``indices`` may be "all" or an iterable.  An
-    empty set, a database of another size or an index that is not an int in
-    [1, n] raises ValueError.
+    ``databases`` may be "all", an int sample size of at least 2 (a sample
+    always holds all-zeros and all-ones), or an iterable of bit strings /
+    Database values; ``indices`` may be "all" or an iterable.  Anything else
+    there, an empty set, a database of another size or an index that is not
+    an int in [1, n] raises ValueError.
     """
+    if type(databases) is int:
+        if databases < 2:
+            raise ValueError("a database sample holds all-zeros and all-ones, "
+                             f"so its size must be at least 2, not {databases}")
+    elif databases != "all" and (isinstance(databases, (str, bool))
+                                 or not isinstance(databases, Iterable)):
+        raise ValueError('databases must be "all", a sample size or a list of bit strings, '
+                         f"not {databases!r}")
     if databases == "all":
         if n <= cap:
             dbs = tuple(Database(n, v) for v in range(1 << n))
@@ -122,9 +132,11 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
             values.add(rng.getrandbits(n))
         dbs = tuple(Database(n, v) for v in sorted(values))
     elif databases != "all":
-        dbs = tuple(
-            d if isinstance(d, Database) else Database.from_string(d) for d in databases
-        )
+        entries = tuple(databases)
+        for d in entries:
+            if not (isinstance(d, Database) or isinstance(d, str) and set(d) <= {"0", "1"}):
+                raise ValueError(f"database {d!r} is not a bit string")
+        dbs = tuple(d if isinstance(d, Database) else Database.from_string(d) for d in entries)
     if indices == "all":
         idx = tuple(range(1, n + 1))
     else:
@@ -542,11 +554,14 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     witness is its first failing pair, group[0] against the first member
     of the first class whose view differs.
 
-    Every run feeds the mixed-over-randomness accumulators of the sets its
-    class holds.  A per-draw view is built only at a draw with two classes
-    or more, once per class; a draw of one class has nothing to compare its
-    view with.  ``pairs_compared`` counts the database pairs the class
-    verdicts cover, len(group) - 1 per draw, not ``compare_views`` calls.
+    Databases with the same class at every r form one set, whose
+    mixed-over-randomness accumulators every run of its class feeds; they
+    are built only where a group has a second set to compare them with, and
+    a group of one set reports distance 0.  A per-draw view is built only
+    at a draw with two classes or more, once per class; a draw of one class
+    has nothing to compare its view with.  ``pairs_compared`` counts the
+    database pairs the class verdicts cover, len(group) - 1 per draw, not
+    ``compare_views`` calls.
     """
     mask_subset = _data_privacy_masks(protocol)
     rand = list(protocol.randomness_space())
@@ -564,8 +579,9 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
             alike: dict[tuple, Database] = {}
             for x in group:
                 alike.setdefault(tuple(protocol.view_class(x, i, r) for r in rand), x)
-            mixtures: dict[int, dict[str, DensityAccumulator]] = {
-                x.value: {} for x in alike.values()}
+            # a lone set's mixtures have nothing to be compared with
+            mixtures: dict[int, dict[str, DensityAccumulator]] | None = (
+                {x.value: {} for x in alike.values()} if len(alike) > 1 else None)
             for r_idx, r in enumerate(rand):
                 # class -> its sets' first databases, in group order
                 classes: dict = {}
@@ -578,9 +594,10 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
                         t = protocol.run(members[0], i, r, masks)
                         if compared:
                             views.append((members[0], user_view(t)))
-                        # several members where their classes differ at another r
-                        for x in members:
-                            _feed_mixtures(t, mixtures[x.value])
+                        if mixtures is not None:
+                            # several members where their classes differ at another r
+                            for x in members:
+                                _feed_mixtures(t, mixtures[x.value])
                     pair_count += len(group) - 1
                     for other, view in views[1:]:
                         mismatch = compare_views(views[0][1], view)
@@ -589,7 +606,9 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
                             if witness is None:
                                 witness = _data_privacy_witness(protocol, i, value, group[0],
                                                                 other, r, masks, mismatch)
-            mixed_worst = max(mixed_worst, _mixed_view_distance(mixtures, list(alike.values())))
+            if mixtures is not None:
+                mixed_worst = max(mixed_worst,
+                                  _mixed_view_distance(mixtures, list(alike.values())))
     return _data_privacy_report(protocol, grid, worst, witness, pair_count, mixed_worst)
 
 

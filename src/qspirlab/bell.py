@@ -261,5 +261,5 @@ class BellProtocol:
             receives=self.server_registers,
             returns=self.server_registers,
             operate=self.server_operation(x),
-            recover=lambda state: sign_recovery(self, state, i),
+            recover=lambda state: sign_recovery(self, state, self.sign_table(i)),
         )

@@ -56,20 +56,31 @@ def _register_values(plan: QueryPlan, masks: Sequence[int], flip: bool) -> dict[
             for j, (q, sel, m) in enumerate(zip(plan.queries, plan.selects, masks), start=1)}
 
 
-def _query_keys(plan: QueryPlan, masks: Sequence[int]) -> tuple[int, int]:
-    """Basis keys of the query state's sign-0 and sign-1 terms, after the draw's checks."""
+def query_table(plan: QueryPlan, masks: Sequence[int]) -> dict[int, dict[str, int]]:
+    """Sign value -> the register values of that query branch, after the draw's checks.
+
+    The query state is built from it and recovery XORs it back out.  A plan
+    whose queries fit t bits and selects a bits gives values that fit their
+    registers.
+    """
     _check_masks(plan, masks)
     if not any(plan.selects):
         raise ValueError("degenerate plan: all selection vectors are zero")
+    for q, sel in zip(plan.queries, plan.selects):
+        if q >> plan.t:
+            raise ValueError(f"query {q} does not fit {plan.t} bits")
+        if sel >> plan.a:
+            raise ValueError(f"select {sel} does not fit {plan.a} bits")
+    return {0: _register_values(plan, masks, flip=False),
+            1: _register_values(plan, masks, flip=True)}
+
+
+def build_query_state(plan: QueryPlan, table: dict[int, dict[str, int]]) -> SparseState:
+    """The two-branch query superposition over sign + per-server registers,
+    at the register values of ``query_table``."""
     layout = compiled_layout(plan.k, plan.t, plan.a)
-    return (layout.assemble({"sign": 0, **_register_values(plan, masks, flip=False)}),
-            layout.assemble({"sign": 1, **_register_values(plan, masks, flip=True)}))
-
-
-def build_query_state(plan: QueryPlan, masks: Sequence[int]) -> SparseState:
-    """The two-branch query superposition over sign + per-server registers."""
-    k0, k1 = _query_keys(plan, masks)
-    return SparseState(compiled_layout(plan.k, plan.t, plan.a), {k0: SQRT_HALF, k1: SQRT_HALF})
+    return SparseState(layout, {layout.assemble({"sign": 0, **table[0]}): SQRT_HALF,
+                                layout.assemble({"sign": 1, **table[1]}): SQRT_HALF})
 
 
 def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Database) -> SparseState:
@@ -180,10 +191,7 @@ class CompiledProtocol:
 
     def sign_table(self, i: int, r: int, masks: Sequence[int]) -> dict[int, dict[str, int]]:
         """Sign value -> the register values the user XORs out of that query branch."""
-        plan = self.scheme.plan(i, r)
-        _check_masks(plan, masks)
-        return {0: _register_values(plan, masks, flip=False),
-                1: _register_values(plan, masks, flip=True)}
+        return query_table(self.scheme.plan(i, r), masks)
 
     def view_class(self, x: Database, i: int, r: int) -> int:
         """The classical reconstruction c(x, i, r): the user's view reads x only through it.
@@ -202,15 +210,17 @@ class CompiledProtocol:
     unentangle = entangle
 
     def run(self, x: Database, i: int, r: int, masks: Sequence[int]) -> Transcript:
+        """One run, its plan looked up and its sign table built once, for the
+        query state and the recovery alike."""
         plan = self.scheme.plan(i, r)
-        _check_masks(plan, masks)
+        table = query_table(plan, masks)
         return execute(self, x, i, Script(
             knowledge=self._knowledge(plan, masks),
-            state=build_query_state(plan, masks),
+            state=build_query_state(plan, table),
             receives=self.server_registers,
             returns=self.server_registers,
             operate=self.server_operation(x),
-            recover=lambda state: sign_recovery(self, state, i, r, masks),
+            recover=lambda state: sign_recovery(self, state, table),
         ))
 
     def run_outputs(self, x: Database, draws: Sequence[tuple[int, int, Sequence[int]]]
@@ -250,7 +260,7 @@ class CompiledProtocol:
                 plan = self.scheme.plan(i, r)
                 # the query state's checks; a plan that passes them passes for
                 # every mask that fits, since a mask fills only the low a bits
-                _query_keys(plan, masks)
+                query_table(plan, masks)
                 base = [(q << plan.a, (q << plan.a) | sel) for q, sel in zip(plan.queries, plan.selects)]
                 if plain:
                     self._checked[i, r] = plan, base

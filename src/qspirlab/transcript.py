@@ -5,7 +5,9 @@ what afterwards, the communication counters, and the global state as a
 branch ensemble ``((probability, SparseState), ...)``.  Honest coherent
 runs have a single branch; the measurement countermeasure splits branches.
 Server density matrices and user views are derived from these snapshots
-rather than stored.
+rather than stored.  Custody is a read-only mapping, copied only at a
+message step; the steps between two messages, which move nothing, share
+one snapshot.
 
 Every protocol run goes through one step engine, :func:`execute`: plan,
 build, send to each server, each server's step (its computational-basis
@@ -16,12 +18,12 @@ protocol's own.  The sends and server steps are one generator,
 :func:`server_round`, which the attack echo runs too, under the same
 labels; the countermeasure's :func:`dephase` is shared with the
 server-view audit.  Both quantum protocols recover through
-:func:`sign_recovery`: the recovery unitary :func:`undo_query`, from the
-relabel table they state once, then the sign measurement.  The echo runs
-the same unitary under an (index, sign) control.  The one exception is a
-compiled protocol's output-only runs (``CompiledProtocol.run_outputs``),
-which take the same steps on each run's two query terms, held as two real
-amplitudes.
+:func:`sign_recovery`: the recovery unitary :func:`undo_query`, reading
+the sign table a run builds once, beside its query state, then the sign
+measurement.  The echo runs the same unitary under an (index, sign)
+control.  The one exception is a compiled protocol's output-only runs
+(``CompiledProtocol.run_outputs``), which take the same steps on each
+run's two query terms, held as two real amplitudes.
 
 Transcripts serialize to JSON (schema below) and round-trip losslessly::
 
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .registers import RegisterLayout
@@ -64,8 +67,7 @@ def server_party(j: int) -> str:
 Branches = Sequence[tuple[float, SparseState]]
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     label: str
     party: str
     moved: tuple[str, ...]
@@ -165,14 +167,22 @@ def execute(protocol, x, i: int, script: Script) -> Transcript:
     custody = dict.fromkeys(layout.names, USER)
     for j in servers:
         custody.update(dict.fromkeys(script.held(j), server_party(j)))
-    sent = message_unit(protocol) + "_sent"
+    snapshot = MappingProxyType(dict(custody))
+    quantum = message_unit(protocol) == "qubits"
+    steps = t.steps
 
     def record(label: str, party: str, branches, moved: Sequence[str] = (), to: str = "") -> None:
-        """Append a step; a message first hands the ``moved`` registers ``to`` its receiver."""
-        custody.update(dict.fromkeys(moved, to))
-        t.steps.append(Step(label, party, tuple(moved), dict(custody),
-                            None if branches is None else tuple(branches),
-                            **{sent: sum(layout.width_of(name) for name in moved)}))
+        """Append a step; a message first hands the ``moved`` registers ``to`` its
+        receiver, under a new custody snapshot, and counts their widths."""
+        nonlocal snapshot
+        sent = 0
+        if moved:
+            custody.update(dict.fromkeys(moved, to))
+            snapshot = MappingProxyType(dict(custody))
+            sent = sum(map(layout.width_of, moved))
+        steps.append(Step(label, party, tuple(moved), snapshot,
+                          None if branches is None else tuple(branches),
+                          sent if quantum else 0, 0 if quantum else sent))
 
     record("plan", USER, None)
     record("build", USER, branches)
@@ -198,14 +208,13 @@ def undo_query(protocol, state: SparseState, relabel) -> SparseState:
     return apply_local_map(state, "sign", hadamard)
 
 
-def sign_recovery(protocol, state: SparseState, i: int, r: int = 0, masks=()):
+def sign_recovery(protocol, state: SparseState, table):
     """A quantum protocol's recovery: (probability, bit, post-state) outcomes.
 
     The user undoes the query, controlled by the sign qubit and reading the
-    relabel table honest runs state once (``protocol.sign_table``), and
+    relabel ``table`` of the run's draw (``protocol.sign_table``), and
     measures the sign qubit.
     """
-    table = protocol.sign_table(i, r, masks)
     targets = [name for name in protocol.layout().names if name != "sign"]
     state = undo_query(protocol, state,
                        lambda st: conditional_xor_relabel(st, "sign", targets, table))

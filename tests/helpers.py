@@ -1,4 +1,5 @@
-"""Shared test fixtures: broken and random schemes, a detectable attack, the clean
+"""Shared test fixtures: broken and random schemes, a compiled draw's query state,
+a detectable attack, the clean
 query's unitary image, a classical twin audit, the one-transcript-per-database
 data-privacy reference, the single-qubit Pauli maps, and the full-validation switch
 for the internal constructors."""
@@ -9,6 +10,7 @@ from contextlib import contextmanager
 from qspirlab.adversary import CleanQueryOracle, attack_input_layout
 from qspirlab import audits
 from qspirlab.audits import AuditGrid, AuditReport
+from qspirlab.compiler import build_query_state, query_table
 from qspirlab.density import DensityAccumulator, DensityMatrix
 from qspirlab.registers import RegisterLayout, bits
 from qspirlab.schemes import LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme
@@ -113,6 +115,11 @@ def _pauli_map(p: int, q: int):
 # The Bell scheme's per-pair encoding of database bits (p, q) as single-qubit
 # local maps: the reference ``bell.server_pauli`` is checked against.
 PAULI = {(p, q): _pauli_map(p, q) for p in (0, 1) for q in (0, 1)}
+
+
+def query_state(plan, masks):
+    """A compiled draw's query state, built from its checked sign table."""
+    return build_query_state(plan, query_table(plan, masks))
 
 
 def output_of(protocol, x, i, r=0, masks=()):

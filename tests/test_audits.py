@@ -27,7 +27,7 @@ from qspirlab.audits import (
     _server_histograms,
     _server_mixtures_generic,
 )
-from qspirlab.compiler import CompiledProtocol, build_query_state, server_register
+from qspirlab.compiler import CompiledProtocol, server_register
 from qspirlab.density import DensityAccumulator, entries_close, partial_trace, trace_distance
 from qspirlab.protocols import ClassicalProtocol, resolve_protocol
 from qspirlab.schemes import Database, all_databases, make_scheme, run_classically
@@ -40,6 +40,7 @@ from helpers import (
     audit_data_privacy_classical_direct,
     data_privacy_by_transcripts,
     feed_user_mixtures,
+    query_state,
 )
 
 
@@ -202,7 +203,7 @@ def dict_sweep(protocol, x, i):
         accs = {}
         for r in protocol.scheme.randomness_space:
             plan = protocol.scheme.gen_plan(i, r)
-            sent = [(1.0, build_query_state(plan, [m if jj == j else 0 for jj in range(1, s.k + 1)]))
+            sent = [(1.0, query_state(plan, [m if jj == j else 0 for jj in range(1, s.k + 1)]))
                     for m in range(1 << s.a)]
             steps = server_round(sent, (j,), protocol.server_registers, operate, protocol.verb,
                                  protocol.dephase_servers)
@@ -501,7 +502,8 @@ def draws_compared(protocol, grid):
 class TestViewsOnlyWhereCompared:
     """Per-draw views are built once per class where a draw has two, and nowhere else.
 
-    Every set's mixtures are fed at every draw all the same, and finalized once.
+    Mixtures are built only in a group of two view class signature sets or
+    more; there every set's mixtures are fed at every draw, and finalized once.
     """
 
     @staticmethod
@@ -540,12 +542,32 @@ class TestViewsOnlyWhereCompared:
         assert sum(expected.values()) > 0
         assert Counter(calls) == expected
 
+    @staticmethod
+    def _record_mixtures(monkeypatch):
+        """The accumulators ``_feed_mixtures`` fills, and each group's sets as compared."""
+        fed, groups = {}, []
+        feed, mixed_view_distance = audits._feed_mixtures, audits._mixed_view_distance
+
+        def recording_feed(t, mixtures):
+            feed(t, mixtures)
+            fed.update((id(acc), acc) for acc in mixtures.values())  # kept alive
+
+        def recording_distance(per_x, group):
+            groups.append([per_x[x.value] for x in group])
+            return mixed_view_distance(per_x, group)
+
+        monkeypatch.setattr(audits, "_feed_mixtures", recording_feed)
+        monkeypatch.setattr(audits, "_mixed_view_distance", recording_distance)
+        return fed, groups
+
     @pytest.mark.parametrize("name,n", [("bell2", 4), ("subset2", 3)])
     def test_each_mixture_finalized_once_per_group(self, name, n, monkeypatch):
-        """One accumulator set per view class signature, each finalized exactly once.
+        """One accumulator set per view class signature, each finalized exactly
+        once, and only in a group of two sets or more.
 
-        A bell2 group is one class (x_i); a classical subset2 group holds one
-        per answers pattern over r.
+        A bell2 group is one class (x_i), so it builds and finalizes no
+        accumulator; a classical subset2 group holds one set per answers
+        pattern over r.
         """
         protocol = resolve_protocol(name, n)
         grid = make_grid(n)
@@ -557,30 +579,34 @@ class TestViewsOnlyWhereCompared:
             for value in (0, 1):
                 signatures = {tuple(protocol.view_class(x, i, r) for r in rand)
                               for x in grid.databases if x.bit(i) == value}
-                expected.append(len(signatures) * steps)
-        finalized = []
-        finalize = DensityAccumulator.finalize
-        groups = []
-        mixed_view_distance = audits._mixed_view_distance
+                if len(signatures) > 1:
+                    expected.append(len(signatures) * steps)
+        built, finalized = [], []
+        init, finalize = DensityAccumulator.__init__, DensityAccumulator.finalize
+
+        def counting_init(self, *args):
+            built.append(self)
+            init(self, *args)
 
         def counting_finalize(self):
             finalized.append(self)  # kept alive, so ids stay distinct
             return finalize(self)
 
-        def recording_distance(per_x, group):
-            groups.append([acc for x in group for acc in per_x[x.value].values()])
-            return mixed_view_distance(per_x, group)
-
+        monkeypatch.setattr(DensityAccumulator, "__init__", counting_init)
         monkeypatch.setattr(DensityAccumulator, "finalize", counting_finalize)
-        monkeypatch.setattr(audits, "_mixed_view_distance", recording_distance)
+        fed, groups = self._record_mixtures(monkeypatch)
         audit_data_privacy(protocol, grid)
         counts = Counter(map(id, finalized))
-        assert [len(accs) for accs in groups] == expected
-        # bell2: one class per group, times 8 steps with a state; subset2: each of
-        # a group's 4 databases answers differently at some r, times 5 steps
-        assert expected == {"bell2": [1 * 8] * 8, "subset2": [4 * 5] * 6}[name]
-        for accs in groups:
-            assert [counts[id(acc)] for acc in accs] == [1] * len(accs)
+        accs = [[acc for mixtures in sets for acc in mixtures.values()] for sets in groups]
+        assert [len(group) for group in accs] == expected
+        # bell2: one set per group, so none compared; subset2: each of a group's
+        # 4 databases answers differently at some r, times 5 steps
+        assert expected == {"bell2": [], "subset2": [4 * 5] * 6}[name]
+        assert sorted(fed) == sorted(id(acc) for group in accs for acc in group)
+        for group in accs:
+            assert [counts[id(acc)] for acc in group] == [1] * len(group)
+        if name == "bell2":  # and no view either: every draw has one class
+            assert built == [] and finalized == []
 
     @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
     @pytest.mark.parametrize("make,shared", [
@@ -594,22 +620,18 @@ class TestViewsOnlyWhereCompared:
     ], ids=["subset2", "corrupted", "qspir-subset2", "bell2",
             "random-0", "random-1", "random-2"])
     def test_mixtures_match_per_set_views(self, make, shared, countermeasure, monkeypatch):
-        """Every set's mixture, fed with or without a view, to the bit and in key order."""
+        """Every compared set's mixture, fed with or without a view, to the bit and
+        in key order; a group of one set feeds none."""
         protocol = make(countermeasure)
         grid = make_grid(protocol.n)
         reference, reference_shared = per_set_mixtures(protocol, grid)
         assert reference_shared == shared
-        recorded = []
-        mixed_view_distance = audits._mixed_view_distance
-
-        def recording_distance(per_x, group):
-            recorded.append([per_x[x.value] for x in group])
-            return mixed_view_distance(per_x, group)
-
-        monkeypatch.setattr(audits, "_mixed_view_distance", recording_distance)
+        fed, recorded = self._record_mixtures(monkeypatch)
         audit_data_privacy(protocol, grid)
         assert [[exact_mixtures(m) for m in sets] for sets in recorded] == \
-            [[exact_mixtures(m) for m in sets] for sets in reference]
+            [[exact_mixtures(m) for m in sets] for sets in reference if len(sets) > 1]
+        assert sorted(fed) == sorted(id(acc) for sets in recorded for mixtures in sets
+                                     for acc in mixtures.values())
 
 
 def report_bytes(report):

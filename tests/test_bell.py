@@ -188,7 +188,7 @@ class TestRecovery:
             state = build_bell_query(i, 2)
             for server in (1, 2):
                 state = server_pauli(state, server, x)
-            (p, bit, _), = sign_recovery(BellProtocol(2), state, i)
+            (p, bit, _), = sign_recovery(BellProtocol(2), state, BellProtocol(2).sign_table(i))
             assert (bit, p) == (want, pytest.approx(1.0))
 
     @pytest.mark.parametrize("n", [2, 4, 6])

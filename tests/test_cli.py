@@ -103,6 +103,27 @@ class TestRun:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"qspirlab: {message}\n"
 
+    @pytest.mark.parametrize("databases, message", [
+        ([5], "database 5 is not a bit string"),
+        ([True], "database True is not a bit string"),
+        (["01", None], "database None is not a bit string"),
+        (["0a"], "database '0a' is not a bit string"),
+        ([" 1"], "database ' 1' is not a bit string"),  # int(" 1", 2) would read it as 01
+        (0, "a database sample holds all-zeros and all-ones, so its size must be at least 2, not 0"),
+        (1, "a database sample holds all-zeros and all-ones, so its size must be at least 2, not 1"),
+        (True, "databases must be \"all\", a sample size or a list of bit strings, not True"),
+        (None, "databases must be \"all\", a sample size or a list of bit strings, not None"),
+        (2.0, "databases must be \"all\", a sample size or a list of bit strings, not 2.0"),
+        ("01", "databases must be \"all\", a sample size or a list of bit strings, not '01'"),
+    ])
+    def test_malformed_databases_are_config_error(self, capsys, tmp_path, databases, message):
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps({"scheme": "bell2", "n": 2, "audits": ["comm"],
+                                      "databases": databases}))
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qspirlab: {message}\n"
+
     def test_missing_scheme_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "run", "--n", "2")
         assert code == EXIT_USAGE

@@ -17,8 +17,8 @@ from qspirlab.audits import (
 from qspirlab.compiler import (
     CompiledProtocol,
     MaskSpace,
-    build_query_state,
     compiled_layout,
+    query_table,
     server_phase,
 )
 from qspirlab.density import DensityAccumulator
@@ -33,7 +33,7 @@ from qspirlab.schemes import (
 from qspirlab.states import SparseState, equal_up_to_global_phase
 from qspirlab.transcript import sign_recovery
 
-from helpers import CorruptedSubsetScheme, RandomXorScheme, output_of
+from helpers import CorruptedSubsetScheme, RandomXorScheme, output_of, query_state
 
 S = math.sqrt(0.5)
 
@@ -41,17 +41,17 @@ S = math.sqrt(0.5)
 class TestBuildQueryState:
     def test_trivial_n1(self):
         s = make_scheme("trivial1", 1)
-        state = build_query_state(s.gen_plan(1, 0), (0,))
+        state = query_state(s.gen_plan(1, 0), (0,))
         assert state.bits_terms() == pytest.approx({"00": S, "11": S})
 
     def test_subset_worked_example(self):
         s = make_scheme("subset2", 2)
-        state = build_query_state(s.gen_plan(1, 0b01), (0, 1))
+        state = query_state(s.gen_plan(1, 0b01), (0, 1))
         assert state.bits_terms() == pytest.approx({"0010111": S, "1011110": S})
 
     def test_two_terms_always(self):
         s = make_scheme("cube2", 8)
-        state = build_query_state(s.gen_plan(5, 42), (0b1010101, 0b0011111))
+        state = query_state(s.gen_plan(5, 42), (0b1010101, 0b0011111))
         assert len(state.terms) == 2
 
     def test_degenerate_selects_rejected(self):
@@ -60,38 +60,38 @@ class TestBuildQueryState:
 
         broken = replace(plan, selects=(0, 0))
         with pytest.raises(ValueError):
-            build_query_state(broken, (0, 0))
+            query_state(broken, (0, 0))
 
     def test_mask_length_checked(self):
         s = make_scheme("subset2", 2)
         with pytest.raises(ValueError):
-            build_query_state(s.gen_plan(1, 0), (0,))
+            query_state(s.gen_plan(1, 0), (0,))
         with pytest.raises(ValueError):
-            build_query_state(s.gen_plan(1, 0), (0, 2))
+            query_state(s.gen_plan(1, 0), (0, 2))
 
 
 class TestServerPhase:
     def test_all_zero_database_fixes_subset_state(self):
         s = make_scheme("subset2", 2)
         x = Database.from_string("00")
-        state = build_query_state(s.gen_plan(1, 1), (0, 1))
+        state = query_state(s.gen_plan(1, 1), (0, 1))
         for j in (1, 2):
             state2 = server_phase(state, s, j, x)
             assert state2.bits_terms() == state.bits_terms()
 
     def test_trivial_single_bit_phase(self):
         s = make_scheme("trivial1", 1)
-        state = build_query_state(s.gen_plan(1, 0), (0,))
+        state = query_state(s.gen_plan(1, 0), (0,))
         out = server_phase(state, s, 1, Database.from_string("1"))
         assert out.bits_terms() == pytest.approx({"00": S, "11": -S})
 
     def test_support_never_changes(self):
         s = make_scheme("cube2", 8)
         x = Database.from_string("11010010")
-        state = build_query_state(s.gen_plan(2, 9), (3, 77))
+        state = query_state(s.gen_plan(2, 9), (3, 77))
         for j in (1, 2):
             state = server_phase(state, s, j, x)
-        assert state.support() == build_query_state(s.gen_plan(2, 9), (3, 77)).support()
+        assert state.support() == query_state(s.gen_plan(2, 9), (3, 77)).support()
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_relative_phase_equals_requested_bit(self, n):
@@ -102,7 +102,7 @@ class TestServerPhase:
             for i in range(1, n + 1):
                 for r in s.randomness_space:
                     plan = s.gen_plan(i, r)
-                    state = build_query_state(plan, masks)
+                    state = query_state(plan, masks)
                     for j in (1, 2):
                         state = server_phase(state, s, j, x)
                     k0, k1 = sorted(state.terms)
@@ -117,7 +117,7 @@ class TestServerPhase:
             for i in (1, 2, 3):
                 plan = s.gen_plan(i, 5)
                 masks = (1, 1)
-                state = build_query_state(plan, masks)
+                state = query_state(plan, masks)
                 for j in (1, 2):
                     state = server_phase(state, s, j, x)
                 k0, k1 = sorted(state.terms)
@@ -132,8 +132,8 @@ class TestRecovery:
         s = make_scheme("trivial1", 1)
         x = Database.from_string("1")
         plan = s.gen_plan(1, 0)
-        state = server_phase(build_query_state(plan, (1,)), s, 1, x)
-        (p, bit, post), = sign_recovery(CompiledProtocol(s), state, 1, 0, (1,))
+        state = server_phase(query_state(plan, (1,)), s, 1, x)
+        (p, bit, post), = sign_recovery(CompiledProtocol(s), state, query_table(plan, (1,)))
         assert (bit, p) == (1, pytest.approx(1.0))
         # the answer-mask phase survives only as a global sign
         ideal = SparseState(post.layout, {0b10: 1.0})
@@ -164,10 +164,10 @@ class TestRecovery:
         s = CorruptedSubsetScheme(2)
         x = Database.from_string("01")
         plan = s.gen_plan(1, 0b01)
-        state = build_query_state(plan, (0, 0))
+        state = query_state(plan, (0, 0))
         for j in (1, 2):
             state = server_phase(state, s, j, x)
-        (p, bit, _), = sign_recovery(CompiledProtocol(s), state, 1, 0b01, (0, 0))
+        (p, bit, _), = sign_recovery(CompiledProtocol(s), state, query_table(plan, (0, 0)))
         assert (bit, p) == (1, pytest.approx(1.0))
         assert bit != x.bit(1)
 
@@ -176,11 +176,11 @@ class TestRecovery:
         # branch structure cannot merge the branches: two half-probability outcomes
         s = make_scheme("subset2", 2)
         plan = s.gen_plan(1, 0b01)
-        state = build_query_state(plan, (0, 0))
+        state = query_state(plan, (0, 0))
         for j in (1, 2):
             state = server_phase(state, s, j, Database.from_string("01"))
         broken = CompiledProtocol(CorruptedSubsetScheme(2))
-        outcomes = sign_recovery(broken, state, 1, 0b01, (0, 0))
+        outcomes = sign_recovery(broken, state, broken.sign_table(1, 0b01, (0, 0)))
         assert {bit: p for p, bit, _ in outcomes} == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
 
 
@@ -222,7 +222,7 @@ class TestServerIgnoranceOfMasks:
         layout = compiled_layout(2, 2, 1)
         acc = DensityAccumulator(layout, ["srv1"])
         for m1 in range(2):
-            acc.add(build_query_state(plan, (m1, 0)), 1.0)
+            acc.add(query_state(plan, (m1, 0)), 1.0)
         rho = acc.finalize()
         q = plan.queries[0]
         for mask_bit in (0, 1):
@@ -352,7 +352,7 @@ class TestBatchedOutputs:
         (SubsetScheme, (1, 0, (1 << 70, 0)), ValueError),  # beyond any machine word
         (SubsetScheme, (1, 0, (0.5, 0)), TypeError),       # masks are ints: no float is truncated
         (SubsetScheme, (1, 0, (1.0, 0)), TypeError),
-        # the plan's query does not fit t bits: the register check refuses it
+        # the plan's query does not fit t bits: the draw's checks refuse it
         (WideQuerySubsetScheme, (1, 0, (0, 0)), ValueError),
         # masks are a sized sequence: no masks, or an iterator, is refused up front
         (SubsetScheme, (1, 0, None), TypeError),
@@ -427,7 +427,7 @@ class TestWideLayout:
     def test_layout_is_wider_than_a_word(self):
         assert self.protocol.layout().width == 83
         plan = self.protocol.scheme.gen_plan(40, (1 << 40) - 1)
-        assert max(build_query_state(plan, (1, 0)).terms) >> 82 == 1
+        assert max(query_state(plan, (1, 0)).terms) >> 82 == 1
         assert CompiledProtocol(make_scheme("trivial1", 70)).layout().width == 71
 
     @pytest.mark.parametrize("countermeasure", [False, True])
@@ -450,7 +450,7 @@ class TestWideLayout:
 
     def test_out_of_range_mask_raises(self):
         with pytest.raises(ValueError) as single:
-            build_query_state(self.protocol.scheme.gen_plan(1, 0), (0, 2))
+            query_state(self.protocol.scheme.gen_plan(1, 0), (0, 2))
         with pytest.raises(ValueError) as batched:
             self.protocol.run_outputs(self.x, [(1, 0, (0, 1)), (1, 0, (0, 2))])
         assert str(batched.value) == str(single.value) == "mask 2 does not fit 1 bits"

@@ -1,9 +1,13 @@
 """The step engine: every protocol kind records the same round of steps."""
 
+import hashlib
+import json
+
 import pytest
 
 from qspirlab.protocols import closed_form_comm, resolve_protocol
 from qspirlab.schemes import Database
+from qspirlab.transcript import to_jsonable
 
 # name -> (n, x, i, r, masks, registers server j receives, registers it returns,
 #          registers it holds from the start, server verb, final label, comm unit)
@@ -69,6 +73,52 @@ def test_step_structure(name, countermeasure):
         assert t.qubits_total == 12
     if name == "bell2":
         assert t.qubits_total == 8
+
+
+# (name, n, countermeasure, x, i, r, masks) -> SHA-256 of the run's sorted JSON,
+# recorded while steps were frozen dataclasses with one custody copy per step
+TRANSCRIPT_DIGESTS = {
+    ("qspir(subset2)", 3, False, "101", 2, 1, (1, 0)):
+        "630a911393862c2fc660c75ab403639722208985e90122107ca9d529006ee657",
+    ("qspir(subset2)", 3, True, "101", 2, 1, (1, 0)):
+        "fe36b00d1ea549f8ca22dff30573131f2950cecf4fcc50196376a462c2c6fb4f",
+    ("qspir(trivial1)", 2, False, "10", 1, 0, (1,)):
+        "1796cdab261fb9e5bdadcbe1c3d5705ef464355244ba90642cdb63a26ad3837f",
+    ("bell2", 4, False, "0110", 3, 0, ()):
+        "7808065cf1efdf0e6f1abbb05c693501b5985862acb707f0b6e63a965ecfe4cc",
+    ("bell2", 4, True, "0110", 3, 0, ()):
+        "209f4e77b943cd0a734a835816cb9171c4d05e143cfe9b4b5f78cef8470f39b2",
+    ("subset2", 2, False, "10", 1, 1, ()):
+        "5be96edcf25c7e5edd89c19cfa2340eeca3d399ac4437dd4b981aa3ee524f395",
+}
+
+
+@pytest.mark.parametrize("run", list(TRANSCRIPT_DIGESTS), ids=str)
+def test_transcript_bytes_unchanged(run):
+    name, n, countermeasure, x, i, r, masks = run
+    t = resolve_protocol(name, n, countermeasure).run(Database.from_string(x), i, r, masks)
+    text = json.dumps(to_jsonable(t), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSCRIPT_DIGESTS[run]
+
+
+@pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+@pytest.mark.parametrize("name", list(KINDS))
+def test_steps_that_move_nothing_share_read_only_custody(name, countermeasure):
+    """A message step takes a new custody snapshot; every other step shares the one
+    before it, and no step can change it for the others."""
+    n, x, i, r, masks, *_ = KINDS[name]
+    t = resolve_protocol(name, n, countermeasure).run(Database.from_string(x), i, r, masks)
+    shared = 0
+    for before, step in zip(t.steps, t.steps[1:]):
+        assert (step.custody is before.custody) == (not step.moved), step.label
+        if step.custody is before.custody:
+            shared += 1
+            held = dict(before.custody)
+            with pytest.raises(TypeError):
+                step.custody[t.layout.names[0]] = "server1"
+            assert before.custody == held
+    # every step after the first but the two sends and the two returns
+    assert shared == len(t.steps) - 1 - 4
 
 
 def exact_output(output):

@@ -26,8 +26,8 @@ bits with certainty — a function no honest single-index retrieval reveals.
 attack or an honest run, and ``leakage_bits`` the information it carries.
 
 Every figure mixes over the full (r, masks) product, but runs only the
-draws ``plan_sweep`` names; ``check_sweep`` counts from it and refuses a
-sweep too large to finish before any echo or run.
+draws and databases ``plan_sweep`` names; ``check_sweep`` counts from it
+and refuses a sweep too large to finish before any echo or run.
 
 The countermeasure makes each server measure what it receives in the
 computational basis (simulated as exhaustive dephasing branches).  That
@@ -231,13 +231,26 @@ def plan_sweep(protocol: QuantumProtocol, scenario: str) -> Sweep:
     inside each (idx, sign) group a server's register holds one value, so
     the echo's server states have no cross terms, and x only flips the
     signs of whole terms.  Bell servers' Paulis act on the qubits they hold.
+
+    Under the countermeasure, a compiled protocol's echo and honest outputs
+    are the first database's too, to the bit (``first_only``).  In every
+    branch a server's measured register holds one value, so its phase is
+    one ±1 on every term of the branch.  The keys do not depend on x, and
+    neither does the branch order (sorted measured values).  Negation is
+    exact and commutes with every later step: a sum of negated terms is the
+    negated sum, and squares and prune decisions are equal.  So every
+    output probability is the first database's.  A Bell server's X moves a
+    measured qubit's value instead of signing the branch, so Bell sweeps
+    every database.
     """
     rs, masks = protocol.randomness_space(), protocol.mask_space()
+    compiled = isinstance(protocol, CompiledProtocol)
     if scenario == "undetectability":
-        return Sweep(rs, masks, first_only=isinstance(protocol, CompiledProtocol))
+        return Sweep(rs, masks, first_only=compiled)
+    measured = compiled and protocol.dephase_servers
     if scenario == "parity2" and protocol.dephase_servers:
-        return Sweep(rs, masks)
-    return Sweep(rs, [next(iter(masks))], len(masks))
+        return Sweep(rs, masks, first_only=measured)
+    return Sweep(rs, [next(iter(masks))], len(masks), first_only=measured)
 
 
 def _mix(dists: Sequence[Mapping[int, float]], repeats: int = 1) -> dict[int, float]:
@@ -357,13 +370,22 @@ def scenario_mixtures(protocol, scenario: str, index: int) -> dict[Database, dic
     """Each database's output distribution, mixed over the draw space.
 
     Scenarios: "parity2" sweeps the parity attack, "honest-baseline" runs
-    the honest protocol at ``index``.
+    the honest protocol at ``index``.  Where ``plan_sweep`` lets the first
+    database stand for all, only it is swept, and every database gets its
+    own copy of its mixture.
     """
     if scenario == "parity2":
-        return {x: attack_output_mixture(protocol, x) for x in all_databases(protocol.n)}
-    if scenario == "honest-baseline":
-        return {x: honest_output_mixture(protocol, x, index) for x in all_databases(protocol.n)}
-    raise ValueError(f"unknown scenario {scenario!r}")
+        mixture = attack_output_mixture
+    elif scenario == "honest-baseline":
+        def mixture(protocol, x):
+            return honest_output_mixture(protocol, x, index)
+    else:
+        raise ValueError(f"unknown scenario {scenario!r}")
+    databases = list(all_databases(protocol.n))
+    if plan_sweep(protocol, scenario).first_only:
+        first = mixture(protocol, databases[0])
+        return {x: dict(first) for x in databases}
+    return {x: mixture(protocol, x) for x in databases}
 
 
 # ``check_sweep``'s limits, timed on a 2-core x86-64 box.  Echoes per database
@@ -375,7 +397,8 @@ def scenario_mixtures(protocol, scenario: str, index: int) -> dict[Database, dic
 # (n = 13: 8.1 s); dephased, 2.4, 7.3, 7.3, 24, 24 and 87 ms, so a run counts
 # its up to 2^(pairs + 1) branches (n = 8: 8,192, in 0.7 s).  Draws added up:
 # qspir(trivial1) at n = 14 mixed 268,435,456 from 16,384 runs in 5.2 s (10.1 s
-# dephased).
+# dephased).  The dephased times swept every database; with the first alone
+# (``first_only``) the two take 0.14 s and 0.31 s, and still count every one.
 ATTACK_ECHO_LIMIT = 4096
 COMPILED_BASELINE_RUN_LIMIT = 1 << 22
 BELL_BASELINE_RUN_LIMIT = 1 << 13
@@ -391,6 +414,8 @@ def check_sweep(protocol, scenario: str, undetectability: bool = False) -> None:
     ``undetectability``, that would not finish in seconds, counting from
     ``plan_sweep``: echoes per database, echo views over the databases swept,
     honest runs weighed by their dephased branches, and draws added up.
+    Echoes, runs and draws count every database even where ``first_only``
+    sweeps one: each still gets its own mixture, result row and leakage term.
     """
     if scenario == "parity2" and protocol.n != 2:
         raise SweepRefused("the parity2 scenario needs --n 2")

@@ -42,7 +42,7 @@ from .density import DensityAccumulator, DensityMatrix, entries_close, trace_dis
 from .protocols import ClassicalProtocol, Protocol, closed_form_comm
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme
-from .states import SQRT_HALF, SparseState, equal_up_to_global_phase
+from .states import PRUNE_TOL, SQRT_HALF, SparseState, equal_up_to_global_phase
 from .transcript import USER, Transcript, dephase, server_party
 
 TOL = 1e-9
@@ -409,6 +409,8 @@ def _histogram(layout: RegisterLayout, a: int, cells, apart, together) -> Densit
                 tuple(v for m in range(1 << a) if m < m ^ select for v in (m, m ^ select))
                 if select else tuple(range(1 << a)))
         c = sums[q] * scale
+        if abs(c) <= PRUNE_TOL:  # the constructor's pruning, once for the block
+            continue
         base = q << a
         for m in order:
             entries[base | m, base | m] = c

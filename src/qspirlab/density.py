@@ -13,11 +13,13 @@ which ``mix``, ``maximally_mixed`` and every caller that assembles entries
 by hand use, converts keys to int pairs and entries to complex and checks
 real diagonals, Hermiticity and unit trace.  ``DensityAccumulator.finalize``
 and the audits' diagonal histograms build through ``DensityMatrix._trusted``
-instead, which prunes with the constructor's own step and skips the rest:
-their entries are sums of ``w * a * conj(b)`` over validated states' terms,
+instead, which skips all of it, as ``SparseState._trusted`` does: their
+entries are sums of ``w * a * conj(b)`` over validated states' terms,
 divided by the total weight, so they are Hermitian with unit trace by
-construction.  ``to_pure`` keeps ``SparseState``'s norm check, since its
-result is only as pure as the purity tolerance allows.
+construction.  Each prunes its own entries at the constructor's PRUNE_TOL:
+``finalize`` as it scales them, a histogram once per block of equal
+entries.  ``to_pure`` keeps ``SparseState``'s norm check, since its result
+is only as pure as the purity tolerance allows.
 """
 
 from __future__ import annotations
@@ -55,15 +57,16 @@ class DensityMatrix:
     @classmethod
     def _trusted(cls, layout: RegisterLayout,
                  entries: Mapping[tuple[int, int], complex]) -> "DensityMatrix":
-        """The constructor's pruning without its conversions and checks.
+        """The operator ``entries`` already is, without the constructor's conversions and checks.
 
-        Only for int-pair keys and complex entries built as a normalised
-        mixture of validated states' projectors (see the module docstring).
+        Only for pruned int-pair keys and complex entries built as a
+        normalised mixture of validated states' projectors (see the module
+        docstring).  ``entries`` is kept, not copied.
         """
         rho = object.__new__(cls)
         fields = vars(rho)  # written directly: frozen, and faster than object.__setattr__
         fields["layout"] = layout
-        fields["entries"] = _pruned(entries)
+        fields["entries"] = entries
         return rho
 
     @property
@@ -158,8 +161,8 @@ class DensityAccumulator:
         if self._weight <= 0:
             raise ValueError("nothing accumulated")
         scale = 1.0 / self._weight
-        return DensityMatrix._trusted(self.layout,
-                                      {k: v * scale for k, v in self._entries.items()})
+        return DensityMatrix._trusted(self.layout, {k: c for k, v in self._entries.items()
+                                                    if abs(c := v * scale) > PRUNE_TOL})
 
 
 def partial_trace(state: SparseState, keep: Iterable[str]) -> DensityMatrix:

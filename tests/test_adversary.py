@@ -296,6 +296,90 @@ class TestReducedSweeps:
         assert hex_items(per_r) == [(0, "0x1.0000000000007p-1"), (1, "0x1.0000000000007p-1")]
 
 
+def measured_protocols(n, shapes):
+    """qspir(subset2), qspir(trivial1) and random XOR schemes, each with the countermeasure.
+
+    ``shapes`` lists (k, t, a, seed); the random schemes draw two values of r.
+    """
+    protocols = {name: resolve_protocol(name, n, countermeasure=True)
+                 for name in ("qspir(subset2)", "qspir(trivial1)")}
+    for k, t, a, seed in shapes:
+        scheme = RandomXorScheme(n, k=k, t=t, a=a, randomness_size=2, seed=seed)
+        protocols[f"random-k{k}-t{t}-a{a}-s{seed}"] = CompiledProtocol(scheme, dephase_servers=True)
+    return protocols
+
+
+class TestMeasuredServersIgnoreTheDatabase:
+    """Under the countermeasure a compiled protocol's outputs are the first database's, to the bit."""
+
+    def test_plan_lets_the_first_database_stand_for_all(self):
+        for name in ("qspir(subset2)", "qspir(trivial1)", "bell2"):
+            for countermeasure in (False, True):
+                protocol = resolve_protocol(name, 2, countermeasure)
+                want = countermeasure and name != "bell2"
+                for scenario in ("parity2", "honest-baseline"):
+                    assert plan_sweep(protocol, scenario).first_only is want, (name, scenario)
+
+    def test_echo_outputs_agree_at_every_draw(self):
+        shapes = [(k, t, a, seed) for k in range(1, 5) for t, a in [(1, 1), (2, 1), (2, 2), (3, 1)]
+                  if a * k <= 6 for seed in (0, 1)]
+        for name, protocol in measured_protocols(2, shapes).items():
+            for r, masks in full_draw_space(protocol):
+                first, *rest = (hex_items(parity_query(protocol, x, r, masks)[1])
+                                for x in all_databases(2))
+                for out in rest:
+                    assert out == first, (name, r, masks)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_honest_outputs_agree_at_every_draw(self, n):
+        shapes = [(k, t, a, seed) for k in range(1, 5) for t in (1, 2, 3) for a in (1, 2, 3)
+                  if a * k <= 6 for seed in (0, 1)]
+        for name, protocol in measured_protocols(n, shapes).items():
+            draws = [(i, r, masks) for i in range(1, n + 1)
+                     for r, masks in full_draw_space(protocol)]
+            first, *rest = ([hex_items(dist) for dist in protocol.run_outputs(x, draws)]
+                            for x in all_databases(n))
+            for out in rest:
+                assert out == first, name
+
+    @pytest.mark.parametrize("scenario, n", [("parity2", 2), ("honest-baseline", 2),
+                                             ("honest-baseline", 3)])
+    def test_scenario_mixtures_match_the_per_database_loop(self, scenario, n):
+        shapes = [(1, 2, 2, 2), (2, 2, 1, 0), (3, 1, 1, 1)]
+        for name, protocol in measured_protocols(n, shapes).items():
+            got = scenario_mixtures(protocol, scenario, n)
+            if scenario == "parity2":
+                want = {x: attack_output_mixture(protocol, x) for x in all_databases(n)}
+            else:
+                want = {x: honest_output_mixture(protocol, x, n) for x in all_databases(n)}
+            assert list(got) == list(want)
+            assert [hex_items(d) for d in got.values()] == \
+                [hex_items(d) for d in want.values()], name
+            # every database its own dict
+            assert len({id(d) for d in got.values()}) == len(got)
+
+    def test_bell_sweeps_every_database(self, monkeypatch):
+        echoes, runs = set(), set()
+        query = CleanQueryOracle.query_branches
+
+        def counting(oracle, input_state):
+            echoes.add(str(oracle.x))
+            return query(oracle, input_state)
+
+        monkeypatch.setattr(CleanQueryOracle, "query_branches", counting)
+        protocol = resolve_protocol("bell2", 2, countermeasure=True)
+        run_outputs = protocol.run_outputs
+
+        def counting_runs(x, draws):
+            runs.add(str(x))
+            return run_outputs(x, draws)
+
+        monkeypatch.setattr(protocol, "run_outputs", counting_runs)
+        scenario_mixtures(protocol, "parity2", 1)
+        scenario_mixtures(protocol, "honest-baseline", 1)
+        assert echoes == runs == {str(x) for x in all_databases(2)}
+
+
 # (protocol, countermeasure, scenario, undetectability, the limit, the count held to it)
 SWEEP_COUNTS = [
     # qspir(subset2) at n = 2: 4 values of r, 4 mask pairs; one echo per r
@@ -351,13 +435,16 @@ class TestSweepAdmission:
             assert len(sweep.draws()) * sweep.repeats == len(full_draw_space(protocol))
         scenario_mixtures(protocol, "parity2", 1)
         scenario_mixtures(protocol, "honest-baseline", 1)
-        assert echoes == [(str(x), r, m) for x in all_databases(2) for r, m in attack.draws()]
-        assert runs == [(str(x), r, m) for x in all_databases(2) for r, m in honest.draws()]
+
+        def swept(sweep):
+            return list(all_databases(2))[:1] if sweep.first_only else list(all_databases(2))
+
+        assert echoes == [(str(x), r, m) for x in swept(attack) for r, m in attack.draws()]
+        assert runs == [(str(x), r, m) for x in swept(honest) for r, m in honest.draws()]
         echoes.clear()
         verify_undetectability(protocol)
         audit = plan_sweep(protocol, "undetectability")
-        swept = list(all_databases(2))[:1] if audit.first_only else list(all_databases(2))
-        assert echoes == [(str(x), r, m) for x in swept for r, m in full_draw_space(protocol)]
+        assert echoes == [(str(x), r, m) for x in swept(audit) for r, m in full_draw_space(protocol)]
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dephased_bell_runs_split_into_at_most_the_branches_counted(self, n):

@@ -282,7 +282,7 @@ class TestAttack:
         # the audit builds the echo's views at all 64 * 2**14 draws of the first database
         (None, "parity2 on qspir(cube2) builds 1,048,576 echo views for the undetectability "
                "audit, more than 4,096"),
-        # the dephased echo runs every draw, on every database
+        # the dephased echo runs every draw, counted per database though the first stands for all
         ("--countermeasure", "parity2 on qspir(cube2) runs 1,048,576 echoes per database, "
                              "more than 4,096"),
     ])
@@ -320,6 +320,21 @@ class TestAttack:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == (f"qspirlab: honest-baseline on bell2 sweeps at least {branches} dephased "
                        "branches over every database and r, more than 8,192\n")
+
+    @pytest.mark.parametrize("scheme, n, message", [
+        ("qspir(subset2)", "12", "sweeps at least 16,777,216 runs over every database and r, "
+                                 "more than 4,194,304"),
+        ("qspir(trivial1)", "20", "mixes 1,099,511,627,776 draws over every database, "
+                                  "more than 268,435,456"),
+    ])
+    def test_dephased_compiled_baseline_counts_every_database(self, capsys, no_work,
+                                                                scheme, n, message):
+        # the first database's runs stand for every database's, but each database
+        # still gets its own mixture and result row, so the counts take them all
+        code, out, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
+                                 "--scheme", scheme, "--n", n, "--countermeasure")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qspirlab: honest-baseline on {scheme} {message}\n"
 
     def test_honest_baseline_refuses_more_draws_than_it_can_add_up(self, capsys, no_work):
         # 2**15 runs, but each output stands for 2**15 masks, every one of them added up

@@ -78,6 +78,23 @@ class TestAccumulatorGeometry:
                 DensityAccumulator(self.LAYOUT, [])
 
 
+class TestAccumulatorPruning:
+    @pytest.mark.parametrize("minus_weight", [1.0, 1.0 - 1e-12, 1.0 - 1e-11])
+    def test_finalize_prunes_as_the_constructor_does(self, minus_weight):
+        # |+> and |-> mixed: the off-diagonal entries cancel to 0, to below
+        # PRUNE_TOL, or stay just above it
+        plus = SparseState.from_bits(ONE_BIT, {"0": S, "1": S})
+        minus = SparseState.from_bits(ONE_BIT, {"0": S, "1": -S})
+        acc = DensityAccumulator(ONE_BIT, ["a"])
+        acc.add(plus, 1.0)
+        acc.add(minus, minus_weight)
+        got = acc.finalize()
+        scale = 1.0 / (1.0 + minus_weight)
+        want = DensityMatrix(ONE_BIT, {k: v * scale for k, v in acc._entries.items()})
+        assert list(got.entries.items()) == list(want.entries.items())
+        assert got.is_diagonal is (minus_weight != 1.0 - 1e-11)
+
+
 class TestMix:
     def test_singleton(self):
         rho = partial_trace(bell_00(), ["a"])

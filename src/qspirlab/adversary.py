@@ -215,10 +215,8 @@ def plan_sweep(protocol: QuantumProtocol, scenario: str) -> Sweep:
     honest run, and the echo without the countermeasure, give one r the same
     output at every mask tuple, to the bit, so each r runs at its first: the
     servers' ±1 phases act on whole terms, and a mask only decides which
-    they negate.  An honest run's two terms keep their relative sign
-    c(x, i, r), and negating both leaves every square, norm and renormalised
-    amplitude as it is; dephased, a run splits into two rows, each giving
-    bit 0 then bit 1, and two floats add to the same sum in either order.
+    they negate.  For an honest run that is ``CompiledProtocol.run_outputs``'s
+    argument: a mask changes neither c(x, i, r) nor which servers split.
     The echo's second pass undoes the first pass's mask phases, but
     dephased, its branches come out in the order of the masked register
     values and its sums round with the masks (qspir(trivial1), x = 00,
@@ -273,7 +271,6 @@ def _mix(dists: Sequence[Mapping[int, float]], repeats: int = 1) -> dict[int, fl
 def verify_undetectability(
     protocol: QuantumProtocol,
     attack_views: Callable[[QuantumProtocol, Database, int, Sequence[int]], Mapping] | None = None,
-    databases: Sequence[Database] | None = None,
 ) -> AuditReport:
     """Server states under the attack must equal honest-run states exactly.
 
@@ -286,7 +283,7 @@ def verify_undetectability(
     way, so they sweep every database.
     """
     n = protocol.n
-    databases = tuple(all_databases(n)) if databases is None else databases
+    databases = tuple(all_databases(n))
     sweep = plan_sweep(protocol, "undetectability")
     first_only = attack_views is None and sweep.first_only
     swept, repeats = (databases[:1], len(databases)) if first_only else (databases, 1)
@@ -391,14 +388,15 @@ def scenario_mixtures(protocol, scenario: str, index: int) -> dict[Database, dic
 # ``check_sweep``'s limits, timed on a 2-core x86-64 box.  Echoes per database
 # and echo views: a clean query on qspir(cube2) at n = 2 took 0.09 ms (0.14 ms
 # with its views, 0.24 ms dephased), so 4 databases at the limit take < 4 s.
-# Honest runs, one per database and r: qspir(subset2) at n = 11 made 4,194,304
-# in 9.4 s (16.4 s dephased, at most two rows a run).  bell2 runs through the
-# step engine, 0.18, 0.30, 0.29, 0.52, 0.52 and 0.97 ms a run at n = 8 to 13
-# (n = 13: 8.1 s); dephased, 2.4, 7.3, 7.3, 24, 24 and 87 ms, so a run counts
-# its up to 2^(pairs + 1) branches (n = 8: 8,192, in 0.7 s).  Draws added up:
-# qspir(trivial1) at n = 14 mixed 268,435,456 from 16,384 runs in 5.2 s (10.1 s
-# dephased).  The dephased times swept every database; with the first alone
-# (``first_only``) the two take 0.14 s and 0.31 s, and still count every one.
+# Honest runs, one per database swept and r: qspir(subset2) at n = 11 made
+# 4,194,304 in 5.7 s, most of them copies of one run per output class.  bell2
+# runs through the step engine, 0.18, 0.30, 0.29, 0.52, 0.52 and 0.97 ms a run
+# at n = 8 to 13 (n = 13: 8.1 s); dephased, 2.4, 7.3, 7.3, 24, 24 and 87 ms, so
+# a run counts its up to 2^(pairs + 1) branches (n = 8: 8,192, in 0.7 s).
+# Draws added up: qspir(trivial1) at n = 14 mixed 268,435,456 from 16,384 runs
+# in 5.2 s.  Dephased, a compiled sweep runs the first database alone
+# (``first_only``): those two take 0.12 s and 0.21 s, and their draws still
+# count every database.
 ATTACK_ECHO_LIMIT = 4096
 COMPILED_BASELINE_RUN_LIMIT = 1 << 22
 BELL_BASELINE_RUN_LIMIT = 1 << 13
@@ -413,14 +411,14 @@ def check_sweep(protocol, scenario: str, undetectability: bool = False) -> None:
     """Refuse a ``scenario_mixtures`` sweep, and ``verify_undetectability`` when
     ``undetectability``, that would not finish in seconds, counting from
     ``plan_sweep``: echoes per database, echo views over the databases swept,
-    honest runs weighed by their dephased branches, and draws added up.
-    Echoes, runs and draws count every database even where ``first_only``
-    sweeps one: each still gets its own mixture, result row and leakage term.
+    honest runs over the databases swept, weighed by their dephased branches,
+    and draws added up over every database: each still gets its own mixture,
+    result row and leakage term where ``first_only`` sweeps one.
     """
     if scenario == "parity2" and protocol.n != 2:
         raise SweepRefused("the parity2 scenario needs --n 2")
     databases, sweep = 1 << protocol.n, plan_sweep(protocol, scenario)
-    runs = len(sweep.randomness) * len(sweep.masks)  # per database
+    runs = len(sweep.randomness) * len(sweep.masks)  # per database swept
     if scenario == "parity2":
         audit = plan_sweep(protocol, "undetectability")
         views = len(audit.randomness) * len(audit.masks) * (1 if audit.first_only else databases)
@@ -431,9 +429,11 @@ def check_sweep(protocol, scenario: str, undetectability: bool = False) -> None:
         bell = isinstance(protocol, BellProtocol)
         branches = 1 << protocol.pair_count + 1 if bell and protocol.dephase_servers else 1
         unit = "runs" if branches == 1 else "dephased branches"
-        counts = [(databases * runs * branches,
+        swept = 1 if sweep.first_only else databases
+        where = "the first database" if sweep.first_only else "every database"
+        counts = [(swept * runs * branches,
                    BELL_BASELINE_RUN_LIMIT if bell else COMPILED_BASELINE_RUN_LIMIT,
-                   f"sweeps at least {{:,}} {unit} over every database and r")]
+                   f"sweeps at least {{:,}} {unit} over {where} and r")]
     counts.append((databases * runs * sweep.repeats, MIXED_DRAW_LIMIT,
                    "mixes {:,} draws over every database"))
     for count, limit, what in counts:

@@ -204,7 +204,8 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
 
     Each r weighs the same, split evenly over its draws.  When every r has
     the same draw count, the sum in draw order is the plain mean over draws,
-    to the bit.
+    to the bit.  Each (x, i) runs as one ``run_outputs`` batch, so only its
+    outputs are held at once.
     """
     mode, mask_subset = _mask_mode(protocol)
     rand = list(protocol.randomness_space())
@@ -214,26 +215,22 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     runs = 0
     combos_used: set = set()
     for x in grid.databases:
-        draws = []
-        spans = []
         for i in grid.indices:
-            start = len(draws)
+            draws = []
             for r_idx, r in enumerate(rand):
                 combos = mask_subset
                 if mode == "cycle" and (x.value, i, r_idx) != first_point:
                     slot = (x.value * len(grid.indices) + (i - 1)) * len(rand) + r_idx
                     combos = [mask_subset[slot % len(mask_subset)]]
                 draws += [(i, r, masks) for masks in combos]
-            spans.append((i, start, len(draws)))
-        outputs = protocol.run_outputs(x, draws)
-        runs += len(draws)
-        for i, start, stop in spans:
+            outputs = protocol.run_outputs(x, draws)
+            runs += len(draws)
             target = x.bit(i)
-            counts = Counter(r for _, r, _ in draws[start:stop])
+            counts = Counter(r for _, r, _ in draws)
             most = max(counts.values())
             total = 0.0
             example = None
-            for (_, r, masks), output in zip(draws[start:stop], outputs[start:stop]):
+            for (_, r, masks), output in zip(draws, outputs):
                 p = output.get(target, 0.0)
                 total += p * (most / counts[r])
                 combos_used.add(masks)

@@ -19,14 +19,13 @@ Communication is 2*k*(t+a) qubits: every register travels out and back.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Sequence
 
 from . import kernels
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, QueryPlan, run_classically
-from .states import PRUNE_TOL, SQRT_HALF, SparseState, apply_phase_oracle
+from .states import SQRT_HALF, SparseState, apply_phase_oracle
 from .transcript import Script, Transcript, execute, sign_recovery
 
 
@@ -95,18 +94,6 @@ def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Databas
     return apply_phase_oracle(state, server_register(j), phase)
 
 
-class _Answers(dict):
-    """Query -> its answer on one database, cut to the mask part; computed on first use."""
-
-    def __init__(self, scheme: LinearPirScheme, x: Database):
-        super().__init__()
-        self.scheme, self.x, self.mask_bits = scheme, x, (1 << scheme.shape.a) - 1
-
-    def __missing__(self, q: int) -> int:
-        answer = self[q] = self.scheme.answer(q, self.x) & self.mask_bits
-        return answer
-
-
 class MaskSpace:
     """Every tuple of k a-bit masks, in ``itertools.product`` order: server 1 varies slowest.
 
@@ -135,9 +122,11 @@ class CompiledProtocol:
     def __init__(self, scheme: LinearPirScheme, dephase_servers: bool = False):
         self.scheme = scheme
         self.dephase_servers = dephase_servers
-        # (i, r) -> its plan, checked by ``run_outputs``, and per server the
-        # register values of the plan's sign-0 and sign-1 query terms at mask 0
-        self._checked: dict[tuple[int, int], tuple[QueryPlan, list[tuple[int, int]]]] = {}
+        # (i, r) -> its plan, checked by ``run_outputs``, and per server
+        # whether its select is nonzero
+        self._checked: dict[tuple[int, int], tuple[QueryPlan, tuple[bool, ...]]] = {}
+        # ``run_outputs``'s classes (c, splits) -> the output of their first run
+        self._outputs: dict[tuple[int, tuple[bool, ...]], dict[int, float]] = {}
 
     @property
     def name(self) -> str:
@@ -227,74 +216,43 @@ class CompiledProtocol:
                     ) -> list[dict[int, float]]:
         """Output distributions of many runs on one database, one per (i, r, masks) draw.
 
-        Each run is stated directly, as rows ``(c0, c1, weight)``: the real
-        amplitudes of the query state's sign-0 and sign-1 terms (0.0 once a
-        term is measured away) and the row's probability.  Server j's phase
-        negates a term on odd <answer(query), mask part>, so each term's sign
-        is the XOR of its per-server parities, applied once up front.  With
-        ``dephase_servers``, per server, a row whose two live terms differ on
-        that server's register splits in two, lower register value first, and
-        every row is renormalised.  Recovery XORs both terms down to one key,
-        so the Hadamard gives the sign amplitudes ``c0*h + c1*h`` and
-        ``c0*h - c1*h``, whose squares, above PRUNE_TOL, add to the output,
-        row by row, bit 0 first.
-
-        Why this is exact: every amplitude of a compiled run is real, its
-        imaginary part ±0 throughout, so Python's complex ops on the dict
-        terms of ``run`` reduce to these real ops in this order; a dead term
-        adds only 0.0; and negation is exact and commutes with the
-        renormalisation, so the signs may come first.  Each distribution
-        equals ``run(x, i, r, masks).output`` to the last bit, keys in the
-        same order, and a malformed draw raises what its single run raises.
+        Each is a copy of ``run(...).output`` for the first draw of its class:
+        the reconstruction c(x, i, r), and which servers have a nonzero
+        select.  The servers' ±1 phases negate whole terms, so the two query
+        terms keep only their relative sign c, and negation is exact.  With
+        ``dephase_servers``, only a server whose select is nonzero splits the
+        two terms, so the magnitudes depend only on which servers split, and
+        two branches add to the same sum in either order.  So each
+        distribution equals ``run(x, i, r, masks).output`` to the last bit,
+        keys in the same order, and a malformed draw raises what its single
+        run raises.
         """
-        a = self.scheme.shape.a
-        answers = _Answers(self.scheme, x)
-        h = SQRT_HALF
+        answers: dict[int, int] = {}
         outputs = []
         for i, r, masks in draws:
             # like ``scheme.plan``, keep plain-int pairs only: 1.0 == 1, but
             # index 1.0 is refused, so any other pair is planned every time
             plain = type(i) is int and type(r) is int
-            plan, base = self._checked.get((i, r), (None, None)) if plain else (None, None)
+            plan, splits = self._checked.get((i, r), (None, None)) if plain else (None, None)
             if plan is None:
                 plan = self.scheme.plan(i, r)
                 # the query state's checks; a plan that passes them passes for
                 # every mask that fits, since a mask fills only the low a bits
                 query_table(plan, masks)
-                base = [(q << plan.a, (q << plan.a) | sel) for q, sel in zip(plan.queries, plan.selects)]
+                splits = tuple(s != 0 for s in plan.selects)
                 if plain:
-                    self._checked[i, r] = plan, base
+                    self._checked[i, r] = plan, splits
             else:
                 _check_masks(plan, masks)
-            values = []
-            odd0 = odd1 = 0
-            for (v0, v1), m in zip(base, masks):
-                v0 ^= m
-                v1 ^= m
-                values.append((v0, v1))
-                odd0 ^= answers[v0 >> a] & v0
-                odd1 ^= answers[v1 >> a] & v1
-            rows = [(-h if odd0.bit_count() & 1 else h, -h if odd1.bit_count() & 1 else h, 1.0)]
-            if self.dephase_servers:
-                for v0, v1 in values:
-                    split = []
-                    for c0, c1, w in rows:
-                        if c0 and c1 and v0 != v1:
-                            halves = [(c0, 0.0, w), (0.0, c1, w)]
-                            split += halves if v0 < v1 else halves[::-1]
-                        else:
-                            split.append((c0, c1, w))
-                    rows = []
-                    for c0, c1, w in split:
-                        p = c0 * c0 + c1 * c1
-                        scale = 1.0 / math.sqrt(p)
-                        rows.append((c0 * scale, c1 * scale, w * p))
-            out: dict[int, float] = {}
-            for c0, c1, w in rows:
-                s0 = c0 * h + c1 * h
-                s1 = c0 * h + c1 * -h
-                for b, q in (0, s0 * s0), (1, s1 * s1):
-                    if q > PRUNE_TOL:
-                        out[b] = out.get(b, 0.0) + w * q
-            outputs.append(out)
+            odd = 0
+            for q, s in zip(plan.queries, plan.selects):
+                answer = answers.get(q)
+                if answer is None:
+                    answer = answers[q] = self.scheme.answer(q, x)
+                odd ^= answer & s
+            key = (odd.bit_count() & 1, splits)
+            output = self._outputs.get(key)
+            if output is None:
+                output = self._outputs[key] = self.run(x, i, r, masks).output
+            outputs.append(dict(output))
         return outputs

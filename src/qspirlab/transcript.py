@@ -21,9 +21,8 @@ server-view audit.  Both quantum protocols recover through
 :func:`sign_recovery`: the recovery unitary :func:`undo_query`, reading
 the sign table a run builds once, beside its query state, then the sign
 measurement.  The echo runs the same unitary under an (index, sign)
-control.  The one exception is a compiled protocol's output-only runs
-(``CompiledProtocol.run_outputs``), which take the same steps on each
-run's two query terms, held as two real amplitudes.
+control.  A compiled protocol's output-only runs copy the output of one
+such run per output class (``CompiledProtocol.run_outputs``).
 
 Transcripts serialize to JSON (schema below) and round-trip losslessly::
 

@@ -332,13 +332,19 @@ class TestMeasuredServersIgnoreTheDatabase:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_honest_outputs_agree_at_every_draw(self, n):
+        # the step engine at every draw, except the random shapes at n = 3 and
+        # 4 (19 s through it): there ``run_outputs``, whose outputs are copies
+        # of runs (tests/test_compiler.py ties them to ``run``)
         shapes = [(k, t, a, seed) for k in range(1, 5) for t in (1, 2, 3) for a in (1, 2, 3)
                   if a * k <= 6 for seed in (0, 1)]
         for name, protocol in measured_protocols(n, shapes).items():
             draws = [(i, r, masks) for i in range(1, n + 1)
                      for r, masks in full_draw_space(protocol)]
-            first, *rest = ([hex_items(dist) for dist in protocol.run_outputs(x, draws)]
-                            for x in all_databases(n))
+            if n == 2 or not name.startswith("random"):
+                outputs = lambda x: [protocol.run(x, *draw).output for draw in draws]
+            else:
+                outputs = lambda x: protocol.run_outputs(x, draws)
+            first, *rest = ([hex_items(dist) for dist in outputs(x)] for x in all_databases(n))
             for out in rest:
                 assert out == first, name
 
@@ -391,7 +397,8 @@ SWEEP_COUNTS = [
     # Bell's audit sweeps every database
     ("bell2", False, "parity2", True, "ATTACK_ECHO_LIMIT", 4),
     ("qspir(subset2)", False, "honest-baseline", False, "COMPILED_BASELINE_RUN_LIMIT", 16),
-    ("qspir(subset2)", True, "honest-baseline", False, "COMPILED_BASELINE_RUN_LIMIT", 16),
+    # dephased, the first database's runs stand for every database's
+    ("qspir(subset2)", True, "honest-baseline", False, "COMPILED_BASELINE_RUN_LIMIT", 4),
     ("bell2", False, "honest-baseline", False, "BELL_BASELINE_RUN_LIMIT", 4),
     # one pair: a dephased run splits into up to 4 branches
     ("bell2", True, "honest-baseline", False, "BELL_BASELINE_RUN_LIMIT", 16),
@@ -522,11 +529,6 @@ class TestUndetectability:
         report = verify_undetectability(resolve_protocol(name, n))
         assert report.passed, report.witness
         assert report.worst_case_distance <= 1e-9
-
-    def test_no_databases(self):
-        report = verify_undetectability(resolve_protocol("qspir(subset2)", 2), databases=[])
-        assert json.dumps(report.to_jsonable()) == report_json(
-            grid={"n": 2, "databases": 0, "draws": 16}, details={"comparisons": 0})
 
     @pytest.mark.parametrize("name,per_database", [("qspir(subset2)", False),
                                                    ("qspir(trivial1)", False), ("bell2", True)])

@@ -322,15 +322,17 @@ class TestAttack:
                        "branches over every database and r, more than 8,192\n")
 
     @pytest.mark.parametrize("scheme, n, message", [
-        ("qspir(subset2)", "12", "sweeps at least 16,777,216 runs over every database and r, "
-                                 "more than 4,194,304"),
+        ("qspir(subset2)", "14", "mixes 1,073,741,824 draws over every database, "
+                                 "more than 268,435,456"),
         ("qspir(trivial1)", "20", "mixes 1,099,511,627,776 draws over every database, "
                                   "more than 268,435,456"),
+        ("qspir(subset2)", "23", "sweeps at least 8,388,608 runs over the first database "
+                                 "and r, more than 4,194,304"),
     ])
-    def test_dephased_compiled_baseline_counts_every_database(self, capsys, no_work,
-                                                                scheme, n, message):
-        # the first database's runs stand for every database's, but each database
-        # still gets its own mixture and result row, so the counts take them all
+    def test_dephased_compiled_baseline_refusals(self, capsys, no_work, scheme, n, message):
+        # the first database's runs stand for every database's, so the runs
+        # count it alone; but each database still gets its own mixture and
+        # result row, so the draws count them all
         code, out, err = run_cli(capsys, "attack", "--scenario", "honest-baseline",
                                  "--scheme", scheme, "--n", n, "--countermeasure")
         assert (code, out) == (EXIT_USAGE, "")
@@ -349,10 +351,11 @@ class TestAttack:
         # 4,194,304, qspir(cube2) at n = 2 mixes 256 runs over 4,194,304
         # draws, qspir(trivial1) at n = 14 16,384 runs over 268,435,456 draws,
         # bell2 at n = 13 makes 8,192 runs, and at n = 8 with the
-        # countermeasure 256 runs of up to 32 branches: none is refused
+        # countermeasure 256 runs of up to 32 branches; with it, qspir(subset2)
+        # at n = 12 runs 4,096 on the first database alone: none is refused
         ("qspir(subset2)", "7", False), ("qspir(subset2)", "11", False),
         ("qspir(cube2)", "2", False), ("qspir(trivial1)", "14", False), ("bell2", "13", False),
-        ("bell2", "8", True),
+        ("bell2", "8", True), ("qspir(subset2)", "12", True),
     ])
     def test_honest_baseline_admits_sweeps_up_to_the_limits(self, capsys, no_work, scheme, n,
                                                             countermeasure):

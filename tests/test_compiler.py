@@ -270,7 +270,8 @@ def _full_draws(protocol):
 
 
 def _assert_outputs_equal_runs(protocol, databases, draws):
-    # ``==`` on floats, not approx: ``run_outputs`` must repeat the dict ops to the bit
+    # ``==`` on floats, not approx: each copied output must equal its draw's
+    # own run to the bit, and in key order
     for x in databases:
         outputs = protocol.run_outputs(x, draws)
         assert len(outputs) == len(draws)
@@ -330,6 +331,42 @@ class TestBatchedOutputs:
         outputs = protocol.run_outputs(Database.from_string("01"), draws)
         assert any(output.get(Database.from_string("01").bit(i), 0.0) < 1.0
                    for (i, _, _), output in zip(draws, outputs))
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_schemes_with_zero_selects(self, k, countermeasure):
+        # a server whose select is 0 does not split the dephased terms, so
+        # outputs of equal c differ with which servers split
+        for seed in range(3):
+            scheme = RandomXorScheme(3, k=k, t=2, a=2 if k < 3 else 1, randomness_size=3,
+                                     seed=seed)
+            protocol = CompiledProtocol(scheme, dephase_servers=countermeasure)
+            draws = _full_draws(protocol)
+            if k > 1:
+                assert any(0 in scheme.plan(i, r).selects for i, r, _ in draws)
+            _assert_outputs_equal_runs(protocol, list(all_databases(3)), draws)
+
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_one_run_per_output_class(self, monkeypatch, countermeasure):
+        scheme = RandomXorScheme(3, k=3, t=2, a=1, randomness_size=3, seed=1)
+        protocol = CompiledProtocol(scheme, dephase_servers=countermeasure)
+        run = protocol.run
+        calls = []
+        monkeypatch.setattr(protocol, "run", lambda *draw: calls.append(draw) or run(*draw))
+        draws = _full_draws(protocol)
+        for x in all_databases(3):
+            protocol.run_outputs(x, draws)
+
+        def output_class(x, i, r):
+            return run_classically(scheme, x, i, r), tuple(s != 0 for s in scheme.plan(i, r).selects)
+
+        first = {}
+        for x in all_databases(3):
+            for i, r, masks in draws:
+                first.setdefault(output_class(x, i, r), (x, i, r, masks))
+        assert len(first) > 4
+        # each class runs once, at the first draw that reaches it
+        assert calls == list(first.values())
 
     def test_batch_of_one_matches_larger_batch(self):
         protocol = CompiledProtocol(make_scheme("subset2", 3), dephase_servers=True)

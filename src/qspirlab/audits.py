@@ -20,12 +20,11 @@ The three audit families:
   user's classical knowledge and quantum holdings at every step, paired per
   randomness draw) must coincide, pure states up to a global phase.  A
   strictly weaker mixed-over-randomness comparison is reported alongside
-  for information; its mixtures are built only where a group has a second
-  set to compare.  The user's view reads the database only through its
+  for information.  The user's view reads the database only through its
   protocol's view class (the compiled reconstruction c(x, i, r), Bell's
-  x_i, a classical scheme's answers), so the audit runs one transcript per
-  class instead of one per database, and builds per-draw views only where
-  a draw has two classes or more to compare.
+  x_i, a classical scheme's answers), so a transcript runs only in a group
+  with two view class signature sets or more, once per class per draw
+  (see ``audit_data_privacy``).
 """
 
 from __future__ import annotations
@@ -107,9 +106,12 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
     ``databases`` may be "all", an int sample size of at least 2 (a sample
     always holds all-zeros and all-ones), or an iterable of bit strings /
     Database values; ``indices`` may be "all" or an iterable.  Anything else
-    there, an empty set, a database of another size or an index that is not
-    an int in [1, n] raises ValueError.
+    there, an empty set, a database of another size, an index that is not
+    an int in [1, n] or a ``cap`` that is not a non-negative int raises
+    ValueError.
     """
+    if type(cap) is not int or cap < 0:
+        raise ValueError(f"the grid cap must be a non-negative int, not {cap!r}")
     if type(databases) is int:
         if databases < 2:
             raise ValueError("a database sample holds all-zeros and all-ones, "
@@ -161,8 +163,8 @@ def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
     * "cycle": a larger space gives at most MASK_CYCLE_LIMIT combinations
       scattered over it (``_cycled_masks``).  Recovery runs one per (x, i, r),
       cycling through them, and the whole subset at its first grid point;
-      data privacy runs the first 4 at every (i, r), on every database (one
-      transcript per view class); user privacy reads every mask
+      data privacy runs the first 4 at every (i, r), once per view class
+      where a group has two signature sets; user privacy reads every mask
       off histograms instead.  Data privacy over the whole product would
       need an argument that its verdict and mixtures do not depend on the
       masks, which is not made here.
@@ -205,7 +207,9 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     Each r weighs the same, split evenly over its draws.  When every r has
     the same draw count, the sum in draw order is the plain mean over draws,
     to the bit.  Each (x, i) runs as one ``run_outputs`` batch, so only its
-    outputs are held at once.
+    outputs are held at once.  Every mask tuple of the subset runs (at every
+    point in full mode, at the first in cycle mode), so
+    ``distinct_mask_combos`` is the subset's size.
     """
     mode, mask_subset = _mask_mode(protocol)
     rand = list(protocol.randomness_space())
@@ -213,7 +217,6 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     worst_p = 1.0
     witness = None
     runs = 0
-    combos_used: set = set()
     for x in grid.databases:
         for i in grid.indices:
             draws = []
@@ -233,7 +236,6 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
             for (_, r, masks), output in zip(draws, outputs):
                 p = output.get(target, 0.0)
                 total += p * (most / counts[r])
-                combos_used.add(masks)
                 if p < 1.0 - TOL and example is None:
                     example = {"r": r, "masks": list(masks), "probability": p}
             p = total / (most * len(counts))
@@ -253,7 +255,7 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
         details={
             "min_recovery_probability": worst_p,
             "runs": runs,
-            "distinct_mask_combos": len(combos_used) if mode != "none" else 0,
+            "distinct_mask_combos": len(mask_subset) if mode != "none" else 0,
             "mask_mode": mode,
         },
     )
@@ -544,23 +546,22 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     """Views must agree on database pairs that agree on the requested bit.
 
     Each protocol names the class its user's view reads x through
-    (``view_class``): the compiled protocol's reconstruction c(x, i, r),
-    Bell's x_i, and a classical scheme's answers.  So each (i, r, masks)
-    runs one transcript per class, on its first database, and every pair
-    takes its classes' verdict.  Views across classes are compared, not
-    assumed to differ: under the countermeasure the compiled ones are
-    equal.  The report is the one-transcript-per-database loop's: the
-    witness is its first failing pair, group[0] against the first member
-    of the first class whose view differs.
-
-    Databases with the same class at every r form one set, whose
-    mixed-over-randomness accumulators every run of its class feeds; they
-    are built only where a group has a second set to compare them with, and
-    a group of one set reports distance 0.  A per-draw view is built only
-    at a draw with two classes or more, once per class; a draw of one class
-    has nothing to compare its view with.  ``pairs_compared`` counts the
-    database pairs the class verdicts cover, len(group) - 1 per draw, not
-    ``compare_views`` calls.
+    (``view_class``): the compiled reconstruction c(x, i, r), Bell's x_i, a
+    classical scheme's answers.  Databases of one class at every r form a
+    signature set, with the same views and mixtures to the bit, so a group
+    (the databases with one x_i) of one set passes by its classes alone and
+    runs no transcript; a correct quantum protocol's every group is one.  A
+    group of two sets or more runs one transcript per class per draw (i, r,
+    masks), on the class's first database, feeds every set's
+    mixed-over-randomness accumulators, and builds a per-draw view only at
+    a draw of two classes or more.  Views across classes are compared, not
+    assumed to differ: under the countermeasure the compiled ones are equal.
+    The report is the one-transcript-per-database loop's: the witness is
+    its first failing pair, group[0] against the first member of the first
+    class whose view differs.  ``pairs_compared`` counts the pairs the class
+    verdicts cover, len(group) - 1 per draw, not ``compare_views`` calls.
+    A draw ``run`` refuses (a degenerate plan) is refused by recovery,
+    ``run_outputs`` and ``export``, not here.
     """
     mask_subset = _data_privacy_masks(protocol)
     rand = list(protocol.randomness_space())
@@ -578,26 +579,24 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
             alike: dict[tuple, Database] = {}
             for x in group:
                 alike.setdefault(tuple(protocol.view_class(x, i, r) for r in rand), x)
-            # a lone set's mixtures have nothing to be compared with
-            mixtures: dict[int, dict[str, DensityAccumulator]] | None = (
-                {x.value: {} for x in alike.values()} if len(alike) > 1 else None)
+            pair_count += (len(group) - 1) * len(rand) * len(mask_subset)
+            if len(alike) == 1:  # one class at every draw: nothing to compare
+                continue
+            mixtures = {x.value: {} for x in alike.values()}
             for r_idx, r in enumerate(rand):
                 # class -> its sets' first databases, in group order
                 classes: dict = {}
                 for signature, x in alike.items():
                     classes.setdefault(signature[r_idx], []).append(x)
-                compared = len(classes) > 1
                 for masks in mask_subset:
                     views = []
                     for members in classes.values():
                         t = protocol.run(members[0], i, r, masks)
-                        if compared:
+                        if len(classes) > 1:
                             views.append((members[0], user_view(t)))
-                        if mixtures is not None:
-                            # several members where their classes differ at another r
-                            for x in members:
-                                _feed_mixtures(t, mixtures[x.value])
-                    pair_count += len(group) - 1
+                        # several members where their classes differ at another r
+                        for x in members:
+                            _feed_mixtures(t, mixtures[x.value])
                     for other, view in views[1:]:
                         mismatch = compare_views(views[0][1], view)
                         if mismatch is not None:
@@ -605,9 +604,7 @@ def audit_data_privacy(protocol: Protocol, grid: AuditGrid) -> AuditReport:
                             if witness is None:
                                 witness = _data_privacy_witness(protocol, i, value, group[0],
                                                                 other, r, masks, mismatch)
-            if mixtures is not None:
-                mixed_worst = max(mixed_worst,
-                                  _mixed_view_distance(mixtures, list(alike.values())))
+            mixed_worst = max(mixed_worst, _mixed_view_distance(mixtures, list(alike.values())))
     return _data_privacy_report(protocol, grid, worst, witness, pair_count, mixed_worst)
 
 

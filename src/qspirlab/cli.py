@@ -29,9 +29,10 @@ from .experiments import (
     comm_table,
     render_reports,
     render_table,
+    resolve,
     run_experiment,
 )
-from .protocols import protocol_names, resolve_protocol
+from .protocols import protocol_names
 from .schemes import Database
 from .transcript import export_transcript, load_transcript, transcripts_equal
 
@@ -118,13 +119,6 @@ def _check_index(i: int, n: int) -> None:
         raise ConfigError(f"--i {i} outside [1, {n}]")
 
 
-def _resolve(args, n: int):
-    try:
-        return resolve_protocol(args.scheme, n, args.countermeasure)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _cmd_run(args) -> int:
     overrides = {}
     for key, value in (("scheme", args.scheme), ("n", args.n), ("seed", args.seed),
@@ -167,7 +161,7 @@ def _cmd_audit(args) -> int:
 def _cmd_attack(args) -> int:
     if args.scheme is None or args.n is None:
         raise ConfigError("attack needs --scheme and --n")
-    protocol = _resolve(args, args.n)
+    protocol = resolve(args.scheme, args.n, args.countermeasure)
     if protocol.kind != "quantum":
         raise ConfigError("attack scenarios run against quantum protocols")
     shown = _database(args.x) if args.x else None
@@ -219,7 +213,12 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_comm_table(args) -> int:
-    rows = comm_table(args.schemes.split(","), [int(v) for v in args.n_list.split(",")])
+    try:
+        n_list = [int(v) for v in args.n_list.split(",")]
+    except ValueError:
+        raise ConfigError(f"--n-list must be a comma list of integers, "
+                          f"got {args.n_list!r}") from None
+    rows = comm_table(args.schemes.split(","), n_list)
     payload = {"communication": rows, "passed": all(r["residual"] == 0 for r in rows)}
     _emit(args, payload, render_table(rows))
     return EXIT_OK if payload["passed"] else EXIT_FAILED
@@ -252,7 +251,7 @@ def _cmd_export(args) -> int:
     if n != x.n:
         raise ConfigError(f"--n {n} does not match --x of {x.n} bits")
     _check_index(args.i, n)
-    protocol = _resolve(args, n)
+    protocol = resolve(args.scheme, n, args.countermeasure)
     rand = protocol.randomness_space()
     if args.r not in rand:
         raise ConfigError(f"--r {args.r} outside [0, {rand[-1]}]")

@@ -136,11 +136,16 @@ def comm_row(protocol, n: int) -> dict:
     return row
 
 
-def run_experiment(config: ExperimentConfig) -> ReportBundle:
+def resolve(name: str, n: int, countermeasure: bool = False):
+    """``resolve_protocol``, its refusal of a name or size as a ConfigError."""
     try:
-        protocol = resolve_protocol(config.scheme, config.n, config.countermeasure)
+        return resolve_protocol(name, n, countermeasure)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def run_experiment(config: ExperimentConfig) -> ReportBundle:
+    protocol = resolve(config.scheme, config.n, config.countermeasure)
     grid = _grid_for(config)
     reports = [run_audit(protocol, audit, grid) for audit in config.audits]
     config_echo = json.loads(json.dumps(asdict(config), default=list))
@@ -161,8 +166,7 @@ def comm_table(schemes: Sequence[str], n_list: Sequence[int]) -> list[dict]:
     rows = []
     for name in schemes:
         for n in n_list:
-            protocol = resolve_protocol(name, n)
-            rows.append(comm_row(protocol, n))
+            rows.append(comm_row(resolve(name, n), n))
     return rows
 
 

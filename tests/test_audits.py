@@ -71,6 +71,7 @@ class TestRecoveryAudit:
         assert report.details["mask_mode"] == "cycle"
         assert (report.witness["x"], report.witness["i"]) == ("000", 1)
         assert report.witness["recovery_probability"] == pytest.approx(0.25, abs=audits.TOL)
+        assert report.details["distinct_mask_combos"] == 256
 
     def test_classical_protocol_also_audited(self):
         report = audit_recovery(resolve_protocol("cube2", 8),
@@ -499,12 +500,62 @@ def draws_compared(protocol, grid):
     return expected
 
 
+def transcripts_expected(protocol, grid):
+    """Classes per index summed over every draw of a group with two signature sets or more."""
+    expected = Counter()
+    masks = len(audits._data_privacy_masks(protocol))
+    rand = list(protocol.randomness_space())
+    for i in grid.indices:
+        for value in (0, 1):
+            signatures = {tuple(protocol.view_class(x, i, r) for r in rand)
+                          for x in grid.databases if x.bit(i) == value}
+            if len(signatures) > 1:
+                for r_idx in range(len(rand)):
+                    expected[i] += len({sig[r_idx] for sig in signatures}) * masks
+    return expected
+
+
 class TestViewsOnlyWhereCompared:
     """Per-draw views are built once per class where a draw has two, and nowhere else.
 
-    Mixtures are built only in a group of two view class signature sets or
-    more; there every set's mixtures are fed at every draw, and finalized once.
+    Transcripts run and mixtures are built only in a group of two view class
+    signature sets or more; there every set's mixtures are fed at every
+    draw, and finalized once.
     """
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("make,runs", [
+        (lambda cm: resolve_protocol("qspir(subset2)", 3, cm), False),
+        (lambda cm: resolve_protocol("qspir(trivial1)", 4, cm), False),
+        (lambda cm: resolve_protocol("bell2", 5, cm), False),
+        (lambda cm: resolve_protocol("subset2", 2, cm), True),
+        (lambda cm: CompiledProtocol(CorruptedSubsetScheme(3), cm), True),
+        # the shapes of TestDataPrivacyByClass.test_views_follow_the_reconstruction:
+        # every group holds two to four signature sets
+        *[(lambda cm, k=k: CompiledProtocol(
+            RandomXorScheme(3, k=k, t=2, a=1, randomness_size=2, seed=k), cm), True)
+          for k in (1, 2, 3, 4)],
+    ], ids=["qspir-subset2", "qspir-trivial1", "bell2", "subset2", "corrupted",
+            "random-k1", "random-k2", "random-k3", "random-k4"])
+    def test_transcripts_only_in_groups_of_two_sets(self, make, runs, countermeasure,
+                                                    monkeypatch):
+        """One run per class per draw of a group with two sets; none for a
+        correct quantum protocol, whose every group is one set."""
+        protocol = make(countermeasure)
+        grid = make_grid(protocol.n)
+        expected = transcripts_expected(protocol, grid)
+        calls = []
+        run = protocol.run
+
+        def counting(x, i, r, masks):
+            calls.append(i)
+            return run(x, i, r, masks)
+
+        monkeypatch.setattr(protocol, "run", counting)
+        report = audit_data_privacy(protocol, grid)
+        assert report.details["pairs_compared"] > 0
+        assert (sum(expected.values()) > 0) == runs
+        assert Counter(calls) == expected
 
     @staticmethod
     def _count_views(monkeypatch):

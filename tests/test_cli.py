@@ -54,6 +54,12 @@ class TestAudit:
         assert code == EXIT_USAGE
         assert "unknown" in err
 
+    def test_negative_cap_grid_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "audit", "--scheme", "bell2", "--n", "2",
+                                 "--cap-grid", "-1")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "qspirlab: the grid cap must be a non-negative int, not -1\n"
+
 
 class TestRun:
     def test_config_file_with_overrides(self, capsys, tmp_path):
@@ -95,6 +101,10 @@ class TestRun:
         ({"indices": ["1"]}, "index '1' outside [1, 2]"),
         ({"indices": []}, "the grid needs at least one database and one index"),
         ({"databases": ["011"]}, "database 011 has 3 bits, not n = 2"),
+        ({"cap_grid": "8"}, "the grid cap must be a non-negative int, not '8'"),
+        ({"cap_grid": -1}, "the grid cap must be a non-negative int, not -1"),
+        ({"cap_grid": True}, "the grid cap must be a non-negative int, not True"),
+        ({"cap_grid": 1.0}, "the grid cap must be a non-negative int, not 1.0"),
     ])
     def test_grid_outside_the_database_is_config_error(self, capsys, tmp_path, keys, message):
         config = tmp_path / "exp.json"
@@ -386,6 +396,19 @@ class TestAttack:
 
 
 class TestCommTable:
+    @pytest.mark.parametrize("schemes, n_list, message", [
+        ("subset2", "a", "--n-list must be a comma list of integers, got 'a'"),
+        ("subset2", "2,", "--n-list must be a comma list of integers, got '2,'"),
+        ("nope", "2", "unknown protocol 'nope'"),
+        ("subset2", "0", "n must be positive"),
+        ("bell2", "-1", "n must be positive"),
+        ("qspir(cube2)", "4,-1", "n must be positive"),
+    ])
+    def test_bad_input_is_usage_error(self, capsys, schemes, n_list, message):
+        code, out, err = run_cli(capsys, "comm-table", "--schemes", schemes, "--n-list", n_list)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"qspirlab: {message}") and err.count("\n") == 1
+
     def test_table_rows(self, capsys):
         code, out, _ = run_cli(capsys, "comm-table",
                                "--schemes", "qspir(trivial1),bell2",

@@ -8,9 +8,10 @@ conditioned on the index register (their classical randomness is drawn
 once per oracle and known to them), CNOTs the recovered bit into the
 target, and then runs the very same steps again.  The echo spells none of
 the honest steps itself: it reads each index's relabel table off the
-protocol (``sign_table``, the table honest recovery reads too), sends and
-lets the servers act through honest runs' ``server_round``, under its step
-labels, and undoes the query with honest recovery's ``undo_query``,
+protocol (``sign_table``, the table honest runs read too), prepares the
+query with honest runs' ``prepare_query``, sends and lets the servers act
+through their ``server_round``, under its step labels, and undoes the
+query with honest recovery's ``undo_query``; preparation and undo are
 controlled by (index, sign) instead of the sign alone.  The servers'
 conditional phases are involutions, so the second pass deterministically
 returns the sign and work registers to zero.  Every state the servers see
@@ -61,7 +62,7 @@ from .states import (
     tensor,
     xor_relabeling,
 )
-from .transcript import Branches, server_party, server_round, undo_query
+from .transcript import Branches, prepare_query, server_party, server_round, undo_query, zero_state
 
 QuantumProtocol = CompiledProtocol | BellProtocol
 
@@ -73,13 +74,6 @@ def index_width(n: int) -> int:
 @lru_cache(maxsize=None)
 def attack_input_layout(n: int) -> RegisterLayout:
     return RegisterLayout.of(("idx", index_width(n)), ("tgt", 1))
-
-
-@lru_cache(maxsize=None)
-def _zero_registers(layout: RegisterLayout) -> tuple[SparseState, SparseState]:
-    """The echo's fresh registers for a protocol layout: |0> on the sign, and on the rest."""
-    return (SparseState.basis(RegisterLayout(layout.registers[:1]), 0),
-            SparseState.basis(RegisterLayout(layout.registers[1:]), 0))
 
 
 Checkpoint = tuple[str, int, Branches]  # (step label, server index, branches)
@@ -114,8 +108,7 @@ class CleanQueryOracle:
     def _half_run(self, branches: Branches, relabel) -> Branches:
         """Prepare conditioned on (idx, sign), send and let servers act, undo the query."""
         protocol = self.protocol
-        branches = [(p, protocol.entangle(relabel(apply_local_map(st, "sign", hadamard))))
-                    for p, st in branches]
+        branches = [(p, prepare_query(protocol, st, relabel)) for p, st in branches]
         for label, j, branches in server_round(branches, range(1, protocol.k + 1),
                                                protocol.server_registers,
                                                protocol.server_operation(self.x), protocol.verb,
@@ -134,13 +127,13 @@ class CleanQueryOracle:
         if input_state.layout != expected:
             raise ValueError(f"input must use layout {expected.registers}")
         self.checkpoints = []
-        sign, work = _zero_registers(self.protocol.layout())
-        state = tensor(tensor(input_state, sign), work)
+        layout = self.protocol.layout()
+        state = tensor(input_state, zero_state(layout))  # fresh sign and work registers
         # control (idx, sign) -> the XOR constants of index idx + 1's sign branch
         table = {(iv << 1) | s: row for iv in range(self.protocol.n)
                  for s, row in self.protocol.sign_table(iv + 1, self.r, self.masks).items()}
         # one set of masks for every branch of both passes: they share the layout
-        relabel = xor_relabeling(state.layout, ("idx", "sign"), work.layout.names, table)
+        relabel = xor_relabeling(state.layout, ("idx", "sign"), layout.names[1:], table)
 
         branches: Branches = [(1.0, state)]
         branches = self._half_run(branches, relabel)

@@ -38,11 +38,11 @@ from .compiler import CompiledProtocol, server_register
 # unused here; perfbench's tracer tests check that its wrapper re-binds this copy
 from .compiler import build_query_state  # noqa: F401
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
-from .protocols import ClassicalProtocol, Protocol, closed_form_comm
+from .protocols import ClassicalProtocol, Protocol
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme
 from .states import PRUNE_TOL, SQRT_HALF, SparseState, equal_up_to_global_phase
-from .transcript import USER, Transcript, dephase, server_party
+from .transcript import USER, Transcript, dephase, message_unit, server_party
 
 TOL = 1e-9
 
@@ -668,7 +668,7 @@ def audit_comm(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     r = next(iter(protocol.randomness_space()))
     masks = next(iter(protocol.mask_space()))
     t = protocol.run(x, i, r, masks)
-    unit, expected = closed_form_comm(protocol)
+    unit, expected = message_unit(protocol), protocol.comm()
     measured = t.qubits_total if unit == "qubits" else t.bits_total
     off_channel = t.bits_total if unit == "qubits" else t.qubits_total
     residual = abs(measured - expected) + abs(off_channel)

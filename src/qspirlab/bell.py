@@ -12,6 +12,12 @@ operations fix the correlated state and multiply the marker state by -1
 exactly when the wanted bit is 1, so the sign qubit again carries the
 answer.  Every qubit in transit is maximally mixed on its own.
 
+A run prepares and undoes its query with the steps every quantum run and
+the attack echo share (``transcript.prepare_query`` and ``undo_query``):
+the sign qubit is Hadamarded, the marker's label is XORed into the wanted
+pair on the sign-1 branch (``sign_table``), and every pair is entangled
+into the Bell pair of its label.
+
 Odd database sizes are padded with a trailing zero bit.  Communication is
 2n qubits: n/2 to each server and the same back.
 """
@@ -23,12 +29,11 @@ from functools import lru_cache
 from .registers import RegisterLayout
 from .schemes import Database
 from .states import SQRT_HALF, SparseState, apply_local_map
-from .transcript import Script, Transcript, execute, sign_recovery
+from .transcript import Transcript, execute, prepare_query, sign_relabeling, sign_script, zero_state
 
 # Bell labels used by the scheme; (p, q) names the pair basis state the
-# marker uncomputes to.  The correlated pair is BELL_CORR; the two markers
+# marker uncomputes to, and the correlated pair is (0, 0).  The two markers
 # are a bit-flipped pair for odd indices and a phase-flipped pair for even.
-BELL_CORR = (0, 0)
 BELL_MARK_ODD = (0, 1)
 BELL_MARK_EVEN = (1, 0)
 
@@ -57,47 +62,15 @@ def pair_slot(i: int) -> int:
     return (i + 1) // 2
 
 
-def _bell_pair_terms(label: tuple[int, int]) -> tuple[tuple[int, int, float], ...]:
-    """(left bit, right bit, sign) components of a Bell pair, amplitude 1/sqrt2 each."""
-    p, q = label
-    if (p, q) == (0, 0):
-        return ((0, 0, 1.0), (1, 1, 1.0))
-    if (p, q) == (0, 1):
-        return ((0, 1, 1.0), (1, 0, 1.0))
-    if (p, q) == (1, 0):
-        return ((0, 0, 1.0), (1, 1, -1.0))
-    return ((0, 1, 1.0), (1, 0, -1.0))
-
-
 def build_bell_query(i: int, n: int) -> SparseState:
-    """Query state for index i over an even-size database."""
+    """Query state for index i over an even-size database, as a run prepares it."""
     if n % 2 != 0:
         raise ValueError("database size must be even; pad odd sizes with a zero bit")
     if not 1 <= i <= n:
         raise IndexError(f"index {i} outside [1, {n}]")
-    m = n // 2
-    j = pair_slot(i)
-    layout = bell_layout(m)
-    amp = SQRT_HALF * (SQRT_HALF ** m)
-
-    terms: dict[int, complex] = {}
-
-    def add_branch(sign_bit: int, labels: list[tuple[int, int]]) -> None:
-        partials = [(0, 1.0)]
-        for slot, label in enumerate(labels, start=1):
-            nxt = []
-            for key, coeff in partials:
-                for lbit, rbit, sgn in _bell_pair_terms(label):
-                    piece = (lbit << (2 * m - slot)) | (rbit << (m - slot))
-                    nxt.append((key | piece, coeff * sgn))
-            partials = nxt
-        for key, coeff in partials:
-            full = (sign_bit << (2 * m)) | key
-            terms[full] = terms.get(full, 0j) + amp * coeff
-
-    add_branch(0, [BELL_CORR] * m)
-    add_branch(1, [BELL_CORR] * (j - 1) + [marker_for(i)] + [BELL_CORR] * (m - j))
-    return SparseState(layout, terms)
+    protocol = BellProtocol(n)
+    return prepare_query(protocol, zero_state(protocol.layout()),
+                         sign_relabeling(protocol, protocol.sign_table(i)))
 
 
 _PLUS = complex(1.0)
@@ -240,26 +213,12 @@ class BellProtocol:
         return unentangle_pairs(state, self.pair_count)
 
     def run(self, x: Database, i: int, r: int = 0, masks=()) -> Transcript:
-        return execute(self, x, i, self._script(x, i))
+        if not 1 <= i <= self.n:
+            raise IndexError(f"index {i} outside [1, {self.n}]")
+        knowledge = {"i": i, "pair_slot": pair_slot(i), "marker": "".join(map(str, marker_for(i))),
+                     "padded_n": self.padded_n, "countermeasure": self.dephase_servers}
+        return execute(self, x, i, sign_script(self, x, knowledge, self.sign_table(i)))
 
     def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
         """``run(x, i).output`` of each (i, r, masks) draw."""
         return [self.run(x, i).output for i, r, masks in draws]
-
-    def _script(self, x: Database, i: int) -> Script:
-        if not 1 <= i <= self.n:
-            raise IndexError(f"index {i} outside [1, {self.n}]")
-        return Script(
-            knowledge={
-                "i": i,
-                "pair_slot": pair_slot(i),
-                "marker": "".join(map(str, marker_for(i))),
-                "padded_n": self.padded_n,
-                "countermeasure": self.dephase_servers,
-            },
-            state=build_bell_query(i, self.padded_n),
-            receives=self.server_registers,
-            returns=self.server_registers,
-            operate=self.server_operation(x),
-            recover=lambda state: sign_recovery(self, state, self.sign_table(i)),
-        )

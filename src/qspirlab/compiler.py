@@ -26,7 +26,7 @@ from . import kernels
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, QueryPlan, run_classically
 from .states import SQRT_HALF, SparseState, apply_phase_oracle
-from .transcript import Script, Transcript, execute, sign_recovery
+from .transcript import Transcript, execute, sign_script
 
 
 def server_register(j: int) -> str:
@@ -199,18 +199,10 @@ class CompiledProtocol:
     unentangle = entangle
 
     def run(self, x: Database, i: int, r: int, masks: Sequence[int]) -> Transcript:
-        """One run, its plan looked up and its sign table built once, for the
-        query state and the recovery alike."""
+        """One run, its plan looked up once, for the sign table and the knowledge."""
         plan = self.scheme.plan(i, r)
-        table = query_table(plan, masks)
-        return execute(self, x, i, Script(
-            knowledge=self._knowledge(plan, masks),
-            state=build_query_state(plan, table),
-            receives=self.server_registers,
-            returns=self.server_registers,
-            operate=self.server_operation(x),
-            recover=lambda state: sign_recovery(self, state, table),
-        ))
+        table = query_table(plan, masks)  # checks the draw first
+        return execute(self, x, i, sign_script(self, x, self._knowledge(plan, masks), table))
 
     def run_outputs(self, x: Database, draws: Sequence[tuple[int, int, Sequence[int]]]
                     ) -> list[dict[int, float]]:

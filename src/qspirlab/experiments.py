@@ -21,7 +21,7 @@ from .audits import (
     make_grid,
     run_audit,
 )
-from .protocols import closed_form_comm, resolve_protocol
+from .protocols import resolve_protocol
 from .schemes import Database
 
 
@@ -45,8 +45,22 @@ class ExperimentConfig:
     countermeasure: bool = False
 
     def __post_init__(self):
+        for key in ("n", "seed"):
+            value = getattr(self, key)
+            if type(value) is not int:  # bools and floats included
+                raise ConfigError(f"{key} must be an int, not {value!r}")
         if self.n < 1:
             raise ConfigError("n must be positive")
+        if not isinstance(self.scheme, str):
+            raise ConfigError(f"scheme must be a protocol name, not {self.scheme!r}")
+        if self.out is not None and not isinstance(self.out, str):  # an int opens a descriptor
+            raise ConfigError(f"out must be a file path, not {self.out!r}")
+        if type(self.countermeasure) is not bool:
+            raise ConfigError(f"countermeasure must be true or false, not {self.countermeasure!r}")
+        if (not isinstance(self.audits, (list, tuple)) or not self.audits
+                or not all(isinstance(name, str) for name in self.audits)):
+            raise ConfigError(
+                f"audits must be a non-empty list of audit names, not {self.audits!r}")
         if self.randomness != "exhaustive":
             raise ConfigError("only the exhaustive randomness policy is implemented")
         if self.tolerance != TOL:
@@ -66,7 +80,10 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path, overrides: dict | None = None) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON or text
+                raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
         data.update(overrides or {})
@@ -119,14 +136,13 @@ def _grid_for(config: ExperimentConfig) -> AuditGrid:
 
 
 def comm_row(protocol, n: int) -> dict:
-    unit, expected = closed_form_comm(protocol)
     grid = make_grid(n, databases=[str(Database(n, 0))], indices=[1])
-    report = run_audit(protocol, "comm", grid)
-    measured = report.details["measured"]
+    details = run_audit(protocol, "comm", grid).details
+    measured, expected = details["measured"], details["closed_form"]
     row = {
         "protocol": protocol.name,
         "n": n,
-        "unit": unit,
+        "unit": details["unit"],
         "measured": measured,
         "closed_form": expected,
         "residual": measured - expected,

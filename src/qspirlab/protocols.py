@@ -24,7 +24,7 @@ from .compiler import CompiledProtocol
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme, SCHEMES, make_scheme, reconstruct, run_classically
 from .states import SparseState, conditional_xor_relabel
-from .transcript import Script, Transcript, execute, message_unit
+from .transcript import Script, Transcript, execute
 
 
 def query_reg(j: int) -> str:
@@ -156,8 +156,3 @@ def resolve_protocol(name: str, n: int, countermeasure: bool = False) -> Protoco
     if countermeasure:
         protocol = protocol.with_countermeasure()
     return protocol
-
-
-def closed_form_comm(protocol: Protocol) -> tuple[str, int]:
-    """('bits'|'qubits', count) the protocol must measure exactly."""
-    return (message_unit(protocol), protocol.comm())

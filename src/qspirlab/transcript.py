@@ -17,12 +17,14 @@ run; the server verb and the message unit (:func:`message_unit`) are the
 protocol's own.  The sends and server steps are one generator,
 :func:`server_round`, which the attack echo runs too, under the same
 labels; the countermeasure's :func:`dephase` is shared with the
-server-view audit.  Both quantum protocols recover through
-:func:`sign_recovery`: the recovery unitary :func:`undo_query`, reading
-the sign table a run builds once, beside its query state, then the sign
-measurement.  The echo runs the same unitary under an (index, sign)
-control.  A compiled protocol's output-only runs copy the output of one
-such run per output class (``CompiledProtocol.run_outputs``).
+server-view audit.  Both quantum protocols run through :func:`sign_script`:
+it builds the relabel of the draw's sign table once, prepares the query
+from the all-zero state with :func:`prepare_query`, and recovers through
+:func:`sign_recovery`, the inverse unitary :func:`undo_query` reading the
+same relabel, then the sign measurement.  The echo runs the same
+preparation and undo under an (index, sign) control.  A compiled
+protocol's output-only runs copy the output of one such run per output
+class (``CompiledProtocol.run_outputs``).
 
 Transcripts serialize to JSON (schema below) and round-trip losslessly::
 
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -49,9 +52,9 @@ from .registers import RegisterLayout
 from .states import (
     SparseState,
     apply_local_map,
-    conditional_xor_relabel,
     hadamard,
     measurement_branches,
+    xor_relabeling,
 )
 
 SCHEMA_VERSION = 1
@@ -198,26 +201,49 @@ def execute(protocol, x, i: int, script: Script) -> Transcript:
     return t
 
 
+@lru_cache(maxsize=None)
+def zero_state(layout: RegisterLayout) -> SparseState:
+    """The all-zero basis state a query is prepared from, built once per layout."""
+    return SparseState.basis(layout, 0)
+
+
+def prepare_query(protocol, state: SparseState, relabel) -> SparseState:
+    """The user's query preparation, :func:`undo_query`'s inverse: Hadamard the
+    sign qubit, ``relabel``, and apply the protocol's entangling."""
+    return protocol.entangle(relabel(apply_local_map(state, "sign", hadamard)))
+
+
 def undo_query(protocol, state: SparseState, relabel) -> SparseState:
-    """The user's recovery unitary: undo the protocol's entangling, ``relabel``
-    (XOR out of each query branch the register values its table names), and
-    Hadamard the sign qubit.
-    """
+    """The user's recovery unitary: undo the protocol's entangling, ``relabel``,
+    and Hadamard the sign qubit."""
     state = relabel(protocol.unentangle(state))
     return apply_local_map(state, "sign", hadamard)
 
 
-def sign_recovery(protocol, state: SparseState, table):
-    """A quantum protocol's recovery: (probability, bit, post-state) outcomes.
+def sign_relabeling(protocol, table):
+    """XOR ``table[sign]`` (a ``protocol.sign_table``) into the registers it names."""
+    layout = protocol.layout()
+    return xor_relabeling(layout, "sign", [n for n in layout.names if n != "sign"], table)
 
-    The user undoes the query, controlled by the sign qubit and reading the
-    relabel ``table`` of the run's draw (``protocol.sign_table``), and
-    measures the sign qubit.
-    """
-    targets = [name for name in protocol.layout().names if name != "sign"]
-    state = undo_query(protocol, state,
-                       lambda st: conditional_xor_relabel(st, "sign", targets, table))
-    return measurement_branches(state, "sign")
+
+def sign_script(protocol, x, knowledge, table) -> Script:
+    """A quantum protocol's run on database ``x``: its query prepared from the
+    all-zero state, and recovered, through one relabel of ``table``."""
+    relabel = sign_relabeling(protocol, table)
+    return Script(
+        knowledge=knowledge,
+        state=prepare_query(protocol, zero_state(protocol.layout()), relabel),
+        receives=protocol.server_registers,
+        returns=protocol.server_registers,
+        operate=protocol.server_operation(x),
+        recover=lambda state: sign_recovery(protocol, state, relabel),
+    )
+
+
+def sign_recovery(protocol, state: SparseState, relabel):
+    """Undo the query through ``relabel`` and measure the sign qubit:
+    (probability, bit, post-state) outcomes."""
+    return measurement_branches(undo_query(protocol, state, relabel), "sign")
 
 
 def _recover(branches, recover) -> tuple[dict[int, float], list[tuple[float, SparseState]]]:

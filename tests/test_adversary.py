@@ -636,3 +636,32 @@ class TestEchoLabels:
         views = oracle.server_views()
         assert list(views) == [(party, label) for label, party in honest]
         assert set(views) <= set(adversary.server_state_mixtures(protocol, x, 1))
+
+
+def hex_terms(state, width):
+    """A state's terms on its low ``width`` bits, in key order, amplitudes in ``float.hex``."""
+    mask = (1 << width) - 1
+    return [(k & mask, v.real.hex(), v.imag.hex()) for k, v in state.terms.items()]
+
+
+class TestOnePreparation:
+    @pytest.mark.parametrize("name, n", [("bell2", n) for n in range(2, 13)]
+                             + [(f"qspir({s})", n) for s in ("subset2", "trivial1")
+                                for n in (2, 3, 4)])
+    def test_honest_query_is_the_echo_prepared_state(self, name, n):
+        # the echo's first send carries the state it prepared; on the basis
+        # input |i-1>|0> its sign and work registers hold the honest query
+        # state at index i, at every draw, to the bit and in key order
+        protocol = resolve_protocol(name, n)
+        x = Database(n, 0)
+        width = protocol.layout().width
+        for r in protocol.randomness_space():
+            for masks in protocol.mask_space():
+                for i in range(1, n + 1):
+                    build = protocol.run(x, i, r, masks).steps[1]
+                    oracle = CleanQueryOracle(protocol, x, r, tuple(masks))
+                    oracle.query_branches(SparseState.basis(attack_input_layout(n), (i - 1) << 1))
+                    label, _, ((_, prepared),) = oracle.checkpoints[0]
+                    assert (build.label, label) == ("build", "send:server1")
+                    assert (hex_terms(prepared, width)
+                            == hex_terms(build.branches[0][1], width)), (i, r, masks)

@@ -19,7 +19,7 @@ from qspirlab.compiler import CompiledProtocol
 from qspirlab.density import maximally_mixed, partial_trace, trace_distance
 from qspirlab.schemes import Database, all_databases, make_scheme
 from qspirlab.states import SparseState, apply_local_map, equal_up_to_global_phase
-from qspirlab.transcript import export_transcript, sign_recovery
+from qspirlab.transcript import export_transcript, sign_recovery, sign_relabeling
 
 from helpers import PAULI, output_of
 
@@ -188,7 +188,9 @@ class TestRecovery:
             state = build_bell_query(i, 2)
             for server in (1, 2):
                 state = server_pauli(state, server, x)
-            (p, bit, _), = sign_recovery(BellProtocol(2), state, BellProtocol(2).sign_table(i))
+            protocol = BellProtocol(2)
+            (p, bit, _), = sign_recovery(protocol, state,
+                                         sign_relabeling(protocol, protocol.sign_table(i)))
             assert (bit, p) == (want, pytest.approx(1.0))
 
     @pytest.mark.parametrize("n", [2, 4, 6])

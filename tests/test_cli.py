@@ -105,6 +105,19 @@ class TestRun:
         ({"cap_grid": -1}, "the grid cap must be a non-negative int, not -1"),
         ({"cap_grid": True}, "the grid cap must be a non-negative int, not True"),
         ({"cap_grid": 1.0}, "the grid cap must be a non-negative int, not 1.0"),
+        ({"n": True}, "n must be an int, not True"),
+        ({"n": 2.0}, "n must be an int, not 2.0"),
+        ({"seed": "abc"}, "seed must be an int, not 'abc'"),
+        ({"seed": False}, "seed must be an int, not False"),
+        # a string would be truthy: "false" ran with the countermeasure
+        ({"countermeasure": "false"}, "countermeasure must be true or false, not 'false'"),
+        ({"countermeasure": 0}, "countermeasure must be true or false, not 0"),
+        ({"audits": []}, "audits must be a non-empty list of audit names, not []"),
+        ({"audits": "comm"}, "audits must be a non-empty list of audit names, not 'comm'"),
+        ({"audits": ["comm", 1]}, "audits must be a non-empty list of audit names, not ['comm', 1]"),
+        ({"scheme": 5}, "scheme must be a protocol name, not 5"),
+        ({"out": True}, "out must be a file path, not True"),
+        ({"out": 7}, "out must be a file path, not 7"),
     ])
     def test_grid_outside_the_database_is_config_error(self, capsys, tmp_path, keys, message):
         config = tmp_path / "exp.json"
@@ -112,6 +125,15 @@ class TestRun:
         code, out, err = run_cli(capsys, "run", "--config", str(config))
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"qspirlab: {message}\n"
+
+    @pytest.mark.parametrize("text", ['{"scheme": "bell2", "n": 2,', "", "\xff"])
+    def test_malformed_json_is_config_error(self, capsys, tmp_path, text):
+        config = tmp_path / "exp.json"
+        config.write_bytes(text.encode("latin-1"))
+        code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith(f"qspirlab: config file {config} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("databases, message", [
         ([5], "database 5 is not a bit string"),

@@ -31,7 +31,7 @@ from qspirlab.schemes import (
     run_classically,
 )
 from qspirlab.states import SparseState, equal_up_to_global_phase
-from qspirlab.transcript import sign_recovery
+from qspirlab.transcript import sign_recovery, sign_relabeling
 
 from helpers import CorruptedSubsetScheme, RandomXorScheme, output_of, query_state
 
@@ -68,6 +68,21 @@ class TestBuildQueryState:
             query_state(s.gen_plan(1, 0), (0,))
         with pytest.raises(ValueError):
             query_state(s.gen_plan(1, 0), (0, 2))
+
+    @pytest.mark.parametrize("scheme", [make_scheme("subset2", 3), make_scheme("trivial1", 4),
+                                        RandomXorScheme(3, a=2, seed=1)],
+                             ids=["subset2", "trivial1", "random-xor"])
+    def test_runs_prepare_the_assembled_state(self, scheme):
+        # a run prepares its query from |0> through the relabel of its sign
+        # table; at every draw that is the two terms assembled from the
+        # table, to the bit and in key order
+        protocol = CompiledProtocol(scheme)
+        x = Database(scheme.n, 0)
+        for i, r, masks in _full_draws(protocol):
+            built = protocol.run(x, i, r, masks).steps[1].branches[0][1]
+            want = query_state(scheme.plan(i, r), masks)
+            assert ([(k, v.real.hex(), v.imag.hex()) for k, v in built.terms.items()]
+                    == [(k, v.real.hex(), v.imag.hex()) for k, v in want.terms.items()])
 
 
 class TestServerPhase:
@@ -133,7 +148,9 @@ class TestRecovery:
         x = Database.from_string("1")
         plan = s.gen_plan(1, 0)
         state = server_phase(query_state(plan, (1,)), s, 1, x)
-        (p, bit, post), = sign_recovery(CompiledProtocol(s), state, query_table(plan, (1,)))
+        protocol = CompiledProtocol(s)
+        relabel = sign_relabeling(protocol, query_table(plan, (1,)))
+        (p, bit, post), = sign_recovery(protocol, state, relabel)
         assert (bit, p) == (1, pytest.approx(1.0))
         # the answer-mask phase survives only as a global sign
         ideal = SparseState(post.layout, {0b10: 1.0})
@@ -167,7 +184,9 @@ class TestRecovery:
         state = query_state(plan, (0, 0))
         for j in (1, 2):
             state = server_phase(state, s, j, x)
-        (p, bit, _), = sign_recovery(CompiledProtocol(s), state, query_table(plan, (0, 0)))
+        protocol = CompiledProtocol(s)
+        relabel = sign_relabeling(protocol, query_table(plan, (0, 0)))
+        (p, bit, _), = sign_recovery(protocol, state, relabel)
         assert (bit, p) == (1, pytest.approx(1.0))
         assert bit != x.bit(1)
 
@@ -180,7 +199,8 @@ class TestRecovery:
         for j in (1, 2):
             state = server_phase(state, s, j, Database.from_string("01"))
         broken = CompiledProtocol(CorruptedSubsetScheme(2))
-        outcomes = sign_recovery(broken, state, broken.sign_table(1, 0b01, (0, 0)))
+        outcomes = sign_recovery(broken, state,
+                                 sign_relabeling(broken, broken.sign_table(1, 0b01, (0, 0))))
         assert {bit: p for p, bit, _ in outcomes} == {0: pytest.approx(0.5), 1: pytest.approx(0.5)}
 
 

@@ -5,9 +5,9 @@ import json
 
 import pytest
 
-from qspirlab.protocols import closed_form_comm, resolve_protocol
+from qspirlab.protocols import resolve_protocol
 from qspirlab.schemes import Database
-from qspirlab.transcript import to_jsonable
+from qspirlab.transcript import message_unit, to_jsonable
 
 # name -> (n, x, i, r, masks, registers server j receives, registers it returns,
 #          registers it holds from the start, server verb, final label, comm unit)
@@ -58,7 +58,7 @@ def test_step_structure(name, countermeasure):
         assert (step.branches is None) == (step.label == "plan")
 
     measured = {"qubits": t.qubits_total, "bits": t.bits_total}
-    assert closed_form_comm(protocol) == (unit, measured[unit])
+    assert (message_unit(protocol), protocol.comm()) == (unit, measured[unit])
     assert measured["bits" if unit == "qubits" else "qubits"] == 0
     for step in t.steps:
         if not step.moved:

@@ -209,7 +209,7 @@ def plan_sweep(protocol: QuantumProtocol, scenario: str) -> Sweep:
     output at every mask tuple, to the bit, so each r runs at its first: the
     servers' ±1 phases act on whole terms, and a mask only decides which
     they negate.  For an honest run that is ``CompiledProtocol.run_outputs``'s
-    argument: a mask changes neither c(x, i, r) nor which servers split.
+    argument, read by ``audit_recovery`` too: no mask enters c or the splits.
     The echo's second pass undoes the first pass's mask phases, but
     dephased, its branches come out in the order of the masked register
     values and its sums round with the masks (qspir(trivial1), x = 00,

@@ -204,12 +204,14 @@ def _cycled_masks(protocol: CompiledProtocol) -> list[tuple[int, ...]]:
 def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     """Worst-case probability (averaged over randomness) of outputting x_i.
 
-    Each r weighs the same, split evenly over its draws.  When every r has
-    the same draw count, the sum in draw order is the plain mean over draws,
-    to the bit.  Each (x, i) runs as one ``run_outputs`` batch, so only its
-    outputs are held at once.  Every mask tuple of the subset runs (at every
-    point in full mode, at the first in cycle mode), so
-    ``distinct_mask_combos`` is the subset's size.
+    Each r (a range: no value repeats) weighs the same, split evenly over
+    its draws; with equal draw counts the sum is the plain mean, to the bit.
+    Every mask tuple of the subset counts (at every point in full mode, at
+    the first in cycle mode): ``distinct_mask_combos`` is its size.  No output
+    reads the masks (``CompiledProtocol.run_outputs``; Bell has one tuple, a
+    classical protocol none), so one ``run_outputs`` batch per (x, i) runs
+    each r's first tuple alone, adding its weighted probability once per tuple
+    it stands for, in draw order: every sum, count and witness is the full loop's.
     """
     mode, mask_subset = _mask_mode(protocol)
     rand = list(protocol.randomness_space())
@@ -219,26 +221,26 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     runs = 0
     for x in grid.databases:
         for i in grid.indices:
-            draws = []
+            draws, stands = [], []
+            slot = (x.value * len(grid.indices) + (i - 1)) * len(rand)  # at r_idx = 0
             for r_idx, r in enumerate(rand):
-                combos = mask_subset
-                if mode == "cycle" and (x.value, i, r_idx) != first_point:
-                    slot = (x.value * len(grid.indices) + (i - 1)) * len(rand) + r_idx
-                    combos = [mask_subset[slot % len(mask_subset)]]
-                draws += [(i, r, masks) for masks in combos]
+                cycled = mode == "cycle" and (x.value, i, r_idx) != first_point
+                draws.append((i, r, mask_subset[(slot + r_idx) % len(mask_subset) if cycled else 0]))
+                stands.append(1 if cycled else len(mask_subset))
             outputs = protocol.run_outputs(x, draws)
-            runs += len(draws)
+            runs += sum(stands)
             target = x.bit(i)
-            counts = Counter(r for _, r, _ in draws)
-            most = max(counts.values())
+            most = max(stands)
             total = 0.0
             example = None
-            for (_, r, masks), output in zip(draws, outputs):
+            for (_, r, masks), count, output in zip(draws, stands, outputs):
                 p = output.get(target, 0.0)
-                total += p * (most / counts[r])
+                wp = p * (most / count)
+                for _ in range(count):
+                    total += wp
                 if p < 1.0 - TOL and example is None:
                     example = {"r": r, "masks": list(masks), "probability": p}
-            p = total / (most * len(counts))
+            p = total / (most * len(rand))
             if p < worst_p:
                 worst_p = p
             if p < 1.0 - TOL and witness is None:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import kernels
 from .registers import RegisterLayout, bits
-from .schemes import Database, LinearPirScheme, QueryPlan, run_classically
+from .schemes import Database, LinearPirScheme, QueryPlan, parity_row, run_classically
 from .states import SQRT_HALF, SparseState, apply_phase_oracle
 from .transcript import Transcript, execute, sign_script
 
@@ -55,13 +55,8 @@ def _register_values(plan: QueryPlan, masks: Sequence[int], flip: bool) -> dict[
             for j, (q, sel, m) in enumerate(zip(plan.queries, plan.selects, masks), start=1)}
 
 
-def query_table(plan: QueryPlan, masks: Sequence[int]) -> dict[int, dict[str, int]]:
-    """Sign value -> the register values of that query branch, after the draw's checks.
-
-    The query state is built from it and recovery XORs it back out.  A plan
-    whose queries fit t bits and selects a bits gives values that fit their
-    registers.
-    """
+def _check_draw(plan: QueryPlan, masks: Sequence[int]) -> None:
+    """Its masks, then its plan: queries that fit t bits and selects a bits fit their registers."""
     _check_masks(plan, masks)
     if not any(plan.selects):
         raise ValueError("degenerate plan: all selection vectors are zero")
@@ -70,6 +65,12 @@ def query_table(plan: QueryPlan, masks: Sequence[int]) -> dict[int, dict[str, in
             raise ValueError(f"query {q} does not fit {plan.t} bits")
         if sel >> plan.a:
             raise ValueError(f"select {sel} does not fit {plan.a} bits")
+
+
+def query_table(plan: QueryPlan, masks: Sequence[int]) -> dict[int, dict[str, int]]:
+    """Sign value -> the register values of that query branch, after the draw's checks.
+    The query state is built from it and recovery XORs it back out."""
+    _check_draw(plan, masks)
     return {0: _register_values(plan, masks, flip=False),
             1: _register_values(plan, masks, flip=True)}
 
@@ -122,9 +123,12 @@ class CompiledProtocol:
     def __init__(self, scheme: LinearPirScheme, dephase_servers: bool = False):
         self.scheme = scheme
         self.dephase_servers = dephase_servers
-        # (i, r) -> its plan, checked by ``run_outputs``, and per server
-        # whether its select is nonzero
-        self._checked: dict[tuple[int, int], tuple[QueryPlan, tuple[bool, ...]]] = {}
+        # (i, r) -> its plan, checked by ``run_outputs``, per server whether its
+        # select is nonzero, v(i, r), and the masks that fit its k and a
+        self._checked: dict[tuple[int, int], tuple] = {}
+        self._rows: dict[tuple[int, int], int | None] = {}  # (i, r) -> v(i, r), unchecked
+        # (k, a) -> id -> a tuple that passed ``_check_masks``: by identity, as (1.0, 0) is refused
+        self._fitting: dict[tuple[int, int], dict[int, tuple]] = {}
         # ``run_outputs``'s classes (c, splits) -> the output of their first run
         self._outputs: dict[tuple[int, tuple[bool, ...]], dict[int, float]] = {}
 
@@ -189,9 +193,24 @@ class CompiledProtocol:
         the branches by (-1)^<a_j(q_j), m_j> and (-1)^<a_j(q_j), m_j ^ s_j>.
         So their relative sign is c, the global sign leaves every view and
         mixture entry as it is (negation is exact), and the user's knowledge
-        never reads x.
+        never reads x.  With answer rows, c is parity(x & v(i, r)).
         """
-        return run_classically(self.scheme, x, i, r)
+        row = self._rows.get((i, r)) if type(i) is int and type(r) is int else None
+        if row is None:
+            row = self._row(i, r)
+        if row is None:
+            return run_classically(self.scheme, x, i, r)
+        if x.n != self.scheme.n:
+            raise ValueError("database size mismatch")  # as a run refuses it
+        return (x.value & row).bit_count() & 1
+
+    def _row(self, i: int, r: int) -> int | None:
+        """v(i, r) of a plain-int pair, built once from its plan; None for any other pair."""
+        if type(i) is not int or type(r) is not int:
+            return None
+        if (i, r) not in self._rows:
+            self._rows[i, r] = parity_row(self.scheme, self.scheme.plan(i, r))
+        return self._rows[i, r]
 
     def entangle(self, state: SparseState) -> SparseState:
         return state  # the query state is prepared by the relabel alone
@@ -210,41 +229,55 @@ class CompiledProtocol:
 
         Each is a copy of ``run(...).output`` for the first draw of its class:
         the reconstruction c(x, i, r), and which servers have a nonzero
-        select.  The servers' ±1 phases negate whole terms, so the two query
-        terms keep only their relative sign c, and negation is exact.  With
+        select.  No mask enters the class.  The servers' ±1 phases negate
+        whole terms, and a mask only decides which, so the two query terms
+        keep only their relative sign c, and negation is exact.  With
         ``dephase_servers``, only a server whose select is nonzero splits the
         two terms, so the magnitudes depend only on which servers split, and
         two branches add to the same sum in either order.  So each
         distribution equals ``run(x, i, r, masks).output`` to the last bit,
-        keys in the same order, and a malformed draw raises what its single
-        run raises.
+        keys in the same order, at every mask tuple: ``audit_recovery`` and
+        ``adversary.plan_sweep`` run one tuple per r on this.  With answer rows
+        c is parity(x & v(i, r)).  A mask tuple is checked once (the check reads
+        only k and a); a malformed draw raises what its single run raises.
         """
         answers: dict[int, int] = {}
         outputs = []
+        value, fits = x.value, x.n == self.n
         for i, r, masks in draws:
             # like ``scheme.plan``, keep plain-int pairs only: 1.0 == 1, but
             # index 1.0 is refused, so any other pair is planned every time
             plain = type(i) is int and type(r) is int
-            plan, splits = self._checked.get((i, r), (None, None)) if plain else (None, None)
-            if plan is None:
+            entry = self._checked.get((i, r)) if plain else None
+            if entry is None:
                 plan = self.scheme.plan(i, r)
-                # the query state's checks; a plan that passes them passes for
-                # every mask that fits, since a mask fills only the low a bits
-                query_table(plan, masks)
-                splits = tuple(s != 0 for s in plan.selects)
+                # a plan that passes the query state's checks passes for every
+                # mask that fits, since a mask fills only the low a bits
+                _check_draw(plan, masks)
+                entry = (plan, tuple(s != 0 for s in plan.selects),
+                         self._row(i, r),
+                         self._fitting.setdefault((plan.k, plan.a), {}))
                 if plain:
-                    self._checked[i, r] = plan, splits
-            else:
+                    self._checked[i, r] = entry
+            plan, splits, row, fitting = entry
+            if id(masks) not in fitting:  # an id it holds is of a tuple it keeps alive
                 _check_masks(plan, masks)
-            odd = 0
-            for q, s in zip(plan.queries, plan.selects):
-                answer = answers.get(q)
-                if answer is None:
-                    answer = answers[q] = self.scheme.answer(q, x)
-                odd ^= answer & s
-            key = (odd.bit_count() & 1, splits)
-            output = self._outputs.get(key)
+                if type(masks) is tuple:
+                    fitting[id(masks)] = masks
+            if row is None:
+                odd = 0
+                for q, s in zip(plan.queries, plan.selects):
+                    answer = answers.get(q)
+                    if answer is None:
+                        answer = answers[q] = self.scheme.answer(q, x)
+                    odd ^= answer & s
+                c = odd.bit_count() & 1
+            elif fits:
+                c = (value & row).bit_count() & 1
+            else:
+                raise ValueError("database size mismatch")  # as a run refuses it
+            output = self._outputs.get((c, splits))
             if output is None:
-                output = self._outputs[key] = self.run(x, i, r, masks).output
+                output = self._outputs[c, splits] = self.run(x, i, r, masks).output
             outputs.append(dict(output))
         return outputs

@@ -14,7 +14,7 @@ only implementation.
 """
 
 # perfbench/run.py and perfbench/tracer.py look up BACKEND, xor_relabel,
-# insert_sub and masked_parities by name; all but insert_sub serve only them.
+# insert_sub and masked_parities by name; BACKEND and xor_relabel serve only them.
 BACKEND = "py"
 
 PRUNE_TOL = 1e-12

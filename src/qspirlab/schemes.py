@@ -93,7 +93,7 @@ class QueryPlan:
 
 
 class LinearPirScheme:
-    """Base class; subclasses fill in plan generation and answering."""
+    """Base class; subclasses fill in plan generation and answer rows (or answering)."""
 
     name: str
 
@@ -113,9 +113,18 @@ class LinearPirScheme:
     def gen_plan(self, i: int, r: int) -> QueryPlan:
         raise NotImplementedError
 
+    def answer_rows(self, q: int) -> tuple[int, ...] | None:
+        """Answer bit b, first bit first, is parity(x & rows[b]); None without rows."""
+        return None
+
     def answer(self, q: int, x: Database) -> int:
         """a-bit answer; a function of the query and the database only."""
-        raise NotImplementedError
+        rows = self.answer_rows(q)
+        if rows is None:
+            raise NotImplementedError
+        if x.n != self.n:
+            raise ValueError("database size mismatch")
+        return kernels.masked_parities(x.value, rows)
 
     def plan(self, i: int, r: int) -> QueryPlan:
         """``gen_plan(i, r)``, built once per pair of plain ints and kept.
@@ -163,6 +172,21 @@ def reconstruct(plan: QueryPlan, answers: Sequence[int]) -> int:
     return out
 
 
+def parity_row(scheme: LinearPirScheme, plan: QueryPlan) -> int | None:
+    """v with ``reconstruct(plan, answers)`` = parity(x & v) on every database x: the XOR,
+    over servers j and the set bits of select j, of answer j's rows; None without rows."""
+    v = 0
+    for q, sel in zip(plan.queries, plan.selects):
+        rows = scheme.answer_rows(q)
+        if rows is None:
+            return None
+        for row in reversed(rows):  # the last answer bit is the select's lowest
+            if sel & 1:
+                v ^= row
+            sel >>= 1
+    return v
+
+
 def run_classically(scheme: LinearPirScheme, x: Database, i: int, r: int) -> int:
     plan = scheme.plan(i, r)
     answers = [scheme.answer(q, x) for q in plan.queries]
@@ -182,12 +206,14 @@ class TrivialScheme(LinearPirScheme):
         self._check_plan_args(i, r)
         return QueryPlan(i=i, r=r, queries=(0,), selects=(1 << (self.n - i),), t=0, a=self.n)
 
-    def answer(self, q: int, x: Database) -> int:
-        if q != 0:
-            raise ValueError("query length is zero")
-        if x.n != self.n:
-            raise ValueError("database size mismatch")
-        return x.value
+    def answer_rows(self, q: int) -> tuple[int, ...]:
+        """The unit vectors: the answer is x itself."""
+        self._check_query(q)
+        return self._units
+
+    @cached_property
+    def _units(self) -> tuple[int, ...]:
+        return tuple(1 << b for b in reversed(range(self.n)))
 
 
 class SubsetScheme(LinearPirScheme):
@@ -209,11 +235,10 @@ class SubsetScheme(LinearPirScheme):
         toggle = 1 << (self.n - i)
         return QueryPlan(i=i, r=r, queries=(r, r ^ toggle), selects=(1, 1), t=self.n, a=1)
 
-    def answer(self, q: int, x: Database) -> int:
+    def answer_rows(self, q: int) -> tuple[int, ...]:
+        """One row, the subset itself: the answer is its parity."""
         self._check_query(q)
-        if x.n != self.n:
-            raise ValueError("database size mismatch")
-        return kernels.dot2(q, x.value)
+        return (q,)
 
 
 class CubeScheme(LinearPirScheme):
@@ -238,15 +263,12 @@ class CubeScheme(LinearPirScheme):
             m += 1
         self.side = m
         self.padded_n = m * m * m
-        # cell (u, v, w) -> bit mask in the padded database integer
-        self._cell = [
-            [
-                [1 << (self.padded_n - 1 - ((u * m + v) * m + w)) for w in range(m)]
-                for v in range(m)
-            ]
-            for u in range(m)
-        ]
-        self._answers: dict[tuple[int, int], int] = {}
+        # axis -> coordinate -> the database bits of its cells (padding cells hold none)
+        self._planes = [[0] * m for _ in range(3)]
+        for pos in range(n):
+            bit = 1 << (n - 1 - pos)
+            for axis, c in enumerate((pos // (m * m), (pos // m) % m, pos % m)):
+                self._planes[axis][c] |= bit
 
     @cached_property
     def shape(self) -> SchemeShape:
@@ -280,48 +302,21 @@ class CubeScheme(LinearPirScheme):
             i=i, r=r, queries=(r, r ^ toggle), selects=(select, select), t=3 * m, a=a,
         )
 
-    def _padded(self, x: Database) -> int:
-        if x.n != self.n:
-            raise ValueError("database size mismatch")
-        return x.value << (self.padded_n - self.n)
-
-    def answer(self, q: int, x: Database) -> int:
+    def answer_rows(self, q: int) -> tuple[int, ...]:
+        """The product set's parity row, then its single-coordinate toggles."""
         self._check_query(q)
-        cached = self._answers.get((q, x.value))
-        if cached is not None:
-            return cached
         m = self.side
-        xp = self._padded(x)
-        axis_sets = [
-            [c for c in range(m) if (q >> (3 * m - 1 - axis * m - c)) & 1]
-            for axis in range(3)
-        ]
-        t1, t2, t3 = axis_sets
-        # parity of each single-coordinate slice against the other two axes
-        slice_masks = [[0] * m for _ in range(3)]
-        for c in range(m):
-            m1 = m2 = m3 = 0
-            for v in t2:
-                for w in t3:
-                    m1 |= self._cell[c][v][w]
-            for u in t1:
-                for w in t3:
-                    m2 |= self._cell[u][c][w]
-            for u in t1:
-                for v in t2:
-                    m3 |= self._cell[u][v][c]
-            slice_masks[0][c], slice_masks[1][c], slice_masks[2][c] = m1, m2, m3
-        # main parity = XOR of the axis-1 slices selected by T1
-        main = 0
-        for u in t1:
-            main ^= (xp & slice_masks[0][u]).bit_count() & 1
-        out = main
-        for axis in range(3):
-            for c in range(m):
-                toggled = main ^ ((xp & slice_masks[axis][c]).bit_count() & 1)
-                out = (out << 1) | toggled
-        self._answers[(q, x.value)] = out
-        return out
+        sets = [0, 0, 0]
+        for axis, planes in enumerate(self._planes):
+            for c, plane in enumerate(planes):
+                if (q >> (3 * m - 1 - axis * m - c)) & 1:
+                    sets[axis] |= plane
+        a1, a2, a3 = sets
+        main = a1 & a2 & a3
+        # toggling coordinate c of an axis adds or removes its slice of the product
+        others = (a2 & a3, a1 & a3, a1 & a2)
+        return (main, *(main ^ (plane & other)
+                        for planes, other in zip(self._planes, others) for plane in planes))
 
 
 SCHEMES = {cls.name: cls for cls in (TrivialScheme, SubsetScheme, CubeScheme)}

@@ -1,10 +1,12 @@
 """Shared test fixtures: broken and random schemes, a compiled draw's query state,
 a detectable attack, the clean
 query's unitary image, a classical twin audit, the one-transcript-per-database
-data-privacy reference, the single-qubit Pauli maps, and the full-validation switch
+data-privacy reference, the per-draw recovery reference, the answers computed
+without answer rows, the single-qubit Pauli maps, and the full-validation switch
 for the internal constructors."""
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 
 from qspirlab.adversary import CleanQueryOracle, attack_input_layout
@@ -13,7 +15,9 @@ from qspirlab.audits import AuditGrid, AuditReport
 from qspirlab.compiler import build_query_state, query_table
 from qspirlab.density import DensityAccumulator, DensityMatrix
 from qspirlab.registers import RegisterLayout, bits
-from qspirlab.schemes import LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme
+from qspirlab.schemes import (
+    CubeScheme, LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme, TrivialScheme,
+)
 from qspirlab.states import SparseState
 from qspirlab.transcript import USER
 
@@ -172,6 +176,106 @@ def clean_query(oracle: CleanQueryOracle, input_state: SparseState) -> SparseSta
             )
         terms[key >> scratch_width] = amp
     return SparseState(in_layout, terms)
+
+
+def reference_answer(scheme, q, x) -> int:
+    """A registered scheme's answer computed without its rows: x itself, the
+    subset's parity, or the cube's slice loop over the padded database."""
+    if isinstance(scheme, TrivialScheme):
+        assert q == 0
+        return x.value
+    if isinstance(scheme, SubsetScheme):
+        return (q & x.value).bit_count() & 1
+    assert isinstance(scheme, CubeScheme)
+    m = scheme.side
+    xp = x.value << (scheme.padded_n - scheme.n)
+    # cell (u, v, w) -> bit mask in the padded database integer
+    cell = [[[1 << (scheme.padded_n - 1 - ((u * m + v) * m + w)) for w in range(m)]
+             for v in range(m)] for u in range(m)]
+    t1, t2, t3 = [
+        [c for c in range(m) if (q >> (3 * m - 1 - axis * m - c)) & 1]
+        for axis in range(3)
+    ]
+    # parity of each single-coordinate slice against the other two axes
+    slice_masks = [[0] * m for _ in range(3)]
+    for c in range(m):
+        m1 = m2 = m3 = 0
+        for v in t2:
+            for w in t3:
+                m1 |= cell[c][v][w]
+        for u in t1:
+            for w in t3:
+                m2 |= cell[u][c][w]
+        for u in t1:
+            for v in t2:
+                m3 |= cell[u][v][c]
+        slice_masks[0][c], slice_masks[1][c], slice_masks[2][c] = m1, m2, m3
+    # main parity = XOR of the axis-1 slices selected by T1
+    main = 0
+    for u in t1:
+        main ^= (xp & slice_masks[0][u]).bit_count() & 1
+    out = main
+    for axis in range(3):
+        for c in range(m):
+            toggled = main ^ ((xp & slice_masks[axis][c]).bit_count() & 1)
+            out = (out << 1) | toggled
+    return out
+
+
+def audit_recovery_per_draw(protocol, grid: AuditGrid) -> AuditReport:
+    """The recovery audit with one ``run_outputs`` draw per (x, i, r, mask tuple).
+
+    The reference ``audits.audit_recovery`` must match byte for byte: it runs
+    one draw per (x, i, r) and counts it once per tuple it stands for.
+    """
+    mode, mask_subset = audits._mask_mode(protocol)
+    rand = list(protocol.randomness_space())
+    first_point = (grid.databases[0].value, grid.indices[0], 0)
+    worst_p = 1.0
+    witness = None
+    runs = 0
+    for x in grid.databases:
+        for i in grid.indices:
+            draws = []
+            for r_idx, r in enumerate(rand):
+                combos = mask_subset
+                if mode == "cycle" and (x.value, i, r_idx) != first_point:
+                    slot = (x.value * len(grid.indices) + (i - 1)) * len(rand) + r_idx
+                    combos = [mask_subset[slot % len(mask_subset)]]
+                draws += [(i, r, masks) for masks in combos]
+            outputs = protocol.run_outputs(x, draws)
+            runs += len(draws)
+            target = x.bit(i)
+            counts = Counter(r for _, r, _ in draws)
+            most = max(counts.values())
+            total = 0.0
+            example = None
+            for (_, r, masks), output in zip(draws, outputs):
+                p = output.get(target, 0.0)
+                total += p * (most / counts[r])
+                if p < 1.0 - audits.TOL and example is None:
+                    example = {"r": r, "masks": list(masks), "probability": p}
+            p = total / (most * len(counts))
+            if p < worst_p:
+                worst_p = p
+            if p < 1.0 - audits.TOL and witness is None:
+                witness = {"x": str(x), "i": i, "recovery_probability": p, "example": example}
+    distance = 1.0 - worst_p
+    return AuditReport(
+        kind="recovery",
+        protocol=protocol.name,
+        grid=grid.describe(),
+        tolerance=audits.TOL,
+        worst_case_distance=distance,
+        passed=distance <= audits.TOL,
+        witness=witness,
+        details={
+            "min_recovery_probability": worst_p,
+            "runs": runs,
+            "distinct_mask_combos": len(mask_subset) if mode != "none" else 0,
+            "mask_mode": mode,
+        },
+    )
 
 
 def audit_data_privacy_classical_direct(scheme: LinearPirScheme, grid: AuditGrid) -> AuditReport:

@@ -38,6 +38,7 @@ from helpers import (
     LeakyScheme,
     RandomXorScheme,
     audit_data_privacy_classical_direct,
+    audit_recovery_per_draw,
     data_privacy_by_transcripts,
     feed_user_mixtures,
     query_state,
@@ -77,6 +78,62 @@ class TestRecoveryAudit:
         report = audit_recovery(resolve_protocol("cube2", 8),
                                 make_grid(8, databases=16, seed=3))
         assert report.passed
+
+
+class TestRecoveryRepresentatives:
+    """One draw per (x, i, r) stands for its whole mask product, to the bit."""
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name, n, databases", [
+        ("qspir(subset2)", 3, "all"),
+        ("qspir(subset2)", 4, "all"),
+        ("qspir(trivial1)", 4, "all"),
+        ("qspir(cube2)", 8, 8),  # cycle mode
+        ("bell2", 4, "all"),
+        ("subset2", 3, "all"),
+    ])
+    def test_report_equals_the_per_draw_loop(self, name, n, databases, countermeasure):
+        grid = make_grid(n, databases=databases)
+        want = audit_recovery_per_draw(resolve_protocol(name, n, countermeasure), grid)
+        got = audit_recovery(resolve_protocol(name, n, countermeasure), grid)
+        assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    def test_failing_report_keeps_its_witness(self, countermeasure):
+        grid = make_grid(3)
+        want = audit_recovery_per_draw(CompiledProtocol(CorruptedSubsetScheme(3), countermeasure),
+                                       grid)
+        got = audit_recovery(CompiledProtocol(CorruptedSubsetScheme(3), countermeasure), grid)
+        assert not got.passed and got.witness["example"] is not None
+        assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_random_schemes(self, k):
+        # a = 2: 4 to 256 mask tuples, so both full and cycle mode
+        grid = make_grid(3)
+        for seed in range(3):
+            def protocol():
+                return CompiledProtocol(RandomXorScheme(3, k=k, t=2, a=2, seed=seed))
+            want = audit_recovery_per_draw(protocol(), grid)
+            got = audit_recovery(protocol(), grid)
+            assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+
+    @pytest.mark.parametrize("name, n, databases", [
+        ("qspir(subset2)", 3, "all"), ("qspir(trivial1)", 3, "all"), ("qspir(cube2)", 8, 4),
+    ])
+    def test_one_draw_per_database_index_and_randomness(self, monkeypatch, name, n, databases):
+        protocol = resolve_protocol(name, n)
+        grid = make_grid(n, databases=databases)
+        run_outputs = protocol.run_outputs
+        batches = []
+        monkeypatch.setattr(protocol, "run_outputs",
+                            lambda x, draws: batches.append((x, draws)) or run_outputs(x, draws))
+        report = audit_recovery(protocol, grid)
+        rand = list(protocol.randomness_space())
+        assert [(x, [(i, r) for i, r, _ in draws]) for x, draws in batches] == [
+            (x, [(i, r) for r in rand]) for x in grid.databases for i in grid.indices]
+        # and each stands for its whole product
+        assert report.details["runs"] > sum(len(draws) for _, draws in batches)
 
 
 class TestUserPrivacyClassical:

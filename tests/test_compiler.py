@@ -14,6 +14,7 @@ from qspirlab.audits import (
     audit_user_privacy_quantum,
     make_grid,
 )
+from qspirlab import compiler
 from qspirlab.compiler import (
     CompiledProtocol,
     MaskSpace,
@@ -25,9 +26,11 @@ from qspirlab.density import DensityAccumulator
 from qspirlab.schemes import (
     Database,
     QueryPlan,
+    SCHEMES,
     SubsetScheme,
     all_databases,
     make_scheme,
+    parity_row,
     run_classically,
 )
 from qspirlab.states import SparseState, equal_up_to_global_phase
@@ -468,6 +471,91 @@ class TestBatchedOutputs:
         assert protocol.run_outputs(x, [(2, 0, (0, 0))])[0] == protocol.run(x, 2, 0, (0, 0)).output
         with pytest.raises(ValueError, match="degenerate plan"):
             protocol.run_outputs(x, [(2, 0, (0, 0)), (1, 0, (0, 0))])
+
+
+class TestParityRows:
+    """c(x, i, r) is parity(x & v(i, r)), v built once per (i, r) from the answer rows."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_view_class_is_the_classical_run(self, name, n):
+        scheme = make_scheme(name, n)
+        protocol = CompiledProtocol(scheme)
+        for x in all_databases(n):
+            for i in range(1, n + 1):
+                for r in scheme.randomness_space:
+                    assert protocol.view_class(x, i, r) == run_classically(scheme, x, i, r)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_view_class_of_a_scheme_without_rows(self, k):
+        scheme = RandomXorScheme(3, k=k, t=2, a=2, randomness_size=3, seed=k)
+        assert scheme.answer_rows(0) is None
+        protocol = CompiledProtocol(scheme)
+        for x in all_databases(3):
+            for i in range(1, 4):
+                for r in scheme.randomness_space:
+                    assert protocol.view_class(x, i, r) == run_classically(scheme, x, i, r)
+
+    def test_view_class_reads_no_answer(self, monkeypatch):
+        protocol = CompiledProtocol(CorruptedSubsetScheme(3))
+        want = {(x.value, i, r): run_classically(protocol.scheme, x, i, r)
+                for x in all_databases(3) for i in (1, 2, 3) for r in range(8)}
+
+        def no_answer(q, x):
+            raise AssertionError("answered")
+
+        monkeypatch.setattr(protocol.scheme, "answer", no_answer)
+        for (value, i, r), c in want.items():
+            assert protocol.view_class(Database(3, value), i, r) == c
+
+    @pytest.mark.parametrize("x, i, r", [
+        (Database.from_string("101"), 1, 0),   # a database of another size
+        (Database.from_string("10"), 1.0, 0),  # 1.0 == 1, but index 1.0 is refused
+        (Database.from_string("10"), 3, 0),
+        (Database.from_string("10"), 1, 4),
+    ])
+    def test_refuses_what_a_run_refuses(self, x, i, r):
+        protocol = CompiledProtocol(make_scheme("subset2", 2))
+        protocol.run_outputs(Database.from_string("10"), [(1, 0, (0, 0))])  # (1, 0) is kept
+        with pytest.raises(Exception) as classical:
+            run_classically(protocol.scheme, x, i, r)
+        with pytest.raises(type(classical.value)) as got:
+            protocol.view_class(x, i, r)
+        assert str(got.value) == str(classical.value)
+        with pytest.raises(Exception) as single:
+            protocol.run(x, i, r, (0, 0))
+        with pytest.raises(type(single.value)) as batched:
+            protocol.run_outputs(x, [(1, 0, (0, 0)), (i, r, (0, 0))])
+        assert str(batched.value) == str(single.value)
+
+    def test_one_row_per_index_and_randomness(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(compiler, "parity_row",
+                            lambda scheme, plan: built.append((plan.i, plan.r))
+                            or parity_row(scheme, plan))
+        protocol = CompiledProtocol(make_scheme("subset2", 3))
+        draws = _full_draws(protocol)
+        for x in all_databases(3):
+            protocol.run_outputs(x, draws)
+            for i in (1, 2, 3):
+                for r in range(8):
+                    protocol.view_class(x, i, r)
+        assert built == list(dict.fromkeys((i, r) for i, r, _ in draws))
+
+    def test_each_mask_tuple_is_checked_once(self, monkeypatch):
+        checked = []
+        check = compiler._check_masks
+        monkeypatch.setattr(compiler, "_check_masks",
+                            lambda plan, masks: checked.append(masks) or check(plan, masks))
+        protocol = CompiledProtocol(make_scheme("subset2", 3))
+        masks = list(protocol.mask_space())
+        draws = [(i, r, m) for i in (1, 2, 3) for r in range(8) for m in masks]
+        for x in all_databases(3):
+            protocol.run_outputs(x, draws)
+        # the first draw of each (i, r) and each output class's one run check
+        # their masks with the query state; after that a tuple is checked once
+        assert set(checked) == set(masks)
+        assert len(checked) <= 3 * 8 + 2 + len(masks) < len(draws)
 
 
 class TestWideLayout:

@@ -1,17 +1,23 @@
 """Classical PIR schemes: recovery, structure, and query privacy."""
 
+import random
+
 import pytest
 
 from qspirlab.schemes import (
+    SCHEMES,
     CubeScheme,
     Database,
     SubsetScheme,
     TrivialScheme,
     all_databases,
     make_scheme,
+    parity_row,
     reconstruct,
     run_classically,
 )
+
+from helpers import CorruptedSubsetScheme, reference_answer
 
 
 def cube_answer_oracle(scheme: CubeScheme, q: int, x: Database) -> int:
@@ -205,3 +211,55 @@ def test_answers_depend_only_on_query_and_database():
     q = s.gen_plan(1, 0b011).queries[0]
     assert s.answer(q, x) == s.answer(q, x)
     assert s.answer(0b011, x) == s.answer(0b011, x)
+
+
+class TestAnswerRows:
+    """Every registered scheme answers through its rows: ``masked_parities(x, rows)``."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_answers_equal_the_reference_on_every_query_and_database(self, name, n):
+        s = make_scheme(name, n)
+        for q in range(1 << s.shape.t):
+            for x in all_databases(n):
+                assert s.answer(q, x) == reference_answer(s, q, x), (q, str(x))
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_cube_answers_on_sampled_databases_past_the_first_cube(self, n):
+        s = CubeScheme(n)
+        rng = random.Random(n)
+        databases = [Database(n, 0), Database(n, (1 << n) - 1)]
+        databases += [Database(n, rng.getrandbits(n)) for _ in range(6)]
+        for q in range(1 << s.shape.t):
+            for x in databases:
+                assert s.answer(q, x) == reference_answer(s, q, x), (q, str(x))
+
+    def test_rows_of_each_scheme(self):
+        assert TrivialScheme(3).answer_rows(0) == (0b100, 0b010, 0b001)
+        assert SubsetScheme(3).answer_rows(0b101) == (0b101,)
+        # n = 5 pads to 8 cells; the main row is T1 x T2 x T3 = {0} x {0, 1} x {1},
+        # cells 1 and 3, and the three padding cells drop off the low end
+        rows = CubeScheme(5).answer_rows(0b10_11_01)
+        assert len(rows) == 7
+        assert rows[0] == (0b01010000 >> 3)
+        assert rows[1] == 0  # T1 toggled at 0: the empty set
+
+    def test_rows_check_the_query(self):
+        for s in (TrivialScheme(2), SubsetScheme(2), CubeScheme(2)):
+            with pytest.raises(ValueError, match="does not fit"):
+                s.answer_rows(1 << s.shape.t)
+
+    @pytest.mark.parametrize("name", sorted(SCHEMES))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_parity_row_of_a_correct_scheme_is_the_unit_vector(self, name, n):
+        s = make_scheme(name, n)
+        for i in range(1, n + 1):
+            for r in s.randomness_space:
+                assert parity_row(s, s.plan(i, r)) == 1 << (n - i), (i, r)
+
+    def test_parity_row_reads_the_plan(self):
+        # server 2's select is zeroed: the row is server 1's subset alone
+        s = CorruptedSubsetScheme(3)
+        for i in range(1, 4):
+            for r in s.randomness_space:
+                assert parity_row(s, s.plan(i, r)) == r

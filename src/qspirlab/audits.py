@@ -310,11 +310,8 @@ def _server_mixtures_generic(protocol: Protocol, x: Database,
                              i: int) -> dict[tuple[str, str], DensityMatrix]:
     """(server, step label) -> reduced state mixed over randomness and masks,
     keyed in custody order, which no string hashing changes."""
-    mode, mask_subset = _mask_mode(protocol)
-    if mode == "cycle":
-        raise ValueError("generic mixture path needs an exhaustible mask space")
     runs = (protocol.run(x, i, r, masks)
-            for r in protocol.randomness_space() for masks in mask_subset)
+            for r in protocol.randomness_space() for masks in protocol.mask_space())
     return mix_views(((party, step.label), t.layout, step.holdings(party), step.branches)
                      for t in runs for step in t.steps if step.branches is not None
                      for party in dict.fromkeys(h for h in step.custody.values() if h != USER))

@@ -29,7 +29,7 @@ from functools import lru_cache
 from .registers import RegisterLayout
 from .schemes import Database
 from .states import SQRT_HALF, SparseState, apply_local_map
-from .transcript import Transcript, execute, prepare_query, sign_relabeling, sign_script, zero_state
+from .transcript import Transcript, execute, sign_script
 
 # Bell labels used by the scheme; (p, q) names the pair basis state the
 # marker uncomputes to, and the correlated pair is (0, 0).  The two markers
@@ -60,17 +60,6 @@ def marker_for(i: int) -> tuple[int, int]:
 
 def pair_slot(i: int) -> int:
     return (i + 1) // 2
-
-
-def build_bell_query(i: int, n: int) -> SparseState:
-    """Query state for index i over an even-size database, as a run prepares it."""
-    if n % 2 != 0:
-        raise ValueError("database size must be even; pad odd sizes with a zero bit")
-    if not 1 <= i <= n:
-        raise IndexError(f"index {i} outside [1, {n}]")
-    protocol = BellProtocol(n)
-    return prepare_query(protocol, zero_state(protocol.layout()),
-                         sign_relabeling(protocol, protocol.sign_table(i)))
 
 
 _PLUS = complex(1.0)

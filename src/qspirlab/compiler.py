@@ -24,7 +24,7 @@ from typing import Sequence
 
 from . import kernels
 from .registers import RegisterLayout, bits
-from .schemes import Database, LinearPirScheme, QueryPlan, parity_row, run_classically
+from .schemes import Database, LinearPirScheme, QueryPlan, run_classically
 from .states import SQRT_HALF, SparseState, apply_phase_oracle
 from .transcript import Transcript, execute, sign_script
 
@@ -83,14 +83,19 @@ def build_query_state(plan: QueryPlan, table: dict[int, dict[str, int]]) -> Spar
                                 layout.assemble({"sign": 1, **table[1]}): SQRT_HALF})
 
 
-def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Database) -> SparseState:
-    """Server j's conditional phase: -1 on odd <answer(query), mask part>."""
+def server_phase(state: SparseState, scheme: LinearPirScheme, j: int, x: Database,
+                 answers: dict[int, int] | None = None) -> SparseState:
+    """Server j's conditional phase: -1 on odd <answer(query), mask part>.  It fills
+    ``answers`` (query -> answer on x): pass one dict to answer each query once."""
     a = scheme.shape.a
     mask_bits = (1 << a) - 1
+    answers = {} if answers is None else answers
 
     def phase(sub: int) -> int:
         q = sub >> a
-        return kernels.dot2(scheme.answer(q, x), sub & mask_bits)
+        if q not in answers:
+            answers[q] = scheme.answer(q, x)
+        return kernels.dot2(answers[q], sub & mask_bits)
 
     return apply_phase_oracle(state, server_register(j), phase)
 
@@ -124,9 +129,8 @@ class CompiledProtocol:
         self.scheme = scheme
         self.dephase_servers = dephase_servers
         # (i, r) -> its plan, checked by ``run_outputs``, per server whether its
-        # select is nonzero, v(i, r), and the masks that fit its k and a
+        # select is nonzero, the scheme's v(i, r), and the masks that fit its k and a
         self._checked: dict[tuple[int, int], tuple] = {}
-        self._rows: dict[tuple[int, int], int | None] = {}  # (i, r) -> v(i, r), unchecked
         # (k, a) -> id -> a tuple that passed ``_check_masks``: by identity, as (1.0, 0) is refused
         self._fitting: dict[tuple[int, int], dict[int, tuple]] = {}
         # ``run_outputs``'s classes (c, splits) -> the output of their first run
@@ -179,8 +183,10 @@ class CompiledProtocol:
         return [server_register(j)]
 
     def server_operation(self, x: Database):
-        """Server j's step on database x, as ``(state, j) -> state``."""
-        return lambda state, j: server_phase(state, self.scheme, j, x)
+        """Server j's step on database x, as ``(state, j) -> state``.  Each query
+        is answered once, over every server and dephased branch of a run."""
+        answers: dict[int, int] = {}
+        return lambda state, j: server_phase(state, self.scheme, j, x, answers)
 
     def sign_table(self, i: int, r: int, masks: Sequence[int]) -> dict[int, dict[str, int]]:
         """Sign value -> the register values the user XORs out of that query branch."""
@@ -193,24 +199,9 @@ class CompiledProtocol:
         the branches by (-1)^<a_j(q_j), m_j> and (-1)^<a_j(q_j), m_j ^ s_j>.
         So their relative sign is c, the global sign leaves every view and
         mixture entry as it is (negation is exact), and the user's knowledge
-        never reads x.  With answer rows, c is parity(x & v(i, r)).
+        never reads x.  So c is ``run_classically``'s, read through the scheme.
         """
-        row = self._rows.get((i, r)) if type(i) is int and type(r) is int else None
-        if row is None:
-            row = self._row(i, r)
-        if row is None:
-            return run_classically(self.scheme, x, i, r)
-        if x.n != self.scheme.n:
-            raise ValueError("database size mismatch")  # as a run refuses it
-        return (x.value & row).bit_count() & 1
-
-    def _row(self, i: int, r: int) -> int | None:
-        """v(i, r) of a plain-int pair, built once from its plan; None for any other pair."""
-        if type(i) is not int or type(r) is not int:
-            return None
-        if (i, r) not in self._rows:
-            self._rows[i, r] = parity_row(self.scheme, self.scheme.plan(i, r))
-        return self._rows[i, r]
+        return run_classically(self.scheme, x, i, r)
 
     def entangle(self, state: SparseState) -> SparseState:
         return state  # the query state is prepared by the relabel alone
@@ -237,11 +228,11 @@ class CompiledProtocol:
         two branches add to the same sum in either order.  So each
         distribution equals ``run(x, i, r, masks).output`` to the last bit,
         keys in the same order, at every mask tuple: ``audit_recovery`` and
-        ``adversary.plan_sweep`` run one tuple per r on this.  With answer rows
-        c is parity(x & v(i, r)).  A mask tuple is checked once (the check reads
-        only k and a); a malformed draw raises what its single run raises.
+        ``adversary.plan_sweep`` run one tuple per r on this.  c is
+        ``run_classically``'s, with the parity of the scheme's row v(i, r)
+        taken inline.  A mask tuple is checked once (the check reads only k
+        and a); a malformed draw raises what its single run raises.
         """
-        answers: dict[int, int] = {}
         outputs = []
         value, fits = x.value, x.n == self.n
         for i, r, masks in draws:
@@ -254,8 +245,7 @@ class CompiledProtocol:
                 # a plan that passes the query state's checks passes for every
                 # mask that fits, since a mask fills only the low a bits
                 _check_draw(plan, masks)
-                entry = (plan, tuple(s != 0 for s in plan.selects),
-                         self._row(i, r),
+                entry = (plan, tuple(s != 0 for s in plan.selects), self.scheme.row(i, r),
                          self._fitting.setdefault((plan.k, plan.a), {}))
                 if plain:
                     self._checked[i, r] = entry
@@ -264,18 +254,10 @@ class CompiledProtocol:
                 _check_masks(plan, masks)
                 if type(masks) is tuple:
                     fitting[id(masks)] = masks
-            if row is None:
-                odd = 0
-                for q, s in zip(plan.queries, plan.selects):
-                    answer = answers.get(q)
-                    if answer is None:
-                        answer = answers[q] = self.scheme.answer(q, x)
-                    odd ^= answer & s
-                c = odd.bit_count() & 1
-            elif fits:
+            if row is not None and fits:
                 c = (value & row).bit_count() & 1
-            else:
-                raise ValueError("database size mismatch")  # as a run refuses it
+            else:  # no rows, or a database of another size, which it refuses as a run does
+                c = run_classically(self.scheme, x, i, r)
             output = self._outputs.get((c, splits))
             if output is None:
                 output = self._outputs[c, splits] = self.run(x, i, r, masks).output

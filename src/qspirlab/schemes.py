@@ -127,18 +127,29 @@ class LinearPirScheme:
         return kernels.masked_parities(x.value, rows)
 
     def plan(self, i: int, r: int) -> QueryPlan:
-        """``gen_plan(i, r)``, built once per pair of plain ints and kept.
+        """``gen_plan(i, r)``, built once per pair of plain ints and kept."""
+        return self._kept(i, r)[0]
+
+    def row(self, i: int, r: int) -> int | None:
+        """v(i, r), the ``parity_row`` of the plan, built once beside it; None without rows."""
+        kept = self._kept(i, r)
+        if len(kept) == 1:
+            kept.append(parity_row(self, kept[0]))
+        return kept[1]
+
+    def _kept(self, i: int, r: int) -> list:
+        """[plan] or [plan, v(i, r)]: the one memo entry of a pair of plain ints.
 
         Any other pair goes to ``gen_plan`` every time, which raises what a
         run raises: 1.0 == 1, but index 1.0 is refused.
         """
         if type(i) is not int or type(r) is not int:
-            return self.gen_plan(i, r)
+            return [self.gen_plan(i, r)]
         memo = self.__dict__.setdefault("_plan_memo", {})
-        plan = memo.get((i, r))
-        if plan is None:
-            plan = memo[i, r] = self.gen_plan(i, r)
-        return plan
+        kept = memo.get((i, r))
+        if kept is None:
+            kept = memo[i, r] = [self.gen_plan(i, r)]
+        return kept
 
     def comm_cost(self) -> int:
         """Total classical communication in bits: k * (t + a)."""
@@ -188,9 +199,15 @@ def parity_row(scheme: LinearPirScheme, plan: QueryPlan) -> int | None:
 
 
 def run_classically(scheme: LinearPirScheme, x: Database, i: int, r: int) -> int:
-    plan = scheme.plan(i, r)
-    answers = [scheme.answer(q, x) for q in plan.queries]
-    return reconstruct(plan, answers)
+    """The reconstruction c(x, i, r): parity(x & v(i, r)) with answer rows, else
+    ``reconstruct`` of the plan's answers.  Every protocol's c is this one."""
+    row = scheme.row(i, r)
+    if row is None:
+        plan = scheme.plan(i, r)
+        return reconstruct(plan, [scheme.answer(q, x) for q in plan.queries])
+    if x.n != scheme.n:
+        raise ValueError("database size mismatch")  # as ``answer`` refuses it
+    return (x.value & row).bit_count() & 1
 
 
 class TrivialScheme(LinearPirScheme):

@@ -1,9 +1,9 @@
 """Shared test fixtures: broken and random schemes, a compiled draw's query state,
-a detectable attack, the clean
-query's unitary image, a classical twin audit, the one-transcript-per-database
-data-privacy reference, the per-draw recovery reference, the answers computed
-without answer rows, the single-qubit Pauli maps, and the full-validation switch
-for the internal constructors."""
+Bell's query state, a detectable attack, the clean query's unitary image, a
+classical twin audit, the one-transcript-per-database data-privacy reference,
+the per-draw recovery reference, the answers and the reconstruction computed
+without answer rows, the single-qubit Pauli maps, and the full-validation
+switch for the internal constructors."""
 
 import random
 from collections import Counter
@@ -12,14 +12,15 @@ from contextlib import contextmanager
 from qspirlab.adversary import CleanQueryOracle, attack_input_layout
 from qspirlab import audits
 from qspirlab.audits import AuditGrid, AuditReport
+from qspirlab.bell import BellProtocol
 from qspirlab.compiler import build_query_state, query_table
 from qspirlab.density import DensityAccumulator, DensityMatrix
 from qspirlab.registers import RegisterLayout, bits
 from qspirlab.schemes import (
-    CubeScheme, LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme, TrivialScheme,
+    CubeScheme, LinearPirScheme, QueryPlan, SchemeShape, SubsetScheme, TrivialScheme, reconstruct,
 )
 from qspirlab.states import SparseState
-from qspirlab.transcript import USER
+from qspirlab.transcript import USER, prepare_query, sign_relabeling, zero_state
 
 
 class CorruptedSubsetScheme(SubsetScheme):
@@ -126,6 +127,17 @@ def query_state(plan, masks):
     return build_query_state(plan, query_table(plan, masks))
 
 
+def build_bell_query(i: int, n: int) -> SparseState:
+    """Bell's query state for index i over an even-size database, as a run prepares it."""
+    if n % 2 != 0:
+        raise ValueError("database size must be even; pad odd sizes with a zero bit")
+    if not 1 <= i <= n:
+        raise IndexError(f"index {i} outside [1, {n}]")
+    protocol = BellProtocol(n)
+    return prepare_query(protocol, zero_state(protocol.layout()),
+                         sign_relabeling(protocol, protocol.sign_table(i)))
+
+
 def output_of(protocol, x, i, r=0, masks=()):
     """One run's output distribution, from the protocol's output-only entry point."""
     (output,) = protocol.run_outputs(x, [(i, r, masks)])
@@ -180,7 +192,10 @@ def clean_query(oracle: CleanQueryOracle, input_state: SparseState) -> SparseSta
 
 def reference_answer(scheme, q, x) -> int:
     """A registered scheme's answer computed without its rows: x itself, the
-    subset's parity, or the cube's slice loop over the padded database."""
+    subset's parity, or the cube's slice loop over the padded database.  A
+    scheme without rows gives its own answer."""
+    if scheme.answer_rows(q) is None:
+        return scheme.answer(q, x)
     if isinstance(scheme, TrivialScheme):
         assert q == 0
         return x.value
@@ -220,6 +235,12 @@ def reference_answer(scheme, q, x) -> int:
             toggled = main ^ ((xp & slice_masks[axis][c]).bit_count() & 1)
             out = (out << 1) | toggled
     return out
+
+
+def reference_reconstruction(scheme, x, i, r) -> int:
+    """c(x, i, r) as the XOR of the plan's answers, computed without answer rows."""
+    plan = scheme.gen_plan(i, r)
+    return reconstruct(plan, [reference_answer(scheme, q, x) for q in plan.queries])
 
 
 def audit_recovery_per_draw(protocol, grid: AuditGrid) -> AuditReport:

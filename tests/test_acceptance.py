@@ -23,13 +23,13 @@ from qspirlab.audits import (
     audit_user_privacy_quantum,
     make_grid,
 )
-from qspirlab.bell import BellProtocol, build_bell_query
+from qspirlab.bell import BellProtocol
 from qspirlab.density import maximally_mixed, partial_trace, trace_distance
 from qspirlab.experiments import comm_table
 from qspirlab.protocols import resolve_protocol
 from qspirlab.schemes import Database, all_databases
 
-from helpers import output_of
+from helpers import build_bell_query, output_of
 
 TOL = 1e-9
 

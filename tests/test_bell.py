@@ -10,7 +10,6 @@ from qspirlab import bell
 from qspirlab.bell import (
     BellProtocol,
     bell_layout,
-    build_bell_query,
     left_reg,
     right_reg,
     server_pauli,
@@ -21,7 +20,7 @@ from qspirlab.schemes import Database, all_databases, make_scheme
 from qspirlab.states import SparseState, apply_local_map, equal_up_to_global_phase
 from qspirlab.transcript import export_transcript, sign_recovery, sign_relabeling
 
-from helpers import PAULI, output_of
+from helpers import PAULI, build_bell_query, output_of
 
 S = math.sqrt(0.5)
 

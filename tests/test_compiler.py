@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from qspirlab.audits import (
     audit_user_privacy_quantum,
     make_grid,
 )
-from qspirlab import compiler
+from qspirlab import compiler, schemes
 from qspirlab.compiler import (
     CompiledProtocol,
     MaskSpace,
@@ -23,6 +24,7 @@ from qspirlab.compiler import (
     server_phase,
 )
 from qspirlab.density import DensityAccumulator
+from qspirlab.protocols import ClassicalProtocol
 from qspirlab.schemes import (
     Database,
     QueryPlan,
@@ -36,7 +38,9 @@ from qspirlab.schemes import (
 from qspirlab.states import SparseState, equal_up_to_global_phase
 from qspirlab.transcript import sign_recovery, sign_relabeling
 
-from helpers import CorruptedSubsetScheme, RandomXorScheme, output_of, query_state
+from helpers import (
+    CorruptedSubsetScheme, RandomXorScheme, output_of, query_state, reference_reconstruction,
+)
 
 S = math.sqrt(0.5)
 
@@ -89,6 +93,20 @@ class TestBuildQueryState:
 
 
 class TestServerPhase:
+    @pytest.mark.parametrize("countermeasure", [False, True])
+    def test_a_run_answers_each_query_once(self, countermeasure, monkeypatch):
+        # the two sign branches hold the same query, and dephasing splits them
+        scheme = make_scheme("cube2", 8)
+        protocol = CompiledProtocol(scheme, dephase_servers=countermeasure)
+        answer = scheme.answer
+        asked = []
+        monkeypatch.setattr(scheme, "answer", lambda q, x: asked.append(q) or answer(q, x))
+        x = Database.from_string("10110010")
+        for i, r, masks in [(5, 42, (0b1010101, 0b0011111)), (1, 0, (0, 0)), (8, 63, (1, 2))]:
+            asked.clear()
+            protocol.run(x, i, r, masks)
+            assert asked == list(scheme.plan(i, r).queries), (i, r, masks)
+
     def test_all_zero_database_fixes_subset_state(self):
         s = make_scheme("subset2", 2)
         x = Database.from_string("00")
@@ -474,31 +492,50 @@ class TestBatchedOutputs:
 
 
 class TestParityRows:
-    """c(x, i, r) is parity(x & v(i, r)), v built once per (i, r) from the answer rows."""
+    """c(x, i, r) has one owner, ``run_classically``: parity(x & v(i, r)), with v
+    built once per (i, r) by the scheme from its answer rows.  Every protocol's c
+    is checked against the reconstruction of answers computed without rows."""
+
+    @staticmethod
+    def _assert_every_c_is_the_reference(scheme, databases, indices, rands):
+        compiled, classical = CompiledProtocol(scheme), ClassicalProtocol(scheme)
+        draws = [(i, r, ()) for i in indices for r in rands]
+        for x in databases:
+            want = [reference_reconstruction(scheme, x, i, r) for i, r, _ in draws]
+            assert [run_classically(scheme, x, i, r) for i, r, _ in draws] == want, str(x)
+            assert [compiled.view_class(x, i, r) for i, r, _ in draws] == want, str(x)
+            assert classical.run_outputs(x, draws) == [{c: 1.0} for c in want], str(x)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_view_class_is_the_classical_run(self, name, n):
+    def test_every_registered_scheme(self, name, n):
         scheme = make_scheme(name, n)
-        protocol = CompiledProtocol(scheme)
-        for x in all_databases(n):
-            for i in range(1, n + 1):
-                for r in scheme.randomness_space:
-                    assert protocol.view_class(x, i, r) == run_classically(scheme, x, i, r)
+        self._assert_every_c_is_the_reference(scheme, list(all_databases(n)), range(1, n + 1),
+                                              scheme.randomness_space)
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_cube_sampled(self, n):
+        scheme = make_scheme("cube2", n)
+        rng = random.Random(n)
+        databases = [Database(n, v) for v in (0, (1 << n) - 1, *rng.sample(range(1 << n), 6))]
+        rands = rng.sample(scheme.randomness_space, 24)
+        self._assert_every_c_is_the_reference(scheme, databases, range(1, n + 1), rands)
+
+    def test_corrupted_scheme(self):
+        scheme = CorruptedSubsetScheme(3)
+        self._assert_every_c_is_the_reference(scheme, list(all_databases(3)), (1, 2, 3),
+                                              scheme.randomness_space)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_view_class_of_a_scheme_without_rows(self, k):
+    def test_scheme_without_rows(self, k):
         scheme = RandomXorScheme(3, k=k, t=2, a=2, randomness_size=3, seed=k)
-        assert scheme.answer_rows(0) is None
-        protocol = CompiledProtocol(scheme)
-        for x in all_databases(3):
-            for i in range(1, 4):
-                for r in scheme.randomness_space:
-                    assert protocol.view_class(x, i, r) == run_classically(scheme, x, i, r)
+        assert scheme.answer_rows(0) is None and scheme.row(1, 0) is None
+        self._assert_every_c_is_the_reference(scheme, list(all_databases(3)), (1, 2, 3),
+                                              scheme.randomness_space)
 
     def test_view_class_reads_no_answer(self, monkeypatch):
         protocol = CompiledProtocol(CorruptedSubsetScheme(3))
-        want = {(x.value, i, r): run_classically(protocol.scheme, x, i, r)
+        want = {(x.value, i, r): reference_reconstruction(protocol.scheme, x, i, r)
                 for x in all_databases(3) for i in (1, 2, 3) for r in range(8)}
 
         def no_answer(q, x):
@@ -507,6 +544,23 @@ class TestParityRows:
         monkeypatch.setattr(protocol.scheme, "answer", no_answer)
         for (value, i, r), c in want.items():
             assert protocol.view_class(Database(3, value), i, r) == c
+
+    @pytest.mark.parametrize("name, n", [("subset2", 3), ("cube2", 8)])
+    def test_classical_recovery_reads_one_row_per_pair_and_no_answer(self, name, n, monkeypatch):
+        built = []
+        monkeypatch.setattr(schemes, "parity_row",
+                            lambda scheme, plan: built.append((plan.i, plan.r))
+                            or parity_row(scheme, plan))
+        protocol = ClassicalProtocol(make_scheme(name, n))
+
+        def no_answer(q, x):
+            raise AssertionError("answered")
+
+        monkeypatch.setattr(protocol.scheme, "answer", no_answer)
+        report = audit_recovery(protocol, make_grid(n))
+        rand = protocol.randomness_space()
+        assert report.passed and report.details["runs"] == 2 ** n * n * len(rand)
+        assert built == [(i, r) for i in range(1, n + 1) for r in rand]
 
     @pytest.mark.parametrize("x, i, r", [
         (Database.from_string("101"), 1, 0),   # a database of another size
@@ -530,7 +584,7 @@ class TestParityRows:
 
     def test_one_row_per_index_and_randomness(self, monkeypatch):
         built = []
-        monkeypatch.setattr(compiler, "parity_row",
+        monkeypatch.setattr(schemes, "parity_row",
                             lambda scheme, plan: built.append((plan.i, plan.r))
                             or parity_row(scheme, plan))
         protocol = CompiledProtocol(make_scheme("subset2", 3))

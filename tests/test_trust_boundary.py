@@ -32,7 +32,7 @@ from qspirlab.states import (
     tensor,
 )
 
-from helpers import RandomXorScheme, full_validation
+from helpers import RandomXorScheme, build_bell_query, full_validation
 
 
 def exact(terms):
@@ -253,7 +253,7 @@ class TestChecksStayLive:
     def test_broken_bell_encoding_raises(self, monkeypatch):
         # the one-pass encoding calls no kernel: break its +1 factor instead
         monkeypatch.setattr(bell, "_PLUS", complex(2.0))
-        state = bell.build_bell_query(1, 2)
+        state = build_bell_query(1, 2)
         with pytest.raises(ValueError, match=r"state norm\^2 = .*, not 1"):
             server_pauli(state, 1, Database.from_string("00"))
 

@@ -269,11 +269,13 @@ def verify_undetectability(
 
     Both sides are mixed over the full classical draw space (randomness and
     masks); the honest side is compared at every index, which must agree
-    with the attack mixture by user privacy.  An attack view at a (server,
-    step) where honest runs have none fails the report; its witness has
-    distance None.  The default echo sweeps what ``plan_sweep(protocol,
-    "undetectability")`` names; supplied ``attack_views`` may read x any
-    way, so they sweep every database.
+    with the attack mixture by user privacy.  A compiled protocol's honest
+    side is built once, in closed form, with no transcript; Bell's runs one
+    transcript per draw on every database (``server_state_mixtures``).  An
+    attack view at a (server, step) where honest runs have none fails the
+    report; its witness has distance None.  The default echo sweeps what
+    ``plan_sweep(protocol, "undetectability")`` names; supplied
+    ``attack_views`` may read x any way, so they sweep every database.
     """
     n = protocol.n
     databases = tuple(all_databases(n))

@@ -34,7 +34,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .compiler import CompiledProtocol, server_register
+from .compiler import CompiledProtocol, _check_plan, server_register
 # unused here; perfbench's tracer tests check that its wrapper re-binds this copy
 from .compiler import build_query_state  # noqa: F401
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
@@ -42,7 +42,7 @@ from .protocols import ClassicalProtocol, Protocol
 from .registers import RegisterLayout, bits
 from .schemes import Database, LinearPirScheme
 from .states import PRUNE_TOL, SQRT_HALF, SparseState, equal_up_to_global_phase
-from .transcript import USER, Transcript, dephase, message_unit, server_party
+from .transcript import USER, Transcript, message_unit, server_party, server_round
 
 TOL = 1e-9
 
@@ -164,10 +164,11 @@ def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
       scattered over it (``_cycled_masks``).  Recovery runs one per (x, i, r),
       cycling through them, and the whole subset at its first grid point;
       data privacy runs the first 4 at every (i, r), once per view class
-      where a group has two signature sets; user privacy reads every mask
-      off histograms instead.  Data privacy over the whole product would
-      need an argument that its verdict and mixtures do not depend on the
-      masks, which is not made here.
+      where a group has two signature sets.  User privacy reads every mask
+      off histograms in either mode (``_server_histograms``), keeping only
+      each server's own steps in this one.  Data privacy over the whole
+      product would need an argument that its verdict and mixtures do not
+      depend on the masks, which is not made here.
     """
     head = _mask_head(protocol)
     if head == [()]:
@@ -318,78 +319,114 @@ def _server_mixtures_generic(protocol: Protocol, x: Database,
 
 
 def _server_histograms(protocol: CompiledProtocol, i: int) -> dict[tuple[str, str], DensityMatrix]:
-    """(server, own step label) -> reduced state mixed over randomness and masks, for index i.
+    """(server, step label) -> reduced state mixed over randomness and masks, for index i.
 
     Server j holds (q_j, m_j) in one term of a draw and (q_j, m_j ^ s_j) in
     the other, so its state, which has no cross terms (see
-    ``server_state_mixtures``), is half on each.  Its phase maps basis
-    states to +-themselves and its measurement leaves them as they are, so
-    every step's mixture is diagonal over the values (q_j << a) | m_j.  The
-    other servers' masks and steps touch only traced-out registers, so it
-    is read off the ``gen_plan`` tables, without a state.
+    ``server_state_mixtures``), is diagonal over the values (q_j << a) | m_j:
+    phases map basis states to +-themselves and measurements leave them as
+    they are.  So each step's mixture is read off the ``gen_plan`` tables and
+    one stand-in run per split pattern (``_stand_in_steps``), without a
+    transcript.
 
-    The entries are those of ``server_round`` on server j alone, over draws
-    in (r, m_j) order with the other masks 0, to the last bit and in the
-    same key order (see ``_histogram``).  The phase step repeats the step
-    before it, since a sign flip leaves every product as it is.
+    In full mode (at most MASK_EXHAUSTIVE_LIMIT mask tuples) the keys and
+    entries are ``_server_mixtures_generic``'s, to the last bit and in the
+    same order: every holder at every step, each (r, m_j) draw counted once
+    per mask tuple of the other servers.  In cycle mode they are those of
+    ``server_round`` on server j alone, over (r, m_j) with the other masks
+    0: each server's own steps.  Keys with the same content share one matrix.
     """
     s = protocol.scheme.shape
     plans = [protocol.scheme.gen_plan(i, r) for r in protocol.scheme.randomness_space]
-    # one draw on a stand-in register: its two terms apart (s_j != 0) or together
-    pair = RegisterLayout.of(("sign", 1), ("srv", 1))
-    apart = [(1.0, SparseState(pair, {0b00: SQRT_HALF, 0b11: SQRT_HALF}))]
-    together = [(1.0, SparseState(pair, {0b00: SQRT_HALF, 0b10: SQRT_HALF}))]
-    steps = [("send", apart, together)]
-    if protocol.dephase_servers:
-        steps.append(("measure", dephase(apart, ["srv"]), dephase(together, ["srv"])))
+    for plan in plans:
+        _check_plan(plan)  # what a run of the plan refuses
+    splits = [tuple(sel != 0 for sel in plan.selects) for plan in plans]
+    patterns = list(dict.fromkeys(splits))
+    if len(protocol.mask_space()) <= MASK_EXHAUSTIVE_LIMIT:
+        reps, rounds = 1 << (s.a * (s.k - 1)), [tuple(range(1, s.k + 1))]
+    else:
+        reps, rounds = 1, [(j,) for j in range(1, s.k + 1)]
     out = {}
-    for j in range(1, s.k + 1):
-        party = server_party(j)
-        layout = protocol.layout().sub_layout([server_register(j)])
-        cells = [(p.queries[j - 1], p.selects[j - 1]) for p in plans]
-        for label, *forms in steps:
-            out[(party, f"{label}:{party}")] = rho = _histogram(layout, s.a, cells, *forms)
-        out[(party, f"{protocol.verb}:{party}")] = rho
+    for servers in rounds:
+        # step by step: its label and holders, the same in every run, and each pattern's form
+        steps = [(at[0][0], at[0][1], tuple(form for _, _, form in at))
+                 for at in zip(*(_stand_in_steps(protocol, servers, p) for p in patterns))]
+        shared: dict = {}
+        for label, holders, forms in steps:
+            for j in holders:
+                rho = shared.get((j, forms))
+                if rho is None:
+                    # a plan's draws: 2**a own masks, each once per other servers' tuple
+                    per_plan = {p: (c, copies * reps, weights * (reps << s.a))
+                                for p, (c, copies, weights) in zip(patterns, forms)}
+                    cells = [(plan.queries[j - 1], plan.selects[j - 1], per_plan[split])
+                             for plan, split in zip(plans, splits)]
+                    layout = protocol.layout().sub_layout([server_register(j)])
+                    rho = shared[j, forms] = _histogram(layout, s.a, cells)
+                out[(server_party(j), label)] = rho
     return out
 
 
-def _histogram(layout: RegisterLayout, a: int, cells, apart, together) -> DensityMatrix:
-    """The mixture ``DensityAccumulator`` makes of the stand-in branches of every
-    draw: plan by plan over its (query, select) ``cells``, each plan's masks
-    0..2**a - 1 in turn.
+def _stand_in_steps(protocol: CompiledProtocol, servers: Sequence[int], split: tuple[bool, ...]):
+    """One draw's steps on a stand-in state: ``(label, holders, form)`` in step order.
+
+    The stand-in is ``sign`` and one bit per server, SQRT_HALF on |0, 0...0>
+    and on |1, split>: server j's two terms differ on its register exactly
+    where its select is nonzero.  It goes through ``server_round`` with an
+    identity operation (a phase only negates whole terms, which leaves every
+    product as it is), then the returns; ``holders`` are the servers holding
+    their register after the step, in custody order.  A form is the step's
+    one product ``(w * amp) * conj(amp)``, its number of terms and its
+    branch weights, which the measurements make the same for every term.
+    """
+    names = [server_register(j) for j in range(1, len(split) + 1)]
+    layout = RegisterLayout.of(("sign", 1), *((name, 1) for name in names))
+    flip = layout.assemble({"sign": 1, **dict(zip(names, split))})
+    rounds = server_round([(1.0, SparseState(layout, {0: SQRT_HALF, flip: SQRT_HALF}))], servers,
+                          protocol.server_registers, lambda state, j: state, protocol.verb,
+                          protocol.dephase_servers)
+    held: list[int] = []
+    steps = []
+    for label, j, branches in rounds:
+        if label.startswith("send:"):
+            held.append(j)
+        (c,) = {(w * amp) * amp.conjugate() for w, st in branches for amp in st.terms.values()}
+        form = c, sum(len(st.terms) for _, st in branches), tuple(w for w, _ in branches)
+        steps.append((label, tuple(held), form))
+    for j in servers:
+        held.remove(j)
+        steps.append((f"return:{server_party(j)}", tuple(held), form))
+    return steps
+
+
+def _histogram(layout: RegisterLayout, a: int, cells) -> DensityMatrix:
+    """The mixture ``DensityAccumulator`` makes of every draw of a step, from its
+    ``cells``: per plan, in plan order, (query, select, (c, copies, weights)),
+    its draws' one product, the number of times it reaches each value of the
+    query's block, and their branch weights in draw order.
 
     A draw of mask m puts the values (q << a) | m and (q << a) | (m ^ s) in
-    place of the stand-in values 0 and 1 (or the smaller and the larger, as
-    a measurement's sorted outcomes would), and adds ``(w * amp) *
-    conj(amp)`` at each for every term of its form.  The symmetric
-    stand-in states give every term of a form the same product, in the
-    send and the measure step alike.  So, exactly, and without a pass over
-    the draws:
+    place of the stand-in values 0 and 1 and adds ``(w * amp) * conj(amp)``
+    at each for every term, the same product for every term of the step
+    (``_stand_in_steps``).  So, exactly, and without a pass over the draws:
 
     * each value of a query's block gets, from every plan with that query,
-      two copies of one product: ``apart``'s when s != 0 (one at mask m,
-      one at m ^ s), ``together``'s when s = 0 (both at m).  All 2**a
-      entries of a block are the same sequential float sum, in plan order,
-      computed once per block;
+      ``copies`` copies of its product: one at mask m and one at m ^ s per
+      draw when s != 0, both at m when s = 0.  All 2**a entries of a block
+      are the same sequential float sum, in plan order, computed once per
+      block;
     * keys go in the order the per-draw loop first saw them, set by the
-      block's first plan: for s != 0, m then m ^ s for each m < m ^ s
-      (ordering a draw's two values never changes this), and for s = 0, m
-      ascending;
+      block's first plan: for s != 0, m then m ^ s for each m < m ^ s, and
+      for s = 0, m ascending.  A value is first seen where the other
+      servers' masks are 0, and there either the sign-0 term or the smaller
+      outcome comes first: m, since m < m ^ s;
     * the normalisation is still the per-draw sum of branch weights, in
       draw order.
     """
-    def fold(branches):
-        (c,) = {(w * amp) * amp.conjugate() for w, st in branches for amp in st.terms.values()}
-        # a plan's draws' branch weights, in draw order
-        weights = tuple(w for w, _ in branches) * (1 << a)
-        return c, sum(len(st.terms) for _, st in branches), weights
-
-    apart, together = fold(apart), fold(together)
     sums: dict[int, complex] = {}
     first: dict[int, int] = {}  # query -> the select of its first plan
     total = 0.0
-    for q, select in cells:
-        c, copies, weights = apart if select else together
+    for q, select, (c, copies, weights) in cells:
         acc = sums.get(q)
         for _ in range(copies):
             acc = c if acc is None else acc + c
@@ -423,9 +460,11 @@ def server_state_mixtures(protocol: Protocol, x: Database,
     each draw is (|0>|v0> + |1>|v1>)/sqrt(2) and the user keeps ``sign``, which
     differs between the terms, so a server's state has no cross terms; x only
     flips the sign of whole terms, leaving each ``(w * amp) * conj(amp)``, norm
-    and renormalised amplitude as it is, to the bit.  Bell servers' Paulis act on qubits they hold.
+    and renormalised amplitude as it is, to the bit.  So it is built in closed
+    form (``_server_histograms``) and runs no transcript.  Bell servers' Paulis
+    act on qubits they hold: its states come from one transcript per draw.
     """
-    if len(_mask_head(protocol)) > MASK_EXHAUSTIVE_LIMIT:  # cycle mode, without its draws
+    if isinstance(protocol, CompiledProtocol):
         return _server_histograms(protocol, i)
     return _server_mixtures_generic(protocol, x, i)
 
@@ -440,11 +479,12 @@ def audit_user_privacy_quantum(protocol: Protocol, grid: AuditGrid) -> AuditRepo
         # server states do not depend on the database (server_state_mixtures):
         # the first one's comparisons stand for every database's
         databases, repeats = grid.databases[:1], len(grid.databases)
+    base_i = grid.indices[0]
     for x in databases:
-        mixtures = {i: server_state_mixtures(protocol, x, i) for i in grid.indices}
-        base_i = grid.indices[0]
+        # the base index's states stay; every other index's go once compared
+        base = server_state_mixtures(protocol, x, base_i)
         for i in grid.indices[1:]:
-            base, other = mixtures[base_i], mixtures[i]
+            other = server_state_mixtures(protocol, x, i)
             for key in dict.fromkeys([*base, *other]):
                 # a view only one of the two indices has tells them apart
                 d = trace_distance(base[key], other[key]) if key in base and key in other else None

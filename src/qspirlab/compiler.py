@@ -56,8 +56,13 @@ def _register_values(plan: QueryPlan, masks: Sequence[int], flip: bool) -> dict[
 
 
 def _check_draw(plan: QueryPlan, masks: Sequence[int]) -> None:
-    """Its masks, then its plan: queries that fit t bits and selects a bits fit their registers."""
+    """Its masks, then its plan."""
     _check_masks(plan, masks)
+    _check_plan(plan)
+
+
+def _check_plan(plan: QueryPlan) -> None:
+    """A nonzero select, and queries that fit t bits and selects a bits fit their registers."""
     if not any(plan.selects):
         raise ValueError("degenerate plan: all selection vectors are zero")
     for q, sel in zip(plan.queries, plan.selects):

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qspirlab import audits
+from qspirlab import adversary, audits, bell, compiler, transcript
+from qspirlab.adversary import verify_undetectability
 from qspirlab.audits import (
     AuditReport,
     audit_comm,
@@ -194,29 +195,27 @@ class TestUserPrivacyQuantum:
         assert report.worst_case_distance <= 1e-9
 
     def test_fast_path_matches_generic(self):
+        # every holder at every step, as the transcript path keys them: 8 for k = 2
         protocol = resolve_protocol("qspir(subset2)", 2)
         x = Database.from_string("10")
-        generic = _server_mixtures_generic(protocol, x, 1)
         fast = _server_histograms(protocol, 1)
-        assert set(fast) == {(f"server{j}", f"{step}:server{j}")
-                             for j in (1, 2) for step in ("send", "phase")}
-        assert set(fast) <= set(generic)
-        for key in fast:
-            assert entries_close(generic[key], fast[key], 1e-12)
+        assert len(fast) == 8
+        assert exact_entries(fast) == exact_entries(_server_mixtures_generic(protocol, x, 1))
 
     @pytest.mark.parametrize("countermeasure", [False, True])
     def test_histogram_matches_generic_for_three_servers(self, countermeasure):
         # a=2: 64 mask combinations, so the generic path runs every one of
-        # them, and each server's state comes from the whole protocol run
+        # them, and each server's state comes from the whole protocol run;
+        # the closed form gives its every key and entry, to the bit
         protocol = CompiledProtocol(RandomXorScheme(3, a=2, seed=1), countermeasure)
         grid = make_grid(3)
         assert audits._mask_mode(protocol)[0] == "full"
         for i in grid.indices:
             generic = _server_mixtures_generic(protocol, Database.from_string("110"), i)
             fast = _server_histograms(protocol, i)
-            assert len(fast) == 3 * (3 if countermeasure else 2)
-            for key in fast:
-                assert entries_close(generic[key], fast[key], 1e-12)
+            # sends 1 + 2 + 3, then 3 holders per server step, then returns 2 + 1
+            assert len(fast) == (27 if countermeasure else 18)
+            assert exact_entries(fast) == exact_entries(generic)
 
     def test_key_order_is_the_same_under_any_string_hashing(self):
         # holders are visited in custody order, not in a set's hash order
@@ -356,7 +355,7 @@ class TestBatchedSweep:
         assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
 
 
-# compiled protocols in full mask mode: the generic transcript path builds their server states
+# compiled protocols in full mask mode, whose server states the generic transcript path builds too
 COMPILED = {
     **{f"{s}-{n}": (lambda cm, s=s, n=n: resolve_protocol(f"qspir({s})", n, cm))
        for s in ("trivial1", "subset2") for n in (1, 2, 3)},
@@ -430,6 +429,88 @@ class TestDatabaseIndependence:
         assert report.passed
         databases = [x.value for x in grid.databases] if per_database else [0]
         assert calls == Counter({(x, i): 1 for x in databases for i in (1, 2)})
+
+
+# full mode at every k from 1 to 4 (a * k <= 6), zero selects from k = 2 on
+CLOSED_FORM = {
+    **COMPILED,
+    **{f"{s}-4": (lambda cm, s=s: resolve_protocol(f"qspir({s})", 4, cm))
+       for s in ("trivial1", "subset2")},
+    **{f"random-k{k}-3": (lambda cm, k=k: CompiledProtocol(
+        RandomXorScheme(3, k=k, t=2, a=1 if k == 4 else 2, seed=10 + k), cm)) for k in (1, 2, 3, 4)},
+}
+
+
+def refuse_transcripts(monkeypatch):
+    """Make the step engine raise, as ``transcript`` and ``compiler`` look it up."""
+    def execute(*args, **kwargs):
+        raise AssertionError("a transcript ran")
+
+    for module in (transcript, compiler):
+        monkeypatch.setattr(module, "execute", execute)
+
+
+class TestClosedForm:
+    """A compiled protocol's server states come from the plan tables and one
+    stand-in run per split pattern: the transcript path's, to the bit."""
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name", list(CLOSED_FORM))
+    def test_every_index_gives_the_transcript_paths_states(self, name, countermeasure):
+        protocol = CLOSED_FORM[name](countermeasure)
+        assert audits._mask_mode(protocol)[0] == "full"
+        if name.startswith("random") and protocol.k > 1:
+            assert 0 in {sel for i in range(1, protocol.n + 1)
+                         for r in protocol.randomness_space()
+                         for sel in protocol.scheme.gen_plan(i, r).selects}
+        x = Database(protocol.n, (1 << protocol.n) - 1)
+        for i in range(1, protocol.n + 1):
+            assert exact_entries(server_state_mixtures(protocol, x, i)) == \
+                exact_entries(_server_mixtures_generic(protocol, x, i))
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name", list(CLOSED_FORM))
+    def test_user_privacy_report_is_the_transcript_paths(self, name, countermeasure, monkeypatch):
+        protocol = CLOSED_FORM[name](countermeasure)
+        grid = make_grid(protocol.n)
+        report = audit_user_privacy_quantum(protocol, grid)
+        monkeypatch.setattr(audits, "server_state_mixtures", _server_mixtures_generic)
+        reference = audit_user_privacy_quantum(protocol, grid)
+        assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name,n", [("qspir(subset2)", 2), ("qspir(trivial1)", 3)])
+    def test_undetectability_report_is_the_transcript_paths(self, name, n, countermeasure,
+                                                             monkeypatch):
+        protocol = resolve_protocol(name, n, countermeasure)
+        report = verify_undetectability(protocol)
+        monkeypatch.setattr(adversary, "server_state_mixtures", _server_mixtures_generic)
+        reference = verify_undetectability(protocol)
+        assert report.details["comparisons"] > 0
+        assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name", ["qspir(subset2)", "qspir(trivial1)"])
+    def test_user_privacy_runs_no_transcript(self, name, countermeasure, monkeypatch):
+        protocol = resolve_protocol(name, 3, countermeasure)
+        assert audits._mask_mode(protocol)[0] == "full"
+        refuse_transcripts(monkeypatch)
+        report = audit_user_privacy_quantum(protocol, make_grid(3))
+        assert report.passed and report.details["comparisons"] > 0
+
+    def test_honest_side_of_undetectability_runs_no_transcript(self, monkeypatch):
+        protocol = resolve_protocol("qspir(subset2)", 2)
+        views = _server_histograms(protocol, 1)
+        refuse_transcripts(monkeypatch)
+        # the attack side reads the honest states too, so no echo runs either
+        report = verify_undetectability(protocol, attack_views=lambda proto, x, r, masks: views)
+        assert report.passed and report.details["comparisons"] > 0
+
+    def test_bell_still_runs_its_transcripts(self, monkeypatch):
+        refuse_transcripts(monkeypatch)
+        monkeypatch.setattr(bell, "execute", transcript.execute)
+        with pytest.raises(AssertionError, match="a transcript ran"):
+            server_state_mixtures(resolve_protocol("bell2", 2), Database(2, 1), 1)
 
 
 class TestDataPrivacy:

@@ -14,6 +14,7 @@ from qspirlab.audits import (
     audit_user_privacy_classical,
     audit_user_privacy_quantum,
     make_grid,
+    server_state_mixtures,
 )
 from qspirlab import compiler, schemes
 from qspirlab.compiler import (
@@ -489,6 +490,18 @@ class TestBatchedOutputs:
         assert protocol.run_outputs(x, [(2, 0, (0, 0))])[0] == protocol.run(x, 2, 0, (0, 0)).output
         with pytest.raises(ValueError, match="degenerate plan"):
             protocol.run_outputs(x, [(2, 0, (0, 0)), (1, 0, (0, 0))])
+
+    @pytest.mark.parametrize("scheme", [ZeroSelectSubsetScheme, WideQuerySubsetScheme])
+    def test_server_states_refuse_what_a_run_refuses(self, scheme):
+        # the closed-form server states run no transcript, but refuse its plans
+        protocol = CompiledProtocol(scheme(2))
+        x = Database.from_string("10")
+        with pytest.raises(ValueError) as run:
+            protocol.run(x, 1, 0, (0, 0))
+        with pytest.raises(ValueError) as closed:
+            server_state_mixtures(protocol, x, 1)
+        assert str(closed.value) == str(run.value)
+        assert server_state_mixtures(protocol, x, 2)
 
 
 class TestParityRows:

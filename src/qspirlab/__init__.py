@@ -15,7 +15,6 @@ from .states import (
     apply_phase_oracle,
     conditional_xor_relabel,
     equal_up_to_global_phase,
-    measure_register,
     measurement_branches,
     tensor,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "apply_phase_oracle",
     "apply_local_map",
     "conditional_xor_relabel",
-    "measure_register",
     "measurement_branches",
     "equal_up_to_global_phase",
     "partial_trace",

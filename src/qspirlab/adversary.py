@@ -221,7 +221,9 @@ def plan_sweep(protocol: QuantumProtocol, scenario: str) -> Sweep:
     database's stand for every database's, to the bit (``first_only``):
     inside each (idx, sign) group a server's register holds one value, so
     the echo's server states have no cross terms, and x only flips the
-    signs of whole terms.  Bell servers' Paulis act on the qubits they hold.
+    signs of whole terms.  Bell's echo views do not: dephased, they differ
+    across databases in the last bits (n = 6: entries up to 2.8e-17 apart),
+    so its echo sweeps every database.
 
     Under the countermeasure, a compiled protocol's echo and honest outputs
     are the first database's too, to the bit (``first_only``).  In every
@@ -269,11 +271,11 @@ def verify_undetectability(
 
     Both sides are mixed over the full classical draw space (randomness and
     masks); the honest side is compared at every index, which must agree
-    with the attack mixture by user privacy.  A compiled protocol's honest
-    side is built once, in closed form, with no transcript; Bell's runs one
-    transcript per draw on every database (``server_state_mixtures``).  An
-    attack view at a (server, step) where honest runs have none fails the
-    report; its witness has distance None.  The default echo sweeps what
+    with the attack mixture by user privacy.  Honest server states do not
+    depend on the database (``server_state_mixtures``), so the honest side
+    is built once per index, before the sweep.  An attack view at a
+    (server, step) where honest runs have none fails the report; its
+    witness has distance None.  The default echo sweeps what
     ``plan_sweep(protocol, "undetectability")`` names; supplied
     ``attack_views`` may read x any way, so they sweep every database.
     """
@@ -292,7 +294,7 @@ def verify_undetectability(
     worst = 0.0
     witness = None
     comparisons = 0
-    honest: dict[int, dict[tuple[str, str], DensityMatrix]] = {}
+    honest = {i: server_state_mixtures(protocol, i) for i in range(1, n + 1)}
     for x in swept:
         attack_accs: dict[tuple[str, str], list[DensityMatrix]] = {}
         for r, masks in draws:
@@ -300,9 +302,6 @@ def verify_undetectability(
                 attack_accs.setdefault(key, []).append(dm)
         attack_mix = {key: mix([1.0 / len(dms)] * len(dms), dms)
                       for key, dms in attack_accs.items()}
-        # a compiled protocol's honest states do not depend on x (server_state_mixtures)
-        if not honest or not isinstance(protocol, CompiledProtocol):
-            honest = {i: server_state_mixtures(protocol, x, i) for i in range(1, n + 1)}
         for i in range(1, n + 1):
             for key, attack_dm in attack_mix.items():
                 honest_dm = honest[i].get(key)

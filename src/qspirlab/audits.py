@@ -29,7 +29,6 @@ The three audit families:
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -170,17 +169,10 @@ def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
       product would need an argument that its verdict and mixtures do not
       depend on the masks, which is not made here.
     """
-    head = _mask_head(protocol)
-    if head == [()]:
-        return "none", head
-    if len(head) <= MASK_EXHAUSTIVE_LIMIT:
-        return "full", head
-    return "cycle", _cycled_masks(protocol)
-
-
-def _mask_head(protocol: Protocol) -> list[tuple[int, ...]]:
-    """The first MASK_EXHAUSTIVE_LIMIT + 1 mask tuples: one more than the limit is cycle mode."""
-    return list(itertools.islice(protocol.mask_space(), MASK_EXHAUSTIVE_LIMIT + 1))
+    masks = protocol.mask_space()  # one tuple, (), when the protocol draws no masks
+    if len(masks) > MASK_EXHAUSTIVE_LIMIT:
+        return "cycle", _cycled_masks(protocol)
+    return "none" if len(masks) == 1 else "full", list(masks)
 
 
 def _cycled_masks(protocol: CompiledProtocol) -> list[tuple[int, ...]]:
@@ -452,48 +444,60 @@ def _histogram(layout: RegisterLayout, a: int, cells) -> DensityMatrix:
     return DensityMatrix._trusted(layout, entries)
 
 
-def server_state_mixtures(protocol: Protocol, x: Database,
-                          i: int) -> dict[tuple[str, str], DensityMatrix]:
+def server_state_mixtures(protocol: Protocol, i: int) -> dict[tuple[str, str], DensityMatrix]:
     """(server, step label) -> reduced state at index i, mixed over randomness and masks.
 
-    A ``CompiledProtocol``'s result does not depend on x, in every mask mode:
-    each draw is (|0>|v0> + |1>|v1>)/sqrt(2) and the user keeps ``sign``, which
-    differs between the terms, so a server's state has no cross terms; x only
-    flips the sign of whole terms, leaving each ``(w * amp) * conj(amp)``, norm
-    and renormalised amplitude as it is, to the bit.  So it is built in closed
-    form (``_server_histograms``) and runs no transcript.  Bell servers' Paulis
-    act on qubits they hold: its states come from one transcript per draw.
+    A quantum protocol's server states do not depend on the database, to the
+    bit, so none is asked for.  In a ``CompiledProtocol`` each draw is
+    (|0>|v0> + |1>|v1>)/sqrt(2) and the user keeps ``sign``, which differs
+    between the terms, so a server's state has no cross terms; x only flips
+    the sign of whole terms, leaving each ``(w * amp) * conj(amp)``, norm and
+    renormalised amplitude as it is, in every mask mode.  So it is built in
+    closed form (``_server_histograms``) and runs no transcript.
+
+    In a ``BellProtocol`` run every term has the same magnitude, to the bit:
+    each amplitude is the same product of SQRT_HALF factors, a Pauli only
+    negates a term or moves it, and a measurement rescales every term of its
+    branch by one factor.  Each pair is a Bell state in both query branches,
+    so a server's halves are fixed by the registers traced out and its
+    reduced state is diagonal.  Each diagonal entry is a sum of equal
+    addends, and x only negates terms and XORs the server's own halves, so
+    every entry is the same float whatever the database.  Its one draw runs
+    on the all-zeros database.
+
+    A classical protocol's server holds the answer it computed from x, so
+    its states do read x; it gets the all-zeros database's here, and
+    ``run_audit`` checks its user privacy by query multisets instead.
     """
     if isinstance(protocol, CompiledProtocol):
         return _server_histograms(protocol, i)
-    return _server_mixtures_generic(protocol, x, i)
+    return _server_mixtures_generic(protocol, Database(protocol.n, 0), i)
 
 
 def audit_user_privacy_quantum(protocol: Protocol, grid: AuditGrid) -> AuditReport:
-    """Trace distance 0 between server states across indices, at every step."""
+    """Trace distance 0 between server states across indices, at every step.
+
+    Server states do not depend on the database (``server_state_mixtures``),
+    so each index's are built once and every comparison counts once per grid
+    database; a witness names the first.
+    """
     worst = 0.0
     witness = None
     comparisons = 0
-    databases, repeats = grid.databases, 1
-    if isinstance(protocol, CompiledProtocol):
-        # server states do not depend on the database (server_state_mixtures):
-        # the first one's comparisons stand for every database's
-        databases, repeats = grid.databases[:1], len(grid.databases)
     base_i = grid.indices[0]
-    for x in databases:
-        # the base index's states stay; every other index's go once compared
-        base = server_state_mixtures(protocol, x, base_i)
-        for i in grid.indices[1:]:
-            other = server_state_mixtures(protocol, x, i)
-            for key in dict.fromkeys([*base, *other]):
-                # a view only one of the two indices has tells them apart
-                d = trace_distance(base[key], other[key]) if key in base and key in other else None
-                if d is not None:
-                    comparisons += repeats
-                    worst = max(worst, d)
-                if witness is None and (d is None or d > TOL):
-                    witness = {"server": key[0], "step": key[1],
-                               "i": base_i, "i_prime": i, "x": str(x), "distance": d}
+    # the base index's states stay; every other index's go once compared
+    base = server_state_mixtures(protocol, base_i)
+    for i in grid.indices[1:]:
+        other = server_state_mixtures(protocol, i)
+        for key in dict.fromkeys([*base, *other]):
+            # a view only one of the two indices has tells them apart
+            d = trace_distance(base[key], other[key]) if key in base and key in other else None
+            if d is not None:
+                comparisons += len(grid.databases)
+                worst = max(worst, d)
+            if witness is None and (d is None or d > TOL):
+                witness = {"server": key[0], "step": key[1], "i": base_i, "i_prime": i,
+                           "x": str(grid.databases[0]), "distance": d}
     return AuditReport(
         kind="user-privacy",
         protocol=protocol.name,
@@ -559,7 +563,7 @@ def user_view(transcript: Transcript) -> ViewRecord:
                       output=dict(transcript.output))
 
 
-def compare_views(a: ViewRecord, b: ViewRecord, tol: float = TOL) -> dict | None:
+def compare_views(a: ViewRecord, b: ViewRecord) -> dict | None:
     """None when the views coincide, else a description of the first mismatch."""
     if a.knowledge != b.knowledge:
         return {"part": "classical knowledge"}
@@ -570,13 +574,13 @@ def compare_views(a: ViewRecord, b: ViewRecord, tol: float = TOL) -> dict | None
             return {"part": "step labels", "step": sa.label}
         if (sa.pure is None) != (sb.pure is None) or (sa.rho is None) != (sb.rho is None):
             return {"part": "state kind", "step": sa.label}
-        if sa.pure is not None and not equal_up_to_global_phase(sa.pure, sb.pure, tol):
+        if sa.pure is not None and not equal_up_to_global_phase(sa.pure, sb.pure, TOL):
             return {"part": "pure state", "step": sa.label}
-        if sa.rho is not None and not entries_close(sa.rho, sb.rho, tol):
+        if sa.rho is not None and not entries_close(sa.rho, sb.rho, TOL):
             return {"part": "mixed state", "step": sa.label,
                     "distance": trace_distance(sa.rho, sb.rho)}
     for bit in set(a.output) | set(b.output):
-        if abs(a.output.get(bit, 0.0) - b.output.get(bit, 0.0)) > tol:
+        if abs(a.output.get(bit, 0.0) - b.output.get(bit, 0.0)) > TOL:
             return {"part": "output distribution"}
     return None
 

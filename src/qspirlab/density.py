@@ -98,16 +98,16 @@ class DensityMatrix:
     def purity(self) -> float:
         return sum(abs(c) ** 2 for c in self.entries.values())
 
-    def to_pure(self, tol: float = NORM_TOL) -> SparseState | None:
+    def to_pure(self) -> SparseState | None:
         """Extract |psi> when this operator is a rank-1 projector, else None.
 
         The global phase of the result is arbitrary, which is fine everywhere
         this is used: comparisons are phase-canonical.
         """
-        if abs(self.purity() - 1.0) > tol:
+        if abs(self.purity() - 1.0) > NORM_TOL:
             return None
         anchor = max(
-            (k for k in self.support() if abs(self.entries.get((k, k), 0j)) > tol),
+            (k for k in self.support() if abs(self.entries.get((k, k), 0j)) > NORM_TOL),
             key=lambda k: (self.entries[(k, k)].real, -k),
         )
         norm = self.entries[(anchor, anchor)].real ** 0.5
@@ -153,9 +153,9 @@ class DensityAccumulator:
             self._entries, state.terms, self._keep_pieces, self._trace_pieces, weight)
         self._weight += weight
 
-    def add_branches(self, branches: Iterable[tuple[float, SparseState]], weight: float = 1.0) -> None:
+    def add_branches(self, branches: Iterable[tuple[float, SparseState]]) -> None:
         for p, state in branches:
-            self.add(state, weight * p)
+            self.add(state, p)
 
     def finalize(self) -> DensityMatrix:
         if self._weight <= 0:

@@ -23,9 +23,9 @@ prune as the constructor does (the same terms, in the same order):
 ``tensor_terms``, ``apply_map_terms`` and the measurement renormalisation.
 Sign flips and XOR relabels keep every magnitude of a pruned input.
 
-A local map wider than ``MAX_UNITARITY_CHECK_WIDTH`` is never checked, so
-its result goes through the constructor, whose norm check is its only
-guard.  A checked map keeps the columns its unitarity check built, per
+Every local map is checked unitary, so one wider than
+``MAX_UNITARITY_CHECK_WIDTH``, whose check would enumerate too many columns,
+is refused.  A checked map keeps the columns its unitarity check built, per
 callable and width: later applications look its images up instead of
 calling it again.
 """
@@ -211,34 +211,30 @@ def apply_local_map(
     ``fn`` maps a basis sub-key to its image as ``{sub': amplitude}`` (or a
     SparseState over the targets).  For several targets the sub-key is their
     concatenation in the order given.  Unitarity is checked by enumerating
-    the 2**width basis when the joint width is at most 12 (once per callable
-    and width, whose columns are then reused); wider maps are not, so only
-    the result's norm check guards them.  The protocol modules pass maps of
+    the 2**width basis (once per callable and width, whose columns are then
+    reused), so a joint width over MAX_UNITARITY_CHECK_WIDTH raises
+    ValueError before the map is called.  The protocol modules pass maps of
     at most 2 bits (Bell's pair maps, Hadamards); relabelings go through
     :func:`conditional_xor_relabel`.
     """
     names = (target,) if isinstance(target, str) else tuple(target)
     pieces = state.layout.pieces(names)
     width = sum(w for _, w in pieces)
-    if width <= MAX_UNITARITY_CHECK_WIDTH:
-        # every column, built by the unitarity check on the map's first use at this width
-        try:
-            checked = _verified_maps.get(fn)
-            if checked is None:
-                checked = _verified_maps[fn] = {}
-        except TypeError:  # non-weakrefable callable; check every time
-            checked = {}
-        columns = checked.get(width)
-        if columns is None:
-            columns = checked[width] = _check_unitary(fn, width)
-        terms = kernels.apply_map_terms(state.terms, pieces, columns)
-        return SparseState._trusted(state.layout, terms)
-    images = {}
-    for k in state.terms:
-        sub = kernels.extract_sub(k, pieces)
-        if sub not in images:
-            images[sub] = _as_image(fn(sub), width)
-    return SparseState(state.layout, kernels.apply_map_terms(state.terms, pieces, images))
+    if width > MAX_UNITARITY_CHECK_WIDTH:
+        raise ValueError(f"a {width}-bit map is wider than the {MAX_UNITARITY_CHECK_WIDTH} bits "
+                         "its unitarity check enumerates")
+    # every column, built by the unitarity check on the map's first use at this width
+    try:
+        checked = _verified_maps.get(fn)
+        if checked is None:
+            checked = _verified_maps[fn] = {}
+    except TypeError:  # non-weakrefable callable; check every time
+        checked = {}
+    columns = checked.get(width)
+    if columns is None:
+        columns = checked[width] = _check_unitary(fn, width)
+    terms = kernels.apply_map_terms(state.terms, pieces, columns)
+    return SparseState._trusted(state.layout, terms)
 
 
 def conditional_xor_relabel(
@@ -315,19 +311,6 @@ def measurement_branches(state: SparseState, target: str) -> tuple[tuple[float, 
             state.layout, _pruned(kernels.scale_terms(sub_terms, 1.0 / math.sqrt(p))))
         branches.append((p, outcome, post))
     return tuple(branches)
-
-
-def measure_register(state: SparseState, target: str, rng) -> tuple[int, SparseState]:
-    """Sample one outcome with Born probabilities using rng.random()."""
-    branches = measurement_branches(state, target)
-    u = rng.random()
-    acc = 0.0
-    for p, outcome, post in branches:
-        acc += p
-        if u < acc:
-            return outcome, post
-    p, outcome, post = branches[-1]
-    return outcome, post
 
 
 def equal_up_to_global_phase(a: SparseState, b: SparseState, tol: float = NORM_TOL) -> bool:

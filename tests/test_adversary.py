@@ -530,20 +530,18 @@ class TestUndetectability:
         assert report.passed, report.witness
         assert report.worst_case_distance <= 1e-9
 
-    @pytest.mark.parametrize("name,per_database", [("qspir(subset2)", False),
-                                                   ("qspir(trivial1)", False), ("bell2", True)])
-    def test_honest_states_built_once_per_index(self, name, per_database, monkeypatch):
+    @pytest.mark.parametrize("name", ["qspir(subset2)", "qspir(trivial1)", "bell2"])
+    def test_honest_states_built_once_per_index(self, name, monkeypatch):
         calls = Counter()
         build = adversary.server_state_mixtures
 
-        def counting(protocol, x, i):
-            calls[x.value, i] += 1
-            return build(protocol, x, i)
+        def counting(protocol, i):
+            calls[i] += 1
+            return build(protocol, i)
 
         monkeypatch.setattr(adversary, "server_state_mixtures", counting)
         assert verify_undetectability(resolve_protocol(name, 2)).passed
-        databases = range(4) if per_database else [0]
-        assert calls == Counter({(x, i): 1 for x in databases for i in (1, 2)})
+        assert calls == Counter({1: 1, 2: 1})
 
     def test_index_leaking_attack_detected(self):
         protocol = resolve_protocol("qspir(subset2)", 2)
@@ -635,7 +633,7 @@ class TestEchoLabels:
         assert [(label, server_party(j)) for label, j, _ in oracle.checkpoints] == honest * 2
         views = oracle.server_views()
         assert list(views) == [(party, label) for label, party in honest]
-        assert set(views) <= set(adversary.server_state_mixtures(protocol, x, 1))
+        assert set(views) <= set(adversary.server_state_mixtures(protocol, 1))
 
 
 def hex_terms(state, width):

@@ -29,7 +29,7 @@ from qspirlab.audits import (
     _server_mixtures_generic,
 )
 from qspirlab.compiler import CompiledProtocol, server_register
-from qspirlab.density import DensityAccumulator, entries_close, partial_trace, trace_distance
+from qspirlab.density import DensityAccumulator, entries_close, mix, partial_trace, trace_distance
 from qspirlab.protocols import ClassicalProtocol, resolve_protocol
 from qspirlab.schemes import Database, all_databases, make_scheme, run_classically
 from qspirlab.transcript import USER, server_party, server_round
@@ -178,8 +178,8 @@ class TestUserPrivacyQuantum:
         # a (server, step) view that only one of two indices has tells them apart
         build = audits.server_state_mixtures
 
-        def relabelled(protocol, x, i):
-            mixtures = dict(build(protocol, x, i))
+        def relabelled(protocol, i):
+            mixtures = dict(build(protocol, i))
             if i == 2:
                 dm = mixtures[("server1", "send:server1")]
                 if not extra:
@@ -221,9 +221,8 @@ class TestUserPrivacyQuantum:
         # holders are visited in custody order, not in a set's hash order
         code = ("from qspirlab.audits import server_state_mixtures\n"
                 "from qspirlab.protocols import resolve_protocol\n"
-                "from qspirlab.schemes import Database\n"
                 "for name in ('qspir(subset2)', 'bell2'):\n"
-                "    print(list(server_state_mixtures(resolve_protocol(name, 2), Database(2, 1), 1)))\n")
+                "    print(list(server_state_mixtures(resolve_protocol(name, 2), 1)))\n")
         root = Path(__file__).resolve().parents[1]
         orders = set()
         for seed in ("0", "1", "2", "3"):
@@ -240,7 +239,7 @@ class TestUserPrivacyQuantum:
 
     def test_cube_uses_fast_path(self):
         protocol = resolve_protocol("qspir(cube2)", 8)
-        mixtures = server_state_mixtures(protocol, Database.from_string("10110100"), 1)
+        mixtures = server_state_mixtures(protocol, 1)
         assert ("server1", "send:server1") in mixtures
         rho = mixtures[("server1", "send:server1")]
         assert rho.is_diagonal
@@ -325,7 +324,7 @@ class TestBatchedSweep:
 
     @pytest.mark.parametrize("countermeasure", [False, True])
     def test_cube_audit_draws_no_masks(self, countermeasure, monkeypatch):
-        # cycle mode is read off the head of the mask space, not off its draws
+        # cycle mode is read off the mask space's length, not off its draws
         def cycled_masks(protocol):
             raise AssertionError("the user-privacy audit reads no mask draws")
 
@@ -350,7 +349,7 @@ class TestBatchedSweep:
                                   "distance": 1.0000000000000002}
         assert report.details["comparisons"] == 2 * len(fast)
         monkeypatch.setattr(audits, "server_state_mixtures",
-                            lambda protocol, x, i: dict_sweep(protocol, x, i))
+                            lambda protocol, i: dict_sweep(protocol, grid.databases[0], i))
         reference = audit_user_privacy_quantum(protocol, grid)
         assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
 
@@ -388,8 +387,73 @@ def per_database_user_privacy(protocol, grid, mixtures_of):
                        details={"comparisons": comparisons})
 
 
+def per_database_undetectability(protocol):
+    """The undetectability audit against each database's own honest states: the reference.
+
+    For a protocol whose echo sweeps every database (``first_only`` unset).
+    """
+    n = protocol.n
+    databases = tuple(all_databases(n))
+    sweep = adversary.plan_sweep(protocol, "undetectability")
+    assert not sweep.first_only
+    worst, witness, comparisons = 0.0, None, 0
+    for x in databases:
+        views = {}
+        for r, masks in sweep.draws():
+            oracle = adversary.CleanQueryOracle(protocol, x, r, tuple(masks))
+            oracle.query_branches(adversary._phase_encoded_input(n))
+            for key, dm in oracle.server_views().items():
+                views.setdefault(key, []).append(dm)
+        for i in range(1, n + 1):
+            honest = _server_mixtures_generic(protocol, x, i)
+            for key, dms in views.items():
+                if key in honest:
+                    d = trace_distance(mix([1.0 / len(dms)] * len(dms), dms), honest[key])
+                    comparisons += 1
+                    worst = max(worst, d)
+                else:  # a view no honest run has
+                    d = None
+                if witness is None and (d is None or d > audits.TOL):
+                    witness = {"server": key[0], "step": key[1], "x": str(x), "honest_i": i,
+                               "distance": d}
+    return AuditReport(kind="undetectability", protocol=protocol.name,
+                       grid={"n": n, "databases": len(databases), "draws": len(sweep.draws())},
+                       tolerance=audits.TOL, worst_case_distance=worst,
+                       passed=witness is None, witness=witness,
+                       details={"comparisons": comparisons})
+
+
 class TestDatabaseIndependence:
-    """A compiled protocol's server states are the same on every database, to the bit."""
+    """A quantum protocol's server states are the same on every database, to the bit."""
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bell_states_are_the_all_zeros_ones(self, n, countermeasure):
+        # every key in the same order, and every entry the same float, as on
+        # x = 0; a server's X only reorders the entries inside a matrix
+        protocol = resolve_protocol("bell2", n, countermeasure)
+        for i in range(1, n + 1):
+            first = [(key, sorted(entries)) for key, entries
+                     in exact_entries(server_state_mixtures(protocol, i))]
+            assert len(first) >= 2 * protocol.k
+            for x in all_databases(n):
+                assert [(key, sorted(entries)) for key, entries in
+                        exact_entries(_server_mixtures_generic(protocol, x, i))] == first
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_bell_reports_are_the_per_database_loops(self, n, countermeasure):
+        protocol = resolve_protocol("bell2", n, countermeasure)
+        grid = make_grid(n)
+        report = audit_user_privacy_quantum(protocol, grid)
+        reference = per_database_user_privacy(
+            protocol, grid, lambda x, i: _server_mixtures_generic(protocol, x, i))
+        assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
+        assert report.passed and (report.details["comparisons"] > 0 or n == 1)
+        report = verify_undetectability(protocol)
+        reference = per_database_undetectability(protocol)
+        assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
+        assert report.passed and report.details["comparisons"] > 0
 
     @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
     @pytest.mark.parametrize("name", list(COMPILED))
@@ -413,22 +477,19 @@ class TestDatabaseIndependence:
         if name.startswith("leaky"):
             assert not report.passed and report.witness["server"] == "server1"
 
-    @pytest.mark.parametrize("name,per_database", [("qspir(subset2)", False),
-                                                   ("qspir(trivial1)", False), ("bell2", True)])
-    def test_server_states_built_once_per_index(self, name, per_database, monkeypatch):
+    @pytest.mark.parametrize("name", ["qspir(subset2)", "qspir(trivial1)", "bell2"])
+    def test_server_states_built_once_per_index(self, name, monkeypatch):
         calls = Counter()
         build = audits.server_state_mixtures
 
-        def counting(protocol, x, i):
-            calls[x.value, i] += 1
-            return build(protocol, x, i)
+        def counting(protocol, i):
+            calls[i] += 1
+            return build(protocol, i)
 
         monkeypatch.setattr(audits, "server_state_mixtures", counting)
-        grid = make_grid(2)
-        report = audit_user_privacy_quantum(resolve_protocol(name, 2), grid)
+        report = audit_user_privacy_quantum(resolve_protocol(name, 2), make_grid(2))
         assert report.passed
-        databases = [x.value for x in grid.databases] if per_database else [0]
-        assert calls == Counter({(x, i): 1 for x in databases for i in (1, 2)})
+        assert calls == Counter({1: 1, 2: 1})
 
 
 # full mode at every k from 1 to 4 (a * k <= 6), zero selects from k = 2 on
@@ -465,7 +526,7 @@ class TestClosedForm:
                          for sel in protocol.scheme.gen_plan(i, r).selects}
         x = Database(protocol.n, (1 << protocol.n) - 1)
         for i in range(1, protocol.n + 1):
-            assert exact_entries(server_state_mixtures(protocol, x, i)) == \
+            assert exact_entries(server_state_mixtures(protocol, i)) == \
                 exact_entries(_server_mixtures_generic(protocol, x, i))
 
     @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
@@ -474,7 +535,8 @@ class TestClosedForm:
         protocol = CLOSED_FORM[name](countermeasure)
         grid = make_grid(protocol.n)
         report = audit_user_privacy_quantum(protocol, grid)
-        monkeypatch.setattr(audits, "server_state_mixtures", _server_mixtures_generic)
+        monkeypatch.setattr(audits, "server_state_mixtures",
+                            lambda protocol, i: _server_mixtures_generic(protocol, grid.databases[0], i))
         reference = audit_user_privacy_quantum(protocol, grid)
         assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
 
@@ -484,7 +546,8 @@ class TestClosedForm:
                                                              monkeypatch):
         protocol = resolve_protocol(name, n, countermeasure)
         report = verify_undetectability(protocol)
-        monkeypatch.setattr(adversary, "server_state_mixtures", _server_mixtures_generic)
+        monkeypatch.setattr(adversary, "server_state_mixtures",
+                            lambda protocol, i: _server_mixtures_generic(protocol, Database(n, 0), i))
         reference = verify_undetectability(protocol)
         assert report.details["comparisons"] > 0
         assert json.dumps(report.to_jsonable()) == json.dumps(reference.to_jsonable())
@@ -510,7 +573,7 @@ class TestClosedForm:
         refuse_transcripts(monkeypatch)
         monkeypatch.setattr(bell, "execute", transcript.execute)
         with pytest.raises(AssertionError, match="a transcript ran"):
-            server_state_mixtures(resolve_protocol("bell2", 2), Database(2, 1), 1)
+            server_state_mixtures(resolve_protocol("bell2", 2), 1)
 
 
 class TestDataPrivacy:

@@ -499,9 +499,9 @@ class TestBatchedOutputs:
         with pytest.raises(ValueError) as run:
             protocol.run(x, 1, 0, (0, 0))
         with pytest.raises(ValueError) as closed:
-            server_state_mixtures(protocol, x, 1)
+            server_state_mixtures(protocol, 1)
         assert str(closed.value) == str(run.value)
-        assert server_state_mixtures(protocol, x, 2)
+        assert server_state_mixtures(protocol, 2)
 
 
 class TestParityRows:

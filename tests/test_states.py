@@ -1,7 +1,6 @@
 """Sparse-state core: construction, operations, and their basic algebra."""
 
 import math
-import random
 
 import pytest
 
@@ -14,7 +13,6 @@ from qspirlab.states import (
     conditional_xor_relabel,
     equal_up_to_global_phase,
     hadamard,
-    measure_register,
     measurement_branches,
     tensor,
     xor_relabeling,
@@ -216,13 +214,6 @@ class TestMeasurement:
         posts = {o: post.bits_terms() for _, o, post in branches}
         assert posts[0] == pytest.approx({"00": 1.0})
         assert posts[1] == pytest.approx({"11": 1.0})
-
-    def test_sampling_follows_branches(self):
-        import random
-
-        rng = random.Random(7)
-        seen = {measure_register(bell_00(), "a", rng)[0] for _ in range(40)}
-        assert seen == {0, 1}
 
 
 class TestGlobalPhase:

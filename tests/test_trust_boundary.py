@@ -270,10 +270,14 @@ class TestChecksStayLive:
             acc.finalize()
 
 
-def test_wide_non_unitary_map_fails_the_norm_check():
-    # no unitarity check enumerates a 13-bit map, so the state's norm check catches it
+def test_map_too_wide_to_check_is_refused():
+    # no unitarity check enumerates a 13-bit map, so it is refused before it is called
     width = MAX_UNITARITY_CHECK_WIDTH + 1
     layout = RegisterLayout.of(("wide", width))
     state = SparseState(layout, {0: SQRT_HALF, 1: SQRT_HALF})
-    with pytest.raises(ValueError, match=r"state norm\^2 = .*, not 1"):
-        apply_local_map(state, "wide", lambda sub: {sub: 2.0})
+
+    def never_called(sub):
+        raise AssertionError("a map too wide to check was called")
+
+    with pytest.raises(ValueError, match="a 13-bit map is wider than the 12 bits"):
+        apply_local_map(state, "wide", never_called)

@@ -204,18 +204,17 @@ def plan_sweep(protocol: QuantumProtocol, scenario: str) -> Sweep:
 
     "parity2" and "honest-baseline" mix each database's output over the full
     (r, masks) product, "undetectability" the default echo's server views.
-    ``_mix`` adds each result once per draw it stands for (``repeats``).  An
-    honest run, and the echo without the countermeasure, give one r the same
-    output at every mask tuple, to the bit, so each r runs at its first: the
-    servers' ±1 phases act on whole terms, and a mask only decides which
-    they negate.  For an honest run that is ``CompiledProtocol.run_outputs``'s
-    argument, read by ``audit_recovery`` too: no mask enters c or the splits.
-    The echo's second pass undoes the first pass's mask phases, but
-    dephased, its branches come out in the order of the masked register
-    values and its sums round with the masks (qspir(trivial1), x = 00,
-    r = 0: both bits read 0x1.0000000000005p-1 at mask (3,) and
-    0x1.0000000000006p-1 at (0,)), so it runs every draw.  Bell's mask
-    space is one tuple, so both ways run one draw.
+    ``_mix`` adds each result once per draw it stands for (``repeats``).  No
+    honest output reads the masks (``CompiledProtocol.run_outputs``), so an
+    honest sweep runs each r once.  The echo without the countermeasure
+    gives one r the same output at every mask tuple, to the bit, so each r
+    runs at its first: the servers' ±1 phases act on whole terms, and a mask
+    only decides which they negate.  The echo's second pass undoes the
+    first pass's mask phases, but dephased, its branches come out in the
+    order of the masked register values and its sums round with the masks
+    (qspir(trivial1), x = 00, r = 0: both bits read 0x1.0000000000005p-1 at
+    mask (3,) and 0x1.0000000000006p-1 at (0,)), so it runs every draw.
+    Bell's mask space is one tuple, so both ways run one draw.
 
     The echo's views run every draw.  On a compiled protocol the first
     database's stand for every database's, to the bit (``first_only``):
@@ -335,8 +334,7 @@ def attack_output_mixture(protocol: QuantumProtocol, x: Database) -> dict[int, f
 def honest_output_mixture(protocol, x: Database, i: int) -> dict[int, float]:
     """Honest output distribution at index i, averaged over the full draw space."""
     sweep = plan_sweep(protocol, "honest-baseline")
-    return _mix(protocol.run_outputs(x, [(i, r, masks) for r, masks in sweep.draws()]),
-                sweep.repeats)
+    return _mix(protocol.run_outputs(x, [(i, r) for r in sweep.randomness]), sweep.repeats)
 
 
 def mutual_information_bits(joint: Mapping[tuple, float]) -> float:

@@ -106,8 +106,8 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
     always holds all-zeros and all-ones), or an iterable of bit strings /
     Database values; ``indices`` may be "all" or an iterable.  Anything else
     there, an empty set, a database of another size, an index that is not
-    an int in [1, n] or a ``cap`` that is not a non-negative int raises
-    ValueError.
+    an int in [1, n], a database or index listed twice, or a ``cap`` that is
+    not a non-negative int raises ValueError.
     """
     if type(cap) is not int or cap < 0:
         raise ValueError(f"the grid cap must be a non-negative int, not {cap!r}")
@@ -138,6 +138,7 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
             if not (isinstance(d, Database) or isinstance(d, str) and set(d) <= {"0", "1"}):
                 raise ValueError(f"database {d!r} is not a bit string")
         dbs = tuple(d if isinstance(d, Database) else Database.from_string(d) for d in entries)
+        _refuse_repeats("database", dbs)
     if indices == "all":
         idx = tuple(range(1, n + 1))
     else:
@@ -150,7 +151,16 @@ def make_grid(n: int, *, databases="all", indices="all", cap: int = 8,
     for i in idx:
         if type(i) is not int or not 1 <= i <= n:
             raise ValueError(f"index {i!r} outside [1, {n}]")
+    if indices != "all":
+        _refuse_repeats("index", idx)
     return AuditGrid(n=n, databases=dbs, indices=idx)
+
+
+def _refuse_repeats(kind: str, entries: tuple) -> None:
+    """A listed copy would count, and be compared, as another entry; "all" and samples hold none."""
+    repeated = [e for e, count in Counter(entries).items() if count > 1]
+    if repeated:
+        raise ValueError(f"{kind} {repeated[0]} is listed twice")
 
 
 def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
@@ -160,8 +170,9 @@ def _mask_mode(protocol: Protocol) -> tuple[str, list[tuple[int, ...]]]:
     * "full": ``mask_space()`` has at most MASK_EXHAUSTIVE_LIMIT combinations,
       and every (x, i, r) runs all of them.
     * "cycle": a larger space gives at most MASK_CYCLE_LIMIT combinations
-      scattered over it (``_cycled_masks``).  Recovery runs one per (x, i, r),
-      cycling through them, and the whole subset at its first grid point;
+      scattered over it (``_cycled_masks``).  Recovery runs none (no output
+      reads them); it counts one per (x, i, r), cycling through them, and
+      the whole subset at its first grid point, and names one in a witness;
       data privacy runs the first 4 at every (i, r), once per view class
       where a group has two signature sets.  User privacy reads every mask
       off histograms in either mode (``_server_histograms``), keeping only
@@ -201,10 +212,11 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     its draws; with equal draw counts the sum is the plain mean, to the bit.
     Every mask tuple of the subset counts (at every point in full mode, at
     the first in cycle mode): ``distinct_mask_combos`` is its size.  No output
-    reads the masks (``CompiledProtocol.run_outputs``; Bell has one tuple, a
-    classical protocol none), so one ``run_outputs`` batch per (x, i) runs
-    each r's first tuple alone, adding its weighted probability once per tuple
-    it stands for, in draw order: every sum, count and witness is the full loop's.
+    reads the masks (``CompiledProtocol.run_outputs``), so one ``run_outputs``
+    batch per (x, i) runs each (i, r) once, adding its weighted probability
+    once per tuple it stands for, in draw order: every sum, count and witness
+    is the per-tuple loop's.  A tuple is named only where the report shows
+    it, in the witness's example.
     """
     mode, mask_subset = _mask_mode(protocol)
     rand = list(protocol.randomness_space())
@@ -214,24 +226,23 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     runs = 0
     for x in grid.databases:
         for i in grid.indices:
-            draws, stands = [], []
             slot = (x.value * len(grid.indices) + (i - 1)) * len(rand)  # at r_idx = 0
-            for r_idx, r in enumerate(rand):
-                cycled = mode == "cycle" and (x.value, i, r_idx) != first_point
-                draws.append((i, r, mask_subset[(slot + r_idx) % len(mask_subset) if cycled else 0]))
-                stands.append(1 if cycled else len(mask_subset))
-            outputs = protocol.run_outputs(x, draws)
+            cycled = [mode == "cycle" and (x.value, i, r_idx) != first_point
+                      for r_idx in range(len(rand))]
+            stands = [1 if c else len(mask_subset) for c in cycled]
+            outputs = protocol.run_outputs(x, [(i, r) for r in rand])
             runs += sum(stands)
             target = x.bit(i)
             most = max(stands)
             total = 0.0
             example = None
-            for (_, r, masks), count, output in zip(draws, stands, outputs):
+            for r_idx, (r, count, output) in enumerate(zip(rand, stands, outputs)):
                 p = output.get(target, 0.0)
                 wp = p * (most / count)
                 for _ in range(count):
                     total += wp
                 if p < 1.0 - TOL and example is None:
+                    masks = mask_subset[(slot + r_idx) % len(mask_subset) if cycled[r_idx] else 0]
                     example = {"r": r, "masks": list(masks), "probability": p}
             p = total / (most * len(rand))
             if p < worst_p:
@@ -464,11 +475,10 @@ def server_state_mixtures(protocol: Protocol, i: int) -> dict[tuple[str, str], D
     addends, and x only negates terms and XORs the server's own halves, so
     every entry is the same float whatever the database.  Its one draw runs
     on the all-zeros database.
-
-    A classical protocol's server holds the answer it computed from x, so
-    its states do read x; it gets the all-zeros database's here, and
-    ``run_audit`` checks its user privacy by query multisets instead.
     """
+    if isinstance(protocol, ClassicalProtocol):
+        raise TypeError("a classical server's states read the database; "
+                        "check its user privacy with audit_user_privacy_classical")
     if isinstance(protocol, CompiledProtocol):
         return _server_histograms(protocol, i)
     return _server_mixtures_generic(protocol, Database(protocol.n, 0), i)

@@ -209,5 +209,5 @@ class BellProtocol:
         return execute(self, x, i, sign_script(self, x, knowledge, self.sign_table(i)))
 
     def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
-        """``run(x, i).output`` of each (i, r, masks) draw."""
-        return [self.run(x, i).output for i, r, masks in draws]
+        """``run(x, i).output`` of each (i, r) draw."""
+        return [self.run(x, i).output for i, r in draws]

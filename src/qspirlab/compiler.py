@@ -55,12 +55,6 @@ def _register_values(plan: QueryPlan, masks: Sequence[int], flip: bool) -> dict[
             for j, (q, sel, m) in enumerate(zip(plan.queries, plan.selects, masks), start=1)}
 
 
-def _check_draw(plan: QueryPlan, masks: Sequence[int]) -> None:
-    """Its masks, then its plan."""
-    _check_masks(plan, masks)
-    _check_plan(plan)
-
-
 def _check_plan(plan: QueryPlan) -> None:
     """A nonzero select, and queries that fit t bits and selects a bits fit their registers."""
     if not any(plan.selects):
@@ -73,9 +67,10 @@ def _check_plan(plan: QueryPlan) -> None:
 
 
 def query_table(plan: QueryPlan, masks: Sequence[int]) -> dict[int, dict[str, int]]:
-    """Sign value -> the register values of that query branch, after the draw's checks.
-    The query state is built from it and recovery XORs it back out."""
-    _check_draw(plan, masks)
+    """Sign value -> the register values of that query branch, after the draw's checks
+    (masks, then plan).  The query state is built from it and recovery XORs it back out."""
+    _check_masks(plan, masks)
+    _check_plan(plan)
     return {0: _register_values(plan, masks, flip=False),
             1: _register_values(plan, masks, flip=True)}
 
@@ -133,11 +128,9 @@ class CompiledProtocol:
     def __init__(self, scheme: LinearPirScheme, dephase_servers: bool = False):
         self.scheme = scheme
         self.dephase_servers = dephase_servers
-        # (i, r) -> its plan, checked by ``run_outputs``, per server whether its
-        # select is nonzero, the scheme's v(i, r), and the masks that fit its k and a
+        # (i, r) whose plan ``run_outputs`` checked -> per server whether its
+        # select is nonzero, and the scheme's v(i, r)
         self._checked: dict[tuple[int, int], tuple] = {}
-        # (k, a) -> id -> a tuple that passed ``_check_masks``: by identity, as (1.0, 0) is refused
-        self._fitting: dict[tuple[int, int], dict[int, tuple]] = {}
         # ``run_outputs``'s classes (c, splits) -> the output of their first run
         self._outputs: dict[tuple[int, tuple[bool, ...]], dict[int, float]] = {}
 
@@ -219,52 +212,47 @@ class CompiledProtocol:
         table = query_table(plan, masks)  # checks the draw first
         return execute(self, x, i, sign_script(self, x, self._knowledge(plan, masks), table))
 
-    def run_outputs(self, x: Database, draws: Sequence[tuple[int, int, Sequence[int]]]
-                    ) -> list[dict[int, float]]:
-        """Output distributions of many runs on one database, one per (i, r, masks) draw.
+    def run_outputs(self, x: Database, draws: Sequence[tuple[int, int]]) -> list[dict[int, float]]:
+        """Output distributions of many runs on one database, one per (i, r) draw.
 
-        Each is a copy of ``run(...).output`` for the first draw of its class:
-        the reconstruction c(x, i, r), and which servers have a nonzero
-        select.  No mask enters the class.  The servers' ±1 phases negate
-        whole terms, and a mask only decides which, so the two query terms
-        keep only their relative sign c, and negation is exact.  With
-        ``dephase_servers``, only a server whose select is nonzero splits the
-        two terms, so the magnitudes depend only on which servers split, and
-        two branches add to the same sum in either order.  So each
-        distribution equals ``run(x, i, r, masks).output`` to the last bit,
-        keys in the same order, at every mask tuple: ``audit_recovery`` and
-        ``adversary.plan_sweep`` run one tuple per r on this.  c is
-        ``run_classically``'s, with the parity of the scheme's row v(i, r)
-        taken inline.  A mask tuple is checked once (the check reads only k
-        and a); a malformed draw raises what its single run raises.
+        No output reads the masks, so no draw names them.  Each class, the
+        reconstruction c(x, i, r) and which servers have a nonzero select,
+        runs once, at the first tuple of ``mask_space()``, and its draws get
+        copies.  The servers' ±1 phases negate whole terms, and a mask only
+        decides which, so the two query terms keep only their relative sign
+        c, and negation is exact.  With ``dephase_servers``, only a server
+        whose select is nonzero splits the two terms, so the magnitudes
+        depend only on which servers split, and two branches add to the same
+        sum in either order.  So each distribution equals
+        ``run(x, i, r, masks).output`` to the last bit, keys in the same
+        order, at every mask tuple; ``audit_recovery`` and
+        ``adversary.plan_sweep`` rely on this.  c is ``run_classically``'s,
+        with the parity of the scheme's row v(i, r) taken inline.  A draw is
+        refused as its run is: a plan that passes ``_check_plan`` passes the
+        query state's checks at every mask that fits, as a mask fills only
+        the low a bits.
         """
         outputs = []
         value, fits = x.value, x.n == self.n
-        for i, r, masks in draws:
+        for i, r in draws:
             # like ``scheme.plan``, keep plain-int pairs only: 1.0 == 1, but
             # index 1.0 is refused, so any other pair is planned every time
             plain = type(i) is int and type(r) is int
             entry = self._checked.get((i, r)) if plain else None
             if entry is None:
                 plan = self.scheme.plan(i, r)
-                # a plan that passes the query state's checks passes for every
-                # mask that fits, since a mask fills only the low a bits
-                _check_draw(plan, masks)
-                entry = (plan, tuple(s != 0 for s in plan.selects), self.scheme.row(i, r),
-                         self._fitting.setdefault((plan.k, plan.a), {}))
+                _check_plan(plan)
+                entry = (tuple(s != 0 for s in plan.selects), self.scheme.row(i, r))
                 if plain:
                     self._checked[i, r] = entry
-            plan, splits, row, fitting = entry
-            if id(masks) not in fitting:  # an id it holds is of a tuple it keeps alive
-                _check_masks(plan, masks)
-                if type(masks) is tuple:
-                    fitting[id(masks)] = masks
+            splits, row = entry
             if row is not None and fits:
                 c = (value & row).bit_count() & 1
             else:  # no rows, or a database of another size, which it refuses as a run does
                 c = run_classically(self.scheme, x, i, r)
             output = self._outputs.get((c, splits))
             if output is None:
+                masks = next(iter(self.mask_space()))
                 output = self._outputs[c, splits] = self.run(x, i, r, masks).output
             outputs.append(dict(output))
         return outputs

@@ -83,12 +83,12 @@ class ClassicalProtocol:
         return execute(self, x, i, self._script(x, i, r))
 
     def run_outputs(self, x: Database, draws) -> list[dict[int, float]]:
-        """``run(x, i, r).output`` of each draw: the reconstruction, with no state built.
+        """``run(x, i, r).output`` of each (i, r) draw: the reconstruction, with no state built.
 
         A run's one basis state reconstructs with probability 1.0 in ``run``
         too, so the two agree to the bit.
         """
-        return [{run_classically(self.scheme, x, i, r): 1.0} for i, r, _ in draws]
+        return [{run_classically(self.scheme, x, i, r): 1.0} for i, r in draws]
 
     def view_class(self, x: Database, i: int, r: int) -> tuple[int, ...]:
         """The answers to the plan's queries: the user's view reads x only through them.

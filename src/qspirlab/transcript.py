@@ -22,9 +22,10 @@ it builds the relabel of the draw's sign table once, prepares the query
 from the all-zero state with :func:`prepare_query`, and recovers through
 :func:`sign_recovery`, the inverse unitary :func:`undo_query` reading the
 same relabel, then the sign measurement.  The echo runs the same
-preparation and undo under an (index, sign) control.  A compiled
-protocol's output-only runs copy the output of one such run per output
-class (``CompiledProtocol.run_outputs``).
+preparation and undo under an (index, sign) control.  Output-only runs
+take (i, r) draws and no masks; a compiled protocol's copy the output of one
+such run per output class, at its first mask tuple
+(``CompiledProtocol.run_outputs``).
 
 Transcripts serialize to JSON (schema below) and round-trip losslessly::
 

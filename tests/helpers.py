@@ -138,9 +138,9 @@ def build_bell_query(i: int, n: int) -> SparseState:
                          sign_relabeling(protocol, protocol.sign_table(i)))
 
 
-def output_of(protocol, x, i, r=0, masks=()):
+def output_of(protocol, x, i, r=0):
     """One run's output distribution, from the protocol's output-only entry point."""
-    (output,) = protocol.run_outputs(x, [(i, r, masks)])
+    (output,) = protocol.run_outputs(x, [(i, r)])
     return output
 
 
@@ -244,7 +244,7 @@ def reference_reconstruction(scheme, x, i, r) -> int:
 
 
 def audit_recovery_per_draw(protocol, grid: AuditGrid) -> AuditReport:
-    """The recovery audit with one ``run_outputs`` draw per (x, i, r, mask tuple).
+    """The recovery audit with one ``run_outputs`` draw of (i, r) per (x, i, r, mask tuple).
 
     The reference ``audits.audit_recovery`` must match byte for byte: it runs
     one draw per (x, i, r) and counts it once per tuple it stands for.
@@ -264,7 +264,7 @@ def audit_recovery_per_draw(protocol, grid: AuditGrid) -> AuditReport:
                     slot = (x.value * len(grid.indices) + (i - 1)) * len(rand) + r_idx
                     combos = [mask_subset[slot % len(mask_subset)]]
                 draws += [(i, r, masks) for masks in combos]
-            outputs = protocol.run_outputs(x, draws)
+            outputs = protocol.run_outputs(x, [(i, r) for i, r, _ in draws])
             runs += len(draws)
             target = x.bit(i)
             counts = Counter(r for _, r, _ in draws)

@@ -178,7 +178,7 @@ def full_sweep_honest_mixture(protocol, x, i):
     """The honest output mixture as one output-only run per draw of the full product."""
     draws = full_draw_space(protocol)
     output = {}
-    for dist in protocol.run_outputs(x, [(i, r, masks) for r, masks in draws]):
+    for dist in protocol.run_outputs(x, [(i, r) for r, _ in draws]):
         for bit, p in dist.items():
             output[bit] = output.get(bit, 0.0) + (1.0 / len(draws)) * p
     return output
@@ -343,7 +343,7 @@ class TestMeasuredServersIgnoreTheDatabase:
             if n == 2 or not name.startswith("random"):
                 outputs = lambda x: [protocol.run(x, *draw).output for draw in draws]
             else:
-                outputs = lambda x: protocol.run_outputs(x, draws)
+                outputs = lambda x: protocol.run_outputs(x, [(i, r) for i, r, _ in draws])
             first, *rest = ([hex_items(dist) for dist in outputs(x)] for x in all_databases(n))
             for out in rest:
                 assert out == first, name
@@ -433,7 +433,7 @@ class TestSweepAdmission:
         run_outputs = protocol.run_outputs
 
         def counting_runs(x, draws):
-            runs.extend((str(x), r, tuple(m)) for _, r, m in draws)
+            runs.extend((str(x), r) for _, r in draws)
             return run_outputs(x, draws)
 
         monkeypatch.setattr(protocol, "run_outputs", counting_runs)
@@ -447,7 +447,7 @@ class TestSweepAdmission:
             return list(all_databases(2))[:1] if sweep.first_only else list(all_databases(2))
 
         assert echoes == [(str(x), r, m) for x in swept(attack) for r, m in attack.draws()]
-        assert runs == [(str(x), r, m) for x in swept(honest) for r, m in honest.draws()]
+        assert runs == [(str(x), r) for x in swept(honest) for r in honest.randomness]
         echoes.clear()
         verify_undetectability(protocol)
         audit = plan_sweep(protocol, "undetectability")

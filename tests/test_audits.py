@@ -131,8 +131,7 @@ class TestRecoveryRepresentatives:
                             lambda x, draws: batches.append((x, draws)) or run_outputs(x, draws))
         report = audit_recovery(protocol, grid)
         rand = list(protocol.randomness_space())
-        assert [(x, [(i, r) for i, r, _ in draws]) for x, draws in batches] == [
-            (x, [(i, r) for r in rand]) for x in grid.databases for i in grid.indices]
+        assert batches == [(x, [(i, r) for r in rand]) for x in grid.databases for i in grid.indices]
         # and each stands for its whole product
         assert report.details["runs"] > sum(len(draws) for _, draws in batches)
 
@@ -1006,10 +1005,28 @@ class TestAuditMachinery:
         with pytest.raises(ValueError):
             run_audit(classical, "nope", grid)
 
-    def test_cross_validation_user_privacy(self):
-        # the classical multiset audit and the quantum mixture audit agree
-        # on the subset scheme through the basis-state encoding
-        scheme = make_scheme("subset2", 3)
-        classical = audit_user_privacy_classical(scheme)
-        quantum = audit_user_privacy_quantum(ClassicalProtocol(scheme), make_grid(3))
-        assert classical.passed and quantum.passed
+    @pytest.mark.parametrize("scheme", [make_scheme("subset2", 3), LeakyScheme(3)],
+                             ids=["subset2", "leaky1"])
+    def test_cross_validation_user_privacy(self, scheme):
+        # the classical multiset audit and the classical servers' states agree
+        # through the basis-state encoding.  Those states read x, so they are
+        # compared across indices at every database of the grid
+        protocol = ClassicalProtocol(scheme)
+        grid = make_grid(3)
+        worst = 0.0
+        for x in grid.databases:
+            base = _server_mixtures_generic(protocol, x, grid.indices[0])
+            for i in grid.indices[1:]:
+                other = _server_mixtures_generic(protocol, x, i)
+                assert list(other) == list(base)
+                worst = max(worst, *(trace_distance(base[key], other[key]) for key in base))
+        assert audit_user_privacy_classical(scheme).passed == (worst <= audits.TOL)
+        assert (worst <= audits.TOL) == (scheme.name == "subset2")
+
+    def test_classical_server_states_are_refused(self):
+        # they read x, so no one database's states stand for the rest
+        protocol = ClassicalProtocol(make_scheme("subset2", 3))
+        with pytest.raises(TypeError, match="audit_user_privacy_classical"):
+            server_state_mixtures(protocol, 1)
+        with pytest.raises(TypeError, match="audit_user_privacy_classical"):
+            audit_user_privacy_quantum(protocol, make_grid(3))

@@ -250,4 +250,4 @@ def test_agrees_with_compiled_subset_at_n2():
             want = {x.bit(i): pytest.approx(1.0)}
             assert output_of(bell, x, i) == want
             for r in range(4):
-                assert output_of(compiled, x, i, r, (0, 1)) == want
+                assert output_of(compiled, x, i, r) == want

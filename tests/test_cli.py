@@ -101,6 +101,8 @@ class TestRun:
         ({"indices": ["1"]}, "index '1' outside [1, 2]"),
         ({"indices": []}, "the grid needs at least one database and one index"),
         ({"databases": ["011"]}, "database 011 has 3 bits, not n = 2"),
+        ({"databases": ["01", "01"]}, "database 01 is listed twice"),
+        ({"indices": [2, 1, 2]}, "index 2 is listed twice"),
         ({"cap_grid": "8"}, "the grid cap must be a non-negative int, not '8'"),
         ({"cap_grid": -1}, "the grid cap must be a non-negative int, not -1"),
         ({"cap_grid": True}, "the grid cap must be a non-negative int, not True"),
@@ -153,6 +155,20 @@ class TestRun:
         config.write_text(json.dumps({"scheme": "bell2", "n": 2, "audits": ["comm"],
                                       "databases": databases}))
         code, out, err = run_cli(capsys, "run", "--config", str(config))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"qspirlab: {message}\n"
+
+    @pytest.mark.parametrize("keys, message", [
+        ({"databases": ["10", "01", "10"]}, "database 10 is listed twice"),
+        ({"indices": [1, 1]}, "index 1 is listed twice"),
+    ])
+    def test_repeated_grid_entry_with_flags_is_config_error(self, capsys, tmp_path, keys,
+                                                            message):
+        # the file names the grid, the flags the protocol
+        config = tmp_path / "exp.json"
+        config.write_text(json.dumps(keys))
+        code, out, err = run_cli(capsys, "run", "--config", str(config), "--scheme",
+                                 "qspir(subset2)", "--n", "2", "--audits", "recovery")
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"qspirlab: {message}\n"
 

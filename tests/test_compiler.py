@@ -16,7 +16,7 @@ from qspirlab.audits import (
     make_grid,
     server_state_mixtures,
 )
-from qspirlab import compiler, schemes
+from qspirlab import schemes
 from qspirlab.compiler import (
     CompiledProtocol,
     MaskSpace,
@@ -86,7 +86,7 @@ class TestBuildQueryState:
         # table, to the bit and in key order
         protocol = CompiledProtocol(scheme)
         x = Database(scheme.n, 0)
-        for i, r, masks in _full_draws(protocol):
+        for (i, r), masks in itertools.product(_full_draws(protocol), protocol.mask_space()):
             built = protocol.run(x, i, r, masks).steps[1].branches[0][1]
             want = query_state(scheme.plan(i, r), masks)
             assert ([(k, v.real.hex(), v.imag.hex()) for k, v in built.terms.items()]
@@ -186,7 +186,8 @@ class TestRecovery:
             for i in (1, 2):
                 for r in s.randomness_space:
                     for masks in itertools.product(range(2), repeat=2):
-                        assert output_of(protocol, x, i, r, masks) == {x.bit(i): pytest.approx(1.0)}
+                        assert protocol.run(x, i, r, masks).output == \
+                            {x.bit(i): pytest.approx(1.0)}
                         count += 1
         assert count == 128
 
@@ -307,20 +308,21 @@ class TestMaskSpace:
 
 
 def _full_draws(protocol):
-    return [(i, r, masks) for i in range(1, protocol.n + 1)
-            for r in protocol.randomness_space() for masks in protocol.mask_space()]
+    return [(i, r) for i in range(1, protocol.n + 1) for r in protocol.randomness_space()]
 
 
-def _assert_outputs_equal_runs(protocol, databases, draws):
-    # ``==`` on floats, not approx: each copied output must equal its draw's
-    # own run to the bit, and in key order
+def _assert_outputs_equal_runs(protocol, databases, draws, mask_space=None):
+    # ``==`` on floats, not approx: each copied output must equal the run of
+    # its (i, r) to the bit, and in key order, at every tuple of the mask space
+    mask_space = protocol.mask_space() if mask_space is None else mask_space
     for x in databases:
         outputs = protocol.run_outputs(x, draws)
         assert len(outputs) == len(draws)
-        for (i, r, masks), output in zip(draws, outputs):
-            want = protocol.run(x, i, r, masks).output
-            assert output == want, (str(x), i, r, masks)
-            assert list(output) == list(want), (str(x), i, r, masks)
+        for (i, r), output in zip(draws, outputs):
+            for masks in mask_space:
+                want = protocol.run(x, i, r, masks).output
+                assert output == want, (str(x), i, r, masks)
+                assert list(output) == list(want), (str(x), i, r, masks)
 
 
 class ZeroSelectSubsetScheme(SubsetScheme):
@@ -357,13 +359,13 @@ class TestBatchedOutputs:
     def test_cube_cycled_masks(self, countermeasure):
         protocol = CompiledProtocol(make_scheme("cube2", 8), dephase_servers=countermeasure)
         _, combos = _mask_mode(protocol)
-        draws = [
-            (i, r, combos[slot % len(combos)])
-            for slot, (i, r) in enumerate(
-                itertools.product(range(1, 9), protocol.randomness_space()))
-        ]
         databases = [Database.from_string(s) for s in ("00000000", "10110100", "11111111")]
-        _assert_outputs_equal_runs(protocol, databases, draws)
+        # every (i, r) at the cycled tuple it held as a draw of its own ...
+        pairs = list(itertools.product(range(1, 9), protocol.randomness_space()))
+        for slot, pair in enumerate(pairs):
+            _assert_outputs_equal_runs(protocol, databases, [pair], [combos[slot % len(combos)]])
+        # ... and every index, each at its own r, at the whole cycled subset
+        _assert_outputs_equal_runs(protocol, databases, pairs[::65], combos)
 
     @pytest.mark.parametrize("countermeasure", [False, True])
     def test_corrupted_scheme_below_one(self, countermeasure):
@@ -372,7 +374,7 @@ class TestBatchedOutputs:
         _assert_outputs_equal_runs(protocol, list(all_databases(2)), draws)
         outputs = protocol.run_outputs(Database.from_string("01"), draws)
         assert any(output.get(Database.from_string("01").bit(i), 0.0) < 1.0
-                   for (i, _, _), output in zip(draws, outputs))
+                   for (i, _), output in zip(draws, outputs))
 
     @pytest.mark.parametrize("countermeasure", [False, True])
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -385,7 +387,7 @@ class TestBatchedOutputs:
             protocol = CompiledProtocol(scheme, dephase_servers=countermeasure)
             draws = _full_draws(protocol)
             if k > 1:
-                assert any(0 in scheme.plan(i, r).selects for i, r, _ in draws)
+                assert any(0 in scheme.plan(i, r).selects for i, r in draws)
             _assert_outputs_equal_runs(protocol, list(all_databases(3)), draws)
 
     @pytest.mark.parametrize("countermeasure", [False, True])
@@ -403,11 +405,12 @@ class TestBatchedOutputs:
             return run_classically(scheme, x, i, r), tuple(s != 0 for s in scheme.plan(i, r).selects)
 
         first = {}
+        masks = next(iter(protocol.mask_space()))
         for x in all_databases(3):
-            for i, r, masks in draws:
+            for i, r in draws:
                 first.setdefault(output_class(x, i, r), (x, i, r, masks))
         assert len(first) > 4
-        # each class runs once, at the first draw that reaches it
+        # each class runs once, at the first draw that reaches it and the first mask tuple
         assert calls == list(first.values())
 
     def test_batch_of_one_matches_larger_batch(self):
@@ -423,42 +426,40 @@ class TestBatchedOutputs:
         assert protocol.run_outputs(Database.from_string("10"), []) == []
 
     @pytest.mark.parametrize("scheme, draw, error", [
-        (SubsetScheme, (3, 0, (0, 0)), IndexError),        # index outside [1, n]
-        (SubsetScheme, (1, 4, (0, 0)), ValueError),        # randomness outside the enumeration
-        (SubsetScheme, (1, 0, (0,)), ValueError),          # one mask for two servers
-        (SubsetScheme, (1, 0, (0, 2)), ValueError),        # mask wider than the answer
-        (SubsetScheme, (1, 0, (-1, 0)), ValueError),
-        (SubsetScheme, (1, 0, (1 << 70, 0)), ValueError),  # beyond any machine word
-        (SubsetScheme, (1, 0, (0.5, 0)), TypeError),       # masks are ints: no float is truncated
-        (SubsetScheme, (1, 0, (1.0, 0)), TypeError),
+        (SubsetScheme, (3, 0), IndexError),  # index outside [1, n]
+        (SubsetScheme, (1, 4), ValueError),  # randomness outside the enumeration
         # the plan's query does not fit t bits: the draw's checks refuse it
-        (WideQuerySubsetScheme, (1, 0, (0, 0)), ValueError),
-        # masks are a sized sequence: no masks, or an iterator, is refused up front
-        (SubsetScheme, (1, 0, None), TypeError),
-        (SubsetScheme, (1, 0, iter((0, 1))), TypeError),
+        (WideQuerySubsetScheme, (1, 0), ValueError),
     ])
     def test_malformed_draw_raises_like_a_single_run(self, scheme, draw, error):
         protocol = CompiledProtocol(scheme(2))
         x = Database.from_string("10")
         with pytest.raises(error) as single:
-            protocol.run(x, *draw)
+            protocol.run(x, *draw, (0, 0))
         with pytest.raises(error) as batched:
-            protocol.run_outputs(x, [(2, 1, (0, 1)), draw])
+            protocol.run_outputs(x, [(2, 1), draw])
         assert str(batched.value) == str(single.value)
 
-    @pytest.mark.parametrize("masks, error", [
-        ((0,), ValueError), ((0, 2), ValueError), ((0.5, 0), TypeError),
-        (None, TypeError), (iter((0, 1)), TypeError),
+    @pytest.mark.parametrize("masks, error, message", [
+        ((0,), ValueError, "1 masks for 2 servers"),
+        ((0, 2), ValueError, "mask 2 does not fit 1 bits"),  # wider than the answer
+        ((-1, 0), ValueError, "mask -1 does not fit 1 bits"),
+        ((1 << 70, 0), ValueError, f"mask {1 << 70} does not fit 1 bits"),  # beyond any word
+        ((0.5, 0), TypeError, "mask 0.5 is not an int"),  # no float is truncated
+        ((1.0, 0), TypeError, "mask 1.0 is not an int"),
+        # masks are a sized sequence: no masks, or an iterator, is refused up front
+        (None, TypeError, "object of type 'NoneType' has no len()"),
+        (iter((0, 1)), TypeError, "object of type 'tuple_iterator' has no len()"),
     ])
-    def test_kept_plan_still_checks_masks(self, masks, error):
+    def test_kept_plan_still_checks_masks(self, masks, error, message):
+        # output-only draws take no masks; a run still refuses malformed ones,
+        # after ``run_outputs`` has checked and kept the plan of (1, 0)
         protocol = CompiledProtocol(make_scheme("subset2", 2))
         x = Database.from_string("10")
-        protocol.run_outputs(x, [(1, 0, (0, 1))])  # the plan of (1, 0) is now kept
+        protocol.run_outputs(x, [(1, 0)])
         with pytest.raises(error) as single:
             protocol.run(x, 1, 0, masks)
-        with pytest.raises(error) as batched:
-            protocol.run_outputs(x, [(1, 0, (1, 1)), (1, 0, masks)])
-        assert str(batched.value) == str(single.value)
+        assert str(single.value) == message
 
     def test_one_plan_per_distinct_draw(self, monkeypatch):
         protocol = CompiledProtocol(make_scheme("subset2", 2))
@@ -470,9 +471,10 @@ class TestBatchedOutputs:
         protocol.run_outputs(Database.from_string("10"), draws)
         # the scheme keeps its plans: another database builds none, nor do runs
         protocol.run_outputs(Database.from_string("01"), draws)
-        for i, r, masks in draws:
-            protocol.run(Database.from_string("01"), i, r, masks)
-        assert calls == list(dict.fromkeys((i, r) for i, r, _ in draws))
+        for i, r in draws:
+            for masks in protocol.mask_space():
+                protocol.run(Database.from_string("01"), i, r, masks)
+        assert calls == list(dict.fromkeys(draws))
 
     def test_equal_draw_of_another_type_gets_its_own_plan(self):
         # 1.0 == 1, but a run with index 1.0 raises; the plan of index 1 must not hide that
@@ -481,15 +483,15 @@ class TestBatchedOutputs:
         with pytest.raises(TypeError) as single:
             protocol.run(x, 1.0, 0, (0, 0))
         with pytest.raises(TypeError) as batched:
-            protocol.run_outputs(x, [(1, 0, (0, 0)), (1.0, 0, (0, 0))])
+            protocol.run_outputs(x, [(1, 0), (1.0, 0)])
         assert str(batched.value) == str(single.value)
 
     def test_degenerate_plan_rejected(self):
         protocol = CompiledProtocol(ZeroSelectSubsetScheme(2))
         x = Database.from_string("10")
-        assert protocol.run_outputs(x, [(2, 0, (0, 0))])[0] == protocol.run(x, 2, 0, (0, 0)).output
+        assert protocol.run_outputs(x, [(2, 0)])[0] == protocol.run(x, 2, 0, (0, 0)).output
         with pytest.raises(ValueError, match="degenerate plan"):
-            protocol.run_outputs(x, [(2, 0, (0, 0)), (1, 0, (0, 0))])
+            protocol.run_outputs(x, [(2, 0), (1, 0)])
 
     @pytest.mark.parametrize("scheme", [ZeroSelectSubsetScheme, WideQuerySubsetScheme])
     def test_server_states_refuse_what_a_run_refuses(self, scheme):
@@ -512,11 +514,11 @@ class TestParityRows:
     @staticmethod
     def _assert_every_c_is_the_reference(scheme, databases, indices, rands):
         compiled, classical = CompiledProtocol(scheme), ClassicalProtocol(scheme)
-        draws = [(i, r, ()) for i in indices for r in rands]
+        draws = [(i, r) for i in indices for r in rands]
         for x in databases:
-            want = [reference_reconstruction(scheme, x, i, r) for i, r, _ in draws]
-            assert [run_classically(scheme, x, i, r) for i, r, _ in draws] == want, str(x)
-            assert [compiled.view_class(x, i, r) for i, r, _ in draws] == want, str(x)
+            want = [reference_reconstruction(scheme, x, i, r) for i, r in draws]
+            assert [run_classically(scheme, x, i, r) for i, r in draws] == want, str(x)
+            assert [compiled.view_class(x, i, r) for i, r in draws] == want, str(x)
             assert classical.run_outputs(x, draws) == [{c: 1.0} for c in want], str(x)
 
     @pytest.mark.parametrize("name", sorted(SCHEMES))
@@ -583,7 +585,7 @@ class TestParityRows:
     ])
     def test_refuses_what_a_run_refuses(self, x, i, r):
         protocol = CompiledProtocol(make_scheme("subset2", 2))
-        protocol.run_outputs(Database.from_string("10"), [(1, 0, (0, 0))])  # (1, 0) is kept
+        protocol.run_outputs(Database.from_string("10"), [(1, 0)])  # (1, 0) is kept
         with pytest.raises(Exception) as classical:
             run_classically(protocol.scheme, x, i, r)
         with pytest.raises(type(classical.value)) as got:
@@ -592,7 +594,7 @@ class TestParityRows:
         with pytest.raises(Exception) as single:
             protocol.run(x, i, r, (0, 0))
         with pytest.raises(type(single.value)) as batched:
-            protocol.run_outputs(x, [(1, 0, (0, 0)), (i, r, (0, 0))])
+            protocol.run_outputs(x, [(1, 0), (i, r)])
         assert str(batched.value) == str(single.value)
 
     def test_one_row_per_index_and_randomness(self, monkeypatch):
@@ -607,22 +609,7 @@ class TestParityRows:
             for i in (1, 2, 3):
                 for r in range(8):
                     protocol.view_class(x, i, r)
-        assert built == list(dict.fromkeys((i, r) for i, r, _ in draws))
-
-    def test_each_mask_tuple_is_checked_once(self, monkeypatch):
-        checked = []
-        check = compiler._check_masks
-        monkeypatch.setattr(compiler, "_check_masks",
-                            lambda plan, masks: checked.append(masks) or check(plan, masks))
-        protocol = CompiledProtocol(make_scheme("subset2", 3))
-        masks = list(protocol.mask_space())
-        draws = [(i, r, m) for i in (1, 2, 3) for r in range(8) for m in masks]
-        for x in all_databases(3):
-            protocol.run_outputs(x, draws)
-        # the first draw of each (i, r) and each output class's one run check
-        # their masks with the query state; after that a tuple is checked once
-        assert set(checked) == set(masks)
-        assert len(checked) <= 3 * 8 + 2 + len(masks) < len(draws)
+        assert built == list(dict.fromkeys(draws))
 
 
 class TestWideLayout:
@@ -646,26 +633,24 @@ class TestWideLayout:
     def test_register_wider_than_a_word(self, countermeasure):
         protocol = CompiledProtocol(make_scheme("trivial1", 70), dephase_servers=countermeasure)
         x = Database(70, 0x2F0F_5A5A_C3C3_9669_A5)
-        draws = [(i, 0, (m,)) for i in (1, 35, 70)
-                 for m in (0, 1, 0x15_A5A5_A5A5_A5A5_A5A5, (1 << 70) - 1)]
-        _assert_outputs_equal_runs(protocol, [x], draws)
+        masks = [(m,) for m in (0, 1, 0x15_A5A5_A5A5_A5A5_A5A5, (1 << 70) - 1)]
+        _assert_outputs_equal_runs(protocol, [x], [(i, 0) for i in (1, 35, 70)], masks)
 
     @pytest.mark.parametrize("countermeasure", [False, True])
     def test_outputs_equal_runs(self, countermeasure):
         protocol = CompiledProtocol(self.protocol.scheme, dephase_servers=countermeasure)
-        draws = [(i, r, (r & 1, (r >> 7) & 1))
-                 for i in (1, 20, 40) for r in (0, 1, 0x5A5A5A5A5A, (1 << 40) - 1)]
+        draws = [(i, r) for i in (1, 20, 40) for r in (0, 1, 0x5A5A5A5A5A, (1 << 40) - 1)]
         _assert_outputs_equal_runs(protocol, [self.x], draws)
         if not countermeasure:
             assert all(out == {self.x.bit(i): pytest.approx(1.0)}
-                       for (i, _, _), out in zip(draws, protocol.run_outputs(self.x, draws)))
+                       for (i, _), out in zip(draws, protocol.run_outputs(self.x, draws)))
 
     def test_out_of_range_mask_raises(self):
         with pytest.raises(ValueError) as single:
             query_state(self.protocol.scheme.gen_plan(1, 0), (0, 2))
-        with pytest.raises(ValueError) as batched:
-            self.protocol.run_outputs(self.x, [(1, 0, (0, 1)), (1, 0, (0, 2))])
-        assert str(batched.value) == str(single.value) == "mask 2 does not fit 1 bits"
+        with pytest.raises(ValueError) as run:
+            self.protocol.run(self.x, 1, 0, (0, 2))
+        assert str(run.value) == str(single.value) == "mask 2 does not fit 1 bits"
 
 
 class TestAnyServerCount:
@@ -681,13 +666,13 @@ class TestAnyServerCount:
         scheme = RandomXorScheme(3, k=k, t=3, a=2, seed=k)
         protocol = CompiledProtocol(scheme)
         draws = _full_draws(protocol)
-        assert len(draws) == 3 * 4 * 4 ** k
+        assert len(draws) == 3 * 4
         first_wrong = None
         for x in all_databases(3):
-            for (i, r, masks), output in zip(draws, protocol.run_outputs(x, draws)):
+            for (i, r), output in zip(draws, protocol.run_outputs(x, draws)):
                 bit = run_classically(scheme, x, i, r)
-                assert set(output) == {bit}, (str(x), i, r, masks)
-                assert abs(output[bit] - 1.0) <= TOL, (str(x), i, r, masks)
+                assert set(output) == {bit}, (str(x), i, r)
+                assert abs(output[bit] - 1.0) <= TOL, (str(x), i, r)
                 if bit != x.bit(i) and first_wrong is None:
                     first_wrong = (str(x), i, r)
         report = audit_recovery(protocol, make_grid(3))

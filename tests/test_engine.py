@@ -64,7 +64,7 @@ def test_step_structure(name, countermeasure):
         if not step.moved:
             assert step.qubits_sent == step.bits_sent == 0
 
-    assert list(protocol.run_outputs(x, [(i, r, masks)])[0].items()) == list(t.output.items())
+    assert list(protocol.run_outputs(x, [(i, r)])[0].items()) == list(t.output.items())
     if countermeasure:
         assert sum(t.output.values()) == pytest.approx(1.0)
     else:
@@ -136,9 +136,9 @@ def test_output_only_runs_match_full_runs(name, n, databases, countermeasure):
 
     protocol = resolve_protocol(name, n, countermeasure)
     grid = make_grid(n, databases=databases, seed=1)
-    draws = [(i, r, ()) for i in grid.indices for r in protocol.randomness_space()]
+    draws = [(i, r) for i in grid.indices for r in protocol.randomness_space()]
     for x in grid.databases:
-        full = [exact_output(protocol.run(x, i, r, masks).output) for i, r, masks in draws]
+        full = [exact_output(protocol.run(x, i, r).output) for i, r in draws]
         assert [exact_output(out) for out in protocol.run_outputs(x, draws)] == full
 
 
@@ -155,7 +155,7 @@ def test_classical_output_is_the_reconstruction(name, n, databases, countermeasu
     for x in grid.databases:
         for i in grid.indices:
             for r in protocol.randomness_space():
-                assert exact_output(protocol.run_outputs(x, [(i, r, ())])[0]) == \
+                assert exact_output(protocol.run_outputs(x, [(i, r)])[0]) == \
                     exact_output(protocol.run(x, i, r).output)
     x = grid.databases[0]
     size = len(protocol.randomness_space())
@@ -163,5 +163,5 @@ def test_classical_output_is_the_reconstruction(name, n, databases, countermeasu
         with pytest.raises((IndexError, ValueError)) as want:
             protocol.run(x, i, r)
         with pytest.raises(type(want.value)) as got:
-            protocol.run_outputs(x, [(i, r, ())])
+            protocol.run_outputs(x, [(i, r)])
         assert str(got.value) == str(want.value)

@@ -62,6 +62,25 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(ExperimentConfig(scheme="whatever", n=2))
 
+    @pytest.mark.parametrize("keys, message", [
+        ({"databases": ["01", "01"]}, "database 01 is listed twice"),
+        ({"indices": [1, 1]}, "index 1 is listed twice"),
+    ])
+    def test_repeated_grid_entry_raises_config_error(self, keys, message):
+        # a copy would count as another database or index, and be compared
+        # with itself: 64 recovery runs where 16 cover the grid
+        config = ExperimentConfig(scheme="qspir(subset2)", n=2, **keys)
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            run_experiment(config)
+
+    def test_repeated_database_in_another_form_raises(self):
+        from qspirlab.schemes import Database
+
+        with pytest.raises(ValueError, match="^database 01 is listed twice$"):
+            make_grid(2, databases=[Database.from_string("01"), "01"])
+        # a sample is a set already
+        assert len(make_grid(2, databases=4).databases) == 4
+
     def test_failing_audit_reported_with_witness(self):
         bundle = run_experiment(ExperimentConfig(
             scheme="subset2-classical", n=2, audits=["data-privacy"]))

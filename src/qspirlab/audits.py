@@ -33,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .compiler import CompiledProtocol, _check_plan, server_register
+from .compiler import CompiledProtocol, MaskSpace, _check_plan, server_register
 # unused here; perfbench's tracer tests check that its wrapper re-binds this copy
 from .compiler import build_query_state  # noqa: F401
 from .density import DensityAccumulator, DensityMatrix, entries_close, trace_distance
@@ -213,36 +213,42 @@ def audit_recovery(protocol: Protocol, grid: AuditGrid) -> AuditReport:
     Every mask tuple of the subset counts (at every point in full mode, at
     the first in cycle mode): ``distinct_mask_combos`` is its size.  No output
     reads the masks (``CompiledProtocol.run_outputs``), so one ``run_outputs``
-    batch per (x, i) runs each (i, r) once, adding its weighted probability
-    once per tuple it stands for, in draw order: every sum, count and witness
-    is the per-tuple loop's.  A tuple is named only where the report shows
-    it, in the witness's example.
+    batch per (x, i) runs each (i, r) once and adds its probability once per
+    tuple it stands for, in draw order.  Only the cycle-mode first point
+    weighs its draws unevenly: there r_idx 0 stands for the whole subset, and
+    each other r adds its probability times the subset's size, once.  Every
+    sum, count and witness is the per-tuple loop's.  A tuple is named only
+    where the report shows it, in the witness's example.
     """
     mode, mask_subset = _mask_mode(protocol)
+    size = len(mask_subset)
+    each = 1 if mode == "cycle" else size  # the tuples a draw stands for, off the first point
     rand = list(protocol.randomness_space())
-    first_point = (grid.databases[0].value, grid.indices[0], 0)
     worst_p = 1.0
     witness = None
     runs = 0
     for x in grid.databases:
         for i in grid.indices:
-            slot = (x.value * len(grid.indices) + (i - 1)) * len(rand)  # at r_idx = 0
-            cycled = [mode == "cycle" and (x.value, i, r_idx) != first_point
-                      for r_idx in range(len(rand))]
-            stands = [1 if c else len(mask_subset) for c in cycled]
+            first = mode == "cycle" and (x.value, i) == (grid.databases[0].value, grid.indices[0])
+            most = size if first else each
             outputs = protocol.run_outputs(x, [(i, r) for r in rand])
-            runs += sum(stands)
+            runs += len(rand) * each + most - each
             target = x.bit(i)
-            most = max(stands)
             total = 0.0
             example = None
-            for r_idx, (r, count, output) in enumerate(zip(rand, stands, outputs)):
+            for r_idx, (r, output) in enumerate(zip(rand, outputs)):
                 p = output.get(target, 0.0)
-                wp = p * (most / count)
-                for _ in range(count):
-                    total += wp
+                if first and r_idx:
+                    total += p * most
+                elif most == 1:
+                    total += p
+                else:
+                    for _ in range(most):
+                        total += p
                 if p < 1.0 - TOL and example is None:
-                    masks = mask_subset[(slot + r_idx) % len(mask_subset) if cycled[r_idx] else 0]
+                    slot = (x.value * len(grid.indices) + (i - 1)) * len(rand) + r_idx
+                    cycled = mode == "cycle" and (r_idx or not first)
+                    masks = mask_subset[slot % size if cycled else 0]
                     example = {"r": r, "masks": list(masks), "probability": p}
             p = total / (most * len(rand))
             if p < worst_p:
@@ -328,9 +334,9 @@ def _server_histograms(protocol: CompiledProtocol, i: int) -> dict[tuple[str, st
     the other, so its state, which has no cross terms (see
     ``server_state_mixtures``), is diagonal over the values (q_j << a) | m_j:
     phases map basis states to +-themselves and measurements leave them as
-    they are.  So each step's mixture is read off the ``gen_plan`` tables and
-    one stand-in run per split pattern (``_stand_in_steps``), without a
-    transcript.
+    they are.  So each step's mixture is read off the index's plans, built
+    here and not kept (kept, they cost peak memory), and one stand-in run per
+    split pattern (``_stand_in_steps``), without a transcript.
 
     In full mode (at most MASK_EXHAUSTIVE_LIMIT mask tuples) the keys and
     entries are ``_server_mixtures_generic``'s, to the last bit and in the
@@ -464,7 +470,9 @@ def server_state_mixtures(protocol: Protocol, i: int) -> dict[tuple[str, str], D
     between the terms, so a server's state has no cross terms; x only flips
     the sign of whole terms, leaving each ``(w * amp) * conj(amp)``, norm and
     renormalised amplitude as it is, in every mask mode.  So it is built in
-    closed form (``_server_histograms``) and runs no transcript.
+    closed form (``_server_histograms``) and runs no transcript, but only
+    when ``mask_space()`` is the full ``MaskSpace`` of the scheme's (a, k),
+    which the closed form assumes; any other mask space runs transcripts.
 
     In a ``BellProtocol`` run every term has the same magnitude, to the bit:
     each amplitude is the same product of SQRT_HALF factors, a Pauli only
@@ -480,7 +488,9 @@ def server_state_mixtures(protocol: Protocol, i: int) -> dict[tuple[str, str], D
         raise TypeError("a classical server's states read the database; "
                         "check its user privacy with audit_user_privacy_classical")
     if isinstance(protocol, CompiledProtocol):
-        return _server_histograms(protocol, i)
+        masks, s = protocol.mask_space(), protocol.scheme.shape
+        if type(masks) is MaskSpace and (masks.a, masks.k) == (s.a, s.k):
+            return _server_histograms(protocol, i)
     return _server_mixtures_generic(protocol, Database(protocol.n, 0), i)
 
 

@@ -233,26 +233,27 @@ class CompiledProtocol:
         the low a bits.
         """
         outputs = []
+        checked, classes = self._checked, self._outputs
         value, fits = x.value, x.n == self.n
         for i, r in draws:
             # like ``scheme.plan``, keep plain-int pairs only: 1.0 == 1, but
             # index 1.0 is refused, so any other pair is planned every time
             plain = type(i) is int and type(r) is int
-            entry = self._checked.get((i, r)) if plain else None
+            entry = checked.get((i, r)) if plain else None
             if entry is None:
                 plan = self.scheme.plan(i, r)
                 _check_plan(plan)
                 entry = (tuple(s != 0 for s in plan.selects), self.scheme.row(i, r))
                 if plain:
-                    self._checked[i, r] = entry
+                    checked[i, r] = entry
             splits, row = entry
             if row is not None and fits:
                 c = (value & row).bit_count() & 1
             else:  # no rows, or a database of another size, which it refuses as a run does
                 c = run_classically(self.scheme, x, i, r)
-            output = self._outputs.get((c, splits))
+            output = classes.get((c, splits))
             if output is None:
                 masks = next(iter(self.mask_space()))
-                output = self._outputs[c, splits] = self.run(x, i, r, masks).output
+                output = classes[c, splits] = self.run(x, i, r, masks).output
             outputs.append(dict(output))
         return outputs

@@ -101,7 +101,7 @@ class ClassicalProtocol:
 
     def _script(self, x: Database, i: int, r: int) -> Script:
         s = self.scheme.shape
-        plan = self.scheme.gen_plan(i, r)
+        plan = self.scheme.plan(i, r)
         answers = [self.scheme.answer(q, x) for q in plan.queries]
         layout = self.layout()
 

@@ -93,7 +93,8 @@ class QueryPlan:
 
 
 class LinearPirScheme:
-    """Base class; subclasses fill in plan generation and answer rows (or answering)."""
+    """Base class; subclasses fill in plan generation and answer rows (or answering).
+    Plans are kept per (i, r) (``plan``, ``row``) and answer rows per query (``rows``)."""
 
     name: str
 
@@ -119,12 +120,20 @@ class LinearPirScheme:
 
     def answer(self, q: int, x: Database) -> int:
         """a-bit answer; a function of the query and the database only."""
-        rows = self.answer_rows(q)
+        rows = self.rows(q)
         if rows is None:
             raise NotImplementedError
         if x.n != self.n:
             raise ValueError("database size mismatch")
         return kernels.masked_parities(x.value, rows)
+
+    def rows(self, q: int) -> tuple[int, ...] | None:
+        """``answer_rows(q)``, built once per plain-int query and kept, None too, like ``plan``;
+        any other query, and one ``answer_rows`` refuses, goes to it every time."""
+        if type(q) is not int:
+            return self.answer_rows(q)
+        memo = self.__dict__.setdefault("_rows_memo", {})
+        return memo[q] if q in memo else memo.setdefault(q, self.answer_rows(q))
 
     def plan(self, i: int, r: int) -> QueryPlan:
         """``gen_plan(i, r)``, built once per pair of plain ints and kept."""
@@ -188,7 +197,7 @@ def parity_row(scheme: LinearPirScheme, plan: QueryPlan) -> int | None:
     over servers j and the set bits of select j, of answer j's rows; None without rows."""
     v = 0
     for q, sel in zip(plan.queries, plan.selects):
-        rows = scheme.answer_rows(q)
+        rows = scheme.rows(q)
         if rows is None:
             return None
         for row in reversed(rows):  # the last answer bit is the select's lowest

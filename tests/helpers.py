@@ -1,9 +1,10 @@
-"""Shared test fixtures: broken and random schemes, a compiled draw's query state,
-Bell's query state, a detectable attack, the clean query's unitary image, a
-classical twin audit, the one-transcript-per-database data-privacy reference,
-the per-draw recovery reference, the answers and the reconstruction computed
-without answer rows, the single-qubit Pauli maps, and the full-validation
-switch for the internal constructors."""
+"""Shared test fixtures: broken and random schemes, a compiled protocol that skips
+its masks, a compiled draw's query state, Bell's query state, a detectable
+attack, the clean query's unitary image, a classical twin audit, the
+one-transcript-per-database data-privacy reference, the per-tuple and the
+weighted per-draw recovery references, the answers and the reconstruction
+computed without answer rows, the single-qubit Pauli maps, and the
+full-validation switch for the internal constructors."""
 
 import random
 from collections import Counter
@@ -13,7 +14,7 @@ from qspirlab.adversary import CleanQueryOracle, attack_input_layout
 from qspirlab import audits
 from qspirlab.audits import AuditGrid, AuditReport
 from qspirlab.bell import BellProtocol
-from qspirlab.compiler import build_query_state, query_table
+from qspirlab.compiler import CompiledProtocol, build_query_state, query_table
 from qspirlab.density import DensityAccumulator, DensityMatrix
 from qspirlab.registers import RegisterLayout, bits
 from qspirlab.schemes import (
@@ -97,6 +98,19 @@ class RandomXorScheme(LinearPirScheme):
     def answer(self, q, x):
         self._check_query(q)
         return self._answers[q][x.value]
+
+
+class MaskSkippingProtocol(CompiledProtocol):
+    """A compiled protocol whose user draws only the all-zeros mask tuple.
+
+    With no mask, each server's register holds its select in the clear in
+    the sign-1 term, so its states tell two indices apart wherever the
+    selects encode the index (``trivial1``, ``cube2``), but not where every
+    select is 1 (``subset2``).
+    """
+
+    def mask_space(self):
+        return [(0,) * self.k]
 
 
 def _pauli_map(p: int, q: int):
@@ -277,6 +291,63 @@ def audit_recovery_per_draw(protocol, grid: AuditGrid) -> AuditReport:
                 if p < 1.0 - audits.TOL and example is None:
                     example = {"r": r, "masks": list(masks), "probability": p}
             p = total / (most * len(counts))
+            if p < worst_p:
+                worst_p = p
+            if p < 1.0 - audits.TOL and witness is None:
+                witness = {"x": str(x), "i": i, "recovery_probability": p, "example": example}
+    distance = 1.0 - worst_p
+    return AuditReport(
+        kind="recovery",
+        protocol=protocol.name,
+        grid=grid.describe(),
+        tolerance=audits.TOL,
+        worst_case_distance=distance,
+        passed=distance <= audits.TOL,
+        witness=witness,
+        details={
+            "min_recovery_probability": worst_p,
+            "runs": runs,
+            "distinct_mask_combos": len(mask_subset) if mode != "none" else 0,
+            "mask_mode": mode,
+        },
+    )
+
+
+def audit_recovery_weighted_draws(protocol, grid: AuditGrid) -> AuditReport:
+    """The recovery audit as one ``run_outputs`` draw per (x, i, r), each weighted by the
+    tuples it stands for, through per-(x, i) lists of cycled draws and their counts.
+
+    The reference ``audits.audit_recovery`` must match byte for byte: it
+    builds those lists nowhere and adds each probability unscaled where its
+    count is the largest, which leaves every sum the same.
+    """
+    mode, mask_subset = audits._mask_mode(protocol)
+    rand = list(protocol.randomness_space())
+    first_point = (grid.databases[0].value, grid.indices[0], 0)
+    worst_p = 1.0
+    witness = None
+    runs = 0
+    for x in grid.databases:
+        for i in grid.indices:
+            slot = (x.value * len(grid.indices) + (i - 1)) * len(rand)  # at r_idx = 0
+            cycled = [mode == "cycle" and (x.value, i, r_idx) != first_point
+                      for r_idx in range(len(rand))]
+            stands = [1 if c else len(mask_subset) for c in cycled]
+            outputs = protocol.run_outputs(x, [(i, r) for r in rand])
+            runs += sum(stands)
+            target = x.bit(i)
+            most = max(stands)
+            total = 0.0
+            example = None
+            for r_idx, (r, count, output) in enumerate(zip(rand, stands, outputs)):
+                p = output.get(target, 0.0)
+                wp = p * (most / count)
+                for _ in range(count):
+                    total += wp
+                if p < 1.0 - audits.TOL and example is None:
+                    masks = mask_subset[(slot + r_idx) % len(mask_subset) if cycled[r_idx] else 0]
+                    example = {"r": r, "masks": list(masks), "probability": p}
+            p = total / (most * len(rand))
             if p < worst_p:
                 worst_p = p
             if p < 1.0 - audits.TOL and witness is None:

@@ -28,7 +28,7 @@ from qspirlab.audits import (
     _server_histograms,
     _server_mixtures_generic,
 )
-from qspirlab.compiler import CompiledProtocol, server_register
+from qspirlab.compiler import CompiledProtocol, MaskSpace, server_register
 from qspirlab.density import DensityAccumulator, entries_close, mix, partial_trace, trace_distance
 from qspirlab.protocols import ClassicalProtocol, resolve_protocol
 from qspirlab.schemes import Database, all_databases, make_scheme, run_classically
@@ -37,9 +37,11 @@ from qspirlab.transcript import USER, server_party, server_round
 from helpers import (
     CorruptedSubsetScheme,
     LeakyScheme,
+    MaskSkippingProtocol,
     RandomXorScheme,
     audit_data_privacy_classical_direct,
     audit_recovery_per_draw,
+    audit_recovery_weighted_draws,
     data_privacy_by_transcripts,
     feed_user_mixtures,
     query_state,
@@ -134,6 +136,65 @@ class TestRecoveryRepresentatives:
         assert batches == [(x, [(i, r) for r in rand]) for x in grid.databases for i in grid.indices]
         # and each stands for its whole product
         assert report.details["runs"] > sum(len(draws) for _, draws in batches)
+
+
+class TestRecoveryWeights:
+    """``audit_recovery`` builds no per-draw weights, yet its report is the
+    weighted per-draw loop's, byte for byte, in every mask mode."""
+
+    @staticmethod
+    def report(protocol, grid):
+        """``protocol()``'s report, after checking it against a fresh one's reference."""
+        got = audit_recovery(protocol(), grid)
+        want = audit_recovery_weighted_draws(protocol(), grid)
+        assert json.dumps(got.to_jsonable()) == json.dumps(want.to_jsonable())
+        return got
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cube_cycle_mode(self, seed, countermeasure):
+        # the first point's r = 0 stands for all 512 tuples, and each other r there
+        # weighs as much, in one addend
+        report = self.report(lambda: resolve_protocol("qspir(cube2)", 8, countermeasure),
+                             make_grid(8, databases=8, seed=seed))
+        assert report.details["mask_mode"] == "cycle"
+        assert report.details["runs"] == 8 * 8 * 64 + 511
+        assert report.worst_case_distance == (0.4999999999999999 if countermeasure else 0.0)
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("name, n", [(name, n) for name in ("qspir(trivial1)", "qspir(subset2)")
+                                         for n in range(1, 5)] + [("subset2", 3), ("bell2", 4)])
+    def test_full_and_maskless_modes(self, name, n, countermeasure):
+        report = self.report(lambda: resolve_protocol(name, n, countermeasure), make_grid(n))
+        assert report.details["mask_mode"] == ("full" if name.startswith("qspir") else "none")
+        dephased = countermeasure and name != "subset2"  # a classical run has nothing to dephase
+        assert report.passed != dephased
+        if dephased and name.startswith("qspir") and n > 2:
+            assert report.worst_case_distance == 0.4999999999999999
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    @pytest.mark.parametrize("seed", [4, 1, 5])
+    def test_random_scheme_witnesses(self, seed, countermeasure):
+        # 256 mask tuples, so cycle mode; the witness's example is the first
+        # point's r = 0 at seed 4, a cycled draw there at seed 1 and at
+        # another point at seed 5
+        report = self.report(
+            lambda: CompiledProtocol(RandomXorScheme(3, k=4, t=3, a=2, seed=seed), countermeasure),
+            make_grid(3))
+        assert report.details["mask_mode"] == "cycle" and not report.passed
+        if not countermeasure:
+            example = report.witness["example"]
+            assert (report.witness["recovery_probability"], example["masks"]) == {
+                4: (0.2500000000000001, [0, 0, 0, 0]),
+                1: (0.5000000000000002, [2, 0, 0, 0]),
+                5: (0.7500000000000003, [2, 1, 0, 0]),
+            }[seed]
+
+    @pytest.mark.parametrize("countermeasure", [False, True], ids=["plain", "countermeasure"])
+    def test_corrupted_scheme(self, countermeasure):
+        report = self.report(lambda: CompiledProtocol(CorruptedSubsetScheme(3), countermeasure),
+                             make_grid(3))
+        assert report.worst_case_distance == 0.4999999999999999 and not report.passed
 
 
 class TestUserPrivacyClassical:
@@ -573,6 +634,38 @@ class TestClosedForm:
         monkeypatch.setattr(bell, "execute", transcript.execute)
         with pytest.raises(AssertionError, match="a transcript ran"):
             server_state_mixtures(resolve_protocol("bell2", 2), 1)
+
+
+class TestMaskSkipping:
+    """The closed form assumes the full mask product of the scheme's (a, k); a
+    protocol that draws any other mask space has its states built from transcripts."""
+
+    @pytest.mark.parametrize("name, n, distance", [
+        ("trivial1", 3, 0.5000000000000001),
+        ("cube2", 8, 0.5000000000000001),
+        ("subset2", 3, 0.0),  # every select is 1, so no unmasked select tells i
+    ])
+    def test_user_privacy_verdicts(self, name, n, distance):
+        protocol = MaskSkippingProtocol(make_scheme(name, n))
+        report = audit_user_privacy_quantum(protocol, make_grid(n))
+        assert (report.worst_case_distance, report.passed) == (distance, distance == 0.0)
+        if not report.passed:
+            assert (report.witness["server"], report.witness["step"], report.witness["i_prime"]) \
+                == ("server1", "send:server1", 2)
+
+    @pytest.mark.parametrize("masks", [
+        lambda protocol: [(0,) * protocol.k],
+        lambda protocol: MaskSpace(1, protocol.k),  # a product, but of 1-bit masks
+        lambda protocol: list(MaskSpace(protocol.scheme.shape.a, protocol.k)),  # not a MaskSpace
+    ], ids=["zeros", "narrow", "listed"])
+    def test_other_mask_spaces_run_transcripts(self, masks, monkeypatch):
+        protocol = CompiledProtocol(make_scheme("trivial1", 3))
+        monkeypatch.setattr(protocol, "mask_space", lambda: masks(protocol))
+        monkeypatch.setattr(audits, "_server_histograms", None)  # the closed form is not reached
+        x = Database(3, 0)
+        for i in range(1, 4):
+            assert exact_entries(server_state_mixtures(protocol, i)) == \
+                exact_entries(_server_mixtures_generic(protocol, x, i))
 
 
 class TestDataPrivacy:

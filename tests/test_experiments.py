@@ -19,6 +19,7 @@ from qspirlab.experiments import (
     run_experiment,
 )
 from qspirlab.protocols import protocol_names, resolve_protocol
+from qspirlab.schemes import CubeScheme
 
 
 class TestConfig:
@@ -162,3 +163,16 @@ def test_numpy_stays_off_the_import_path():
     done = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN], cwd=root, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_classical_transcripts_read_the_kept_plans(monkeypatch):
+    # recovery keeps each of cube2's 8 x 64 (i, r) plans; the data-privacy
+    # transcripts and the accounting run read them and build none
+    gen_plan = CubeScheme.gen_plan
+    calls = []
+    monkeypatch.setattr(CubeScheme, "gen_plan",
+                        lambda self, i, r: calls.append((i, r)) or gen_plan(self, i, r))
+    bundle = run_experiment(ExperimentConfig(scheme="cube2", n=8, databases=8,
+                                             audits=["recovery", "data-privacy"]))
+    assert [r.passed for r in bundle.reports] == [True, False]  # classical SPIR fails
+    assert len(calls) == len(set(calls)) == 8 * 64

@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from qspirlab.audits import audit_recovery, make_grid
+from qspirlab.compiler import CompiledProtocol
 from qspirlab.schemes import (
     SCHEMES,
     CubeScheme,
@@ -17,7 +19,7 @@ from qspirlab.schemes import (
     run_classically,
 )
 
-from helpers import CorruptedSubsetScheme, reference_answer
+from helpers import CorruptedSubsetScheme, RandomXorScheme, reference_answer
 
 
 def cube_answer_oracle(scheme: CubeScheme, q: int, x: Database) -> int:
@@ -263,3 +265,59 @@ class TestAnswerRows:
         for i in range(1, 4):
             for r in s.randomness_space:
                 assert parity_row(s, s.plan(i, r)) == r
+
+
+def count_answer_rows(monkeypatch, scheme) -> list:
+    """The queries ``scheme.answer_rows`` is asked for, from now on, in call order."""
+    calls = []
+    answer_rows = scheme.answer_rows
+    monkeypatch.setattr(scheme, "answer_rows", lambda q: calls.append(q) or answer_rows(q))
+    return calls
+
+
+class TestRowsMemo:
+    """Answer rows, like plans, are built once per plain-int query and kept."""
+
+    def test_cube_recovery_builds_each_querys_rows_once(self, monkeypatch):
+        # 512 (i, r) plans of two queries each, over 64 distinct queries
+        scheme = CubeScheme(8)
+        calls = count_answer_rows(monkeypatch, scheme)
+        assert audit_recovery(CompiledProtocol(scheme), make_grid(8, databases=8)).passed
+        assert sorted(calls) == list(range(1 << scheme.shape.t))
+
+    def test_answers_read_the_kept_rows(self, monkeypatch):
+        scheme = CubeScheme(8)
+        cases = [(q, x) for x in (Database(8, 0), Database(8, 0b10110011)) for q in (0, 5, 63)]
+        want = [reference_answer(scheme, q, x) for q, x in cases]
+        calls = count_answer_rows(monkeypatch, scheme)
+        assert [scheme.answer(q, x) for q, x in cases] == want
+        assert calls == [0, 5, 63]
+        assert scheme.rows(5) is scheme.rows(5)
+
+    def test_refused_query_raises_on_every_call(self, monkeypatch):
+        scheme = SubsetScheme(3)
+        calls = count_answer_rows(monkeypatch, scheme)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="query 8 does not fit 3 bits"):
+                scheme.rows(8)
+            with pytest.raises(ValueError, match="query 8 does not fit 3 bits"):
+                scheme.answer(8, Database(3, 5))
+        assert calls == [8] * 4
+
+    def test_non_int_query_bypasses_the_memo(self, monkeypatch):
+        # 1.0 == True == 1, but each is answered as it is: the kept rows of 1
+        # stand for none of them, nor they for it
+        scheme = SubsetScheme(3)
+        calls = count_answer_rows(monkeypatch, scheme)
+        for q in (1.0, 1.0, 1, True, 1):
+            assert type(scheme.rows(q)[0]) is type(q)
+        assert calls == [1.0, 1.0, 1, True]
+        with pytest.raises(TypeError):
+            scheme.answer(1.0, Database(3, 5))
+
+    def test_a_scheme_without_rows_is_remembered_as_such(self, monkeypatch):
+        scheme = RandomXorScheme(3, seed=1)
+        calls = count_answer_rows(monkeypatch, scheme)
+        assert scheme.rows(2) is None and scheme.rows(2) is None
+        assert calls == [2]
+        assert parity_row(scheme, scheme.plan(1, 0)) is None
